@@ -10,6 +10,7 @@ fiber metric against the connection.
 
 import numpy as np
 
+from tractorlab.holonomy import infinitesimal_algebra
 from tractorlab.library import hyperbolic_chart, polynomial_chart, sphere_chart
 from tractorlab.structures import einstein_check, tractor_metric_to_einstein_verify
 
@@ -28,6 +29,7 @@ for chart in (sphere_chart(3), hyperbolic_chart(3), polynomial_chart(3, seed=20)
     h0 = rep.h(chart.center())
     print(f"  h at the center:\n{np.array_str(h0, precision=5, suppress_small=True)}")
 
-    back = tractor_metric_to_einstein_verify(chart, h0)
+    alg = infinitesimal_algebra(chart, chart.center())
+    back = tractor_metric_to_einstein_verify(chart, alg, h0)
     print(f"  round trip through the converse check: accepted={back['accepted']}, "
           f"consistency {back['consistency_residual']:.2e}\n")

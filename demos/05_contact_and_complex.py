@@ -12,15 +12,17 @@ output has a closed form worth checking by eye.
 
 import numpy as np
 
+from tractorlab.holonomy import infinitesimal_algebra
 from tractorlab.library import flat_chart
 from tractorlab.structures import complex_reduction, contact_from_symplectic
 
 chart = flat_chart(3)
+alg = infinitesimal_algebra(chart, chart.center())
 
 omega = np.zeros((4, 4))
 omega[0, 1] = omega[2, 3] = 1.0
 omega[1, 0] = omega[3, 2] = -1.0
-rep = contact_from_symplectic(chart, omega)
+rep = contact_from_symplectic(chart, alg, omega)
 print("contact reduction on flat R^3")
 print(f"  accepted                {rep.accepted}")
 print(f"  theta at first samples  {[np.round(t, 4).tolist() for t in rep.theta[:2]]}")
@@ -34,7 +36,7 @@ print(f"  Weyl restricted to H    {rep.weyl_in_H:.2e}\n")
 J = np.zeros((4, 4))
 J[0, 1], J[1, 0] = -1.0, 1.0
 J[2, 3], J[3, 2] = -1.0, 1.0
-rep = complex_reduction(chart, J)
+rep = complex_reduction(chart, alg, J)
 print("complex reduction on flat R^3")
 print(f"  accepted                     {rep.accepted}")
 print(f"  line field R at first sample {np.round(rep.R_field[0], 4).tolist()}")

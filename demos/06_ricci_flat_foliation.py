@@ -18,7 +18,8 @@ chart = m.chart
 K = m.structures["K"]
 print(f"chart {chart.name!r}, declared subspace basis (columns):\n{K}")
 
-rep = foliation_analysis(chart, K, base_point=m.base())
+alg = infinitesimal_algebra(chart, m.base())
+rep = foliation_analysis(chart, alg, K, base_point=m.base())
 print(f"\nfoliation analysis: accepted={rep.accepted}")
 print(f"  integrability residual   {rep.integrability_residual:.2e}")
 print(f"  geodesy residual         {rep.geodesy_residual:.2e}")
@@ -28,7 +29,6 @@ print(f"  adapted Ricci on leaves  {rep.ricci_on_K:.2e}")
 print(f"  covolume along leaves    {rep.covolume_status}")
 print(f"  affine vs tractor transport of K: {rep.transport_agreement:.2e}")
 
-alg = infinitesimal_algebra(chart, m.base())
 d = holonomy_decomposition_check(chart, alg)
 print(f"\ndecomposition check on the holonomy algebra (rank {alg.rank}):")
 print(f"  tangent-row block max    {d['t_star_row_max']:.2e}")

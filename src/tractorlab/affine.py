@@ -242,16 +242,6 @@ class OneFormField:
         env = self.chart.env(point)
         return np.array([e.eval(env) for e in self.components], dtype=float)
 
-    def diff_at(self, point) -> np.ndarray:
-        """Partial derivatives d_i Ups_j at a point, shape (n, n)."""
-        env = self.chart.env(point)
-        n = self.chart.n
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.components[j].diff(self.chart.coords[i]).eval(env)
-        return out
-
 
 @dataclass(frozen=True)
 class Curve:
@@ -508,6 +498,27 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
     return GeodesicPath(ts, pts, vels, False, converged)
 
 
+def _linear_transport(field, curve: Curve, y0, tol: float):
+    """Integrate ydot = -A(xdot) y along a curve; returns (y_at_end, steps, ok).
+
+    `field(x)` gives the matrices A_i at a point, shape (n, m, m).  The state
+    is a length-m vector or an (m, m) matrix whose columns move together.
+    """
+    xs = compile_exprs(list(curve.components), ("t",))
+    vs = compile_exprs(list(curve.velocity_exprs()), ("t",))
+    y0 = np.asarray(y0, dtype=float)
+    shape = y0.shape
+
+    def f(t, y):
+        x = xs(t)
+        xd = vs(t)
+        Mx = np.einsum("i,ikl->kl", xd, field(x))
+        return (-Mx @ y.reshape(shape)).ravel()
+
+    out, steps, ok = rk4_adaptive(f, y0.ravel(), curve.t0, curve.t1, tol=tol)
+    return out.reshape(shape), steps, ok
+
+
 def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """Parallel transport of a tangent vector along a curve: vdot = -Gamma_xdot v.
 
@@ -515,17 +526,9 @@ def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """
     n = chart.n
     fn = chart.compiled("gamma", chart.gamma.ravel())
-    xs = compile_exprs(list(curve.components), ("t",))
-    vs = compile_exprs(list(curve.velocity_exprs()), ("t",))
-
-    def f(t, v):
-        x = xs(t)
-        xd = vs(t)
-        g = fn(*x).reshape(n, n, n)
-        return -np.einsum("kij,i,j->k", g, xd, v)
-
-    out, steps, ok = rk4_adaptive(f, np.asarray(v0, dtype=float), curve.t0, curve.t1, tol=tol)
-    return out, steps, ok
+    # A_i[k, j] = Gamma^k_{ij}
+    return _linear_transport(lambda x: fn(*x).reshape(n, n, n).transpose(1, 0, 2),
+                             curve, v0, tol)
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .affine import (
     project_change,
     ricci_field,
 )
+from .expr import ExprError
 from .holonomy import (
     classify,
     invariant_complex,
@@ -41,7 +42,7 @@ from .holonomy import (
     invariant_symplectic,
     loop_algebra,
 )
-from .manifest import Manifest, ManifestError, bundled_names, load, load_bundled
+from .manifest import Manifest, bundled_names, load, load_bundled
 from .projective import (
     cotton_field,
     rho_field,
@@ -290,7 +291,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
 
     structures = manifest.structures
     if "omega" in structures:
-        rep = contact_from_symplectic(chart, structures["omega"], base_point=base, seed=seed)
+        rep = contact_from_symplectic(chart, alg, structures["omega"], base_point=base, seed=seed)
         checks.verdict("contact_accepted", rep.accepted, rep.reject_reason or "")
         if rep.accepted:
             checks.add("contact_dtheta_vs_omega", rep.dtheta_vs_omega, "contact_dtheta")
@@ -312,7 +313,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
             "reeb": [np.asarray(r) for r in rep.reeb[:3]],
         }
     if "J" in structures:
-        rep = complex_reduction(chart, structures["J"], base_point=base, seed=seed)
+        rep = complex_reduction(chart, alg, structures["J"], base_point=base, seed=seed)
         checks.verdict("complex_accepted", rep.accepted, rep.reject_reason or "")
         if rep.accepted:
             checks.add("complex_square_residual", rep.square_residual, "complex_square")
@@ -326,12 +327,13 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
             "R_at_samples": [np.asarray(r) for r in rep.R_field[:3]],
         }
     if "h" in structures:
-        rep = tractor_metric_to_einstein_verify(chart, structures["h"], base_point=base, seed=seed)
+        rep = tractor_metric_to_einstein_verify(chart, alg, structures["h"], base_point=base,
+                                                seed=seed)
         checks.verdict("tractor_metric_verified", rep["accepted"],
                        rep.get("reason", ""))
         out["tractor_metric"] = rep
     if "K" in structures:
-        rep = foliation_analysis(chart, structures["K"], base_point=base, seed=seed)
+        rep = foliation_analysis(chart, alg, structures["K"], base_point=base, seed=seed)
         checks.verdict("foliation_accepted", rep.accepted, rep.reject_reason or "")
         if rep.accepted:
             checks.add("foliation_rho_residual", rep.rho_residual, "foliation")
@@ -460,13 +462,6 @@ def render(report: dict) -> str:
     return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("TRACTORLAB_THREADS")
-    if cap:
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(name, cap)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tractorlab",
@@ -483,7 +478,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
     args = parser.parse_args(argv)
-    _apply_thread_cap()
 
     try:
         if args.manifest is None:
@@ -495,11 +489,6 @@ def main(argv=None) -> int:
             manifests = [load(args.manifest)]
         else:
             manifests = [load_bundled(args.manifest)]
-    except ManifestError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         if len(manifests) == 1:
             report = run(args.command, manifests[0], seed=args.seed, tol_scale=args.tol_scale)
             all_pass = report["all_pass"]
@@ -517,7 +506,7 @@ def main(argv=None) -> int:
                 "reports": per,
                 "all_pass": all_pass,
             }
-    except ValueError as e:
+    except (ValueError, ExprError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

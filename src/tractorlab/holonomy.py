@@ -21,9 +21,10 @@ import numpy as np
 from scipy.linalg import logm
 
 from .affine import ChartModel, Curve, max_abs, sample_points
-from .expr import eval_many, num
+from .expr import eval_many
 from .projective import cotton_field, weyl_field
-from .tractor import connection_matrix_field, loop_holonomy, square_loop
+from .tractor import assemble_tractor_curvature, connection_matrix_field, loop_holonomy, \
+    square_loop
 
 __all__ = [
     "HolonomyAlgebra",
@@ -40,8 +41,6 @@ __all__ = [
     "classify",
     "CLASSIFY_CAVEAT",
 ]
-
-_ZERO = num(0.0)
 
 CLASSIFY_CAVEAT = "These are not equivalences, however, except in the projectively Einstein case."
 
@@ -195,25 +194,6 @@ def compare_spans(a: HolonomyAlgebra, b: HolonomyAlgebra, tol: float = 1e-5) -> 
 # -- infinitesimal estimator -----------------------------------------------------------
 
 
-def _tractor_curvature_symbolic(chart: ChartModel) -> np.ndarray:
-    def build():
-        n = chart.n
-        W = weyl_field(chart)
-        CY = cotton_field(chart)
-        F = np.empty((n, n, n + 1, n + 1), dtype=object)
-        for h in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        F[h, j, k, l] = W[h, j, k, l]
-                    F[h, j, n, k] = CY[h, j, k]
-                for r in range(n + 1):
-                    F[h, j, r, n] = _ZERO
-        return F
-
-    return chart.symbolic("Fsym", build)
-
-
 def _covariant_derivative_level(chart: ChartModel, level: np.ndarray) -> np.ndarray:
     """One covariant derivative of an endomorphism-valued covariant tensor.
 
@@ -247,7 +227,8 @@ def _covariant_derivative_level(chart: ChartModel, level: np.ndarray) -> np.ndar
 
 def _derivative_level(chart: ChartModel, order: int) -> np.ndarray:
     if order == 0:
-        return _tractor_curvature_symbolic(chart)
+        return chart.symbolic("Fsym", lambda: assemble_tractor_curvature(
+            weyl_field(chart), cotton_field(chart)))
     prev = _derivative_level(chart, order - 1)
     return chart.symbolic(f"Fcov{order}",
                           lambda: _covariant_derivative_level(chart, prev))

@@ -13,10 +13,14 @@ structure, subspace) and verifies the corresponding base geometry:
   Ricci-flat foliation after adapting the splitting.
 
 Fiber data is always given in the chart's own splitting at a base point
-and spread to sample points by tractor transport.  Where a check needs
-derivatives of transported data (exterior derivatives, Lie derivatives,
-the adapted one-form), central finite differences with a small step are
-used so the check stays independent of the symbolic route.
+and spread to sample points by tractor transport.  The chains that test
+fiber data for invariance take the holonomy algebra at that base point,
+in the same splitting, as an argument: the caller estimates it once (the
+`detect` command passes its `loop_algebra` result; a direct caller can pass
+the infinitesimal estimate from `holonomy`) and every chain reuses it.
+Where a check needs derivatives of transported data (exterior derivatives,
+Lie derivatives, the adapted one-form), central finite differences with a
+small step are used so the check stays independent of the symbolic route.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .affine import (
     sample_points,
 )
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
-    infinitesimal_algebra, invariant_subspaces, _containment_residual
+    invariant_subspaces, _containment_residual
 from .projective import assemble_rho, ricci_from_rho, rho_field, weyl_field
 from .tractor import (
     connection_matrix_field,
@@ -158,26 +162,17 @@ def _fiber_invariance(alg: HolonomyAlgebra, value: np.ndarray, kind: str) -> flo
     return worst
 
 
-def _to_vol_gauge(chart: ChartModel):
-    """Volume-normalized representative plus the splitting map at a point.
+def _to_vol_gauge(chart: ChartModel, base):
+    """Volume-normalized representative plus the splitting map at the base.
 
-    Components v in the original splitting correspond to S(p)^-1 v in the
-    normalized one, with S(p) = splitting_matrix(ups(p)).
+    Returns (vol_chart, S, S^-1) with S = splitting_matrix(ups(base)):
+    components v in the original splitting correspond to S^-1 v in the
+    normalized one, a bilinear form B to S^T B S and an endomorphism E to
+    S^-1 E S.
     """
     vol_chart, ups = normalize_volume(chart)
-
-    def to_vol(p, value, kind):
-        S = splitting_matrix(ups.at(p))
-        Si = splitting_matrix(-ups.at(p))
-        if kind == "vector":
-            return Si @ value
-        if kind == "bilinear":
-            return S.T @ value @ S
-        if kind == "endo":
-            return Si @ value @ S
-        raise ValueError(kind)
-
-    return vol_chart, ups, to_vol
+    u = ups.at(base)
+    return vol_chart, splitting_matrix(u), splitting_matrix(-u)
 
 
 def _stencil(points, h: float, n: int):
@@ -219,9 +214,9 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     """
     n = chart.n
     pts = sample_points(chart, seed=seed)[:n_samples]
-    ric = TensorField(chart, ricci_field(chart), "dd")
-    nabla = covariant_derivative(chart, ric)
-    nabla_vals = chart.compiled("EinNablaRic", nabla.components.ravel())
+    nabla = chart.symbolic("nablaRic", lambda: covariant_derivative(
+        chart, TensorField(chart, ricci_field(chart), "dd")).components)
+    nabla_vals = chart.compiled("nablaRic", nabla.ravel())
     ric_vals = chart.compiled("Ric", ricci_field(chart).ravel())
 
     worst = 0.0
@@ -351,21 +346,22 @@ def einstein_to_tractor_metric(chart: ChartModel, seed: int = 0):
     return report.h, report
 
 
-def tractor_metric_to_einstein_verify(chart: ChartModel, h_at_base: np.ndarray,
-                                      base_point=None, seed: int = 0,
-                                      tol: float = 1e-6) -> dict:
+def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
+                                      h_at_base: np.ndarray, base_point=None,
+                                      seed: int = 0, tol: float = 1e-6) -> dict:
     """Verify a supplied parallel-metric candidate against the connection.
 
-    Verification only: h must be invariant under the computed holonomy
-    algebra; it is then transported over the sample grid, the line
-    direction is checked for degeneracy (up to a 20% sample budget), and
-    where the chart itself passes einstein_check the transported values
-    are compared with the constructed candidate up to one global scale.
+    Verification only: h must be invariant under `alg`, the holonomy
+    algebra at the base point in the chart's own splitting (estimated by
+    the caller from loops or from the curvature tower).  It is then
+    transported over the sample grid, the line direction is checked for
+    degeneracy (up to a 20% sample budget), and where the chart itself
+    passes einstein_check the transported values are compared with the
+    constructed candidate up to one global scale.
     """
     n = chart.n
     base = _base_point(chart, base_point)
     h0 = np.asarray(h_at_base, dtype=float)
-    alg = infinitesimal_algebra(chart, base)
     inv_resid = _fiber_invariance(alg, h0, "bilinear")
     if inv_resid > tol:
         return {"accepted": False, "precondition_failed": True,
@@ -412,18 +408,20 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, h_at_base: np.ndarray,
 # -- contact chain ---------------------------------------------------------------------
 
 
-def contact_from_symplectic(chart: ChartModel, omega_at_base: np.ndarray,
-                            base_point=None, seed: int = 0, n_samples: int = 8,
-                            fd_step: float = 1e-4) -> ContactReport:
+def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
+                            omega_at_base: np.ndarray, base_point=None, seed: int = 0,
+                            n_samples: int = 8, fd_step: float = 1e-4) -> ContactReport:
     """Contact data induced by a parallel fiber symplectic form.
 
-    Works in the volume-normalized gauge.  The distribution at each sample
-    is the projection of the omega-orthogonal of the line direction; theta
-    is contraction with the line direction, the Reeb field solves
-    dtheta(R,.) = 0, theta(R) = 1, and dtheta is measured by central
-    finite differences of the transported theta (the comparison with the
-    transported omega is a genuine two-route check).  The exterior
-    derivative uses the alternation convention dtheta_ij =
+    `alg` is the holonomy algebra at the base point in the chart's own
+    splitting, estimated by the caller; omega must be invariant under it.
+    The form is then moved to the volume-normalized gauge.  The
+    distribution at each sample is the projection of the omega-orthogonal
+    of the line direction; theta is contraction with the line direction,
+    the Reeb field solves dtheta(R,.) = 0, theta(R) = 1, and dtheta is
+    measured by central finite differences of the transported theta (the
+    comparison with the transported omega is a genuine two-route check).
+    The exterior derivative uses the alternation convention dtheta_ij =
     (d_i theta_j - d_j theta_i)/2, matching the bilinear normalization
     of omega.
     """
@@ -434,13 +432,12 @@ def contact_from_symplectic(chart: ChartModel, omega_at_base: np.ndarray,
     if abs(np.linalg.det(omega0)) < 1e-10:
         return ContactReport(False, reject_reason="fiber form degenerate")
     base = _base_point(chart, base_point)
-    vol_chart, ups, to_vol = _to_vol_gauge(chart)
-    alg = infinitesimal_algebra(vol_chart, base)
-    om_v = to_vol(base, omega0, "bilinear")
-    inv = _fiber_invariance(alg, om_v, "bilinear")
+    inv = _fiber_invariance(alg, omega0, "bilinear")
     if inv > 1e-6:
         return ContactReport(False, reject_reason="fiber form not invariant under the holonomy algebra",
                              meta={"invariance_residual": inv})
+    vol_chart, S, _ = _to_vol_gauge(chart, base)
+    om_v = S.T @ omega0 @ S
 
     pts = [np.asarray(p, dtype=float) for p in sample_points(vol_chart, seed=seed)[:n_samples]]
     stencil = _stencil(pts, fd_step, n)
@@ -456,7 +453,7 @@ def contact_from_symplectic(chart: ChartModel, omega_at_base: np.ndarray,
                            meta={"invariance_residual": inv, "n_samples": len(pts)})
     worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_H": 0.0, "th_R": 0.0, "weyl": 0.0}
     vthetas = []
-    weyl_vals = chart.compiled("WeylC", weyl_field(chart).ravel())
+    weyl_vals = chart.compiled("W", weyl_field(chart).ravel())
     stride = 2 * n + 1
     for s_idx, p in enumerate(pts):
         om_p = values[s_idx * stride]
@@ -517,16 +514,19 @@ def contact_from_symplectic(chart: ChartModel, omega_at_base: np.ndarray,
 # -- complex chain -----------------------------------------------------------------------
 
 
-def complex_reduction(chart: ChartModel, J_at_base: np.ndarray, base_point=None,
-                      seed: int = 0, n_samples: int = 6,
+def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.ndarray,
+                      base_point=None, seed: int = 0, n_samples: int = 6,
                       fd_step: float = 1e-4) -> ComplexReport:
     """Transverse field and annihilator complex structure from a fiber J.
 
-    R is the projection of J applied to the line direction; H is the rank
-    n-1 annihilator of R in the cotangent fiber, and J_H the restriction
-    of the dual action of J.  Lie invariance along R is measured by
-    first-order finite differencing of the smooth R-transverse operator,
-    so its accuracy is capped by the step size.
+    `alg` is the holonomy algebra at the base point in the chart's own
+    splitting, estimated by the caller; J must commute with it.  J is then
+    moved to the volume-normalized gauge.  R is the projection of J applied
+    to the line direction; H is the rank n-1 annihilator of R in the
+    cotangent fiber, and J_H the restriction of the dual action of J.  Lie
+    invariance along R is measured by first-order finite differencing of
+    the smooth R-transverse operator, so its accuracy is capped by the
+    step size.
     """
     n = chart.n
     if n % 2 == 0:
@@ -537,13 +537,12 @@ def complex_reduction(chart: ChartModel, J_at_base: np.ndarray, base_point=None,
         return ComplexReport(False, reject_reason="fiber map does not square to minus identity",
                              meta={"square_defect": sq})
     base = _base_point(chart, base_point)
-    vol_chart, ups, to_vol = _to_vol_gauge(chart)
-    alg = infinitesimal_algebra(vol_chart, base)
-    J_v = to_vol(base, J0, "endo")
-    inv = _fiber_invariance(alg, J_v, "endo")
+    inv = _fiber_invariance(alg, J0, "endo")
     if inv > 1e-6:
         return ComplexReport(False, reject_reason="fiber map not invariant under the holonomy algebra",
                              meta={"invariance_residual": inv})
+    vol_chart, S, Si = _to_vol_gauge(chart, base)
+    J_v = Si @ J0 @ S
 
     pts = [np.asarray(p, dtype=float) for p in sample_points(vol_chart, seed=seed)[:n_samples]]
     stencil = _stencil(pts, fd_step, n)
@@ -615,12 +614,14 @@ def complex_reduction(chart: ChartModel, J_at_base: np.ndarray, base_point=None,
 # -- foliation chain ---------------------------------------------------------------------
 
 
-def foliation_analysis(chart: ChartModel, K_at_base: np.ndarray, base_point=None,
-                       seed: int = 0, n_samples: int = 6,
+def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.ndarray,
+                       base_point=None, seed: int = 0, n_samples: int = 6,
                        fd_step: float = 1e-4) -> FoliationReport:
     """Foliation data induced by an invariant subspace of the fiber.
 
-    The subspace is spread by transport; at each sample the splitting is
+    `alg` is the holonomy algebra at the base point in the chart's own
+    splitting, estimated by the caller; the subspace must be invariant
+    under it.  The subspace is spread by transport; at each sample the splitting is
     adapted by the least-norm one-form solving Upsilon(Y_a) = c_a, making
     the subspace horizontal.  Integrability and geodesy of the projected
     distribution are checked directly (they do not depend on the gauge),
@@ -634,7 +635,6 @@ def foliation_analysis(chart: ChartModel, K_at_base: np.ndarray, base_point=None
     if B0.ndim != 2 or B0.shape[0] != n + 1 or not 1 <= B0.shape[1] <= n:
         raise ValueError("subspace basis must be (n+1) x k with 1 <= k <= n")
     k = B0.shape[1]
-    alg = infinitesimal_algebra(chart, base)
     inv = _fiber_invariance(alg, B0, "subspace")
     if inv > 1e-6:
         return FoliationReport(False, reject_reason="subspace not invariant under the holonomy algebra",
@@ -647,7 +647,7 @@ def foliation_analysis(chart: ChartModel, K_at_base: np.ndarray, base_point=None
         T, steps, ok = transport_operator(chart, Curve.segment(base, q))
         ops.append(T)
 
-    gamma_vals = chart.compiled("Gamma", chart.gamma.ravel())
+    gamma_vals = chart.compiled("gamma", chart.gamma.ravel())
     rho_vals = chart.compiled("P", rho_field(chart).ravel())
 
     def frame_and_ups(T):
@@ -767,7 +767,7 @@ def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> 
     projection, compared as directions."""
     n = chart.n
     k = B0.shape[1]
-    gamma_vals = chart.compiled("Gamma", chart.gamma.ravel())
+    gamma_vals = chart.compiled("gamma", chart.gamma.ravel())
     M_vals = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
     worst = 0.0
     base = np.asarray(base, dtype=float)

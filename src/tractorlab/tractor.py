@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .affine import ChartModel, Curve, max_abs, rk4_adaptive
-from .expr import compile_exprs, num
+from .affine import ChartModel, Curve, _linear_transport, max_abs
+from .expr import num
 from .projective import cotton_field, rho_field, weyl_field
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "dual_connection_matrix",
     "splitting_matrix",
     "change_splitting",
+    "assemble_tractor_curvature",
     "tractor_curvature",
     "tractor_curvature_from_connection",
     "parallel_transport",
@@ -167,16 +168,18 @@ def connection_matrix_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("Mconn", build)
 
 
-def _connection_at(chart: ChartModel, point) -> np.ndarray:
+def _connection_field(chart: ChartModel):
+    """Point -> M_i, shape (n, n+1, n+1), through the compiled connection."""
     n = chart.n
     fn = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
-    return fn(*np.asarray(point, dtype=float)).reshape(n, n + 1, n + 1)
+    return lambda x: fn(*x).reshape(n, n + 1, n + 1)
 
 
 def connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
     """M(X) = X^i M_i at a point; vdot = -M(xdot) v transports tractors."""
     X = np.asarray(direction, dtype=float)
-    return np.einsum("i,ikl->kl", X, _connection_at(chart, point))
+    M = _connection_field(chart)(np.asarray(point, dtype=float))
+    return np.einsum("i,ikl->kl", X, M)
 
 
 def dual_connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
@@ -222,16 +225,23 @@ def change_splitting(components, ups_value) -> np.ndarray:
 # -- curvature ---------------------------------------------------------------------
 
 
+def assemble_tractor_curvature(W, CY) -> np.ndarray:
+    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); works on floats or Expr."""
+    n = W.shape[0]
+    F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
+    F[...] = _ZERO if W.dtype == object else 0.0
+    F[:, :, :n, :n] = W
+    F[:, :, n, :n] = CY
+    return F
+
+
 def tractor_curvature(chart: ChartModel, point) -> np.ndarray:
-    """F[h,j] assembled from the Weyl and Cotton tensors, shape (n,n,n+1,n+1)."""
+    """F[h,j] assembled from the Weyl and Cotton tensors at a point."""
     n = chart.n
     p = np.asarray(point, dtype=float)
     W = chart.compiled("W", weyl_field(chart).ravel())(*p).reshape(n, n, n, n)
     CY = chart.compiled("CY", cotton_field(chart).ravel())(*p).reshape(n, n, n)
-    F = np.zeros((n, n, n + 1, n + 1))
-    F[:, :, :n, :n] = W
-    F[:, :, n, :n] = CY
-    return F
+    return assemble_tractor_curvature(W, CY)
 
 
 def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
@@ -268,43 +278,14 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 # -- transport ---------------------------------------------------------------------
 
 
-def _curve_evaluators(curve: Curve):
-    xs = compile_exprs(list(curve.components), ("t",))
-    vs = compile_exprs(list(curve.velocity_exprs()), ("t",))
-    return xs, vs
-
-
 def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
-    n = chart.n
-    fn = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
-    xs, vs = _curve_evaluators(curve)
-
-    def f(t, v):
-        x = xs(t)
-        xd = vs(t)
-        M = fn(*x).reshape(n, n + 1, n + 1)
-        return -np.einsum("i,ikl,l->k", xd, M, v)
-
-    return rk4_adaptive(f, np.asarray(v0, dtype=float), curve.t0, curve.t1, tol=tol)
+    return _linear_transport(_connection_field(chart), curve, v0, tol)
 
 
 def transport_operator(chart: ChartModel, curve: Curve, tol: float = 1e-8):
     """Full transport operator T along a curve: columns are transported frames."""
-    n = chart.n
-    fn = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
-    xs, vs = _curve_evaluators(curve)
-    m = n + 1
-
-    def f(t, y):
-        x = xs(t)
-        xd = vs(t)
-        M = fn(*x).reshape(n, m, m)
-        Mx = np.einsum("i,ikl->kl", xd, M)
-        return (-Mx @ y.reshape(m, m)).ravel()
-
-    out, steps, ok = rk4_adaptive(f, np.eye(m).ravel(), curve.t0, curve.t1, tol=tol)
-    return out.reshape(m, m), steps, ok
+    return _linear_transport(_connection_field(chart), curve, np.eye(chart.n + 1), tol)
 
 
 def _compose_operators(chart: ChartModel, curves: Sequence[Curve], tol: float):

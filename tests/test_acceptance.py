@@ -181,7 +181,8 @@ def test_criterion_07_contact_chain_on_flat_r3():
     omega = np.zeros((4, 4))
     omega[0, 1] = omega[2, 3] = 1.0
     omega[1, 0] = omega[3, 2] = -1.0
-    rep = contact_from_symplectic(flat_chart(3), omega)
+    chart = flat_chart(3)
+    rep = contact_from_symplectic(chart, infinitesimal_algebra(chart, chart.center()), omega)
     assert rep.accepted, rep.reject_reason
     assert rep.dtheta_vs_omega <= 1e-6
     assert rep.dtheta_reeb <= 1e-6
@@ -194,7 +195,8 @@ def test_criterion_07_contact_chain_on_flat_r3():
 def test_criterion_08_ricci_flat_foliation_chain():
     m = load_bundled("product_rf3")
     chart = m.chart
-    rep = foliation_analysis(chart, m.structures["K"], base_point=m.base())
+    alg = infinitesimal_algebra(chart, m.base())
+    rep = foliation_analysis(chart, alg, m.structures["K"], base_point=m.base())
     assert rep.accepted, rep.reject_reason
     assert not rep.inconclusive
     assert rep.integrability_residual <= 1e-7
@@ -202,7 +204,6 @@ def test_criterion_08_ricci_flat_foliation_chain():
     assert rep.preserve_K_residual <= 1e-7
     assert rep.rho_residual <= 1e-7
     assert rep.ricci_on_K <= 1e-7
-    alg = infinitesimal_algebra(chart, m.base())
     d = holonomy_decomposition_check(chart, alg)
     assert d["t_star_row_max"] <= 1e-9
     print("\ncriterion 8 PASS: product chart passes all foliation conditions "

@@ -1,7 +1,6 @@
 """Manifest loading and the command-line report surface."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -237,11 +236,12 @@ def test_manifest_file_path_loading(tmp_path):
     assert code == 0
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("TRACTORLAB_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+def test_main_exit_two_on_expression_outside_its_domain(tmp_path, capsys):
+    path = tmp_path / "logpole.json"
+    path.write_text(json.dumps(make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                                        gamma={"0,1,1": "log(x1)"})))
+    assert cli.main(["compute", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):

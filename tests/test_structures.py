@@ -11,9 +11,9 @@ values follow from the Ricci sign alone.
 import numpy as np
 import pytest
 
-from tractorlab.affine import project_change, sample_points
+from tractorlab.affine import normalize_volume, project_change, sample_points
 from tractorlab.expr import parse
-from tractorlab.holonomy import infinitesimal_algebra
+from tractorlab.holonomy import algebra_from_generators, compare_spans, infinitesimal_algebra
 from tractorlab.library import (
     flat_chart,
     hyperbolic_chart,
@@ -30,6 +30,7 @@ from tractorlab.structures import (
     holonomy_decomposition_check,
     tractor_metric_to_einstein_verify,
 )
+from tractorlab.tractor import splitting_matrix
 
 OMEGA = np.zeros((4, 4))
 OMEGA[0, 1] = 1.0
@@ -57,6 +58,10 @@ def sphere3():
 @pytest.fixture(scope="module")
 def twisted():
     return twisted_chart()
+
+
+def center_alg(chart):
+    return infinitesimal_algebra(chart, chart.center())
 
 
 def linear_ups(chart, seed, scale=0.15):
@@ -122,7 +127,8 @@ def test_einstein_check_is_a_property_of_the_representative(sphere3):
 
 def test_sphere3_metric_round_trip(sphere3):
     h_at, report = einstein_to_tractor_metric(sphere3)
-    out = tractor_metric_to_einstein_verify(sphere3, h_at(sphere3.center()))
+    out = tractor_metric_to_einstein_verify(sphere3, center_alg(sphere3),
+                                            h_at(sphere3.center()))
     assert out["accepted"]
     assert not out["precondition_failed"]
     assert out["invariance_residual"] <= 1e-9
@@ -132,7 +138,7 @@ def test_sphere3_metric_round_trip(sphere3):
 
 def test_flat_constant_candidate_verifies(flat3):
     h0 = np.diag([1.0, 1.0, 1.0, -1.0])
-    out = tractor_metric_to_einstein_verify(flat3, h0)
+    out = tractor_metric_to_einstein_verify(flat3, center_alg(flat3), h0)
     assert out["accepted"]
     assert out["consistency_residual"] is None
     pts = sample_points(flat3, seed=0)[:40]
@@ -142,7 +148,7 @@ def test_flat_constant_candidate_verifies(flat3):
 
 
 def test_verify_rejects_noninvariant_candidate(twisted):
-    out = tractor_metric_to_einstein_verify(twisted, np.eye(4))
+    out = tractor_metric_to_einstein_verify(twisted, center_alg(twisted), np.eye(4))
     assert out["precondition_failed"]
     assert not out["accepted"]
 
@@ -151,7 +157,7 @@ def test_verify_rejects_noninvariant_candidate(twisted):
 
 
 def test_flat_contact_hand_oracle(flat3):
-    r = contact_from_symplectic(flat3, OMEGA)
+    r = contact_from_symplectic(flat3, center_alg(flat3), OMEGA)
     assert r.accepted
     assert r.dtheta_vs_omega <= 1e-9
     assert r.dtheta_reeb <= 1e-9
@@ -167,7 +173,7 @@ def test_flat_contact_hand_oracle(flat3):
 
 
 def test_sphere3_contact_chain(sphere3):
-    r = contact_from_symplectic(sphere3, OMEGA)
+    r = contact_from_symplectic(sphere3, center_alg(sphere3), OMEGA)
     assert r.accepted
     assert r.dtheta_vs_omega <= 1e-6
     assert r.dtheta_reeb <= 1e-6
@@ -177,18 +183,19 @@ def test_sphere3_contact_chain(sphere3):
 
 
 def test_contact_preconditions(flat3, twisted):
-    r = contact_from_symplectic(flat_chart(2), np.eye(3))
+    flat2 = flat_chart(2)
+    r = contact_from_symplectic(flat2, center_alg(flat2), np.eye(3))
     assert not r.accepted and "odd" in r.reject_reason
-    r = contact_from_symplectic(flat3, np.zeros((4, 4)))
+    r = contact_from_symplectic(flat3, center_alg(flat3), np.zeros((4, 4)))
     assert not r.accepted and "degenerate" in r.reject_reason
-    r = contact_from_symplectic(twisted, OMEGA)
+    r = contact_from_symplectic(twisted, center_alg(twisted), OMEGA)
     assert not r.accepted and "invariant" in r.reject_reason
 
 
 def test_contact_detection_is_gauge_stable(flat3):
-    base = contact_from_symplectic(flat3, OMEGA)
+    base = contact_from_symplectic(flat3, center_alg(flat3), OMEGA)
     changed = project_change(flat3, linear_ups(flat3, seed=9))
-    other = contact_from_symplectic(changed, OMEGA)
+    other = contact_from_symplectic(changed, center_alg(changed), OMEGA)
     assert other.accepted == base.accepted
     floor = 1e-10
     assert other.dtheta_vs_omega <= max(10 * base.dtheta_vs_omega, floor)
@@ -196,11 +203,28 @@ def test_contact_detection_is_gauge_stable(flat3):
     assert abs(other.vtheta_min - base.vtheta_min) <= 1e-8
 
 
+def test_invariance_check_is_splitting_independent(twisted):
+    # the algebra of the volume-normalized representative is S^-1 A S, so
+    # the chains may test fiber data in the chart's own splitting
+    base = twisted.center()
+    own = center_alg(twisted)
+    assert own.rank > 0
+    vol_chart, ups = normalize_volume(twisted)
+    S, Si = splitting_matrix(ups.at(base)), splitting_matrix(-ups.at(base))
+    vol = infinitesimal_algebra(vol_chart, base)
+    assert compare_spans(vol, algebra_from_generators([Si @ A @ S for A in own.basis]))["agree"]
+    back = algebra_from_generators([S @ A @ Si for A in vol.basis])
+    for chain, value in ((contact_from_symplectic, OMEGA), (complex_reduction, J_STD)):
+        a = chain(twisted, own, value)
+        b = chain(twisted, back, value)
+        assert (a.accepted, a.reject_reason) == (b.accepted, b.reject_reason)
+
+
 # -- complex chain -------------------------------------------------------------
 
 
 def test_flat_complex_hand_oracle(flat3):
-    r = complex_reduction(flat3, J_STD)
+    r = complex_reduction(flat3, center_alg(flat3), J_STD)
     assert r.accepted
     assert r.square_residual <= 1e-12
     assert r.in_span_residual <= 1e-12
@@ -216,7 +240,7 @@ def test_flat_complex_hand_oracle(flat3):
 
 
 def test_sphere3_complex_chain(sphere3):
-    r = complex_reduction(sphere3, J_STD)
+    r = complex_reduction(sphere3, center_alg(sphere3), J_STD)
     assert r.accepted
     assert r.square_residual <= 1e-7
     assert r.lie_invariance_residual <= 1e-4
@@ -224,18 +248,19 @@ def test_sphere3_complex_chain(sphere3):
 
 
 def test_complex_preconditions(flat3, twisted):
-    r = complex_reduction(flat_chart(2), np.eye(3))
+    flat2 = flat_chart(2)
+    r = complex_reduction(flat2, center_alg(flat2), np.eye(3))
     assert not r.accepted and "odd" in r.reject_reason
-    r = complex_reduction(flat3, np.eye(4))
+    r = complex_reduction(flat3, center_alg(flat3), np.eye(4))
     assert not r.accepted and "square" in r.reject_reason
-    r = complex_reduction(twisted, J_STD)
+    r = complex_reduction(twisted, center_alg(twisted), J_STD)
     assert not r.accepted and "invariant" in r.reject_reason
 
 
 def test_complex_detection_is_gauge_stable(flat3):
-    base = complex_reduction(flat3, J_STD)
+    base = complex_reduction(flat3, center_alg(flat3), J_STD)
     changed = project_change(flat3, linear_ups(flat3, seed=9))
-    other = complex_reduction(changed, J_STD)
+    other = complex_reduction(changed, center_alg(changed), J_STD)
     assert other.accepted == base.accepted
     floor = 1e-10
     assert other.square_residual <= max(10 * base.square_residual, floor)
@@ -253,7 +278,7 @@ def k_basis(cols):
 
 
 def test_twisted_foliation_rank2(twisted):
-    r = foliation_analysis(twisted, k_basis([0, 1]))
+    r = foliation_analysis(twisted, center_alg(twisted), k_basis([0, 1]))
     assert r.accepted
     assert not r.inconclusive
     assert r.integrability_residual <= 1e-12
@@ -272,7 +297,7 @@ def test_twisted_foliation_rank2(twisted):
 
 
 def test_twisted_foliation_rank3(twisted):
-    r = foliation_analysis(twisted, k_basis([0, 1, 2]))
+    r = foliation_analysis(twisted, center_alg(twisted), k_basis([0, 1, 2]))
     assert r.accepted
     assert r.rho_residual <= 1e-12
     assert r.ricci_on_K <= 1e-12
@@ -280,9 +305,9 @@ def test_twisted_foliation_rank3(twisted):
 
 
 def test_foliation_gauge_check(twisted):
-    base = foliation_analysis(twisted, k_basis([0, 1]))
+    base = foliation_analysis(twisted, center_alg(twisted), k_basis([0, 1]))
     changed = project_change(twisted, linear_ups(twisted, seed=4, scale=0.2))
-    other = foliation_analysis(changed, k_basis([0, 1]))
+    other = foliation_analysis(changed, center_alg(changed), k_basis([0, 1]))
     assert other.accepted == base.accepted
     floor = 1e-10
     for name in ("integrability_residual", "geodesy_residual", "preserve_K_residual",
@@ -296,12 +321,12 @@ def test_foliation_preconditions(twisted):
     bad = np.zeros((4, 2))
     bad[2, 0] = 1.0
     bad[3, 1] = 1.0
-    r = foliation_analysis(twisted, bad)
+    r = foliation_analysis(twisted, center_alg(twisted), bad)
     assert not r.accepted and "invariant" in r.reject_reason
     with pytest.raises(ValueError):
-        foliation_analysis(twisted, np.zeros((3, 2)))
+        foliation_analysis(twisted, center_alg(twisted), np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        foliation_analysis(twisted, np.zeros((4, 5)))
+        foliation_analysis(twisted, center_alg(twisted), np.zeros((4, 5)))
 
 
 # -- holonomy block decomposition ----------------------------------------------
