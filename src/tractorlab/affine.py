@@ -19,11 +19,11 @@ Index conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Expr, compile_exprs, num, parse, var, FUNCTION_NAMES
+from .expr import Expr, compile_exprs, eval_many, num, parse, var, FUNCTION_NAMES
 
 __all__ = [
     "ChartModel",
@@ -71,7 +71,15 @@ def max_abs(arr) -> float:
 
 
 class ChartModel:
-    """A coordinate box with Christoffel symbols as symbolic expressions."""
+    """A coordinate box with Christoffel symbols as symbolic expressions.
+
+    Derived fields (curvature, rho, Weyl, the tractor connection, ...) are
+    symbolic object arrays built once per chart through `symbolic(key,
+    builder)`.  Any field the chart owns -- such an array, `gamma` or
+    `metric` -- is evaluated through `evaluator(field)`, a compiled
+    callable cached by the field itself that maps a point to values of
+    the field's shape.
+    """
 
     def __init__(self, coords: Sequence[str], gamma, domain, metric=None, name: str = ""):
         coords = tuple(coords)
@@ -91,7 +99,7 @@ class ChartModel:
         self.domain = dom
         self.metric = None if metric is None else _as_expr_array(metric, (n, n))
         self.name = name
-        self._compiled_cache: dict[str, Callable] = {}
+        self._evaluators: dict[int, tuple] = {}
         self._symbolic_cache: dict[str, object] = {}
 
     # -- basics ---------------------------------------------------------------
@@ -121,17 +129,28 @@ class ChartModel:
 
     # -- compiled evaluators ----------------------------------------------------
 
-    def compiled(self, key: str, exprs: Iterable[Expr]) -> Callable[..., np.ndarray]:
-        fn = self._compiled_cache.get(key)
-        if fn is None:
-            fn = compile_exprs(exprs, self.coords)
-            self._compiled_cache[key] = fn
-        return fn
+    def evaluator(self, field: np.ndarray) -> Callable[[object], np.ndarray]:
+        """Compiled point -> values of `field`, in `field.shape`.
+
+        `field` is a symbolic array this chart owns (a `symbolic` result,
+        `gamma` or `metric`).  The callable is compiled on the first call
+        for a field and cached under the field's identity; the cache holds the field too,
+        so that identity is never reused.
+        """
+        hit = self._evaluators.get(id(field))
+        if hit is None:
+            fn = compile_exprs(field.ravel(), self.coords)
+            shape = field.shape
+
+            def at(point) -> np.ndarray:
+                return fn(*point).reshape(shape)
+
+            hit = (field, at)
+            self._evaluators[id(field)] = hit
+        return hit[1]
 
     def gamma_at(self, point) -> np.ndarray:
-        n = self.n
-        fn = self.compiled("gamma", self.gamma.ravel())
-        return fn(*np.asarray(point, dtype=float)).reshape(n, n, n)
+        return self.evaluator(self.gamma)(np.asarray(point, dtype=float))
 
     def dgamma_field(self) -> np.ndarray:
         """Symbolic first derivatives d_h Gamma^k_{ij}, shape (n, n, n, n)."""
@@ -148,11 +167,6 @@ class ChartModel:
                             arr[h, k, i, j] = self.gamma[k, i, j].diff(name)
             self._symbolic_cache[key] = arr
         return arr
-
-    def dgamma_at(self, point) -> np.ndarray:
-        n = self.n
-        fn = self.compiled("dgamma", self.dgamma_field().ravel())
-        return fn(*np.asarray(point, dtype=float)).reshape(n, n, n, n)
 
     def trace_gamma_field(self) -> np.ndarray:
         """tr(Gamma_i) = Gamma^m_{im}, shape (n,)."""
@@ -222,8 +236,7 @@ class TensorField:
 
     def at(self, point) -> TensorValue:
         p = np.asarray(point, dtype=float)
-        env = self.chart.env(p)
-        out = np.array([e.eval(env) for e in self.components.ravel()], dtype=float)
+        out = np.array(eval_many(self.components.ravel(), self.chart.env(p)), dtype=float)
         return TensorValue(p, out.reshape(self.components.shape), self.variance)
 
 
@@ -239,8 +252,7 @@ class OneFormField:
         object.__setattr__(self, "components", comps)
 
     def at(self, point) -> np.ndarray:
-        env = self.chart.env(point)
-        return np.array([e.eval(env) for e in self.components], dtype=float)
+        return np.array(eval_many(self.components, self.chart.env(point)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -268,10 +280,10 @@ class Curve:
         return tuple(c.diff("t") for c in self.components)
 
     def point(self, t: float) -> np.ndarray:
-        return np.array([c.eval({"t": t}) for c in self.components], dtype=float)
+        return np.array(eval_many(self.components, {"t": t}), dtype=float)
 
     def velocity(self, t: float) -> np.ndarray:
-        return np.array([c.eval({"t": t}) for c in self.velocity_exprs()], dtype=float)
+        return np.array(eval_many(self.velocity_exprs(), {"t": t}), dtype=float)
 
     def is_closed(self, tol: float = 1e-12) -> bool:
         return max_abs(self.point(self.t0) - self.point(self.t1)) <= tol
@@ -329,18 +341,14 @@ def ricci_field(chart: ChartModel) -> np.ndarray:
 
 def curvature(chart: ChartModel, point) -> TensorValue:
     """Curvature tensor R[h,j,k,l] at a point (variance 'ddud')."""
-    n = chart.n
-    fn = chart.compiled("R", curvature_field(chart).ravel())
-    comps = fn(*np.asarray(point, dtype=float)).reshape(n, n, n, n)
-    return TensorValue(np.asarray(point, dtype=float), comps, "ddud")
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(curvature_field(chart))(p), "ddud")
 
 
 def ricci(chart: ChartModel, point) -> TensorValue:
     """Ricci tensor Ric[j,l] at a point (not symmetrized)."""
-    n = chart.n
-    fn = chart.compiled("Ric", ricci_field(chart).ravel())
-    comps = fn(*np.asarray(point, dtype=float)).reshape(n, n)
-    return TensorValue(np.asarray(point, dtype=float), comps, "dd")
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(ricci_field(chart))(p), "dd")
 
 
 # -- connection-level operations ---------------------------------------------------
@@ -476,11 +484,11 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
     n = chart.n
     p0 = np.asarray(point, dtype=float)
     v0 = np.asarray(velocity, dtype=float)
-    fn = chart.compiled("gamma", chart.gamma.ravel())
+    gamma_at = chart.evaluator(chart.gamma)
 
     def f(t, y):
         x, v = y[:n], y[n:]
-        g = fn(*x).reshape(n, n, n)
+        g = gamma_at(x)
         acc = -np.einsum("kij,i,j->k", g, v, v)
         return np.concatenate([v, acc])
 
@@ -524,11 +532,9 @@ def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
 
     Returns (vector_at_end, steps, converged).
     """
-    n = chart.n
-    fn = chart.compiled("gamma", chart.gamma.ravel())
+    gamma_at = chart.evaluator(chart.gamma)
     # A_i[k, j] = Gamma^k_{ij}
-    return _linear_transport(lambda x: fn(*x).reshape(n, n, n).transpose(1, 0, 2),
-                             curve, v0, tol)
+    return _linear_transport(lambda x: gamma_at(x).transpose(1, 0, 2), curve, v0, tol)
 
 
 # -- sampling ------------------------------------------------------------------------

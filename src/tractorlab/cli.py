@@ -164,21 +164,19 @@ def _loops(manifest: Manifest):
 
 def cmd_compute(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     chart = manifest.chart
-    n = chart.n
     pts = manifest.sample()[:50]
-    fns = {
-        "ricci": chart.compiled("Ric", ricci_field(chart).ravel()),
-        "rho": chart.compiled("P", rho_field(chart).ravel()),
-        "weyl": chart.compiled("W", weyl_field(chart).ravel()),
-        "cotton": chart.compiled("CY", cotton_field(chart).ravel()),
+    fields = {
+        "ricci": ricci_field(chart),
+        "rho": rho_field(chart),
+        "weyl": weyl_field(chart),
+        "cotton": cotton_field(chart),
     }
-    shapes = {"ricci": (n, n), "rho": (n, n), "weyl": (n, n, n, n), "cotton": (n, n, n)}
     at_points = []
-    maxima = {k: 0.0 for k in fns}
+    maxima = {k: 0.0 for k in fields}
     for idx, p in enumerate(pts):
         row = {"point": p}
-        for key, fn in fns.items():
-            vals = fn(*p).reshape(shapes[key])
+        for key, field in fields.items():
+            vals = chart.evaluator(field)(p)
             maxima[key] = max(maxima[key], max_abs(vals))
             if idx < 5:
                 row[key] = vals
@@ -363,18 +361,18 @@ def cmd_verify(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     n = chart.n
     eye = np.eye(n)
     pts = manifest.sample()[:20]
-    r_fn = chart.compiled("R", curvature_field(chart).ravel())
-    ric_fn = chart.compiled("Ric", ricci_field(chart).ravel())
-    w_fn = chart.compiled("W", weyl_field(chart).ravel())
-    p_fn = chart.compiled("P", rho_field(chart).ravel())
-    m_fn = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
+    r_fn = chart.evaluator(curvature_field(chart))
+    ric_fn = chart.evaluator(ricci_field(chart))
+    w_fn = chart.evaluator(weyl_field(chart))
+    p_fn = chart.evaluator(rho_field(chart))
+    m_fn = chart.evaluator(connection_matrix_field(chart))
 
     rebuild = trace = tmatch = tpart = mtrace = rho_ric = 0.0
     for p in pts:
-        R = r_fn(*p).reshape(n, n, n, n)
-        W = w_fn(*p).reshape(n, n, n, n)
-        P = p_fn(*p).reshape(n, n)
-        Ric = ric_fn(*p).reshape(n, n)
+        R = r_fn(p)
+        W = w_fn(p)
+        P = p_fn(p)
+        Ric = ric_fn(p)
         back = (W + np.einsum("hl,kj->hjkl", P, eye)
                 + np.einsum("hj,kl->hjkl", P - P.T, eye)
                 - np.einsum("jl,kh->hjkl", P, eye))
@@ -386,7 +384,7 @@ def cmd_verify(manifest: Manifest, seed: int, checks: _Checks) -> dict:
                     max_abs(W + W.transpose(1, 0, 2, 3)) / wscale)
         rho_ric = max(rho_ric,
                       max_abs(ricci_from_rho(P) - Ric) / (1.0 + max_abs(Ric)))
-        M = m_fn(*p).reshape(n, n + 1, n + 1)
+        M = m_fn(p)
         mtrace = max(mtrace, max(abs(float(np.trace(M[i]))) for i in range(n)))
     for p in pts[:8]:
         F_a = tractor_curvature(chart, p)

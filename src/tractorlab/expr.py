@@ -9,13 +9,16 @@ set of unary functions (``sin cos tan exp log sqrt atan``).
 Expressions are immutable trees.  Differentiation returns a new tree and is
 exact; the only simplification performed is constant folding plus the
 additive/multiplicative identities, which is enough to keep derivative
-towers from filling up with structural zeros.  Evaluation either walks the
-tree or goes through :func:`compile_exprs`, which emits plain Python source
-using the ``math`` module for hot paths such as transport integration.
+towers from filling up with structural zeros.  One interpreter,
+:func:`eval_many`, evaluates expressions; it walks them as a DAG with an
+explicit stack and is the one place that holds the domain rules.
+:func:`compile_exprs` emits plain Python source using the ``math`` module
+for hot paths such as transport integration; when that code fails at a
+point it re-evaluates there with the interpreter to report the error.
 
 Domain problems (``log`` of a non-positive number, division by zero, even
-roots of negatives, overflow) raise :class:`ExprDomainError` -- results are
-never silently NaN.
+roots of negatives, overflow) raise :class:`ExprDomainError` naming the
+failing subexpression -- results are never silently NaN.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class Expr:
         return self._diff(name, {})
 
     def eval(self, env: Mapping[str, float]) -> float:
-        raise NotImplementedError
+        return eval_many((self,), env)[0]
 
     def _diff(self, name: str, memo: dict) -> "Expr":
         key = id(self)
@@ -175,9 +178,6 @@ class Num(Expr):
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("expressions are immutable")
 
-    def eval(self, env):
-        return self.value
-
     def _diff_impl(self, name, memo):
         return _ZERO
 
@@ -197,12 +197,6 @@ class Var(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-    def eval(self, env):
-        try:
-            return float(env[self.name])
-        except KeyError:
-            raise ExprDomainError(f"no value supplied for coordinate '{self.name}'") from None
 
     def _diff_impl(self, name, memo):
         return _ONE if self.name == name else _ZERO
@@ -226,9 +220,6 @@ class Add(_Binary):
     __slots__ = ()
     _PREC = 10
 
-    def eval(self, env):
-        return self.left.eval(env) + self.right.eval(env)
-
     def _diff_impl(self, name, memo):
         return _add(self.left._diff(name, memo), self.right._diff(name, memo))
 
@@ -240,9 +231,6 @@ class Sub(_Binary):
     __slots__ = ()
     _PREC = 10
 
-    def eval(self, env):
-        return self.left.eval(env) - self.right.eval(env)
-
     def _diff_impl(self, name, memo):
         return _sub(self.left._diff(name, memo), self.right._diff(name, memo))
 
@@ -253,9 +241,6 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
     _PREC = 20
-
-    def eval(self, env):
-        return self.left.eval(env) * self.right.eval(env)
 
     def _diff_impl(self, name, memo):
         da = self.left._diff(name, memo)
@@ -269,12 +254,6 @@ class Mul(_Binary):
 class Div(_Binary):
     __slots__ = ()
     _PREC = 20
-
-    def eval(self, env):
-        denom = self.right.eval(env)
-        if denom == 0.0:
-            raise ExprDomainError(f"division by zero in '{self.to_string()}'")
-        return self.left.eval(env) / denom
 
     def _diff_impl(self, name, memo):
         da = self.left._diff(name, memo)
@@ -296,9 +275,6 @@ class Neg(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def eval(self, env):
-        return -self.operand.eval(env)
-
     def _diff_impl(self, name, memo):
         return _neg(self.operand._diff(name, memo))
 
@@ -316,15 +292,6 @@ class Pow(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-    def eval(self, env):
-        b = self.base.eval(env)
-        if b == 0.0 and self.exponent < 0:
-            raise ExprDomainError(f"zero raised to negative power in '{self.to_string()}'")
-        try:
-            return float(b ** self.exponent)
-        except OverflowError:
-            raise ExprDomainError(f"overflow in '{self.to_string()}'") from None
 
     def _diff_impl(self, name, memo):
         da = self.base._diff(name, memo)
@@ -344,15 +311,6 @@ class Call(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-    def eval(self, env):
-        x = self.arg.eval(env)
-        try:
-            return _MATH_FUNCTIONS[self.func](x)
-        except ValueError:
-            raise ExprDomainError(f"{self.func}({x}) is outside the function domain") from None
-        except OverflowError:
-            raise ExprDomainError(f"overflow in {self.func}({x})") from None
 
     def _diff_impl(self, name, memo):
         da = self.arg._diff(name, memo)
@@ -674,8 +632,9 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     """Compile a flat sequence of expressions into one callable.
 
     The result maps coordinate values (as positional floats) to a 1-d float
-    array, preserving order.  Shared subtrees are evaluated once.  Domain
-    failures raise ExprDomainError, matching Expr.eval semantics.
+    array, preserving order.  Shared subtrees are evaluated once.  A domain
+    failure is re-evaluated at the same point by eval_many, which raises the
+    ExprDomainError naming the failing subexpression.
     """
     flat = list(exprs)
     for c in coords:
@@ -696,12 +655,9 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     def evaluate(*point: float) -> np.ndarray:
         try:
             return np.array(raw(*point), dtype=float)
-        except ZeroDivisionError:
-            raise ExprDomainError("division by zero or negative power of zero") from None
-        except ValueError as exc:
-            raise ExprDomainError(f"function argument outside domain: {exc}") from None
-        except OverflowError:
-            raise ExprDomainError("numeric overflow during evaluation") from None
+        except (ZeroDivisionError, ValueError, OverflowError):
+            eval_many(flat, dict(zip(coords, point)))
+            raise
 
     evaluate.n_outputs = count  # type: ignore[attr-defined]
     return evaluate
@@ -763,10 +719,11 @@ def _node_value(node: Expr, env: Mapping[str, float], memo: dict) -> float:
 def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
     """Evaluate many expressions at once, sharing work across common subtrees.
 
-    Unlike repeated Expr.eval calls this walks the collection as a DAG (memo
-    keyed on node identity) and uses an explicit stack, so towers of
-    derivative fields with heavy sharing evaluate in time proportional to
-    the number of distinct nodes and never hit the recursion limit.
+    This is the one interpreter (Expr.eval calls it too).  It walks the
+    collection as a DAG (memo keyed on node identity) with an explicit
+    stack, so towers of derivative fields with heavy sharing evaluate in
+    time proportional to the number of distinct nodes and never hit the
+    recursion limit.
     """
     memo: dict = {}
     out = []

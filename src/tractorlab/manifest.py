@@ -20,7 +20,7 @@ import jsonschema
 import numpy as np
 
 from .affine import ChartModel, Curve, sample_points, symmetrize
-from .expr import Expr, num, parse
+from .expr import Expr, ExprDomainError, num, parse
 
 __all__ = [
     "Manifest",
@@ -89,12 +89,13 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         raise ManifestError(f"$['domain']: expected {n} [lo, hi] pairs")
 
     gamma = np.full((n, n, n), num(0.0), dtype=object)
+    entries = {}
     for key, text_expr in doc["gamma"].items():
         idx = tuple(int(s) for s in key.split(","))
         if not all(0 <= i < n for i in idx):
             raise ManifestError(f"$['gamma'][{key!r}]: index out of range for dimension {n}")
         try:
-            gamma[idx] = parse(text_expr, coords)
+            gamma[idx] = entries[key] = parse(text_expr, coords)
         except Exception as e:
             raise ManifestError(f"$['gamma'][{key!r}]: {e}") from e
 
@@ -116,7 +117,7 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         raise ManifestError(f"{source}: {e}") from e
 
     symmetrized = False
-    asym = _asymmetry(chart)
+    asym = _asymmetry(chart, entries)
     if asym > 1e-12:
         if doc.get("symmetrize", False):
             chart, asym_found = symmetrize(chart)
@@ -192,11 +193,22 @@ def load(path) -> Manifest:
     return loads(p.read_text(), source=str(p))
 
 
-def _asymmetry(chart: ChartModel, n_points: int = 5) -> float:
+def _asymmetry(chart: ChartModel, entries: dict, n_points: int = 5) -> float:
+    """Max asymmetry of the symbols at samples; `entries` maps each declared
+    "k,i,j" key to its expression, so a domain error can name its entry."""
     pts = sample_points(chart, seed=0, n_random=n_points, n_grid=0)
     worst = 0.0
     for p in pts:
-        g = chart.gamma_at(p)
+        try:
+            g = chart.gamma_at(p)
+        except ExprDomainError:
+            env = chart.env(p)
+            for key, e in entries.items():
+                try:
+                    e.eval(env)
+                except ExprDomainError as err:
+                    raise ManifestError(f"$['gamma'][{key!r}]: {err}") from None
+            raise
         worst = max(worst, float(np.abs(g - g.transpose(0, 2, 1)).max()))
     return worst
 

@@ -121,24 +121,18 @@ def cotton_field(chart: ChartModel) -> np.ndarray:
 
 
 def rho(chart: ChartModel, point) -> TensorValue:
-    n = chart.n
-    fn = chart.compiled("P", rho_field(chart).ravel())
-    comps = fn(*np.asarray(point, dtype=float)).reshape(n, n)
-    return TensorValue(np.asarray(point, dtype=float), comps, "dd")
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(rho_field(chart))(p), "dd")
 
 
 def weyl(chart: ChartModel, point) -> TensorValue:
-    n = chart.n
-    fn = chart.compiled("W", weyl_field(chart).ravel())
-    comps = fn(*np.asarray(point, dtype=float)).reshape(n, n, n, n)
-    return TensorValue(np.asarray(point, dtype=float), comps, "ddud")
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(weyl_field(chart))(p), "ddud")
 
 
 def cotton(chart: ChartModel, point) -> TensorValue:
-    n = chart.n
-    fn = chart.compiled("CY", cotton_field(chart).ravel())
-    comps = fn(*np.asarray(point, dtype=float)).reshape(n, n, n)
-    return TensorValue(np.asarray(point, dtype=float), comps, "ddd")
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(cotton_field(chart))(p), "ddd")
 
 
 def rho_after_change(chart: ChartModel, ups: OneFormField) -> np.ndarray:
@@ -170,21 +164,20 @@ def weyl_invariance_test(chart: ChartModel, ups, seed: int = 0,
     if not isinstance(ups, OneFormField):
         ups = OneFormField(chart, np.asarray(ups, dtype=object))
     changed = project_change(chart, ups)
-    n = chart.n
-    w_fn = chart.compiled("W", weyl_field(chart).ravel())
-    w2_fn = changed.compiled("W", weyl_field(changed).ravel())
-    cy_fn = chart.compiled("CY", cotton_field(chart).ravel())
-    cy2_fn = changed.compiled("CY", cotton_field(changed).ravel())
+    w_fn = chart.evaluator(weyl_field(chart))
+    w2_fn = changed.evaluator(weyl_field(changed))
+    cy_fn = chart.evaluator(cotton_field(chart))
+    cy2_fn = changed.evaluator(cotton_field(changed))
     pts = sample_points(chart, seed=seed, n_random=n_points, n_grid=4)
     worst_w = 0.0
     worst_cy = 0.0
     for p in pts:
-        w1 = w_fn(*p).reshape(n, n, n, n)
-        w2 = w2_fn(*p).reshape(n, n, n, n)
+        w1 = w_fn(p)
+        w2 = w2_fn(p)
         scale = 1.0 + max_abs(w1)
         worst_w = max(worst_w, max_abs(w2 - w1) / scale)
-        cy1 = cy_fn(*p).reshape(n, n, n)
-        cy2 = cy2_fn(*p).reshape(n, n, n)
+        cy1 = cy_fn(p)
+        cy2 = cy2_fn(p)
         uval = ups.at(p)
         expected = cy1 - np.einsum("k,hjkl->hjl", uval, w1)
         cscale = 1.0 + max_abs(expected)

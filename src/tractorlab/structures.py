@@ -212,20 +212,19 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     On acceptance the parallel fiber metric candidate and its residuals
     are filled in as well.
     """
-    n = chart.n
     pts = sample_points(chart, seed=seed)[:n_samples]
     nabla = chart.symbolic("nablaRic", lambda: covariant_derivative(
         chart, TensorField(chart, ricci_field(chart), "dd")).components)
-    nabla_vals = chart.compiled("nablaRic", nabla.ravel())
-    ric_vals = chart.compiled("Ric", ricci_field(chart).ravel())
+    nabla_vals = chart.evaluator(nabla)
+    ric_vals = chart.evaluator(ricci_field(chart))
 
     worst = 0.0
     det_min = np.inf
     asym = 0.0
     sigs = set()
     for p in pts:
-        R = ric_vals(*p).reshape(n, n)
-        D = nabla_vals(*p).reshape(n, n, n)
+        R = ric_vals(p)
+        D = nabla_vals(p)
         scale = 1.0 + max_abs(R)
         worst = max(worst, max_abs(D) / scale)
         det_min = min(det_min, abs(np.linalg.det(R)))
@@ -258,10 +257,10 @@ def _metric_sampler(chart: ChartModel):
     parallel in any gauge of an Einstein connection.
     """
     n = chart.n
-    ric_vals = chart.compiled("Ric", ricci_field(chart).ravel())
+    ric_vals = chart.evaluator(ricci_field(chart))
 
     def h_at(p):
-        R = ric_vals(*np.asarray(p, dtype=float)).reshape(n, n)
+        R = ric_vals(np.asarray(p, dtype=float))
         P = assemble_rho(R, n)
         sigma2 = abs(np.linalg.det(R)) ** (1.0 / (n + 1))
         H = np.zeros((n + 1, n + 1))
@@ -279,16 +278,16 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
     dric_sym = chart.symbolic("dRic", lambda: np.array(
         [[[ric_field_sym[j, l].diff(chart.coords[i]) for l in range(n)]
           for j in range(n)] for i in range(n)], dtype=object))
-    ric_vals = chart.compiled("Ric", ric_field_sym.ravel())
-    dric_vals = chart.compiled("dRic", dric_sym.ravel())
-    M_vals = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
+    ric_vals = chart.evaluator(ric_field_sym)
+    dric_vals = chart.evaluator(dric_sym)
+    M_vals = chart.evaluator(connection_matrix_field(chart))
 
     pts = sample_points(chart, seed=seed)[:20]
     blocks = np.zeros(3)
     for p in pts:
-        R = ric_vals(*p).reshape(n, n)
-        dR = dric_vals(*p).reshape(n, n, n)
-        M = M_vals(*p).reshape(n, n + 1, n + 1)
+        R = ric_vals(p)
+        dR = dric_vals(p)
+        M = M_vals(p)
         P = assemble_rho(R, n)
         H0 = np.zeros((n + 1, n + 1))
         H0[:n, :n] = -P
@@ -323,8 +322,8 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
     report.h_signature = (int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale)))
     report.meta["identity_blocks"] = blocks.tolist()
     if chart.metric is not None:
-        g = chart.compiled("gC", chart.metric.ravel())(*base).reshape(n, n)
-        R = ric_vals(*base).reshape(n, n)
+        g = chart.evaluator(chart.metric)(base)
+        R = ric_vals(base)
         lam = float(np.tensordot(R, g) / np.tensordot(g, g))
         gv = np.linalg.eigvalsh(g)
         p_, q_ = int(np.sum(gv > 0)), int(np.sum(gv < 0))
@@ -453,7 +452,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
                            meta={"invariance_residual": inv, "n_samples": len(pts)})
     worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_H": 0.0, "th_R": 0.0, "weyl": 0.0}
     vthetas = []
-    weyl_vals = chart.compiled("W", weyl_field(chart).ravel())
+    weyl_vals = chart.evaluator(weyl_field(chart))
     stride = 2 * n + 1
     for s_idx, p in enumerate(pts):
         om_p = values[s_idx * stride]
@@ -487,7 +486,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         for f in factors[::-1]:
             v = np.tensordot(v, f, axes=f.ndim)
         vthetas.append(float(v))
-        W = weyl_vals(*p).reshape(n, n, n, n)
+        W = weyl_vals(p)
         wscale = 1.0 + max_abs(W)
         worst["weyl"] = max(worst["weyl"], float(np.abs(
             np.einsum("k,hjkl->hjl", theta, W)).max()) / wscale)
@@ -647,8 +646,8 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
         T, steps, ok = transport_operator(chart, Curve.segment(base, q))
         ops.append(T)
 
-    gamma_vals = chart.compiled("gamma", chart.gamma.ravel())
-    rho_vals = chart.compiled("P", rho_field(chart).ravel())
+    gamma_vals = chart.evaluator(chart.gamma)
+    rho_vals = chart.evaluator(rho_field(chart))
 
     def frame_and_ups(T):
         B = T @ B0
@@ -684,8 +683,8 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
             dY[i] = (Yp_ - Ym_) / (2 * fd_step)
             dU[i] = (up_ - um_) / (2 * fd_step)
         else:
-            G = gamma_vals(*p).reshape(n, n, n)
-            P = rho_vals(*p).reshape(n, n)
+            G = gamma_vals(p)
+            P = rho_vals(p)
             Yp = np.linalg.pinv(Y)
             off = np.eye(n) - Y @ Yp
             yscale = 1.0 + max_abs(Y)
@@ -767,8 +766,8 @@ def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> 
     projection, compared as directions."""
     n = chart.n
     k = B0.shape[1]
-    gamma_vals = chart.compiled("gamma", chart.gamma.ravel())
-    M_vals = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
+    gamma_vals = chart.evaluator(chart.gamma)
+    M_vals = chart.evaluator(connection_matrix_field(chart))
     worst = 0.0
     base = np.asarray(base, dtype=float)
     for target in targets:
@@ -777,8 +776,8 @@ def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> 
 
         def f(t, state):
             p = base + t * v
-            G = gamma_vals(*p).reshape(n, n, n)
-            M = M_vals(*p).reshape(n, n + 1, n + 1)
+            G = gamma_vals(p)
+            M = M_vals(p)
             B = state[n:].reshape(n + 1, k)
             Y = B[:n, :]
             c = B[n, :]
@@ -817,11 +816,11 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
     gens = list(alg.basis)
     t_star = max((float(np.abs(A[n, :n]).max()) for A in gens), default=0.0)
 
-    curv_vals = chart.compiled("R", curvature_field(chart).ravel())
+    curv_vals = chart.evaluator(curvature_field(chart))
     pts = sample_points(chart, seed=seed)[:12]
     affine_mats = []
     for p in pts:
-        R = curv_vals(*p).reshape(n, n, n, n)
+        R = curv_vals(p)
         for h in range(n):
             for j in range(h + 1, n):
                 affine_mats.append(R[h, j])

@@ -168,17 +168,10 @@ def connection_matrix_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("Mconn", build)
 
 
-def _connection_field(chart: ChartModel):
-    """Point -> M_i, shape (n, n+1, n+1), through the compiled connection."""
-    n = chart.n
-    fn = chart.compiled("Mconn", connection_matrix_field(chart).ravel())
-    return lambda x: fn(*x).reshape(n, n + 1, n + 1)
-
-
 def connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
     """M(X) = X^i M_i at a point; vdot = -M(xdot) v transports tractors."""
     X = np.asarray(direction, dtype=float)
-    M = _connection_field(chart)(np.asarray(point, dtype=float))
+    M = chart.evaluator(connection_matrix_field(chart))(np.asarray(point, dtype=float))
     return np.einsum("i,ikl->kl", X, M)
 
 
@@ -191,8 +184,7 @@ def dual_connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
     n = chart.n
     X = np.asarray(direction, dtype=float)
     g = chart.gamma_at(point)
-    fnP = chart.compiled("P", rho_field(chart).ravel())
-    P = fnP(*np.asarray(point, dtype=float)).reshape(n, n)
+    P = chart.evaluator(rho_field(chart))(np.asarray(point, dtype=float))
     trg = np.einsum("mim->i", g)
     w = -float(X @ trg) / (n + 1)
     out = np.zeros((n + 1, n + 1))
@@ -237,11 +229,9 @@ def assemble_tractor_curvature(W, CY) -> np.ndarray:
 
 def tractor_curvature(chart: ChartModel, point) -> np.ndarray:
     """F[h,j] assembled from the Weyl and Cotton tensors at a point."""
-    n = chart.n
     p = np.asarray(point, dtype=float)
-    W = chart.compiled("W", weyl_field(chart).ravel())(*p).reshape(n, n, n, n)
-    CY = chart.compiled("CY", cotton_field(chart).ravel())(*p).reshape(n, n, n)
-    return assemble_tractor_curvature(W, CY)
+    return assemble_tractor_curvature(chart.evaluator(weyl_field(chart))(p),
+                                      chart.evaluator(cotton_field(chart))(p))
 
 
 def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
@@ -269,10 +259,8 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
                         F[h, j, r, s] = term
         return F
 
-    n = chart.n
     field = chart.symbolic("Fdirect", build)
-    fn = chart.compiled("Fdirect", field.ravel())
-    return fn(*np.asarray(point, dtype=float)).reshape(n, n, n + 1, n + 1)
+    return chart.evaluator(field)(np.asarray(point, dtype=float))
 
 
 # -- transport ---------------------------------------------------------------------
@@ -280,12 +268,13 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 
 def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
-    return _linear_transport(_connection_field(chart), curve, v0, tol)
+    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curve, v0, tol)
 
 
 def transport_operator(chart: ChartModel, curve: Curve, tol: float = 1e-8):
     """Full transport operator T along a curve: columns are transported frames."""
-    return _linear_transport(_connection_field(chart), curve, np.eye(chart.n + 1), tol)
+    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curve,
+                             np.eye(chart.n + 1), tol)
 
 
 def _compose_operators(chart: ChartModel, curves: Sequence[Curve], tol: float):

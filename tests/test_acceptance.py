@@ -78,13 +78,13 @@ def test_criterion_01_curvature_rebuilds_from_weyl_and_rho(poly_corpus):
     charts, pts = poly_corpus
     eye = np.eye(3)
     for c in charts:
-        r_fn = c.compiled("R", curvature_field(c).ravel())
-        w_fn = c.compiled("W", weyl_field(c).ravel())
-        p_fn = c.compiled("P", rho_field(c).ravel())
+        r_fn = c.evaluator(curvature_field(c))
+        w_fn = c.evaluator(weyl_field(c))
+        p_fn = c.evaluator(rho_field(c))
         for p in pts[c.name]:
-            R = r_fn(*p).reshape(3, 3, 3, 3)
-            W = w_fn(*p).reshape(3, 3, 3, 3)
-            P = p_fn(*p).reshape(3, 3)
+            R = r_fn(p)
+            W = w_fn(p)
+            P = p_fn(p)
             back = (W + np.einsum("hl,kj->hjkl", P, eye)
                     + np.einsum("hj,kl->hjkl", P - P.T, eye)
                     - np.einsum("jl,kh->hjkl", P, eye))
@@ -96,9 +96,9 @@ def test_criterion_01_curvature_rebuilds_from_weyl_and_rho(poly_corpus):
 def test_criterion_02_weyl_is_totally_trace_free(poly_corpus):
     charts, pts = poly_corpus
     for c in charts:
-        w_fn = c.compiled("W", weyl_field(c).ravel())
+        w_fn = c.evaluator(weyl_field(c))
         for p in pts[c.name]:
-            W = w_fn(*p).reshape(3, 3, 3, 3)
+            W = w_fn(p)
             scale = 1.0 + max_abs(W)
             assert max_abs(np.einsum("kjkl->jl", W)) / scale <= 1e-9
             assert max_abs(np.einsum("hkkl->hl", W)) / scale <= 1e-9
@@ -127,13 +127,13 @@ def test_criterion_03_projective_invariance_of_weyl_and_loops():
 def test_criterion_04_tractor_curvature_structure():
     c = polynomial_chart(3, seed=31)
     pts = sample_points(c, seed=2)[:10]
-    m_fn = c.compiled("Mconn", connection_matrix_field(c).ravel())
+    m_fn = c.evaluator(connection_matrix_field(c))
     for p in pts:
         F_a = tractor_curvature(c, p)
         F_d = tractor_curvature_from_connection(c, p)
         assert max_abs(F_a - F_d) / (1.0 + max_abs(F_a)) <= 1e-8
         assert max_abs(F_d[:, :, :3, 3]) <= 1e-9
-        M = m_fn(*p).reshape(3, 4, 4)
+        M = m_fn(p)
         assert max(abs(float(np.trace(M[i]))) for i in range(3)) <= 1e-12
     H, rep = loop_holonomy(c, square_loop(np.zeros(3), 1, 2, 0.1))
     assert rep["det_drift"] <= 1e-6
@@ -144,11 +144,11 @@ def test_criterion_04_tractor_curvature_structure():
 def test_criterion_05_round_spheres_are_projectively_flat():
     for n in (2, 3):
         c = sphere_chart(n)
-        w_fn = c.compiled("W", weyl_field(c).ravel())
-        cy_fn = c.compiled("CY", cotton_field(c).ravel())
+        w_fn = c.evaluator(weyl_field(c))
+        cy_fn = c.evaluator(cotton_field(c))
         for p in sample_points(c, seed=3)[:20]:
-            assert max_abs(w_fn(*p)) <= 1e-9
-            assert max_abs(cy_fn(*p)) <= 1e-9
+            assert max_abs(w_fn(p)) <= 1e-9
+            assert max_abs(cy_fn(p)) <= 1e-9
         base = c.center()
         H, _ = loop_holonomy(c, square_loop(base, 0, n - 1, 0.1))
         assert max_abs(H - np.eye(n + 1)) <= 1e-6

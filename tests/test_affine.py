@@ -19,7 +19,7 @@ from tractorlab.affine import (
     symmetrize,
     transport_vector,
 )
-from tractorlab.expr import num, parse, var
+from tractorlab.expr import compile_exprs, num, parse, var
 from tractorlab.library import (
     flat_chart,
     hyperbolic_chart,
@@ -27,6 +27,8 @@ from tractorlab.library import (
     sphere_chart,
     twisted_chart,
 )
+from tractorlab.projective import weyl_field
+from tractorlab.tractor import connection_matrix_field
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])
@@ -315,3 +317,17 @@ def test_curve_helpers():
     loop = Curve.from_strings(["cos(t)", "sin(t)"], 0.0, 2 * math.pi)
     assert loop.is_closed(tol=1e-12)
     assert not seg.is_closed()
+
+
+def test_evaluator_is_cached_per_field_and_shaped_like_it():
+    c = polynomial_chart(3, seed=20)
+    assert c.evaluator(weyl_field(c)) is c.evaluator(weyl_field(c))
+    metric_chart = sphere_chart(3)
+    cases = [(c, c.gamma), (metric_chart, metric_chart.metric), (c, weyl_field(c)),
+             (c, connection_matrix_field(c))]
+    for chart, field in cases:
+        for p in sample_points(chart, seed=1, n_random=3, n_grid=0):
+            got = chart.evaluator(field)(p)
+            assert got.shape == field.shape
+            want = compile_exprs(field.ravel(), chart.coords)(*p).reshape(field.shape)
+            assert np.array_equal(got, want)

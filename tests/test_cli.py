@@ -241,7 +241,9 @@ def test_main_exit_two_on_expression_outside_its_domain(tmp_path, capsys):
     path.write_text(json.dumps(make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
                                         gamma={"0,1,1": "log(x1)"})))
     assert cli.main(["compute", "--manifest", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "0,1,1" in err and "log(" in err
 
 
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):
