@@ -130,20 +130,26 @@ class ChartModel:
     # -- compiled evaluators ----------------------------------------------------
 
     def evaluator(self, field: np.ndarray) -> Callable[[object], np.ndarray]:
-        """Compiled point -> values of `field`, in `field.shape`.
+        """Compiled values of `field` at a point or at a batch of points.
 
         `field` is a symbolic array this chart owns (a `symbolic` result,
-        `gamma` or `metric`).  The callable is compiled on the first call
-        for a field and cached under the field's identity; the cache holds the field too,
-        so that identity is never reused.
+        `gamma` or `metric`).  The callable maps a point of shape (n,) to
+        values in `field.shape`, and a batch of shape (B, n) to values in
+        `(B,) + field.shape`, bit for bit the pointwise ones.  It is
+        compiled on the first call for a field and cached under the
+        field's identity; the cache holds the field too, so that identity
+        is never reused.
         """
         hit = self._evaluators.get(id(field))
         if hit is None:
             fn = compile_exprs(field.ravel(), self.coords)
             shape = field.shape
 
-            def at(point) -> np.ndarray:
-                return fn(*point).reshape(shape)
+            def at(points) -> np.ndarray:
+                p = np.asarray(points, dtype=float)
+                if p.ndim == 2:
+                    return fn(p).reshape(p.shape[:1] + shape)
+                return fn(*p.tolist()).reshape(shape)
 
             hit = (field, at)
             self._evaluators[id(field)] = hit
@@ -437,21 +443,37 @@ def covariant_derivative(chart: ChartModel, tensor: TensorField) -> TensorField:
 # -- integration -------------------------------------------------------------------
 
 
-def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool = False):
-    y = np.array(y0, dtype=float)
+_RK4_INITIAL_STEPS = 64
+
+
+def _rk4_times(t0: float, t1: float, steps: int):
+    """Step size h and the stage times (t, t + h/2, t + h) of each RK4 step.
+
+    This is the one place the time grid is accumulated, so `_rk4_fixed`
+    and the callers that evaluate ahead of it see the same floats.
+    """
     h = (t1 - t0) / steps
-    ts = [t0]
-    ys = [y.copy()]
+    stages = []
     t = t0
     for _ in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        stages.append((t, t + h / 2, t + h))
         t += h
+    return h, stages
+
+
+def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool = False):
+    y = np.array(y0, dtype=float)
+    h, stages = _rk4_times(t0, t1, steps)
+    ts = [t0]
+    ys = [y.copy()]
+    for t, t_mid, t_end in stages:
+        k1 = f(t, y)
+        k2 = f(t_mid, y + h / 2 * k1)
+        k3 = f(t_mid, y + h / 2 * k2)
+        k4 = f(t_end, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if record:
-            ts.append(t)
+            ts.append(t_end)
             ys.append(y.copy())
     if record:
         return np.array(ts), np.array(ys)
@@ -459,7 +481,7 @@ def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool
 
 
 def rk4_adaptive(f, y0, t0: float, t1: float, tol: float = 1e-8,
-                 initial_steps: int = 64, max_steps: int = 65536):
+                 initial_steps: int = _RK4_INITIAL_STEPS, max_steps: int = 65536):
     """Fixed-step RK4, halving the step until two resolutions agree.
 
     Returns (final_state, steps_used, converged).
@@ -509,19 +531,42 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
 def _linear_transport(field, curve: Curve, y0, tol: float):
     """Integrate ydot = -A(xdot) y along a curve; returns (y_at_end, steps, ok).
 
-    `field(x)` gives the matrices A_i at a point, shape (n, m, m).  The state
-    is a length-m vector or an (m, m) matrix whose columns move together.
+    `field(X)` gives the matrices A_i at a batch of points X of shape
+    (B, n), as an array of shape (B, n, m, m).  The state is a length-m
+    vector or an (m, m) matrix whose columns move together.
+
+    The right-hand side depends on t only through A(t) = xdot^i A_i(x(t)),
+    and `rk4_adaptive` asks for few distinct times: k2 and k3 of a step
+    share one, k4 of a step is k1 of the next, and on a dyadic interval
+    each doubled level contains the previous one.  So -A(t) is kept per
+    stage time.  The first time a level asks for a time not yet kept,
+    x(t), xdot(t) and the field are evaluated at every new time of that
+    level (from `_rk4_times`) in one batch each.  Each A(t) is contracted
+    on its own, as a pointwise right-hand side would, so the result is
+    bit for bit the pointwise one.
     """
-    xs = compile_exprs(list(curve.components), ("t",))
-    vs = compile_exprs(list(curve.velocity_exprs()), ("t",))
+    n = len(curve.components)
+    path = compile_exprs(curve.components + curve.velocity_exprs(), ("t",))
     y0 = np.asarray(y0, dtype=float)
     shape = y0.shape
+    neg_A: dict[float, np.ndarray] = {}
+    next_level = _RK4_INITIAL_STEPS
+
+    def fill_level():
+        nonlocal next_level
+        _, stages = _rk4_times(curve.t0, curve.t1, next_level)
+        next_level *= 2
+        new = [t for t in dict.fromkeys(t for stage in stages for t in stage) if t not in neg_A]
+        xv = path(np.array(new)[:, None])
+        for t, xd, A in zip(new, xv[:, n:], field(xv[:, :n])):
+            neg_A[t] = -np.einsum("i,ikl->kl", xd, A)
 
     def f(t, y):
-        x = xs(t)
-        xd = vs(t)
-        Mx = np.einsum("i,ikl->kl", xd, field(x))
-        return (-Mx @ y.reshape(shape)).ravel()
+        mA = neg_A.get(t)
+        if mA is None:
+            fill_level()
+            mA = neg_A[t]
+        return (mA @ y.reshape(shape)).ravel()
 
     out, steps, ok = rk4_adaptive(f, y0.ravel(), curve.t0, curve.t1, tol=tol)
     return out.reshape(shape), steps, ok
@@ -534,7 +579,7 @@ def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """
     gamma_at = chart.evaluator(chart.gamma)
     # A_i[k, j] = Gamma^k_{ij}
-    return _linear_transport(lambda x: gamma_at(x).transpose(1, 0, 2), curve, v0, tol)
+    return _linear_transport(lambda X: gamma_at(X).transpose(0, 2, 1, 3), curve, v0, tol)
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -13,8 +13,9 @@ towers from filling up with structural zeros.  One interpreter,
 :func:`eval_many`, evaluates expressions; it walks them as a DAG with an
 explicit stack and is the one place that holds the domain rules.
 :func:`compile_exprs` emits plain Python source using the ``math`` module
-for hot paths such as transport integration; when that code fails at a
-point it re-evaluates there with the interpreter to report the error.
+for hot paths such as transport integration, for one point or for a numpy
+batch of points with the same results; when that code fails at a point it
+re-evaluates there with the interpreter to report the error.
 
 Domain problems (``log`` of a non-positive number, division by zero, even
 roots of negatives, overflow) raise :class:`ExprDomainError` naming the
@@ -24,6 +25,7 @@ failing subexpression -- results are never silently NaN.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -596,7 +598,7 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
 # -- compilation --------------------------------------------------------------
 
 
-def _emit(node: Expr, names: dict, lines: list, counter: list) -> str:
+def _emit(node: Expr, names: dict, lines: list, counter: list, batch: bool) -> str:
     key = id(node)
     if key in names:
         return names[key]
@@ -605,20 +607,26 @@ def _emit(node: Expr, names: dict, lines: list, counter: list) -> str:
     elif isinstance(node, Var):
         ref = node.name
     else:
+        def sub(child):
+            return _emit(child, names, lines, counter, batch)
+
         if isinstance(node, Add):
-            rhs = f"{_emit(node.left, names, lines, counter)} + {_emit(node.right, names, lines, counter)}"
+            rhs = f"{sub(node.left)} + {sub(node.right)}"
         elif isinstance(node, Sub):
-            rhs = f"{_emit(node.left, names, lines, counter)} - ({_emit(node.right, names, lines, counter)})"
+            rhs = f"{sub(node.left)} - ({sub(node.right)})"
         elif isinstance(node, Mul):
-            rhs = f"({_emit(node.left, names, lines, counter)}) * ({_emit(node.right, names, lines, counter)})"
+            rhs = f"({sub(node.left)}) * ({sub(node.right)})"
         elif isinstance(node, Div):
-            rhs = f"({_emit(node.left, names, lines, counter)}) / ({_emit(node.right, names, lines, counter)})"
+            rhs = f"({sub(node.left)}) / ({sub(node.right)})"
         elif isinstance(node, Neg):
-            rhs = f"-({_emit(node.operand, names, lines, counter)})"
+            rhs = f"-({sub(node.operand)})"
         elif isinstance(node, Pow):
-            rhs = f"({_emit(node.base, names, lines, counter)}) ** ({node.exponent})"
+            if batch:
+                rhs = f"_pow({sub(node.base)}, {node.exponent})"
+            else:
+                rhs = f"({sub(node.base)}) ** ({node.exponent})"
         elif isinstance(node, Call):
-            rhs = f"_{node.func}({_emit(node.arg, names, lines, counter)})"
+            rhs = f"_{node.func}({sub(node.arg)})"
         else:
             raise AssertionError(f"unhandled node type {type(node)}")
         ref = f"_t{counter[0]}"
@@ -628,35 +636,97 @@ def _emit(node: Expr, names: dict, lines: list, counter: list) -> str:
     return ref
 
 
-def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., np.ndarray]:
-    """Compile a flat sequence of expressions into one callable.
+def _elementwise(fn: Callable) -> Callable:
+    """`fn` applied to each element of a 1-d array, or to a plain float.
 
-    The result maps coordinate values (as positional floats) to a 1-d float
-    array, preserving order.  Shared subtrees are evaluated once.  A domain
-    failure is re-evaluated at the same point by eval_many, which raises the
-    ExprDomainError naming the failing subexpression.
+    Batched code calls the scalar `math` routines (and float `**`) point by
+    point because numpy's vectorised sin, exp, power, ... may round
+    differently; `+ - * /` and negation are exact in numpy and stay whole-array.
     """
-    flat = list(exprs)
-    for c in coords:
-        if c in _MATH_FUNCTIONS or c.startswith("_t"):
-            raise ValueError(f"coordinate name '{c}' is reserved")
+
+    def apply(x, *args):
+        if isinstance(x, np.ndarray):
+            return np.array(list(map(fn, x.tolist(), *(repeat(a) for a in args))), dtype=float)
+        return fn(x, *args)
+
+    return apply
+
+
+_SCALAR_NAMESPACE = {f"_{fn}": impl for fn, impl in _MATH_FUNCTIONS.items()}
+_BATCH_NAMESPACE = {name: _elementwise(impl) for name, impl in _SCALAR_NAMESPACE.items()}
+_BATCH_NAMESPACE["_pow"] = _elementwise(pow)
+_BATCH_NAMESPACE["_empty"] = np.empty
+
+
+def _exec_source(exprs: list, coords: Sequence[str], batch: bool) -> Callable:
     names: dict = {}
     lines: list[str] = []
     counter = [0]
-    refs = [_emit(e, names, lines, counter) for e in flat]
-    src = [f"def _compiled({', '.join(coords)}):"]
-    src.extend(lines)
-    src.append(f"    return ({', '.join(refs)}{',' if len(refs) == 1 else ''})")
-    namespace: dict = {f"_{fn}": impl for fn, impl in _MATH_FUNCTIONS.items()}
+    refs = [_emit(e, names, lines, counter, batch) for e in exprs]
+    if batch:
+        src = ["def _compiled(_X):", f"    {', '.join(coords)}, = _X.T"]
+        src.extend(lines)
+        src.append(f"    _out = _empty((_X.shape[0], {len(refs)}))")
+        src.extend(f"    _out[:, {j}] = {ref}" for j, ref in enumerate(refs))
+        src.append("    return _out")
+        namespace = dict(_BATCH_NAMESPACE)
+    else:
+        src = [f"def _compiled({', '.join(coords)}):"]
+        src.extend(lines)
+        src.append(f"    return ({', '.join(refs)}{',' if len(refs) == 1 else ''})")
+        namespace = dict(_SCALAR_NAMESPACE)
     exec("\n".join(src), namespace)
-    raw = namespace["_compiled"]
-    count = len(flat)
+    return namespace["_compiled"]
 
-    def evaluate(*point: float) -> np.ndarray:
+
+_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+_RESERVED = {"_X", "_out", *_BATCH_NAMESPACE}
+
+
+def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., np.ndarray]:
+    """Compile a flat sequence of expressions into one callable.
+
+    Called with one value per coordinate, the result returns a 1-d float
+    array of the k expressions, in order; the values are taken as Python
+    floats, so a numpy scalar input fails like a float one.  Called with a
+    single (B, n) array of points it returns a (B, k) array, bit for bit the
+    rows the pointwise call gives: arithmetic runs on whole columns, while
+    functions and powers go element by element through the same scalar
+    routines.  Shared subtrees are evaluated once.  A domain failure is
+    re-evaluated at the same point by eval_many, which raises the
+    ExprDomainError naming the failing subexpression; a batch with a
+    floating-point exception is re-evaluated point by point to find it.
+    """
+    flat = list(exprs)
+    for c in coords:
+        if c in _MATH_FUNCTIONS or c in _RESERVED or c.startswith("_t"):
+            raise ValueError(f"coordinate name '{c}' is reserved")
+    raw = _exec_source(flat, coords, batch=False)
+    count = len(flat)
+    batched = None  # compiled on the first batch call; most fields never get one
+
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        nonlocal batched
+        points = np.asarray(points, dtype=float)
+        if points.shape[1] != len(coords):
+            raise ValueError(f"points must have {len(coords)} columns")
+        if batched is None:
+            batched = _exec_source(flat, coords, batch=True)
         try:
-            return np.array(raw(*point), dtype=float)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            eval_many(flat, dict(zip(coords, point)))
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return batched(points)
+        except (FloatingPointError,) + _FAILURES:
+            rows = [evaluate(*p) for p in points.tolist()]
+            return np.array(rows, dtype=float).reshape(len(rows), count)
+
+    def evaluate(*point) -> np.ndarray:
+        if len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2:
+            return evaluate_batch(point[0])
+        values = [float(v) for v in point]
+        try:
+            return np.array(raw(*values), dtype=float)
+        except _FAILURES:
+            eval_many(flat, dict(zip(coords, values)))
             raise
 
     evaluate.n_outputs = count  # type: ignore[attr-defined]

@@ -20,6 +20,7 @@ from tractorlab.affine import (
     transport_vector,
 )
 from tractorlab.expr import compile_exprs, num, parse, var
+from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.library import (
     flat_chart,
     hyperbolic_chart,
@@ -331,3 +332,16 @@ def test_evaluator_is_cached_per_field_and_shaped_like_it():
             assert got.shape == field.shape
             want = compile_exprs(field.ravel(), chart.coords)(*p).reshape(field.shape)
             assert np.array_equal(got, want)
+
+
+def test_batch_evaluation_equals_pointwise_on_bundled_charts():
+    for name in bundled_names():
+        m = load_bundled(name)
+        chart = m.chart
+        pts = m.sample()
+        for field in (chart.gamma, connection_matrix_field(chart)):
+            at = chart.evaluator(field)
+            got = at(pts)
+            want = np.array([at(p) for p in pts])
+            assert got.shape == (len(pts),) + field.shape
+            assert got.tobytes() == want.tobytes(), name

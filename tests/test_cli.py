@@ -7,6 +7,7 @@ import pytest
 
 from tractorlab import __version__, cli
 from tractorlab.affine import max_abs, sample_points
+from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
     ManifestError,
     bundled_names,
@@ -244,6 +245,17 @@ def test_main_exit_two_on_expression_outside_its_domain(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "0,1,1" in err and "log(" in err
+
+
+def test_pole_on_the_base_point_is_a_domain_error_not_nan(tmp_path, capsys):
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]], gamma={"0,1,1": "1/x1"})
+    chart = loads(json.dumps(doc)).chart
+    with pytest.raises(ExprDomainError, match=r"'1/x1'"):
+        chart.gamma_at(chart.center())
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path)]) == 2
+    assert "1/x1" in capsys.readouterr().err
 
 
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):

@@ -249,6 +249,33 @@ def test_compiled_single_output_shape() -> None:
     assert out[0] == 3.0
 
 
+def test_compiled_numpy_scalar_input_raises_like_a_float() -> None:
+    fn = compile_exprs([parse("1/x", ("x",))], ("x",))
+    with pytest.raises(ExprDomainError, match=r"division by zero in '1/x'"):
+        fn(np.float64(0.0))
+
+
+def test_compiled_batch_equals_pointwise_bit_for_bit() -> None:
+    texts = ["sin(x)*cos(y)", "tan(x - y)", "exp(-x^2 - y^2)", "log(2 + x*y)",
+             "sqrt(3 + x)", "atan(x/(1 + y^2))", "x^-1 + y^-2", "(x + 2)^-3",
+             "x^2 - 2*x*y^3", "1.5", "y"]
+    exprs = [parse(t, XY) for t in texts]
+    fn = compile_exprs(exprs, XY)
+    pts = np.random.default_rng(0).uniform(-0.9, 0.9, size=(400, 2))
+    got = fn(pts)
+    want = np.array([fn(*p) for p in pts])
+    assert got.shape == (400, len(texts))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_compiled_batch_with_one_bad_point_names_the_subexpression() -> None:
+    fn = compile_exprs([parse("x + log(y)", XY), parse("1/(x - 0.25)", XY)], XY)
+    with pytest.raises(ExprDomainError, match=r"division by zero in '1/\(x - 0\.25\)'"):
+        fn(np.array([[0.1, 0.5], [0.25, 0.5], [0.3, 0.2]]))
+    with pytest.raises(ExprDomainError, match=r"log\(-0\.5\)"):
+        fn(np.array([[0.1, 0.5], [0.3, -0.5]]))
+
+
 # -- property tests ----------------------------------------------------------------
 
 

@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from tractorlab.affine import Curve, max_abs, project_change, rk4_adaptive, sample_points
+from tractorlab.affine import (
+    Curve,
+    max_abs,
+    project_change,
+    rk4_adaptive,
+    sample_points,
+    transport_vector,
+)
+from tractorlab.expr import compile_exprs
+from tractorlab.manifest import load_bundled
 from tractorlab.library import flat_chart, polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.projective import rho
 from tractorlab.tractor import (
     AlgebraElement,
+    connection_matrix_field,
     TractorEndo,
     TractorVec,
     change_splitting,
@@ -208,3 +218,38 @@ def test_open_loop_is_rejected():
     segs = [Curve.segment([0.0, 0.0], [0.5, 0.0]), Curve.segment([0.5, 0.0], [0.5, 0.5])]
     with pytest.raises(ValueError):
         loop_holonomy(c, segs)
+
+
+def pointwise_transport(field_at, curve, y0, tol=1e-8):
+    """Linear transport with one field evaluation per right-hand side call."""
+    xs = compile_exprs(curve.components, ("t",))
+    vs = compile_exprs(curve.velocity_exprs(), ("t",))
+    y0 = np.asarray(y0, dtype=float)
+
+    def f(t, y):
+        Mx = np.einsum("i,ikl->kl", vs(t), field_at(xs(t)))
+        return (-Mx @ y.reshape(y0.shape)).ravel()
+
+    out, steps, ok = rk4_adaptive(f, y0.ravel(), curve.t0, curve.t1, tol=tol)
+    return out.reshape(y0.shape), steps, ok
+
+
+def test_transports_equal_pointwise_rk4_bit_for_bit():
+    m = load_bundled("sphere3")
+    c = m.chart
+    base = m.base()
+    M_at = c.evaluator(connection_matrix_field(c))
+    g_at = c.evaluator(c.gamma)
+    curves = [Curve.segment(base, base + np.array([0.3, -0.2, 0.25])),
+              # stage times on [0.1, 0.7] are not dyadic, so levels share few of them
+              Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7)]
+    v = np.array([0.3, 1.0, -0.5, 0.2])
+    w = np.array([0.3, 1.0, -0.5])
+    for curve in curves:
+        cases = [(transport_operator(c, curve), pointwise_transport(M_at, curve, np.eye(4))),
+                 (parallel_transport(c, curve, v), pointwise_transport(M_at, curve, v)),
+                 (transport_vector(c, curve, w),
+                  pointwise_transport(lambda x: g_at(x).transpose(1, 0, 2), curve, w))]
+        for (y, steps, ok), (y_ref, steps_ref, ok_ref) in cases:
+            assert y.tobytes() == y_ref.tobytes()
+            assert (steps, ok) == (steps_ref, ok_ref)
