@@ -444,6 +444,7 @@ def covariant_derivative(chart: ChartModel, tensor: TensorField) -> TensorField:
 
 
 _RK4_INITIAL_STEPS = 64
+_RK4_MAX_STEPS = 65536
 
 
 def _rk4_times(t0: float, t1: float, steps: int):
@@ -459,6 +460,16 @@ def _rk4_times(t0: float, t1: float, steps: int):
         stages.append((t, t + h / 2, t + h))
         t += h
     return h, stages
+
+
+def _rk4_grid(t0: float, t1: float, steps: int):
+    """Step size h and the 2*steps + 1 stage times t_0, t_0 + h/2, t_1, ..., t_steps.
+
+    Step j uses entries 2j, 2j + 1 and 2j + 2: the end of a step is
+    accumulated as the start of the next one, so the two are the same float.
+    """
+    h, stages = _rk4_times(t0, t1, steps)
+    return h, [u for t, t_mid, _ in stages for u in (t, t_mid)] + [stages[-1][2]]
 
 
 def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool = False):
@@ -480,21 +491,69 @@ def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool
     return y
 
 
+def _rk4_doubling(run_level, rows: int, tol: float, initial_steps: int = _RK4_INITIAL_STEPS,
+                  max_steps: int = _RK4_MAX_STEPS) -> list:
+    """Double the RK4 step count of each row until two resolutions agree.
+
+    `run_level(active, steps)` integrates the rows listed in `active` with
+    `steps` fixed steps and returns their end states in that order.  A row
+    is converged at the first level whose state `cur` satisfies
+    max_abs(cur - prev) <= tol * (1 + max_abs(cur)) against the level
+    before, and then leaves the batch.  Returns (state, steps, converged)
+    per row; a row still apart at `max_steps` keeps its last state.
+    """
+    steps = initial_steps
+    active = list(range(rows))
+    prev = dict(zip(active, run_level(active, steps)))
+    out = [None] * rows
+    while steps < max_steps and active:
+        steps *= 2
+        apart = []
+        for r, cur in zip(active, run_level(active, steps)):
+            if max_abs(cur - prev[r]) <= tol * (1.0 + max_abs(cur)):
+                out[r] = (cur, steps, True)
+            else:
+                prev[r] = cur
+                apart.append(r)
+        active = apart
+    for r in active:
+        out[r] = (prev[r], steps, False)
+    return out
+
+
 def rk4_adaptive(f, y0, t0: float, t1: float, tol: float = 1e-8,
-                 initial_steps: int = _RK4_INITIAL_STEPS, max_steps: int = 65536):
+                 initial_steps: int = _RK4_INITIAL_STEPS, max_steps: int = _RK4_MAX_STEPS):
     """Fixed-step RK4, halving the step until two resolutions agree.
 
     Returns (final_state, steps_used, converged).
     """
-    steps = initial_steps
-    prev = _rk4_fixed(f, y0, t0, t1, steps)
-    while steps < max_steps:
-        steps *= 2
-        cur = _rk4_fixed(f, y0, t0, t1, steps)
-        if max_abs(cur - prev) <= tol * (1.0 + max_abs(cur)):
-            return cur, steps, True
-        prev = cur
-    return prev, steps, False
+    return _rk4_doubling(lambda _active, steps: [_rk4_fixed(f, y0, t0, t1, steps)], 1, tol,
+                         initial_steps, max_steps)[0]
+
+
+def _stage_memo(t0: float, t1: float, evaluate):
+    """t -> evaluate's value at t, for a right-hand side run by `rk4_adaptive`.
+
+    `evaluate(times)` takes an array of times and returns one value per
+    time.  A right-hand side asks for few distinct times: k2 and k3 of a
+    step share one, k4 of a step is k1 of the next, and on a dyadic
+    interval each doubled level contains the previous one.  The first time
+    a level asks for a time not yet kept, every new time of that level is
+    evaluated in one batch.
+    """
+    kept: dict = {}
+    next_level = _RK4_INITIAL_STEPS
+
+    def at(t: float):
+        nonlocal next_level
+        if t not in kept:
+            _, times = _rk4_grid(t0, t1, next_level)
+            next_level *= 2
+            new = [u for u in dict.fromkeys(times) if u not in kept]
+            kept.update(zip(new, evaluate(np.array(new))))
+        return kept[t]
+
+    return at
 
 
 def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
@@ -528,48 +587,59 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
     return GeodesicPath(ts, pts, vels, False, converged)
 
 
-def _linear_transport(field, curve: Curve, y0, tol: float):
-    """Integrate ydot = -A(xdot) y along a curve; returns (y_at_end, steps, ok).
+def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
+    """Integrate ydot = -A(xdot) y along each curve; returns [(y_at_end, steps, ok)].
 
     `field(X)` gives the matrices A_i at a batch of points X of shape
-    (B, n), as an array of shape (B, n, m, m).  The state is a length-m
-    vector or an (m, m) matrix whose columns move together.
+    (B, n), as an array of shape (B, n, m, m).  Every curve starts from
+    the state y0: a length-m vector or an (m, m) matrix whose columns move
+    together.
 
-    The right-hand side depends on t only through A(t) = xdot^i A_i(x(t)),
-    and `rk4_adaptive` asks for few distinct times: k2 and k3 of a step
-    share one, k4 of a step is k1 of the next, and on a dyadic interval
-    each doubled level contains the previous one.  So -A(t) is kept per
-    stage time.  The first time a level asks for a time not yet kept,
-    x(t), xdot(t) and the field are evaluated at every new time of that
-    level (from `_rk4_times`) in one batch each.  Each A(t) is contracted
-    on its own, as a pointwise right-hand side would, so the result is
-    bit for bit the pointwise one.
+    The curves are the rows of one batch.  Each row has its own step size
+    and stage times (`_rk4_grid`) and converges on its own under the
+    doubling rule of `rk4_adaptive` (`_rk4_doubling`); converged rows
+    leave the batch.  On each level, every row evaluates x(t), xdot(t) and
+    the field in one batch each, at those of its 2*steps + 1 stage times
+    that its previous level did not have (on a dyadic interval, the new
+    half), and forms -A(t) = -xdot^i A_i(x(t)) for them in one einsum.
+    The RK4 steps of all active rows then run together, as stacked
+    matrix products on (B, m, m) states, or (B, m, 1) for a vector.  Each
+    row's result is bit for bit what `rk4_adaptive` gives with a
+    pointwise right-hand side along that curve alone.
     """
-    n = len(curve.components)
-    path = compile_exprs(curve.components + curve.velocity_exprs(), ("t",))
+    if not curves:
+        return []
     y0 = np.asarray(y0, dtype=float)
-    shape = y0.shape
-    neg_A: dict[float, np.ndarray] = {}
-    next_level = _RK4_INITIAL_STEPS
+    state = y0.reshape(y0.shape[0], -1)
+    n = len(curves[0].components)
+    paths = [compile_exprs(c.components + c.velocity_exprs(), ("t",)) for c in curves]
+    kept: list[dict] = [{} for _ in curves]  # per row: stage time -> -A(t) of its last level
 
-    def fill_level():
-        nonlocal next_level
-        _, stages = _rk4_times(curve.t0, curve.t1, next_level)
-        next_level *= 2
-        new = [t for t in dict.fromkeys(t for stage in stages for t in stage) if t not in neg_A]
-        xv = path(np.array(new)[:, None])
-        for t, xd, A in zip(new, xv[:, n:], field(xv[:, :n])):
-            neg_A[t] = -np.einsum("i,ikl->kl", xd, A)
+    def run_level(active, steps):
+        m = state.shape[0]
+        table = np.empty((2 * steps + 1, len(active), m, m))  # time-major: one (B, m, m) per stage
+        h = np.empty((len(active), 1, 1))
+        for b, r in enumerate(active):
+            h[b], times = _rk4_grid(curves[r].t0, curves[r].t1, steps)
+            known = kept[r]
+            new = [t for t in dict.fromkeys(times) if t not in known]
+            if new:
+                xv = paths[r](np.array(new)[:, None])
+                known.update(zip(new, -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))))
+            table[:, b] = [known[t] for t in times]
+            kept[r] = dict(zip(times, table[:, b]))
+        h2, h6 = h / 2, h / 6
+        y = np.repeat(state[None], len(active), axis=0)
+        for j in range(steps):
+            mid = table[2 * j + 1]
+            k1 = table[2 * j] @ y
+            k2 = mid @ (y + h2 * k1)
+            k3 = mid @ (y + h2 * k2)
+            k4 = table[2 * j + 2] @ (y + h * k3)
+            y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return y.reshape((len(active),) + y0.shape)
 
-    def f(t, y):
-        mA = neg_A.get(t)
-        if mA is None:
-            fill_level()
-            mA = neg_A[t]
-        return (mA @ y.reshape(shape)).ravel()
-
-    out, steps, ok = rk4_adaptive(f, y0.ravel(), curve.t0, curve.t1, tol=tol)
-    return out.reshape(shape), steps, ok
+    return _rk4_doubling(run_level, len(curves), tol)
 
 
 def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
@@ -579,7 +649,7 @@ def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """
     gamma_at = chart.evaluator(chart.gamma)
     # A_i[k, j] = Gamma^k_{ij}
-    return _linear_transport(lambda X: gamma_at(X).transpose(0, 2, 1, 3), curve, v0, tol)
+    return _linear_transport(lambda X: gamma_at(X).transpose(0, 2, 1, 3), [curve], v0, tol)[0]
 
 
 # -- sampling ------------------------------------------------------------------------

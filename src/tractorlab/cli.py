@@ -33,7 +33,7 @@ from .affine import (
     project_change,
     ricci_field,
 )
-from .expr import ExprError
+from .expr import ExprDomainError, ExprError
 from .holonomy import (
     classify,
     invariant_complex,
@@ -42,7 +42,7 @@ from .holonomy import (
     invariant_symplectic,
     loop_algebra,
 )
-from .manifest import Manifest, bundled_names, load, load_bundled
+from .manifest import Manifest, bundled_names, gamma_entry_error, load, load_bundled
 from .projective import (
     cotton_field,
     rho_field,
@@ -60,12 +60,13 @@ from .structures import (
 )
 from .tractor import (
     connection_matrix_field,
+    loop_holonomies,
     loop_holonomy,
     splitting_matrix,
     square_loop,
     tractor_curvature,
     tractor_curvature_from_connection,
-    transport_operator,
+    transport_operators,
 )
 
 COMMANDS = ("compute", "invariance", "transport", "holonomy", "detect", "verify", "suite")
@@ -214,15 +215,14 @@ def cmd_transport(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         targets = manifest.sample()[:2]
         curves = [Curve.segment(base, t) for t in targets]
     ops = []
-    for i, curve in enumerate(curves):
-        T, steps, ok = transport_operator(chart, curve)
+    for i, (T, steps, ok) in enumerate(transport_operators(chart, curves)):
         det_drift = abs(float(np.linalg.det(T)) - 1.0)
         checks.add(f"transport_det_curve_{i}", det_drift, "transport_det")
         ops.append({"operator": T, "steps": steps, "converged": bool(ok),
                     "det_drift": det_drift})
     loops_out = []
-    for i, loop in enumerate(_loops(manifest)):
-        H, rep = loop_holonomy(chart, loop)
+    loops = _loops(manifest)
+    for i, (loop, (H, rep)) in enumerate(zip(loops, loop_holonomies(chart, loops))):
         checks.add(f"loop_det_{i}", rep["det_drift"], "loop_det")
         loops_out.append({"holonomy": H, "det_drift": rep["det_drift"],
                           "base": loop[0].point(0.0)})
@@ -460,6 +460,14 @@ def render(report: dict) -> str:
     return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
+def _run_naming_entry(args, manifest: Manifest) -> dict:
+    """`run`, with a domain error turned into one naming its gamma entry."""
+    try:
+        return run(args.command, manifest, seed=args.seed, tol_scale=args.tol_scale)
+    except ExprDomainError as err:
+        raise gamma_entry_error(manifest.chart.coords, manifest.gamma_entries, err) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tractorlab",
@@ -488,11 +496,10 @@ def main(argv=None) -> int:
         else:
             manifests = [load_bundled(args.manifest)]
         if len(manifests) == 1:
-            report = run(args.command, manifests[0], seed=args.seed, tol_scale=args.tol_scale)
+            report = _run_naming_entry(args, manifests[0])
             all_pass = report["all_pass"]
         else:
-            per = {m.name: run(args.command, m, seed=args.seed, tol_scale=args.tol_scale)
-                   for m in manifests}
+            per = {m.name: _run_naming_entry(args, m) for m in manifests}
             all_pass = all(r["all_pass"] for r in per.values())
             report = {
                 "tool": "tractorlab",

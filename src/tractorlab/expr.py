@@ -65,7 +65,12 @@ class ExprNameError(ExprError):
 
 
 class ExprDomainError(ExprError):
-    """Raised when evaluation leaves the domain of a subexpression."""
+    """Raised when evaluation leaves the domain of a subexpression.
+
+    `point` maps each coordinate to its value where the error was raised.
+    """
+
+    point: dict | None = None
 
 
 _MATH_FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -811,6 +816,10 @@ def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
                     stack.extend(pending)
                 else:
                     stack.pop()
-                    memo[key] = _node_value(node, env, memo)
+                    try:
+                        memo[key] = _node_value(node, env, memo)
+                    except ExprDomainError as err:
+                        err.point = dict(env)
+                        raise
         out.append(memo[id(root)])
     return out

@@ -23,8 +23,8 @@ from scipy.linalg import logm
 from .affine import ChartModel, Curve, max_abs, sample_points
 from .expr import eval_many
 from .projective import cotton_field, weyl_field
-from .tractor import assemble_tractor_curvature, connection_matrix_field, loop_holonomy, \
-    square_loop
+from .tractor import assemble_tractor_curvature, connection_matrix_field, loop_holonomies, \
+    loop_holonomy, square_loop
 
 __all__ = [
     "HolonomyAlgebra",
@@ -296,22 +296,22 @@ def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3,
 # -- loop estimator ----------------------------------------------------------------------
 
 
-def _guarded_log(chart: ChartModel, loop_segments, ode_tol: float, max_retries: int = 5):
-    """Principal log of a loop holonomy, shrinking the loop if it leaves the branch."""
-    segs = loop_segments
+def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float,
+                 max_retries: int = 5):
+    """Principal log of a loop holonomy H, shrinking the loop if it leaves the branch.
+
+    Returns (log, retries); each retry transports the shrunk loop alone.
+    """
+    segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
     for attempt in range(max_retries + 1):
-        H, rep = loop_holonomy(chart, segs, tol=ode_tol)
+        if attempt:
+            # shrink towards the base point of the loop
+            base = segs[0].point(segs[0].t0)
+            segs = [Curve.segment(base + 0.5 * (s.point(s.t0) - base),
+                                  base + 0.5 * (s.point(s.t1) - base)) for s in segs]
+            H, _ = loop_holonomy(chart, segs, tol=ode_tol)
         if max_abs(H - np.eye(H.shape[0])) < 1.0:
-            log = logm(H)
-            return np.real(log), rep, attempt
-        # shrink towards the base point of the loop
-        base = segs[0].point(segs[0].t0) if not isinstance(segs, Curve) else segs.point(segs.t0)
-        shrunk = []
-        for s in (segs if not isinstance(segs, Curve) else [segs]):
-            a = s.point(s.t0)
-            b = s.point(s.t1)
-            shrunk.append(Curve.segment(base + 0.5 * (a - base), base + 0.5 * (b - base)))
-        segs = shrunk
+            return np.real(logm(H)), attempt
     raise RuntimeError("loop holonomy stayed outside the log branch radius after retries")
 
 
@@ -348,8 +348,8 @@ def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6
         loop_family = _default_loop_family(chart, base, count, seed, eps)
     logs = []
     retries = 0
-    for loop in loop_family:
-        log, _, attempts = _guarded_log(chart, loop, ode_tol)
+    for loop, (H, _) in zip(loop_family, loop_holonomies(chart, loop_family, tol=ode_tol)):
+        log, attempts = _guarded_log(chart, loop, H, ode_tol)
         retries += attempts
         norm = float(np.linalg.norm(log))
         if norm > log_floor:

@@ -31,6 +31,7 @@ __all__ = [
     "bundled_names",
     "bundled_path",
     "load_bundled",
+    "gamma_entry_error",
 ]
 
 
@@ -53,6 +54,7 @@ class Manifest:
     symmetrized: bool = False
     asymmetry: float = 0.0
     raw: dict = field(default_factory=dict)
+    gamma_entries: dict = field(default_factory=dict)  # declared "k,i,j" -> Expr, in order
 
     def base(self) -> np.ndarray:
         if self.base_point is None:
@@ -183,6 +185,7 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         symmetrized=symmetrized,
         asymmetry=asym,
         raw=doc,
+        gamma_entries=entries,
     )
 
 
@@ -193,22 +196,32 @@ def load(path) -> Manifest:
     return loads(p.read_text(), source=str(p))
 
 
+def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
+    """`err` as a ManifestError naming the first gamma entry that fails at
+    the point where `err` was raised; `err` itself if none does.
+
+    `entries` maps each declared "k,i,j" key to its expression, in the
+    order of the manifest, and `coords` are the chart's coordinates.
+    """
+    env = err.point
+    if env is not None and set(coords) <= set(env):
+        for key, e in entries.items():
+            try:
+                e.eval(env)
+            except ExprDomainError as entry_err:
+                return ManifestError(f"$['gamma'][{key!r}]: {entry_err}")
+    return err
+
+
 def _asymmetry(chart: ChartModel, entries: dict, n_points: int = 5) -> float:
-    """Max asymmetry of the symbols at samples; `entries` maps each declared
-    "k,i,j" key to its expression, so a domain error can name its entry."""
+    """Max asymmetry of the symbols at samples; a domain error names its entry."""
     pts = sample_points(chart, seed=0, n_random=n_points, n_grid=0)
     worst = 0.0
     for p in pts:
         try:
             g = chart.gamma_at(p)
-        except ExprDomainError:
-            env = chart.env(p)
-            for key, e in entries.items():
-                try:
-                    e.eval(env)
-                except ExprDomainError as err:
-                    raise ManifestError(f"$['gamma'][{key!r}]: {err}") from None
-            raise
+        except ExprDomainError as err:
+            raise gamma_entry_error(chart.coords, entries, err) from None
         worst = max(worst, float(np.abs(g - g.transpose(0, 2, 1)).max()))
     return worst
 

@@ -28,7 +28,6 @@ from .affine import (
 __all__ = [
     "rho",
     "rho_field",
-    "rho_after_change",
     "ricci_from_rho",
     "weyl",
     "weyl_field",
@@ -133,25 +132,6 @@ def weyl(chart: ChartModel, point) -> TensorValue:
 def cotton(chart: ChartModel, point) -> TensorValue:
     p = np.asarray(point, dtype=float)
     return TensorValue(p, chart.evaluator(cotton_field(chart))(p), "ddd")
-
-
-def rho_after_change(chart: ChartModel, ups: OneFormField) -> np.ndarray:
-    """Symbolic rho of project_change(chart, ups) via the transformation law.
-
-    P'[i,j] = P[i,j] + grad_i Ups_j - Ups_i Ups_j, with grad taken in the
-    original connection.  Avoids rebuilding curvature for the new chart.
-    """
-    n = chart.n
-    P = rho_field(chart)
-    u = ups.components
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            term = P[i, j] + u[j].diff(chart.coords[i]) - u[i] * u[j]
-            for m in range(n):
-                term = term - chart.gamma[m, i, j] * u[m]
-            out[i, j] = term
-    return out
 
 
 def weyl_invariance_test(chart: ChartModel, ups, seed: int = 0,

@@ -39,6 +39,7 @@ from .affine import (
     max_abs,
     normalize_volume,
     ricci_field,
+    _stage_memo,
     rk4_adaptive,
     sample_points,
 )
@@ -49,7 +50,7 @@ from .tractor import (
     connection_matrix_field,
     spread_structure,
     splitting_matrix,
-    transport_operator,
+    transport_operators,
 )
 
 __all__ = [
@@ -641,10 +642,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
 
     pts = [np.asarray(p, dtype=float) for p in sample_points(chart, seed=seed)[:n_samples]]
     stencil = _stencil(pts, fd_step, n)
-    ops = []
-    for q in stencil:
-        T, steps, ok = transport_operator(chart, Curve.segment(base, q))
-        ops.append(T)
+    ops = [T for T, _, _ in transport_operators(chart, [Curve.segment(base, q) for q in stencil])]
 
     gamma_vals = chart.evaluator(chart.gamma)
     rho_vals = chart.evaluator(rho_field(chart))
@@ -774,10 +772,14 @@ def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> 
         target = np.asarray(target, dtype=float)
         v = target - base
 
+        def fields(ts):
+            P = base + ts[:, None] * v
+            return zip(gamma_vals(P), M_vals(P))
+
+        fields_at = _stage_memo(0.0, 1.0, fields)
+
         def f(t, state):
-            p = base + t * v
-            G = gamma_vals(p)
-            M = M_vals(p)
+            G, M = fields_at(t)
             B = state[n:].reshape(n + 1, k)
             Y = B[:n, :]
             c = B[n, :]

@@ -38,15 +38,15 @@ __all__ = [
     "AlgebraElement",
     "connection_matrix",
     "connection_matrix_field",
-    "dual_connection_matrix",
     "splitting_matrix",
-    "change_splitting",
     "assemble_tractor_curvature",
     "tractor_curvature",
     "tractor_curvature_from_connection",
     "parallel_transport",
     "transport_operator",
+    "transport_operators",
     "loop_holonomy",
+    "loop_holonomies",
     "spread_structure",
 ]
 
@@ -175,26 +175,6 @@ def connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
     return np.einsum("i,ikl->kl", X, M)
 
 
-def dual_connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
-    """Connection matrix on the dual bundle, assembled from its own blocks.
-
-    For dual components (lam, b) the matrix is
-    [[-Gamma_i^T - w_i I, -P[i,:]^T], [-e_i^T, -w_i]]; it equals -M(X)^T.
-    """
-    n = chart.n
-    X = np.asarray(direction, dtype=float)
-    g = chart.gamma_at(point)
-    P = chart.evaluator(rho_field(chart))(np.asarray(point, dtype=float))
-    trg = np.einsum("mim->i", g)
-    w = -float(X @ trg) / (n + 1)
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = -np.einsum("i,kim->mk", X, g) - w * np.eye(n)
-    out[:n, n] = -X @ P
-    out[n, :n] = -X
-    out[n, n] = -w
-    return out
-
-
 # -- splitting changes -------------------------------------------------------------
 
 
@@ -206,12 +186,6 @@ def splitting_matrix(ups_value) -> np.ndarray:
     out = np.eye(n + 1)
     out[n, :n] = u
     return out
-
-
-def change_splitting(components, ups_value) -> np.ndarray:
-    """(Y, a) in the changed splitting -> (Y, a + Ups(Y)) in the base one."""
-    v = np.asarray(components, dtype=float)
-    return splitting_matrix(ups_value) @ v
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -268,27 +242,49 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 
 def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
-    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curve, v0, tol)
+    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), [curve], v0, tol)[0]
+
+
+def transport_operators(chart: ChartModel, curves: Sequence[Curve], tol: float = 1e-8) -> list:
+    """Transport operators along several curves of one chart, integrated as
+    one batch; returns [(T, steps, ok)] in the order of `curves`."""
+    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curves,
+                             np.eye(chart.n + 1), tol)
 
 
 def transport_operator(chart: ChartModel, curve: Curve, tol: float = 1e-8):
     """Full transport operator T along a curve: columns are transported frames."""
-    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curve,
-                             np.eye(chart.n + 1), tol)
+    return transport_operators(chart, [curve], tol)[0]
 
 
-def _compose_operators(chart: ChartModel, curves: Sequence[Curve], tol: float):
-    T = np.eye(chart.n + 1)
-    ok_all = True
-    prev_end = None
-    for c in curves:
-        if prev_end is not None and max_abs(c.point(c.t0) - prev_end) > 1e-9:
+def _loop_curves(loop) -> list:
+    """The segments of a loop (one curve or chained segments), checked closed and chained."""
+    curves = [loop] if isinstance(loop, Curve) else list(loop)
+    start = curves[0].point(curves[0].t0)
+    end = curves[-1].point(curves[-1].t1)
+    if max_abs(end - start) > 1e-9:
+        raise ValueError("loop is not closed")
+    for prev, c in zip(curves, curves[1:]):
+        if max_abs(c.point(c.t0) - prev.point(prev.t1)) > 1e-9:
             raise ValueError("curve segments do not chain")
-        Ti, _, ok = transport_operator(chart, c, tol=tol)
-        ok_all = ok_all and ok
-        T = Ti @ T
-        prev_end = c.point(c.t1)
-    return T, ok_all
+    return curves
+
+
+def loop_holonomies(chart: ChartModel, loops, tol: float = 1e-8) -> list:
+    """Holonomies of several closed loops; every segment of every loop is
+    transported in one batch.  Returns [(H, report)] as `loop_holonomy` does."""
+    loops = [_loop_curves(loop) for loop in loops]
+    ops = iter(transport_operators(chart, [c for curves in loops for c in curves], tol))
+    out = []
+    for curves in loops:
+        H = np.eye(chart.n + 1)
+        ok_all = True
+        for _ in curves:
+            T, _, ok = next(ops)
+            ok_all = ok_all and ok
+            H = T @ H
+        out.append((H, {"det_drift": abs(float(np.linalg.det(H)) - 1.0), "converged": ok_all}))
+    return out
 
 
 def loop_holonomy(chart: ChartModel, loop, tol: float = 1e-8):
@@ -297,20 +293,7 @@ def loop_holonomy(chart: ChartModel, loop, tol: float = 1e-8):
     Returns (H, report) with the determinant drift in the report; the
     connection is trace free so det H should be 1.
     """
-    if isinstance(loop, Curve):
-        curves = [loop]
-    else:
-        curves = list(loop)
-    start = curves[0].point(curves[0].t0)
-    end = curves[-1].point(curves[-1].t1)
-    if max_abs(end - start) > 1e-9:
-        raise ValueError("loop is not closed")
-    H, ok = _compose_operators(chart, curves, tol)
-    report = {
-        "det_drift": abs(float(np.linalg.det(H)) - 1.0),
-        "converged": ok,
-    }
-    return H, report
+    return loop_holonomies(chart, [loop], tol)[0]
 
 
 def square_loop(point, i: int, j: int, eps: float) -> list:
@@ -353,24 +336,26 @@ def spread_structure(chart: ChartModel, kind: str, value, base_point, points,
     base = np.asarray(base_point, dtype=float)
     value = np.asarray(value, dtype=float)
     pts = np.asarray(points, dtype=float)
-    out = []
-    for p in pts:
-        T, _, _ = transport_operator(chart, Curve.segment(base, p), tol=tol)
-        out.append(_apply_transport(kind, T, value))
-    report = {"max_path_residual": 0.0, "paths_checked": 0}
+    mids = {}  # check-path target index -> intermediate corner, drawn before transport
     if check_paths > 0 and len(pts) > 0:
         rng = np.random.default_rng(seed)
-        idxs = rng.choice(len(pts), size=min(check_paths, len(pts)), replace=False)
+        for idx in rng.choice(len(pts), size=min(check_paths, len(pts)), replace=False):
+            lo = np.minimum(base, pts[idx])
+            hi = np.maximum(base, pts[idx])
+            mids[idx] = lo + rng.random(chart.n) * (hi - lo)
+    curves = [Curve.segment(base, p) for p in pts]
+    for idx, mid in mids.items():
+        curves += [Curve.segment(base, mid), Curve.segment(mid, pts[idx])]
+    ops = [T for T, _, _ in transport_operators(chart, curves, tol)]
+    out = [_apply_transport(kind, T, value) for T in ops[:len(pts)]]
+    report = {"max_path_residual": 0.0, "paths_checked": 0}
+    if mids:
         worst = 0.0
-        for idx in idxs:
-            p = pts[idx]
-            lo = np.minimum(base, p)
-            hi = np.maximum(base, p)
-            mid = lo + rng.random(chart.n) * (hi - lo)
-            T1, _, _ = transport_operator(chart, Curve.segment(base, mid), tol=tol)
-            T2, _, _ = transport_operator(chart, Curve.segment(mid, p), tol=tol)
+        halves = iter(ops[len(pts):])
+        for idx in mids:
+            T1, T2 = next(halves), next(halves)
             alt = _apply_transport(kind, T2 @ T1, value)
             scale = 1.0 + max_abs(out[idx])
             worst = max(worst, max_abs(alt - out[idx]) / scale)
-        report = {"max_path_residual": worst, "paths_checked": int(len(idxs))}
+        report = {"max_path_residual": worst, "paths_checked": len(mids)}
     return np.array(out), report

@@ -258,6 +258,16 @@ def test_pole_on_the_base_point_is_a_domain_error_not_nan(tmp_path, capsys):
     assert "1/x1" in capsys.readouterr().err
 
 
+def test_domain_error_after_load_names_its_gamma_entry(tmp_path, capsys):
+    # the samples checked at load miss x1 = 0; the base point (0, 0) does not
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={"1,0,0": "x2", "0,1,1": "1/x1", "1,1,1": "2/x1"})
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == "error: $['gamma']['0,1,1']: division by zero in '1/x1'\n"
+
+
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):
     out = tmp_path / "corpus.json"
     code = cli.main(["suite", "--out", str(out)])

@@ -270,10 +270,12 @@ def test_compiled_batch_equals_pointwise_bit_for_bit() -> None:
 
 def test_compiled_batch_with_one_bad_point_names_the_subexpression() -> None:
     fn = compile_exprs([parse("x + log(y)", XY), parse("1/(x - 0.25)", XY)], XY)
-    with pytest.raises(ExprDomainError, match=r"division by zero in '1/\(x - 0\.25\)'"):
+    with pytest.raises(ExprDomainError, match=r"division by zero in '1/\(x - 0\.25\)'") as err:
         fn(np.array([[0.1, 0.5], [0.25, 0.5], [0.3, 0.2]]))
-    with pytest.raises(ExprDomainError, match=r"log\(-0\.5\)"):
+    assert err.value.point == {"x": 0.25, "y": 0.5}
+    with pytest.raises(ExprDomainError, match=r"log\(-0\.5\)") as err:
         fn(np.array([[0.1, 0.5], [0.3, -0.5]]))
+    assert err.value.point == {"x": 0.3, "y": -0.5}
 
 
 # -- property tests ----------------------------------------------------------------

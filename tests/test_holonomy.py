@@ -7,6 +7,7 @@ forced by flatness (round spheres).
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 from hypothesis import assume, given, settings, strategies as st
 
 from tractorlab.holonomy import (
@@ -21,8 +22,11 @@ from tractorlab.holonomy import (
     invariant_subspaces,
     invariant_symplectic,
     loop_algebra,
+    _default_loop_family,
 )
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
+from tractorlab.manifest import load_bundled
+from tractorlab.tractor import loop_holonomy
 
 P3 = np.array([0.15, 0.25, 0.35])
 
@@ -279,6 +283,22 @@ def test_twisted_loop_algebra_matches_infinitesimal():
     rep = compare_spans(la, ia)
     assert rep["agree"] is True
     assert la.method == "loops+infinitesimal"
+
+
+def test_loop_algebra_equals_per_loop_holonomy_logs():
+    # every segment of the family is transported in one batch; with no log
+    # floor, even sphere3's round-off logs must match loop by loop, bit for bit
+    m = load_bundled("sphere3")
+    chart, base = m.chart, m.base()
+    family = _default_loop_family(chart, base, count=6, seed=0, eps=0.08)
+    la = loop_algebra(chart, base, loop_family=family, ode_tol=1e-10, log_floor=0.0)
+    logs = []
+    for loop in family:
+        H, _ = loop_holonomy(chart, loop, tol=1e-10)
+        log = np.real(logm(H))
+        logs.append(log / float(np.linalg.norm(log)))
+    assert la.details["log_retries"] == 0
+    assert la.generators.tobytes() == np.array(logs).tobytes()
 
 
 def test_sphere2_loop_rank_zero():

@@ -4,6 +4,7 @@ from scipy.linalg import logm
 
 from tractorlab.affine import (
     Curve,
+    _linear_transport,
     max_abs,
     project_change,
     rk4_adaptive,
@@ -19,9 +20,7 @@ from tractorlab.tractor import (
     connection_matrix_field,
     TractorEndo,
     TractorVec,
-    change_splitting,
     connection_matrix,
-    dual_connection_matrix,
     loop_holonomy,
     parallel_transport,
     splitting_matrix,
@@ -54,14 +53,6 @@ def test_connection_matrix_is_trace_free():
     for c in (sphere_chart(3), polynomial_chart(3, seed=4)):
         M = connection_matrix(c, P3, np.array([0.3, 0.9, -0.5]))
         assert abs(np.trace(M)) <= 1e-12
-
-
-def test_dual_matrix_is_minus_transpose():
-    c = sphere_chart(3)
-    X = np.array([0.3, -0.2, 0.5])
-    M = connection_matrix(c, P3, X)
-    D = dual_connection_matrix(c, P3, X)
-    assert max_abs(D + M.T) <= 1e-13
 
 
 def test_tractor_curvature_two_routes_agree():
@@ -139,9 +130,9 @@ def test_transport_commutes_with_splitting_change():
     curve = Curve.segment(a, b)
     v0 = np.array([0.4, -0.7, 0.2])
     direct, _, _ = parallel_transport(c, curve, v0, tol=1e-10)
-    v0_changed = change_splitting(v0, -ups_at(a))
+    v0_changed = splitting_matrix(-ups_at(a)) @ v0
     moved, _, _ = parallel_transport(c2, curve, v0_changed, tol=1e-10)
-    via_change = change_splitting(moved, ups_at(b))
+    via_change = splitting_matrix(ups_at(b)) @ moved
     assert max_abs(direct - via_change) / (1.0 + max_abs(direct)) <= 1e-8
 
 
@@ -161,7 +152,7 @@ def test_dual_transport_preserves_pairing():
     def f(t, xi):
         x = curve.point(t)
         xd = curve.velocity(t)
-        return -dual_connection_matrix(c, x, xd) @ xi
+        return connection_matrix(c, x, xd).T @ xi  # the dual connection matrix is -M^T
 
     xi1, _, ok = rk4_adaptive(f, xi0, curve.t0, curve.t1, tol=1e-10)
     assert ok
@@ -251,5 +242,16 @@ def test_transports_equal_pointwise_rk4_bit_for_bit():
                  (transport_vector(c, curve, w),
                   pointwise_transport(lambda x: g_at(x).transpose(1, 0, 2), curve, w))]
         for (y, steps, ok), (y_ref, steps_ref, ok_ref) in cases:
+            assert y.tobytes() == y_ref.tobytes()
+            assert (steps, ok) == (steps_ref, ok_ref)
+    # one batch: segments of different lengths leave it at different levels
+    d = np.array([0.3, -0.2, 0.25])
+    batch = [Curve.segment(base, base + s * d) for s in (0.05, 1.0, 2.0)] + curves[1:]
+    for y0 in (np.eye(4), v):
+        rows = _linear_transport(M_at, batch, y0, 1e-10)
+        assert len({steps for _, steps, _ in rows}) >= 2
+        for (y, steps, ok), curve in zip(rows, batch):
+            y_ref, steps_ref, ok_ref = pointwise_transport(M_at, curve, y0, tol=1e-10)
+            assert y.shape == y0.shape
             assert y.tobytes() == y_ref.tobytes()
             assert (steps, ok) == (steps_ref, ok_ref)
