@@ -1,6 +1,7 @@
 """Print a digest of every bundled manifest's suite report.
 
-Run from any checkout:  python3 scripts/report_digests.py [--against FILE]
+Run from any checkout:
+python3 scripts/report_digests.py [--against FILE] [--save DIR]
 Each line is ``name seed sha256`` of ``cli.render(cli.run("suite", m, seed))``
 for seeds 0 and 1.  Reports are byte-identical for a fixed manifest and seed,
 so comparing the output of two checkouts checks that a change leaves every
@@ -8,7 +9,9 @@ report unchanged.  With ``--against FILE`` (the saved output of another
 checkout) it also compares: it lists every ``name seed`` whose digest
 differs from, or is missing in, FILE and exits 1 if there is any.  It imports
 tractorlab from the ``src`` directory next to it, so it measures that
-checkout, not an installed copy.
+checkout, not an installed copy.  With ``--save DIR`` it also writes each
+rendered report to ``DIR/<name>.<seed>.json``, so that the reports of two
+checkouts can be compared field by field where their digests differ.
 """
 
 import argparse
@@ -27,6 +30,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="saved output of another checkout to compare with")
+    parser.add_argument("--save", type=Path, metavar="DIR",
+                        help="directory to write every rendered report to")
     args = parser.parse_args()
     expected = None
     if args.against is not None:
@@ -41,6 +46,9 @@ def main() -> int:
             m = manifest.load_bundled(name)
             text = cli.render(cli.run("suite", m, seed=seed))
             digest = hashlib.sha256(text.encode()).hexdigest()
+            if args.save is not None:
+                args.save.mkdir(parents=True, exist_ok=True)
+                (args.save / f"{name}.{seed}.json").write_text(text)
             print(name, seed, digest, flush=True)
             if expected is not None and expected.get(f"{name} {seed}") != digest:
                 differ.append(f"{name} {seed}")

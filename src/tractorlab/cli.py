@@ -229,9 +229,16 @@ def cmd_transport(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     return {"curves": ops, "loops": loops_out}
 
 
+def _holonomy_algebra(manifest: Manifest, seed: int):
+    """The loop holonomy algebra at the base point; `holonomy` and `detect`
+    share one per manifest and seed, kept in `manifest.algebras`."""
+    if seed not in manifest.algebras:
+        manifest.algebras[seed] = loop_algebra(manifest.chart, manifest.base(), count=4, seed=seed)
+    return manifest.algebras[seed]
+
+
 def cmd_holonomy(manifest: Manifest, seed: int, checks: _Checks) -> dict:
-    chart = manifest.chart
-    alg = loop_algebra(chart, manifest.base(), count=4, seed=seed)
+    alg = _holonomy_algebra(manifest, seed)
     checks.add("algebra_trace_free", alg.trace_free_residual, "algebra_trace_free")
     checks.verdict("rank_stable", alg.rank_stable,
                    f"rank {alg.rank} under threshold x10 and /10")
@@ -262,7 +269,7 @@ def _cand_dict(c):
 def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     chart = manifest.chart
     base = manifest.base()
-    alg = loop_algebra(chart, base, count=4, seed=seed)
+    alg = _holonomy_algebra(manifest, seed)
     candidates = _candidates(alg, seed)
     table = classify(alg, candidates)
     labels = list(table["labels"])

@@ -750,15 +750,16 @@ def _node_children(node: Expr):
     return ()
 
 
-def _node_value(node: Expr, env: Mapping[str, float], memo: dict) -> float:
+def _node_value(node: Expr, env: Mapping, memo: dict, space):
     t = type(node)
     if t is Num:
-        return node.value
+        return node.value if space is None else space.constant(node.value)
     if t is Var:
         try:
-            return float(env[node.name])
+            x = env[node.name]
         except KeyError:
             raise ExprDomainError(f"no value supplied for coordinate '{node.name}'") from None
+        return float(x) if space is None else x
     if t is Add:
         return memo[id(node.left)] + memo[id(node.right)]
     if t is Sub:
@@ -767,38 +768,49 @@ def _node_value(node: Expr, env: Mapping[str, float], memo: dict) -> float:
         return memo[id(node.left)] * memo[id(node.right)]
     if t is Div:
         denom = memo[id(node.right)]
-        if denom == 0.0:
+        if float(denom) == 0.0:
             raise ExprDomainError(f"division by zero in '{node.to_string()}'")
-        return memo[id(node.left)] / denom
+        try:
+            return memo[id(node.left)] / denom
+        except OverflowError:
+            raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
     if t is Neg:
         return -memo[id(node.operand)]
     if t is Pow:
         b = memo[id(node.base)]
-        if b == 0.0 and node.exponent < 0:
+        if float(b) == 0.0 and node.exponent < 0:
             raise ExprDomainError(f"zero raised to negative power in '{node.to_string()}'")
         try:
-            return float(b ** node.exponent)
+            return b ** node.exponent
         except OverflowError:
             raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
     if t is Call:
         x = memo[id(node.arg)]
         try:
-            return _MATH_FUNCTIONS[node.func](x)
+            return _MATH_FUNCTIONS[node.func](x) if space is None else space.call(node.func, x)
         except ValueError:
-            raise ExprDomainError(f"{node.func}({x}) is outside the function domain") from None
+            raise ExprDomainError(f"{node.func}({float(x)}) is outside the function domain "
+                                  f"in '{node.to_string()}'") from None
         except OverflowError:
-            raise ExprDomainError(f"overflow in {node.func}({x})") from None
+            raise ExprDomainError(f"overflow in {node.func}({float(x)})") from None
+        except ZeroDivisionError:
+            raise ExprDomainError(f"{node.func} has no derivatives at {float(x)} "
+                                  f"in '{node.to_string()}'") from None
     raise AssertionError(f"unhandled node type {t}")
 
 
-def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
+def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
     """Evaluate many expressions at once, sharing work across common subtrees.
 
     This is the one interpreter (Expr.eval calls it too).  It walks the
     collection as a DAG (memo keyed on node identity) with an explicit
-    stack, so towers of derivative fields with heavy sharing evaluate in
-    time proportional to the number of distinct nodes and never hit the
-    recursion limit.
+    stack, so heavily shared trees evaluate in time proportional to the
+    number of distinct nodes and never hit the recursion limit.
+
+    The walk is generic over its scalar: Python floats with `space` None,
+    or the jets of a `jets.JetSpace`, whose domain rules act on their values
+    at the point.  An ExprDomainError names the failing subexpression, and
+    its `point` holds the coordinates as floats.
     """
     memo: dict = {}
     out = []
@@ -817,9 +829,9 @@ def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
                 else:
                     stack.pop()
                     try:
-                        memo[key] = _node_value(node, env, memo)
+                        memo[key] = _node_value(node, env, memo, space)
                     except ExprDomainError as err:
-                        err.point = dict(env)
+                        err.point = {name: float(x) for name, x in env.items()}
                         raise
         out.append(memo[id(root)])
     return out

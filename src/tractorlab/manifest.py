@@ -21,6 +21,7 @@ import numpy as np
 
 from .affine import ChartModel, Curve, sample_points, symmetrize
 from .expr import Expr, ExprDomainError, num, parse
+from .jets import JetSpace
 
 __all__ = [
     "Manifest",
@@ -55,6 +56,7 @@ class Manifest:
     asymmetry: float = 0.0
     raw: dict = field(default_factory=dict)
     gamma_entries: dict = field(default_factory=dict)  # declared "k,i,j" -> Expr, in order
+    algebras: dict = field(default_factory=dict, repr=False)  # seed -> loop algebra at base()
 
     def base(self) -> np.ndarray:
         if self.base_point is None:
@@ -200,14 +202,17 @@ def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
     """`err` as a ManifestError naming the first gamma entry that fails at
     the point where `err` was raised; `err` itself if none does.
 
-    `entries` maps each declared "k,i,j" key to its expression, in the
-    order of the manifest, and `coords` are the chart's coordinates.
+    Entries are evaluated as first-order jets: derived fields hold their
+    derivatives, which can fail where the value does not (sqrt at 0).
+    `entries` maps each declared "k,i,j" key to its expression, in manifest
+    order, and `coords` are the chart's coordinates.
     """
     env = err.point
     if env is not None and set(coords) <= set(env):
+        first_order = JetSpace(len(coords), 1)
         for key, e in entries.items():
             try:
-                e.eval(env)
+                first_order.evaluate([e], coords, [env[c] for c in coords])
             except ExprDomainError as entry_err:
                 return ManifestError(f"$['gamma'][{key!r}]: {entry_err}")
     return err

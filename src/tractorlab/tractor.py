@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .affine import ChartModel, Curve, _linear_transport, max_abs
-from .expr import num
 from .projective import cotton_field, rho_field, weyl_field
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "AlgebraElement",
     "connection_matrix",
     "connection_matrix_field",
+    "assemble_connection_matrix",
     "splitting_matrix",
     "assemble_tractor_curvature",
     "tractor_curvature",
@@ -49,10 +49,6 @@ __all__ = [
     "loop_holonomies",
     "spread_structure",
 ]
-
-_ZERO = num(0.0)
-_ONE = num(1.0)
-
 
 @dataclass(frozen=True)
 class TractorVec:
@@ -143,29 +139,35 @@ class AlgebraElement:
 # -- connection matrices --------------------------------------------------------
 
 
+def _zero_of(x):
+    """The zero of the ring the scalar x belongs to: float, Expr or jet."""
+    return x * 0.0 + 0.0  # the + 0.0 turns -0.0 into 0.0
+
+
+def assemble_connection_matrix(gamma, rho_comps) -> np.ndarray:
+    """M_i from gamma[k,i,j] and P, shape (n, n+1, n+1); works on Expr or jets."""
+    n = gamma.shape[0]
+    zero = _zero_of(gamma[0, 0, 0])
+    M = np.empty((n, n + 1, n + 1), dtype=object)
+    for i in range(n):
+        w = sum((gamma[m, i, m] for m in range(n)), zero) / float(-(n + 1))
+        for k in range(n):
+            for m in range(n):
+                entry = gamma[k, i, m]
+                if k == m:
+                    entry = entry + w
+                M[i, k, m] = entry
+            M[i, k, n] = zero + 1.0 if k == i else zero
+        for m in range(n):
+            M[i, n, m] = rho_comps[i, m]
+        M[i, n, n] = w
+    return M
+
+
 def connection_matrix_field(chart: ChartModel) -> np.ndarray:
     """Symbolic M_i, shape (n, n+1, n+1)."""
-
-    def build():
-        n = chart.n
-        P = rho_field(chart)
-        tr = chart.trace_gamma_field()
-        M = np.empty((n, n + 1, n + 1), dtype=object)
-        for i in range(n):
-            w = tr[i] / float(-(n + 1))
-            for k in range(n):
-                for m in range(n):
-                    entry = chart.gamma[k, i, m]
-                    if k == m:
-                        entry = entry + w
-                    M[i, k, m] = entry
-                M[i, k, n] = _ONE if k == i else _ZERO
-            for m in range(n):
-                M[i, n, m] = P[i, m]
-            M[i, n, n] = w
-        return M
-
-    return chart.symbolic("Mconn", build)
+    return chart.symbolic("Mconn", lambda: assemble_connection_matrix(chart.gamma,
+                                                                      rho_field(chart)))
 
 
 def connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
@@ -192,10 +194,10 @@ def splitting_matrix(ups_value) -> np.ndarray:
 
 
 def assemble_tractor_curvature(W, CY) -> np.ndarray:
-    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); works on floats or Expr."""
+    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats, Expr or jets."""
     n = W.shape[0]
     F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
-    F[...] = _ZERO if W.dtype == object else 0.0
+    F[...] = _zero_of(W[0, 0, 0, 0]) if W.dtype == object else 0.0
     F[:, :, :n, :n] = W
     F[:, :, n, :n] = CY
     return F

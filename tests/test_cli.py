@@ -268,6 +268,37 @@ def test_domain_error_after_load_names_its_gamma_entry(tmp_path, capsys):
     assert capsys.readouterr().err == "error: $['gamma']['0,1,1']: division by zero in '1/x1'\n"
 
 
+def test_derivative_failure_names_its_gamma_entry(tmp_path, capsys):
+    # sqrt(0) has a value, so only the entry's jet shows that its
+    # derivatives, which every derived field holds, fail at the base point
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]], gamma={"0,1,1": "sqrt(x1*x1 + x2*x2)"})
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["holonomy", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $['gamma']['0,1,1']: sqrt has no derivatives at 0.0 "
+        "in 'sqrt(x1*x1 + x2*x2)'\n")
+
+
+def test_holonomy_and_detect_share_one_algebra_per_seed(monkeypatch):
+    calls = []
+    original = cli.loop_algebra
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "loop_algebra", counting)
+    m = load_bundled("flat2")
+    fresh = load_bundled("flat2")
+    reports = [cli.render(cli.run(cmd, m, seed=seed))
+               for seed in (0, 1) for cmd in ("holonomy", "detect")]
+    assert calls == [0, 1]
+    assert sorted(m.algebras) == [0, 1]
+    monkeypatch.setattr(cli, "loop_algebra", original)
+    assert cli.render(cli.run("detect", fresh, seed=1)) == reports[3]
+
+
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):
     out = tmp_path / "corpus.json"
     code = cli.main(["suite", "--out", str(out)])

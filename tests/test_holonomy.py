@@ -22,11 +22,15 @@ from tractorlab.holonomy import (
     invariant_subspaces,
     invariant_symplectic,
     loop_algebra,
+    _curvature_tower,
     _default_loop_family,
 )
+from tractorlab.affine import ChartModel
+from tractorlab.expr import eval_many, parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.manifest import load_bundled
-from tractorlab.tractor import loop_holonomy
+from tractorlab.projective import cotton_field, weyl_field
+from tractorlab.tractor import assemble_tractor_curvature, connection_matrix_field, loop_holonomy
 
 P3 = np.array([0.15, 0.25, 0.35])
 
@@ -305,6 +309,71 @@ def test_sphere2_loop_rank_zero():
     la = loop_algebra(sphere_chart(2), np.array([0.1, -0.2]), count=3)
     assert la.rank == 0
     assert la.details["loops_only_rank"] == 0
+
+
+# -- the curvature tower on jets -----------------------------------------------------
+
+
+def symbolic_covariant_derivative(chart, M, level):
+    """One covariant derivative of a symbolic endomorphism-valued form: the
+    symbolic tower the jet tower replaced, kept here as its reference."""
+    n, m = chart.n, chart.n + 1
+    form_rank = level.ndim - 2
+    out = np.empty((n,) * (form_rank + 1) + (m, m), dtype=object)
+    for a in range(n):
+        for idx in np.ndindex(*(n,) * form_rank):
+            K = level[idx]
+            for r in range(m):
+                for s in range(m):
+                    term = K[r, s].diff(chart.coords[a])
+                    for p in range(m):
+                        term = term + (M[a, r, p] * K[p, s] - K[r, p] * M[a, p, s])
+                    for slot in range(form_rank):
+                        for q in range(n):
+                            swapped = idx[:slot] + (q,) + idx[slot + 1:]
+                            term = term - chart.gamma[q, a, idx[slot]] * level[swapped][r, s]
+                    out[(a,) + idx + (r, s)] = term
+    return out
+
+
+def symbolic_tower(chart, point, max_order):
+    level = assemble_tractor_curvature(weyl_field(chart), cotton_field(chart))
+    M = connection_matrix_field(chart)
+    out = []
+    for order in range(max_order + 1):
+        if order:
+            level = symbolic_covariant_derivative(chart, M, level)
+        out.append(np.array(eval_many(level.ravel(), chart.env(point))).reshape(
+            -1, chart.n + 1, chart.n + 1))
+    return out
+
+
+@pytest.mark.parametrize("name, max_order", [
+    ("product_rf3", 3), ("randpoly3", 1), ("sphere3", 1), ("twisted", 1)])
+def test_jet_tower_matches_symbolic_tower(name, max_order):
+    if name == "twisted":
+        chart, point = twisted_chart(), P3
+    else:
+        m = load_bundled(name)
+        chart, point = m.chart, m.base() + 0.05
+    want = symbolic_tower(chart, point, max_order)
+    got = list(_curvature_tower(chart, point, max_order))
+    assert len(got) == max_order + 1
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max() + 1e-14
+
+
+def test_quartic_chart_tower_grows_after_two_flat_orders():
+    coords = ("x1", "x2")
+    gamma = np.full((2, 2, 2), parse("0", coords), dtype=object)
+    gamma[0, 1, 1] = parse("x1*x1*x1*x1", coords)
+    chart = ChartModel(coords, gamma, [[-1.0, 1.0], [-1.0, 1.0]])
+    maxima = [np.abs(v).max() for v in _curvature_tower(chart, chart.center(), 3)]
+    assert maxima == [0.0, 0.0, pytest.approx(24.0, rel=1e-12), pytest.approx(72.0, rel=1e-12)]
+    # the early stop still ends the tower where the rank first stalls
+    alg = infinitesimal_algebra(chart, chart.center(), max_order=3)
+    assert alg.details["rank_by_order"] == [0, 0]
 
 
 # -- classification report -------------------------------------------------------------
