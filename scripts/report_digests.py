@@ -2,6 +2,7 @@
 
 Run from any checkout:
 python3 scripts/report_digests.py [--against FILE] [--save DIR]
+python3 scripts/report_digests.py --diff DIR_A DIR_B
 Each line is ``name seed sha256`` of ``cli.render(cli.run("suite", m, seed))``
 for seeds 0 and 1.  Reports are byte-identical for a fixed manifest and seed,
 so comparing the output of two checkouts checks that a change leaves every
@@ -12,10 +13,18 @@ tractorlab from the ``src`` directory next to it, so it measures that
 checkout, not an installed copy.  With ``--save DIR`` it also writes each
 rendered report to ``DIR/<name>.<seed>.json``, so that the reports of two
 checkouts can be compared field by field where their digests differ.
+
+``--diff DIR_A DIR_B`` compares two ``--save`` directories and runs nothing.
+For every report it prints the JSON path of each field that differs.  A
+float, or a list of floats such as a matrix's data, is numeric: its line
+gives the largest absolute and relative change.  Any other difference -- a
+verdict, label, rank, count, string, or a report or element missing on one
+side -- is printed with both values and makes the exit status 1.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -26,13 +35,54 @@ from tractorlab import cli, manifest  # noqa: E402
 SEEDS = (0, 1)
 
 
+def _is_numeric(x) -> bool:
+    return type(x) is float or (isinstance(x, list) and bool(x)
+                                and all(type(v) is float for v in x))
+
+
+def _field_diffs(a, b, path: str):
+    """(path, numeric, detail) for each field where the JSON values a and b differ."""
+    if a == b:
+        return
+    if _is_numeric(a) and _is_numeric(b) and type(a) is type(b) \
+            and (type(a) is float or len(a) == len(b)):
+        pairs = [(a, b)] if type(a) is float else list(zip(a, b))
+        changes = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) for x, y in pairs if x != y]
+        yield path, True, "max_abs {:.3g} max_rel {:.3g}".format(*map(max, zip(*changes)))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from _field_diffs(a.get(key, "<missing>"), b.get(key, "<missing>"),
+                                    f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _field_diffs(x, y, f"{path}[{i}]")
+    else:
+        yield path, False, f"{json.dumps(a)[:60]} -> {json.dumps(b)[:60]}"
+
+
+def diff_dirs(dir_a: Path, dir_b: Path) -> int:
+    """Print the fields that differ between the saved reports of two directories."""
+    status = 0
+    for name in sorted({p.name for p in dir_a.glob("*.json")} | {p.name for p in dir_b.glob("*.json")}):
+        docs = [json.loads(d.joinpath(name).read_text()) if d.joinpath(name).exists()
+                else "<missing>" for d in (dir_a, dir_b)]
+        for path, numeric, detail in _field_diffs(*docs, "$"):
+            print(name, path, detail)
+            status = status or int(not numeric)
+    return status
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="saved output of another checkout to compare with")
     parser.add_argument("--save", type=Path, metavar="DIR",
                         help="directory to write every rendered report to")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare the reports saved in two directories field by field")
     args = parser.parse_args()
+    if args.diff is not None:
+        return diff_dirs(*args.diff)
     expected = None
     if args.against is not None:
         expected = {}

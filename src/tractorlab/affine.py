@@ -73,12 +73,14 @@ def max_abs(arr) -> float:
 class ChartModel:
     """A coordinate box with Christoffel symbols as symbolic expressions.
 
-    Derived fields (curvature, rho, Weyl, the tractor connection, ...) are
-    symbolic object arrays built once per chart through `symbolic(key,
-    builder)`.  Any field the chart owns -- such an array, `gamma` or
-    `metric` -- is evaluated through `evaluator(field)`, a compiled
-    callable cached by the field itself that maps a point to values of
-    the field's shape.
+    Values of the curvature fields at sample points come from Taylor jets
+    of `gamma` (`projective.point_fields`), not from compiled fields.  The
+    symbolic derived fields (curvature, rho, Weyl, the tractor connection,
+    ...) are object arrays built once per chart through `symbolic(key,
+    builder)`; of those only the tractor connection is compiled, for
+    transport.  `evaluator(field)` compiles a field the chart owns -- such
+    an array, `gamma` or `metric` -- into a callable cached by the field
+    itself that maps a point to values of the field's shape.
     """
 
     def __init__(self, coords: Sequence[str], gamma, domain, metric=None, name: str = ""):
@@ -132,6 +134,9 @@ class ChartModel:
     def evaluator(self, field: np.ndarray) -> Callable[[object], np.ndarray]:
         """Compiled values of `field` at a point or at a batch of points.
 
+        Compiling pays off for fields evaluated at many points, such as the
+        tractor connection at every RK4 stage of a transport; values at a
+        few sample points are cheaper on jets (`projective.point_fields`).
         `field` is a symbolic array this chart owns (a `symbolic` result,
         `gamma` or `metric`).  The callable maps a point of shape (n,) to
         values in `field.shape`, and a batch of shape (B, n) to values in

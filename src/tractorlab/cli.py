@@ -25,14 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .affine import (
-    Curve,
-    OneFormField,
-    curvature_field,
-    max_abs,
-    project_change,
-    ricci_field,
-)
+from .affine import Curve, OneFormField, max_abs, project_change
 from .expr import ExprDomainError, ExprError
 from .holonomy import (
     classify,
@@ -43,13 +36,7 @@ from .holonomy import (
     loop_algebra,
 )
 from .manifest import Manifest, bundled_names, gamma_entry_error, load, load_bundled
-from .projective import (
-    cotton_field,
-    rho_field,
-    ricci_from_rho,
-    weyl_field,
-    weyl_invariance_test,
-)
+from .projective import point_fields, ricci_from_rho, weyl_invariance_test
 from .structures import (
     complex_reduction,
     contact_from_symplectic,
@@ -59,13 +46,10 @@ from .structures import (
     tractor_metric_to_einstein_verify,
 )
 from .tractor import (
-    connection_matrix_field,
     loop_holonomies,
     loop_holonomy,
     splitting_matrix,
     square_loop,
-    tractor_curvature,
-    tractor_curvature_from_connection,
     transport_operators,
 )
 
@@ -166,23 +150,12 @@ def _loops(manifest: Manifest):
 def cmd_compute(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     chart = manifest.chart
     pts = manifest.sample()[:50]
-    fields = {
-        "ricci": ricci_field(chart),
-        "rho": rho_field(chart),
-        "weyl": weyl_field(chart),
-        "cotton": cotton_field(chart),
-    }
-    at_points = []
-    maxima = {k: 0.0 for k in fields}
-    for idx, p in enumerate(pts):
-        row = {"point": p}
-        for key, field in fields.items():
-            vals = chart.evaluator(field)(p)
-            maxima[key] = max(maxima[key], max_abs(vals))
-            if idx < 5:
-                row[key] = vals
-        if idx < 5:
-            at_points.append(row)
+    values = point_fields(chart, pts)
+    fields = {key: values[name] for key, name in
+              (("ricci", "Ric"), ("rho", "P"), ("weyl", "W"), ("cotton", "CY"))}
+    maxima = {key: max_abs(vals) for key, vals in fields.items()}
+    at_points = [{"point": p, **{key: vals[idx] for key, vals in fields.items()}}
+                 for idx, p in enumerate(pts[:5])]
     return {"at_points": at_points, "max_abs_over_samples": maxima, "n_samples": len(pts)}
 
 
@@ -368,18 +341,10 @@ def cmd_verify(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     n = chart.n
     eye = np.eye(n)
     pts = manifest.sample()[:20]
-    r_fn = chart.evaluator(curvature_field(chart))
-    ric_fn = chart.evaluator(ricci_field(chart))
-    w_fn = chart.evaluator(weyl_field(chart))
-    p_fn = chart.evaluator(rho_field(chart))
-    m_fn = chart.evaluator(connection_matrix_field(chart))
+    f = point_fields(chart, pts)
 
     rebuild = trace = tmatch = tpart = mtrace = rho_ric = 0.0
-    for p in pts:
-        R = r_fn(p)
-        W = w_fn(p)
-        P = p_fn(p)
-        Ric = ric_fn(p)
+    for R, W, P, Ric, M in zip(f["R"], f["W"], f["P"], f["Ric"], f["M"]):
         back = (W + np.einsum("hl,kj->hjkl", P, eye)
                 + np.einsum("hj,kl->hjkl", P - P.T, eye)
                 - np.einsum("jl,kh->hjkl", P, eye))
@@ -391,11 +356,8 @@ def cmd_verify(manifest: Manifest, seed: int, checks: _Checks) -> dict:
                     max_abs(W + W.transpose(1, 0, 2, 3)) / wscale)
         rho_ric = max(rho_ric,
                       max_abs(ricci_from_rho(P) - Ric) / (1.0 + max_abs(Ric)))
-        M = m_fn(p)
         mtrace = max(mtrace, max(abs(float(np.trace(M[i]))) for i in range(n)))
-    for p in pts[:8]:
-        F_a = tractor_curvature(chart, p)
-        F_d = tractor_curvature_from_connection(chart, p)
+    for F_a, F_d in zip(f["F"][:8], f["F_M"][:8]):
         tmatch = max(tmatch, max_abs(F_a - F_d) / (1.0 + max_abs(F_a)))
         tpart = max(tpart, max_abs(F_d[:, :, :n, n]))
     checks.add("weyl_rebuilds_curvature", rebuild, "weyl_rebuild")

@@ -750,6 +750,13 @@ def _node_children(node: Expr):
     return ()
 
 
+def _value(x):
+    """A scalar's value where the domain rules apply: a number as a float, a
+    jet's value at its point (an array over a batch of points, where a rule
+    must hold at every point)."""
+    return float(x) if isinstance(x, (int, float, np.number)) else x.value
+
+
 def _node_value(node: Expr, env: Mapping, memo: dict, space):
     t = type(node)
     if t is Num:
@@ -768,7 +775,7 @@ def _node_value(node: Expr, env: Mapping, memo: dict, space):
         return memo[id(node.left)] * memo[id(node.right)]
     if t is Div:
         denom = memo[id(node.right)]
-        if float(denom) == 0.0:
+        if np.any(_value(denom) == 0.0):
             raise ExprDomainError(f"division by zero in '{node.to_string()}'")
         try:
             return memo[id(node.left)] / denom
@@ -778,7 +785,7 @@ def _node_value(node: Expr, env: Mapping, memo: dict, space):
         return -memo[id(node.operand)]
     if t is Pow:
         b = memo[id(node.base)]
-        if float(b) == 0.0 and node.exponent < 0:
+        if node.exponent < 0 and np.any(_value(b) == 0.0):
             raise ExprDomainError(f"zero raised to negative power in '{node.to_string()}'")
         try:
             return b ** node.exponent
@@ -789,12 +796,12 @@ def _node_value(node: Expr, env: Mapping, memo: dict, space):
         try:
             return _MATH_FUNCTIONS[node.func](x) if space is None else space.call(node.func, x)
         except ValueError:
-            raise ExprDomainError(f"{node.func}({float(x)}) is outside the function domain "
+            raise ExprDomainError(f"{node.func}({_value(x)}) is outside the function domain "
                                   f"in '{node.to_string()}'") from None
         except OverflowError:
-            raise ExprDomainError(f"overflow in {node.func}({float(x)})") from None
+            raise ExprDomainError(f"overflow in {node.func}({_value(x)})") from None
         except ZeroDivisionError:
-            raise ExprDomainError(f"{node.func} has no derivatives at {float(x)} "
+            raise ExprDomainError(f"{node.func} has no derivatives at {_value(x)} "
                                   f"in '{node.to_string()}'") from None
     raise AssertionError(f"unhandled node type {t}")
 
@@ -809,8 +816,10 @@ def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
 
     The walk is generic over its scalar: Python floats with `space` None,
     or the jets of a `jets.JetSpace`, whose domain rules act on their values
-    at the point.  An ExprDomainError names the failing subexpression, and
-    its `point` holds the coordinates as floats.
+    at the point, or at every point of a batch.  An ExprDomainError names
+    the failing subexpression, and its `point` holds the coordinates (as
+    floats at one point; `JetSpace.evaluate` narrows a batch to its first
+    failing point).
     """
     memo: dict = {}
     out = []
@@ -831,7 +840,7 @@ def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
                     try:
                         memo[key] = _node_value(node, env, memo, space)
                     except ExprDomainError as err:
-                        err.point = {name: float(x) for name, x in env.items()}
+                        err.point = {name: _value(x) for name, x in env.items()}
                         raise
         out.append(memo[id(root)])
     return out

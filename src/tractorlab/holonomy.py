@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import logm
 
-from .affine import ChartModel, Curve, assemble_curvature, assemble_ricci, max_abs, sample_points
+from .affine import ChartModel, Curve, max_abs, sample_points
 from .jets import JetSpace
-from .projective import assemble_cotton, assemble_rho, assemble_weyl
-from .tractor import assemble_connection_matrix, assemble_tractor_curvature, loop_holonomies, \
-    loop_holonomy, square_loop
+from .projective import point_fields
+from .tractor import loop_holonomies, loop_holonomy, square_loop
 
 __all__ = [
     "HolonomyAlgebra",
@@ -205,8 +204,7 @@ def _covariant_derivative(space: JetSpace, K, M, G, size: int):
     corrections are the commutator with the connection matrices `M` and
     -Gamma terms, from the Christoffel jets `G`, for each form index.
     """
-    n = G.shape[0]
-    out = np.stack([space.diff(K, a) for a in range(n)])[..., :size]
+    out = space.grad(K, K.ndim - 1, size)
     K, M, G = K[..., :size], M[..., :size], G[..., :size]
     out += space.contract("arp,...ps->a...rs", M, K) - space.contract("...rp,aps->a...rs", K, M)
     form = "bcdefgh"[:K.ndim - 3]  # einsum letters of the form slots
@@ -220,21 +218,15 @@ def _curvature_tower(chart: ChartModel, point, max_order: int):
     """The tractor curvature and its covariant derivatives at a point, level by level.
 
     Yields level k = 0..max_order as (n+1, n+1) matrices, one per index
-    tuple of its k + 2 form slots.  The Christoffel symbols are jets of
-    degree max_order + 2; level 0 and the connection matrices come from the
-    assemblers of the symbolic fields; each level differentiates the last
-    one degree down; its values are the constant terms.
+    tuple of its k + 2 form slots.  Level 0, the connection matrices and
+    the Christoffel symbols are the jets `point_fields` gives at degree
+    max_order + 2; each level differentiates the last one degree down; its
+    values are the constant terms.
     """
     n = chart.n
-    space = JetSpace(n, max_order + 2)
-    G = space.evaluate(chart.gamma, chart.coords, chart.env(point).values())
-    gamma = space.wrap(G)
-    R = assemble_curvature(gamma, space.wrap(np.stack([space.diff(G, a) for a in range(n)])))
-    P = assemble_rho(assemble_ricci(R), n)
-    dP = np.stack([space.diff(space.unwrap(P), a) for a in range(n)])
-    F = assemble_tractor_curvature(assemble_weyl(R, P), assemble_cotton(P, space.wrap(dP), gamma))
-    M = space.unwrap(assemble_connection_matrix(gamma, P))
-    level = space.unwrap(F)
+    space = JetSpace.of(n, max_order + 2)
+    fields = point_fields(chart, point, degree=max_order + 2, jets=True)
+    level, M, G = fields["F"], fields["M"], fields["gamma"]
     for degree in range(max_order, -1, -1):
         level = level[..., :space.sizes[degree]]
         yield level[..., 0].reshape(-1, n + 1, n + 1)

@@ -8,20 +8,27 @@ product is the truncated Cauchy product through one precomputed table of
 index pairs; ``diff`` shifts coefficients and is exact one degree lower;
 ``1/b``, integer powers and the seven functions compose their univariate
 Taylor series at b(p) with b - b(p).  `JetSpace` works on coefficient
-arrays, vectorized over leading axes; `Jet` gives one coefficient vector
-the operators of a scalar, for ring-generic code and for
-:func:`expr.eval_many`, which keeps its domain rules at b(p) and adds one:
-``sqrt`` has no derivatives at 0.
+arrays, vectorized over leading axes; `Jet` gives a coefficient array the
+operators of a scalar for :func:`expr.eval_many`, which keeps its domain
+rules at b(p) and adds one: ``sqrt`` has no derivatives at 0.
+
+A jet may hold one point or a batch: coefficients of shape (size,) or
+(B, size), composed point by point, with the domain rules at every point.
+`JetSpace.evaluate` seeds the coordinates at a point or a (B, n) batch and
+walks the expressions once.  This is how the curvature fields are valued
+at sample points (`projective.point_fields`); of the derived fields, only
+the tractor connection is compiled, for transport.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .expr import _MATH_FUNCTIONS, eval_many
+from .expr import _MATH_FUNCTIONS, ExprDomainError, eval_many
 
 __all__ = ["Jet", "JetSpace"]
 
@@ -70,6 +77,7 @@ class JetSpace:
         monos = sorted((a for a in product(range(degree + 1), repeat=n) if sum(a) <= degree),
                        key=lambda a: (sum(a), [-x for x in a]))
         index = {a: k for k, a in enumerate(monos)}
+        self.n = n
         self.size = len(monos)
         self.sizes = [sum(1 for a in monos if sum(a) <= d) for d in range(degree + 1)]
         pairs = sorted((index[tuple(x + y for x, y in zip(a, b))], i, j)
@@ -87,18 +95,30 @@ class JetSpace:
         for i in range(n if degree else 0):
             self._variables[i, index[tuple(int(j == i) for j in range(n))]] = 1.0
 
+    @classmethod
+    @lru_cache(maxsize=None)
+    def of(cls, n: int, degree: int) -> "JetSpace":
+        """The space of (n, degree), built once; its tables are never modified."""
+        return cls(n, degree)
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of two jet arrays of one degree, broadcast over leading axes."""
+        """Truncated product of two jet arrays, broadcast over leading axes."""
         return self.contract("...,...->...", a, b)
 
     def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """np.einsum(spec, a, b) over the tensor axes of two jet arrays, with jet products."""
-        size = a.shape[-1]
+        """np.einsum(spec, a, b) over the tensor axes of two jet arrays, with jet
+        products truncated to the lower of their two degrees."""
+        size = min(a.shape[-1], b.shape[-1])
         end = self._bounds[size]
         (left, right), out = (side.split(",") for side in spec.split("->"))
         prod = np.einsum(f"{left}z,{right}z->{out[0]}z",
                          a[..., self._left[:end]], b[..., self._right[:end]])
         return np.add.reduceat(prod, self._bounds[:size], axis=-1)
+
+    def grad(self, a: np.ndarray, rank: int, size: int) -> np.ndarray:
+        """Partials of a jet array with `rank` tensor axes, as a new first tensor
+        axis, keeping `size` coefficients (exact for one degree fewer)."""
+        return np.stack([self.diff(a, i)[..., :size] for i in range(self.n)], axis=-2 - rank)
 
     def diff(self, a: np.ndarray, i: int) -> np.ndarray:
         """Partial derivative in variable i; its top-degree coefficients are zero."""
@@ -109,15 +129,19 @@ class JetSpace:
         out[..., keep] = a[..., src[keep]] * fac[keep]
         return out
 
-    def compose(self, b: np.ndarray, coeffs) -> np.ndarray:
-        """f(b) from the Taylor coefficients of f at b(p), by Horner's rule in b - b(p)."""
+    def compose(self, b: np.ndarray, series) -> np.ndarray:
+        """f(b) by Horner's rule in b - b(p), where series(b0, degree) gives the
+        Taylor coefficients of f at one value b0; each point has its own."""
+        degree = self.sizes.index(b.shape[-1])
+        coeffs = np.array([series(b0, degree) for b0 in b[..., 0].ravel().tolist()])
+        coeffs = coeffs.reshape(b.shape[:-1] + (degree + 1,))
         h = b.copy()
         h[..., 0] = 0.0
         out = np.zeros_like(b)
-        out[..., 0] = coeffs[-1]
-        for c in coeffs[-2::-1]:
+        out[..., 0] = coeffs[..., -1]
+        for k in range(degree - 1, -1, -1):
             out = self.mul(out, h)
-            out[..., 0] += c
+            out[..., 0] += coeffs[..., k]
         return out
 
     def constant(self, value: float) -> "Jet":
@@ -126,31 +150,37 @@ class JetSpace:
         return Jet(c, self)
 
     def call(self, func: str, x: "Jet") -> "Jet":
-        degree = self.sizes.index(x.c.size)
-        return Jet(self.compose(x.c, _function_series(func, float(x), degree)), self)
+        return Jet(self.compose(x.c, lambda b0, d: _function_series(func, b0, d)), self)
 
-    def wrap(self, a: np.ndarray) -> np.ndarray:
-        """Object array of Jets over the leading axes of a coefficient array."""
-        out = np.empty(a.shape[:-1], dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = Jet(a[idx], self)
-        return out
+    def evaluate(self, exprs, coords, points) -> np.ndarray:
+        """Jets of an array of expressions over `coords` at a point (n,), shape
+        exprs.shape + (size,), or at a batch of points (B, n), shape
+        (B,) + exprs.shape + (size,), in one walk.
 
-    @staticmethod
-    def unwrap(jets: np.ndarray) -> np.ndarray:
-        """Coefficient array of an object array of Jets."""
-        return np.array([j.c for j in jets.ravel()]).reshape(jets.shape + (-1,))
-
-    def evaluate(self, exprs, coords, point) -> np.ndarray:
-        """Jets at `point` of an array of expressions over `coords`, shape exprs.shape + (size,)."""
+        A domain error in a batch is raised again from the first point that
+        fails, naming the subexpression, with that point in `err.point`.
+        """
         exprs = np.asarray(exprs, dtype=object)
-        env = {name: Jet(v, self) + x for name, x, v in zip(coords, point, self._variables)}
-        return self.unwrap(np.array(eval_many(exprs.ravel(), env, self))).reshape(
-            exprs.shape + (self.size,))
+        points = np.asarray(points, dtype=float)
+        lead = points.shape[:-1]
+        env = {}
+        for name, x, v in zip(coords, np.moveaxis(points, -1, 0), self._variables):
+            c = np.broadcast_to(v, lead + (self.size,)).copy()
+            c[..., 0] += x
+            env[name] = Jet(c, self)
+        try:
+            values = eval_many(exprs.ravel(), env, self)
+        except ExprDomainError:
+            for p in points.reshape(-1, points.shape[-1]) if lead else ():
+                self.evaluate(exprs, coords, p)
+            raise
+        out = np.stack([np.broadcast_to(j.c, lead + (self.size,)) for j in values], axis=-2)
+        return out.reshape(lead + exprs.shape + (self.size,))
 
 
 class Jet:
-    """One truncated Taylor series with the arithmetic operators of a scalar."""
+    """Truncated Taylor series, at one point or a batch of points, with the
+    arithmetic operators of a scalar."""
 
     __slots__ = ("c", "space")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators below
@@ -159,14 +189,17 @@ class Jet:
         self.c = c
         self.space = space
 
-    def __float__(self) -> float:
-        return float(self.c[0])
+    @property
+    def value(self):
+        """The value at the point: a float, or an array over a batch of points."""
+        v = self.c[..., 0]
+        return float(v) if v.ndim == 0 else v
 
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.c + other.c, self.space)
         c = self.c.copy()
-        c[0] += other
+        c[..., 0] += other
         return Jet(c, self.space)
 
     __radd__ = __add__
@@ -190,5 +223,4 @@ class Jet:
         return Jet(self.c / other, self.space)
 
     def __pow__(self, k: int):
-        degree = self.space.sizes.index(self.c.size)
-        return Jet(self.space.compose(self.c, _power_series(float(self), k, degree)), self.space)
+        return Jet(self.space.compose(self.c, lambda b0, d: _power_series(b0, k, d)), self.space)

@@ -8,6 +8,13 @@ The central objects:
   left after removing the rho terms, invariant under projective change;
 * the Cotton tensor CY_{hjl} = grad_h P_{jl} - grad_j P_{hl}, which
   transforms by CY' = CY - Ups . W.
+
+Values at sample points come from Taylor jets (`point_fields`): the
+Christoffel symbols are expanded to degree 2 at a batch of points in one
+walk, and every field is a few vectorized contractions of those jets.  The
+symbolic fields (`rho_field`, `weyl_field`, `cotton_field`) remain for the
+tractor connection, whose compiled form drives transport, and as a
+reference; nothing here compiles them.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from .affine import (
     TensorValue,
     curvature_field,
     max_abs,
-    project_change,
     ricci_field,
     sample_points,
 )
+from .jets import JetSpace
 
 __all__ = [
     "rho",
@@ -33,6 +40,7 @@ __all__ = [
     "weyl_field",
     "cotton",
     "cotton_field",
+    "point_fields",
     "weyl_invariance_test",
 ]
 
@@ -119,19 +127,79 @@ def cotton_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("CY", build)
 
 
+def point_fields(chart: ChartModel, points, ups=None, degree: int = 2,
+                 jets: bool = False) -> dict:
+    """The curvature fields at a point (n,) or a batch of points (B, n), on jets.
+
+    Returns float arrays of shape (B,) + the field's shape (no leading axis
+    for one point): "gamma", "R", "Ric", "P", "W", "CY", the tractor
+    connection "M", "dRic" (dRic[i, j, l] = d_i Ric[j, l]), "nablaRic"
+    (indexed as dRic), and the tractor curvature twice: "F" assembled from
+    W and CY, "F_M" = d_h M_j - d_j M_h + [M_h, M_j].  With `ups` (a
+    one-form) they are the fields of Gamma' = Gamma + Ups d + d Ups, built
+    from the jets of Gamma and Ups.  With `jets` the Taylor coefficients
+    come last instead; a field taking k derivatives of Gamma is exact to
+    degree - k.
+    """
+    if degree < 2:
+        raise ValueError("the fields take two derivatives of Gamma; degree must be at least 2")
+    n = chart.n
+    space = JetSpace.of(n, degree)
+    s1, s2 = space.sizes[degree - 1], space.sizes[degree - 2]
+    eye = np.eye(n)
+    G = space.evaluate(chart.gamma, chart.coords, points)
+    if ups is not None:
+        if not isinstance(ups, OneFormField):
+            ups = OneFormField(chart, np.asarray(ups, dtype=object))
+        U = space.evaluate(ups.components, chart.coords, points)
+        G = G + np.einsum("...iz,kj->...kijz", U, eye) + np.einsum("...jz,ki->...kijz", U, eye)
+    G1 = G[..., :s1]
+    dG = np.swapaxes(space.grad(G, 3, s1), -4, -3)  # d_h G^k_jl
+    GG = space.contract("...khm,...mjl->...hjkl", G1, G1)  # G^k_hm G^m_jl
+    R = (dG - np.swapaxes(dG, -5, -4)) + (GG - np.swapaxes(GG, -5, -4))
+    Ric = np.einsum("...kjklz->...jlz", R)
+    P = -(1.0 / float(n * n - 1)) * (float(n) * Ric + np.swapaxes(Ric, -3, -2))
+    W = (R - np.einsum("...hlz,kj->...hjklz", P, eye) - np.einsum("...hjz,kl->...hjklz", P, eye)
+         + np.einsum("...jhz,kl->...hjklz", P, eye) + np.einsum("...jlz,kh->...hjklz", P, eye))
+    dP = space.grad(P, 2, s2)
+    PG = space.contract("...hm,...mjl->...hjl", P[..., :s2], G)
+    CY = (dP - np.swapaxes(dP, -4, -3)) + (PG - np.swapaxes(PG, -4, -3))
+    w = np.einsum("...mimz->...iz", G1) / float(-(n + 1))
+    M = np.zeros(G.shape[:-4] + (n, n + 1, n + 1, s1))
+    M[..., :n, :n, :] = np.swapaxes(G1, -4, -3) + np.einsum("...iz,km->...ikmz", w, eye)
+    for i in range(n):
+        M[..., i, i, n, 0] = 1.0
+    M[..., n, :n, :] = P
+    M[..., n, n, :] = w
+    F = np.zeros(W.shape[:-3] + (n + 1, n + 1, s2))
+    F[..., :n, :n, :] = W[..., :s2]
+    F[..., n, :n, :] = CY
+    dM = space.grad(M, 3, s2)
+    MM = space.contract("...hrm,...jms->...hjrs", M[..., :s2], M)
+    dRic = space.grad(Ric, 2, s2)
+    Ric2 = Ric[..., :s2]
+    fields = {
+        "gamma": G, "R": R, "Ric": Ric, "P": P, "W": W, "CY": CY, "M": M, "dRic": dRic,
+        "nablaRic": dRic - space.contract("...maj,...ml->...ajl", G, Ric2)
+        - space.contract("...mal,...jm->...ajl", G, Ric2),
+        "F": F, "F_M": (dM - np.swapaxes(dM, -5, -4)) + (MM - np.swapaxes(MM, -5, -4)),
+    }
+    return fields if jets else {key: f[..., 0] for key, f in fields.items()}
+
+
 def rho(chart: ChartModel, point) -> TensorValue:
     p = np.asarray(point, dtype=float)
-    return TensorValue(p, chart.evaluator(rho_field(chart))(p), "dd")
+    return TensorValue(p, point_fields(chart, p)["P"], "dd")
 
 
 def weyl(chart: ChartModel, point) -> TensorValue:
     p = np.asarray(point, dtype=float)
-    return TensorValue(p, chart.evaluator(weyl_field(chart))(p), "ddud")
+    return TensorValue(p, point_fields(chart, p)["W"], "ddud")
 
 
 def cotton(chart: ChartModel, point) -> TensorValue:
     p = np.asarray(point, dtype=float)
-    return TensorValue(p, chart.evaluator(cotton_field(chart))(p), "ddd")
+    return TensorValue(p, point_fields(chart, p)["CY"], "ddd")
 
 
 def weyl_invariance_test(chart: ChartModel, ups, seed: int = 0,
@@ -139,27 +207,20 @@ def weyl_invariance_test(chart: ChartModel, ups, seed: int = 0,
     """Measure how far the Weyl and Cotton tensors drift under a change.
 
     Weyl should be exactly invariant; Cotton should transform by
-    CY' = CY - Ups . W.  Returns the max residuals over sample points.
+    CY' = CY - Ups . W.  Both charts are valued on jets at the same sample
+    points.  Returns the max residuals over sample points.
     """
     if not isinstance(ups, OneFormField):
         ups = OneFormField(chart, np.asarray(ups, dtype=object))
-    changed = project_change(chart, ups)
-    w_fn = chart.evaluator(weyl_field(chart))
-    w2_fn = changed.evaluator(weyl_field(changed))
-    cy_fn = chart.evaluator(cotton_field(chart))
-    cy2_fn = changed.evaluator(cotton_field(changed))
     pts = sample_points(chart, seed=seed, n_random=n_points, n_grid=4)
+    before = point_fields(chart, pts)
+    after = point_fields(chart, pts, ups=ups)
     worst_w = 0.0
     worst_cy = 0.0
-    for p in pts:
-        w1 = w_fn(p)
-        w2 = w2_fn(p)
+    for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):
         scale = 1.0 + max_abs(w1)
         worst_w = max(worst_w, max_abs(w2 - w1) / scale)
-        cy1 = cy_fn(p)
-        cy2 = cy2_fn(p)
-        uval = ups.at(p)
-        expected = cy1 - np.einsum("k,hjkl->hjl", uval, w1)
+        expected = cy1 - np.einsum("k,hjkl->hjl", ups.at(p), w1)
         cscale = 1.0 + max_abs(expected)
         worst_cy = max(worst_cy, max_abs(cy2 - expected) / cscale)
     return {

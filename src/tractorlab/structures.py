@@ -33,19 +33,15 @@ import numpy as np
 from .affine import (
     ChartModel,
     Curve,
-    TensorField,
-    covariant_derivative,
-    curvature_field,
     max_abs,
     normalize_volume,
-    ricci_field,
     _stage_memo,
     rk4_adaptive,
     sample_points,
 )
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
     invariant_subspaces, _containment_residual
-from .projective import assemble_rho, ricci_from_rho, rho_field, weyl_field
+from .projective import assemble_rho, point_fields, ricci_from_rho
 from .tractor import (
     connection_matrix_field,
     spread_structure,
@@ -214,18 +210,13 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     are filled in as well.
     """
     pts = sample_points(chart, seed=seed)[:n_samples]
-    nabla = chart.symbolic("nablaRic", lambda: covariant_derivative(
-        chart, TensorField(chart, ricci_field(chart), "dd")).components)
-    nabla_vals = chart.evaluator(nabla)
-    ric_vals = chart.evaluator(ricci_field(chart))
+    fields = point_fields(chart, pts)
 
     worst = 0.0
     det_min = np.inf
     asym = 0.0
     sigs = set()
-    for p in pts:
-        R = ric_vals(p)
-        D = nabla_vals(p)
+    for R, D in zip(fields["Ric"], fields["nablaRic"]):
         scale = 1.0 + max_abs(R)
         worst = max(worst, max_abs(D) / scale)
         det_min = min(det_min, abs(np.linalg.det(R)))
@@ -251,23 +242,24 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
 
 
 def _metric_sampler(chart: ChartModel):
-    """Point -> parallel fiber metric candidate sigma^-2 diag(-P, 1).
+    """Points -> parallel fiber metric candidate sigma^-2 diag(-P, 1), at a
+    point (n,) or at a batch of points (B, n) in one jet evaluation.
 
     The scale sigma = |det Ric|^(1/(2(n+1))) trivializes the line bundle by
     the volume form the connection itself preserves, so the candidate is
     parallel in any gauge of an Einstein connection.
     """
     n = chart.n
-    ric_vals = chart.evaluator(ricci_field(chart))
 
-    def h_at(p):
-        R = ric_vals(np.asarray(p, dtype=float))
-        P = assemble_rho(R, n)
-        sigma2 = abs(np.linalg.det(R)) ** (1.0 / (n + 1))
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] = -P
-        H[n, n] = 1.0
-        return H / sigma2
+    def h_at(points):
+        p = np.asarray(points, dtype=float)
+        ric = point_fields(chart, p.reshape(-1, n))["Ric"]
+        H = np.zeros((len(ric), n + 1, n + 1))
+        for H_p, R in zip(H, ric):
+            H_p[:n, :n] = -assemble_rho(R, n)
+            H_p[n, n] = 1.0
+            H_p /= abs(np.linalg.det(R)) ** (1.0 / (n + 1))
+        return H.reshape(p.shape[:-1] + (n + 1, n + 1))
 
     return h_at
 
@@ -275,20 +267,10 @@ def _metric_sampler(chart: ChartModel):
 def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int = 0):
     n = chart.n
     h_at = _metric_sampler(chart)
-    ric_field_sym = ricci_field(chart)
-    dric_sym = chart.symbolic("dRic", lambda: np.array(
-        [[[ric_field_sym[j, l].diff(chart.coords[i]) for l in range(n)]
-          for j in range(n)] for i in range(n)], dtype=object))
-    ric_vals = chart.evaluator(ric_field_sym)
-    dric_vals = chart.evaluator(dric_sym)
-    M_vals = chart.evaluator(connection_matrix_field(chart))
-
     pts = sample_points(chart, seed=seed)[:20]
+    fields = point_fields(chart, pts)
     blocks = np.zeros(3)
-    for p in pts:
-        R = ric_vals(p)
-        dR = dric_vals(p)
-        M = M_vals(p)
+    for R, dR, M in zip(fields["Ric"], fields["dRic"], fields["M"]):
         P = assemble_rho(R, n)
         H0 = np.zeros((n + 1, n + 1))
         H0[:n, :n] = -P
@@ -311,8 +293,7 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
     values, info = spread_structure(chart, "bilinear", h_base, base, spread_pts,
                                     check_paths=10, seed=seed)
     transport_resid = 0.0
-    for p, hv in zip(spread_pts, values):
-        local = h_at(p)
+    for hv, local in zip(values, h_at(spread_pts)):
         transport_resid = max(transport_resid, max_abs(hv - local) / (1.0 + max_abs(local)))
 
     vals = np.linalg.eigvalsh(h_base)
@@ -324,7 +305,7 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
     report.meta["identity_blocks"] = blocks.tolist()
     if chart.metric is not None:
         g = chart.evaluator(chart.metric)(base)
-        R = ric_vals(base)
+        R = point_fields(chart, base)["Ric"]
         lam = float(np.tensordot(R, g) / np.tensordot(g, g))
         gv = np.linalg.eigvalsh(g)
         p_, q_ = int(np.sum(gv > 0)), int(np.sum(gv < 0))
@@ -394,8 +375,8 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
         H0 = ein.h(base)
         c = float(np.tensordot(h0, H0) / np.tensordot(H0, H0))
         resid = 0.0
-        for p, hv in zip(pts, values):
-            local = c * ein.h(p)
+        for hv, h_p in zip(values, ein.h(pts)):
+            local = c * h_p
             resid = max(resid, max_abs(hv - local) / (1.0 + max_abs(local)))
         report["consistency_residual"] = resid
         report["accepted"] = resid <= 1e-6
@@ -453,7 +434,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
                            meta={"invariance_residual": inv, "n_samples": len(pts)})
     worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_H": 0.0, "th_R": 0.0, "weyl": 0.0}
     vthetas = []
-    weyl_vals = chart.evaluator(weyl_field(chart))
+    weyl = point_fields(chart, np.array(pts))["W"]
     stride = 2 * n + 1
     for s_idx, p in enumerate(pts):
         om_p = values[s_idx * stride]
@@ -487,7 +468,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         for f in factors[::-1]:
             v = np.tensordot(v, f, axes=f.ndim)
         vthetas.append(float(v))
-        W = weyl_vals(p)
+        W = weyl[s_idx]
         wscale = 1.0 + max_abs(W)
         worst["weyl"] = max(worst["weyl"], float(np.abs(
             np.einsum("k,hjkl->hjl", theta, W)).max()) / wscale)
@@ -642,10 +623,11 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
 
     pts = [np.asarray(p, dtype=float) for p in sample_points(chart, seed=seed)[:n_samples]]
     stencil = _stencil(pts, fd_step, n)
-    ops = [T for T, _, _ in transport_operators(chart, [Curve.segment(base, q) for q in stencil])]
+    results = transport_operators(chart, [Curve.segment(base, q) for q in stencil])
+    ops = [T for T, _, _ in results]
 
     gamma_vals = chart.evaluator(chart.gamma)
-    rho_vals = chart.evaluator(rho_field(chart))
+    rho_vals = point_fields(chart, np.array(pts))["P"]
 
     def frame_and_ups(T):
         B = T @ B0
@@ -658,8 +640,10 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
 
     report = FoliationReport(True, meta={"invariance_residual": inv, "k": k,
                                          "n_samples": len(pts)})
-    worst = {"integ": 0.0, "geod": 0.0, "pres": 0.0, "rho": 0.0, "ric": 0.0,
-             "adapt": 0.0, "omega": 0.0, "omega_corr": 0.0, "omK": 0.0}
+    # every residual is fed by the stencil; a transport that did not converge fails them
+    start = 0.0 if all(ok for _, _, ok in results) else np.inf
+    worst = dict.fromkeys(("integ", "geod", "pres", "rho", "ric", "adapt", "omega",
+                           "omega_corr", "omK"), start)
     n_line = 0
     stride = 2 * n + 1
     omegas = []
@@ -682,7 +666,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
             dU[i] = (up_ - um_) / (2 * fd_step)
         else:
             G = gamma_vals(p)
-            P = rho_vals(p)
+            P = rho_vals[s_idx]
             Yp = np.linalg.pinv(Y)
             off = np.eye(n) - Y @ Yp
             yscale = 1.0 + max_abs(Y)
@@ -792,6 +776,8 @@ def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> 
         y0 = B0[:n, 0].copy()
         state0 = np.concatenate([y0, B0.ravel()])
         final, steps, ok = rk4_adaptive(f, state0, 0.0, 1.0, tol=1e-9)
+        if not ok:
+            return np.inf
         y_aff = final[:n]
         B_tr = final[n:].reshape(n + 1, k)
         y_trac = B_tr[:n, 0]
@@ -818,11 +804,9 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
     gens = list(alg.basis)
     t_star = max((float(np.abs(A[n, :n]).max()) for A in gens), default=0.0)
 
-    curv_vals = chart.evaluator(curvature_field(chart))
     pts = sample_points(chart, seed=seed)[:12]
     affine_mats = []
-    for p in pts:
-        R = curv_vals(p)
+    for R in point_fields(chart, pts)["R"]:
         for h in range(n):
             for j in range(h + 1, n):
                 affine_mats.append(R[h, j])

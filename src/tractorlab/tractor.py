@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .affine import ChartModel, Curve, _linear_transport, max_abs
-from .projective import cotton_field, rho_field, weyl_field
+from .projective import point_fields, rho_field
 
 __all__ = [
     "TractorVec",
@@ -205,38 +205,12 @@ def assemble_tractor_curvature(W, CY) -> np.ndarray:
 
 def tractor_curvature(chart: ChartModel, point) -> np.ndarray:
     """F[h,j] assembled from the Weyl and Cotton tensors at a point."""
-    p = np.asarray(point, dtype=float)
-    return assemble_tractor_curvature(chart.evaluator(weyl_field(chart))(p),
-                                      chart.evaluator(cotton_field(chart))(p))
+    return point_fields(chart, np.asarray(point, dtype=float))["F"]
 
 
 def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
     """F[h,j] = d_h M_j - d_j M_h + [M_h, M_j], straight from the matrices."""
-
-    def build():
-        n = chart.n
-        M = connection_matrix_field(chart)
-        dM = np.empty((n, n, n + 1, n + 1), dtype=object)
-        for a in range(n):
-            name = chart.coords[a]
-            for i in range(n):
-                for r in range(n + 1):
-                    for s in range(n + 1):
-                        dM[a, i, r, s] = M[i, r, s].diff(name)
-        F = np.empty((n, n, n + 1, n + 1), dtype=object)
-        for h in range(n):
-            for j in range(n):
-                for r in range(n + 1):
-                    for s in range(n + 1):
-                        term = dM[h, j, r, s] - dM[j, h, r, s]
-                        for m in range(n + 1):
-                            term = term + (M[h, r, m] * M[j, m, s]
-                                           - M[j, r, m] * M[h, m, s])
-                        F[h, j, r, s] = term
-        return F
-
-    field = chart.symbolic("Fdirect", build)
-    return chart.evaluator(field)(np.asarray(point, dtype=float))
+    return point_fields(chart, np.asarray(point, dtype=float))["F_M"]
 
 
 # -- transport ---------------------------------------------------------------------
@@ -348,11 +322,13 @@ def spread_structure(chart: ChartModel, kind: str, value, base_point, points,
     curves = [Curve.segment(base, p) for p in pts]
     for idx, mid in mids.items():
         curves += [Curve.segment(base, mid), Curve.segment(mid, pts[idx])]
-    ops = [T for T, _, _ in transport_operators(chart, curves, tol)]
+    results = transport_operators(chart, curves, tol)
+    ops = [T for T, _, _ in results]
     out = [_apply_transport(kind, T, value) for T in ops[:len(pts)]]
-    report = {"max_path_residual": 0.0, "paths_checked": 0}
+    # a transport that did not converge makes the residual fail
+    worst = 0.0 if all(ok for _, _, ok in results) else np.inf
+    report = {"max_path_residual": worst, "paths_checked": 0}
     if mids:
-        worst = 0.0
         halves = iter(ops[len(pts):])
         for idx in mids:
             T1, T2 = next(halves), next(halves)

@@ -4,25 +4,36 @@ import pytest
 from tractorlab.affine import (
     OneFormField,
     TensorField,
+    assemble_curvature,
+    assemble_ricci,
+    covariant_derivative,
     max_abs,
     project_change,
     ricci,
     sample_points,
 )
+from tractorlab.expr import ExprDomainError, compile_exprs
 from tractorlab.library import (
     flat_chart,
     hyperbolic_chart,
     polynomial_chart,
     sphere_chart,
+    twisted_chart,
 )
+from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.projective import (
+    assemble_cotton,
+    assemble_rho,
+    assemble_weyl,
     cotton,
+    point_fields,
     ricci_from_rho,
     rho,
     rho_field,
     weyl,
     weyl_invariance_test,
 )
+from tractorlab.tractor import assemble_connection_matrix, assemble_tractor_curvature
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])
@@ -125,3 +136,90 @@ def test_rho_transformation_law():
         pred = rho(c, p).components + du - np.outer(u, u) - np.einsum("mij,m->ij", c.gamma_at(p), u)
         actual = rho(changed, p).components
         assert max_abs(pred - actual) <= 1e-11
+
+
+# -- jets against a compiled symbolic reference ----------------------------------
+
+
+def symbolic_fields(chart):
+    """Every field point_fields returns, built symbolically by the ring-generic
+    assemblers and differentiated exactly."""
+    n = chart.n
+
+    def grad(field):
+        return np.array([[e.diff(x) for e in field.ravel()] for x in chart.coords],
+                        dtype=object).reshape((n,) + field.shape)
+
+    R = assemble_curvature(chart.gamma, chart.dgamma_field())
+    Ric = assemble_ricci(R)
+    P = assemble_rho(Ric, n)
+    W = assemble_weyl(R, P)
+    CY = assemble_cotton(P, grad(P), chart.gamma)
+    M = assemble_connection_matrix(chart.gamma, P)
+    dM = grad(M)
+    F_M = (dM - dM.transpose(1, 0, 2, 3) + np.einsum("hrm,jms->hjrs", M, M)
+           - np.einsum("jrm,hms->hjrs", M, M))
+    return {
+        "gamma": chart.gamma, "R": R, "Ric": Ric, "P": P, "W": W, "CY": CY, "M": M,
+        "dRic": grad(Ric),
+        "nablaRic": covariant_derivative(chart, TensorField(chart, Ric, "dd")).components,
+        "F": assemble_tractor_curvature(W, CY), "F_M": F_M,
+    }
+
+
+def chart_and_samples(name):
+    if name == "twisted":
+        chart = twisted_chart()
+        return chart, sample_points(chart)[:50]
+    m = load_bundled(name)
+    return m.chart, m.sample()[:50]
+
+
+def assert_fields_match(got, chart, pts):
+    want = symbolic_fields(chart)
+    assert set(got) == set(want)
+    for key, field in want.items():
+        ref = compile_exprs(field.ravel(), chart.coords)(pts).reshape((len(pts),) + field.shape)
+        assert got[key].shape == ref.shape, key
+        # relative to the field's size; a field that vanishes (W, CY of a space form)
+        # keeps the round-off of its O(1) terms
+        assert np.abs(got[key] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0), key
+
+
+@pytest.mark.parametrize("name", bundled_names() + ["twisted"])
+def test_point_fields_match_compiled_symbolic_fields(name):
+    chart, pts = chart_and_samples(name)
+    assert_fields_match(point_fields(chart, pts), chart, pts)
+
+
+@pytest.mark.parametrize("name", ["sphere3", "randpoly3"])
+def test_point_fields_of_a_projective_change_match_the_changed_chart(name):
+    chart, pts = chart_and_samples(name)
+    ups = OneFormField(chart, np.array([chart.parse(t) for t in
+                                        ("0.3*x2 + 0.1", "x1*x3 - 0.2", "sin(x1)")], dtype=object))
+    assert_fields_match(point_fields(chart, pts, ups=ups), project_change(chart, ups), pts)
+
+
+def test_point_fields_at_one_point_are_the_batch_row():
+    chart, pts = chart_and_samples("randpoly3")
+    batch = point_fields(chart, pts[:4])
+    one = point_fields(chart, pts[2])
+    for key, values in batch.items():
+        assert np.array_equal(one[key], values[2]), key
+
+
+def test_point_fields_need_second_derivatives():
+    chart, pts = chart_and_samples("flat2")
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        point_fields(chart, pts, degree=1)
+
+
+def test_pole_of_ups_at_a_sample_point_names_its_subexpression_and_point():
+    chart, pts = chart_and_samples("sphere3")
+    k = 7
+    pole = chart.parse(f"1/(x1 - {float(pts[k][0])!r})")
+    ups = OneFormField(chart, np.array([chart.parse("x2"), pole, chart.parse("0")], dtype=object))
+    with pytest.raises(ExprDomainError) as err:
+        point_fields(chart, pts, ups=ups)
+    assert f"division by zero in '{pole.to_string()}'" in str(err.value)
+    assert err.value.point == dict(zip(chart.coords, pts[k]))

@@ -11,6 +11,7 @@ values follow from the Ricci sign alone.
 import numpy as np
 import pytest
 
+from tractorlab import affine
 from tractorlab.affine import normalize_volume, project_change, sample_points
 from tractorlab.expr import parse
 from tractorlab.holonomy import algebra_from_generators, compare_spans, infinitesimal_algebra
@@ -30,7 +31,7 @@ from tractorlab.structures import (
     holonomy_decomposition_check,
     tractor_metric_to_einstein_verify,
 )
-from tractorlab.tractor import splitting_matrix
+from tractorlab.tractor import splitting_matrix, spread_structure
 
 OMEGA = np.zeros((4, 4))
 OMEGA[0, 1] = 1.0
@@ -327,6 +328,25 @@ def test_foliation_preconditions(twisted):
         foliation_analysis(twisted, center_alg(twisted), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         foliation_analysis(twisted, center_alg(twisted), np.zeros((4, 5)))
+
+
+def test_transport_that_does_not_converge_fails_its_residuals(twisted, monkeypatch):
+    alg = center_alg(twisted)
+    doubling = affine._rk4_doubling
+
+    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
+        return doubling(run_level, rows, tol, initial_steps, initial_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+    pts = sample_points(twisted, seed=2)[:4]
+    for check_paths in (0, 2):
+        _, info = spread_structure(twisted, "bilinear", np.eye(4), twisted.center(), pts,
+                                   check_paths=check_paths)
+        assert info["max_path_residual"] == np.inf
+    r = foliation_analysis(twisted, alg, k_basis([0, 1]))
+    assert not r.accepted
+    assert r.rho_residual == r.ricci_on_K == r.integrability_residual == np.inf
+    assert r.transport_agreement == np.inf
 
 
 # -- holonomy block decomposition ----------------------------------------------
