@@ -33,7 +33,7 @@ print(f"Weyl trace over the upper index and each lower slot: "
 ups = OneFormField(chart, np.asarray(
     [chart.parse("0.3*x2"), chart.parse("x1*x3 - 0.1"), chart.parse("0.2*x1")],
     dtype=object))
-report = weyl_invariance_test(chart, ups, seed=1)
+report = weyl_invariance_test(chart, [ups], seed=1)[0]
 print(f"\nafter a projective change:")
 print(f"  Weyl drift over {report['n_points']} points: "
       f"{report['max_weyl_residual']:.2e}  (invariant)")

@@ -1,18 +1,22 @@
 """Print a digest of every bundled manifest's suite report.
 
 Run from any checkout:
-python3 scripts/report_digests.py [--against FILE] [--save DIR]
+python3 scripts/report_digests.py [--demos] [--against FILE] [--save DIR]
 python3 scripts/report_digests.py --diff DIR_A DIR_B
 Each line is ``name seed sha256`` of ``cli.render(cli.run("suite", m, seed))``
 for seeds 0 and 1.  Reports are byte-identical for a fixed manifest and seed,
 so comparing the output of two checkouts checks that a change leaves every
-report unchanged.  With ``--against FILE`` (the saved output of another
-checkout) it also compares: it lists every ``name seed`` whose digest
-differs from, or is missing in, FILE and exits 1 if there is any.  It imports
-tractorlab from the ``src`` directory next to it, so it measures that
-checkout, not an installed copy.  With ``--save DIR`` it also writes each
-rendered report to ``DIR/<name>.<seed>.json``, so that the reports of two
-checkouts can be compared field by field where their digests differ.
+report unchanged.  With ``--demos`` each line is instead ``name sha256`` of
+the standard output of ``demos/<name>.py``, run with this checkout's
+tractorlab, so the same comparison checks that every demo prints the same
+bytes.  With ``--against FILE`` (the saved output of another checkout, made
+with the same flags) it also compares: it lists every ``name seed`` (or
+``name``) whose digest differs from, or is missing in, FILE and exits 1 if
+there is any.  It imports tractorlab from the ``src`` directory next to it,
+so it measures that checkout, not an installed copy.  With ``--save DIR`` it
+also writes each rendered report to ``DIR/<name>.<seed>.json`` (each demo's
+output to ``DIR/<name>.txt``), so that the outputs of two checkouts can be
+compared where their digests differ.
 
 ``--diff DIR_A DIR_B`` compares two ``--save`` directories and runs nothing.
 For every report it prints the JSON path of each field that differs.  A
@@ -25,10 +29,13 @@ side -- is printed with both values and makes the exit status 1.
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from tractorlab import cli, manifest  # noqa: E402
 
@@ -72,6 +79,24 @@ def diff_dirs(dir_a: Path, dir_b: Path) -> int:
     return status
 
 
+def report_outputs():
+    """(key, file name, text) of each bundled manifest's suite report per seed."""
+    for name in manifest.bundled_names():
+        for seed in SEEDS:
+            text = cli.render(cli.run("suite", manifest.load_bundled(name), seed=seed))
+            yield f"{name} {seed}", f"{name}.{seed}.json", text
+
+
+def demo_outputs():
+    """(key, file name, text) of the standard output of each demo script."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        run = subprocess.run([sys.executable, str(path)], env=env, capture_output=True,
+                             text=True, check=True)
+        yield path.stem, f"{path.stem}.txt", run.stdout
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, metavar="FILE",
@@ -80,6 +105,8 @@ def main() -> int:
                         help="directory to write every rendered report to")
     parser.add_argument("--diff", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare the reports saved in two directories field by field")
+    parser.add_argument("--demos", action="store_true",
+                        help="digest the standard output of every demo instead of the reports")
     args = parser.parse_args()
     if args.diff is not None:
         return diff_dirs(*args.diff)
@@ -88,20 +115,17 @@ def main() -> int:
         expected = {}
         for line in args.against.read_text().splitlines():
             if line.strip():
-                name, seed, digest = line.split()
-                expected[f"{name} {seed}"] = digest
+                *key, digest = line.split()
+                expected[" ".join(key)] = digest
     differ = []
-    for name in manifest.bundled_names():
-        for seed in SEEDS:
-            m = manifest.load_bundled(name)
-            text = cli.render(cli.run("suite", m, seed=seed))
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            if args.save is not None:
-                args.save.mkdir(parents=True, exist_ok=True)
-                (args.save / f"{name}.{seed}.json").write_text(text)
-            print(name, seed, digest, flush=True)
-            if expected is not None and expected.get(f"{name} {seed}") != digest:
-                differ.append(f"{name} {seed}")
+    for key, file_name, text in demo_outputs() if args.demos else report_outputs():
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if args.save is not None:
+            args.save.mkdir(parents=True, exist_ok=True)
+            (args.save / file_name).write_text(text)
+        print(key, digest, flush=True)
+        if expected is not None and expected.get(key) != digest:
+            differ.append(key)
     if differ:
         print(f"differ from {args.against}:", file=sys.stderr)
         for key in differ:

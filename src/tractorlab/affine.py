@@ -268,11 +268,17 @@ class OneFormField:
 
 @dataclass(frozen=True)
 class Curve:
-    """A parametric curve with symbolic components x(t)."""
+    """A parametric curve with symbolic components x(t).
+
+    A straight segment also carries `start` and `delta`, so that transport
+    evaluates x(t) = start + delta*t and xdot(t) = delta without compiling.
+    """
 
     components: tuple
     t0: float
     t1: float
+    start: np.ndarray | None = field(default=None, compare=False, repr=False)
+    delta: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_strings(texts: Sequence[str], t0: float, t1: float) -> "Curve":
@@ -280,12 +286,17 @@ class Curve:
 
     @staticmethod
     def segment(a, b) -> "Curve":
-        """Straight coordinate segment from a to b, parametrized on [0, 1]."""
+        """Straight coordinate segment from a to b, parametrized on [0, 1].
+
+        `start + delta*t` and `delta` equal the simplified components and
+        their velocities bit for bit at t >= 0: a zero start is -0.0, since
+        a + d*t simplifies to d*t there and -0.0 + z == z for every z.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         t = var("t")
         comps = tuple(num(ai) + (bi - ai) * t for ai, bi in zip(a, b))
-        return Curve(comps, 0.0, 1.0)
+        return Curve(comps, 0.0, 1.0, np.where(a == 0.0, -0.0, a), (b - a) + 0.0)
 
     def velocity_exprs(self) -> tuple:
         return tuple(c.diff("t") for c in self.components)
@@ -452,37 +463,31 @@ _RK4_INITIAL_STEPS = 64
 _RK4_MAX_STEPS = 65536
 
 
-def _rk4_times(t0: float, t1: float, steps: int):
-    """Step size h and the stage times (t, t + h/2, t + h) of each RK4 step.
+def _rk4_grid(t0, t1, steps: int):
+    """Step sizes h and the 2*steps + 1 stage times t_0, t_0 + h/2, t_1, ..., t_steps.
 
-    This is the one place the time grid is accumulated, so `_rk4_fixed`
-    and the callers that evaluate ahead of it see the same floats.
+    `t0` and `t1` are floats or arrays of shape (B,); the grid has shape
+    (2*steps + 1,) + their shape, one column per row.  Step j uses entries
+    2j, 2j + 1 and 2j + 2.  The step starts are the running sum t0, t0 + h,
+    (t0 + h) + h, ..., accumulated in order, so every integrator and every
+    caller that evaluates ahead of one sees the same floats.
     """
+    t0 = np.asarray(t0, dtype=float)
     h = (t1 - t0) / steps
-    stages = []
-    t = t0
-    for _ in range(steps):
-        stages.append((t, t + h / 2, t + h))
-        t += h
-    return h, stages
-
-
-def _rk4_grid(t0: float, t1: float, steps: int):
-    """Step size h and the 2*steps + 1 stage times t_0, t_0 + h/2, t_1, ..., t_steps.
-
-    Step j uses entries 2j, 2j + 1 and 2j + 2: the end of a step is
-    accumulated as the start of the next one, so the two are the same float.
-    """
-    h, stages = _rk4_times(t0, t1, steps)
-    return h, [u for t, t_mid, _ in stages for u in (t, t_mid)] + [stages[-1][2]]
+    grid = np.empty((2 * steps + 1,) + t0.shape)
+    grid[0::2] = np.cumsum(np.concatenate([t0[None], np.broadcast_to(h, (steps,) + t0.shape)]),
+                           axis=0)
+    grid[1::2] = grid[0:-1:2] + h / 2
+    return h, grid
 
 
 def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool = False):
     y = np.array(y0, dtype=float)
-    h, stages = _rk4_times(t0, t1, steps)
+    h, grid = _rk4_grid(t0, t1, steps)
+    h, grid = float(h), grid.tolist()
     ts = [t0]
     ys = [y.copy()]
-    for t, t_mid, t_end in stages:
+    for t, t_mid, t_end in zip(grid[0:-1:2], grid[1::2], grid[2::2]):
         k1 = f(t, y)
         k2 = f(t_mid, y + h / 2 * k1)
         k3 = f(t_mid, y + h / 2 * k2)
@@ -554,7 +559,7 @@ def _stage_memo(t0: float, t1: float, evaluate):
         if t not in kept:
             _, times = _rk4_grid(t0, t1, next_level)
             next_level *= 2
-            new = [u for u in dict.fromkeys(times) if u not in kept]
+            new = [u for u in dict.fromkeys(times.tolist()) if u not in kept]
             kept.update(zip(new, evaluate(np.array(new))))
         return kept[t]
 
@@ -601,12 +606,14 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     together.
 
     The curves are the rows of one batch.  Each row has its own step size
-    and stage times (`_rk4_grid`) and converges on its own under the
-    doubling rule of `rk4_adaptive` (`_rk4_doubling`); converged rows
-    leave the batch.  On each level, every row evaluates x(t), xdot(t) and
-    the field in one batch each, at those of its 2*steps + 1 stage times
-    that its previous level did not have (on a dyadic interval, the new
-    half), and forms -A(t) = -xdot^i A_i(x(t)) for them in one einsum.
+    and stage times and converges on its own under the doubling rule of
+    `rk4_adaptive` (`_rk4_doubling`); converged rows leave the batch.  A
+    level builds the stage grid of all active rows at once (`_rk4_grid`)
+    and keeps -A(t) of every time equal to the one at the same place in
+    the previous level's grid (on a dyadic interval, every even entry).
+    The other times of all rows go through one path evaluation -- closed
+    form for segments, a compile per kernel call for any other curve --,
+    one `field` call and one einsum forming -A(t) = -xdot^i A_i(x(t)).
     The RK4 steps of all active rows then run together, as stacked
     matrix products on (B, m, m) states, or (B, m, 1) for a vector.  Each
     row's result is bit for bit what `rk4_adaptive` gives with a
@@ -616,25 +623,42 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
         return []
     y0 = np.asarray(y0, dtype=float)
     state = y0.reshape(y0.shape[0], -1)
+    m = state.shape[0]
     n = len(curves[0].components)
-    paths = [compile_exprs(c.components + c.velocity_exprs(), ("t",)) for c in curves]
-    kept: list[dict] = [{} for _ in curves]  # per row: stage time -> -A(t) of its last level
+    t0 = np.array([c.t0 for c in curves])
+    t1 = np.array([c.t1 for c in curves])
+    start = np.array([np.zeros(n) if c.delta is None else c.start for c in curves])
+    delta = np.array([np.zeros(n) if c.delta is None else c.delta for c in curves])
+    paths = {r: compile_exprs(c.components + c.velocity_exprs(), ("t",))
+             for r, c in enumerate(curves) if c.delta is None}
+    last = None  # (rows, grid, table) of the previous level
 
     def run_level(active, steps):
-        m = state.shape[0]
-        table = np.empty((2 * steps + 1, len(active), m, m))  # time-major: one (B, m, m) per stage
-        h = np.empty((len(active), 1, 1))
-        for b, r in enumerate(active):
-            h[b], times = _rk4_grid(curves[r].t0, curves[r].t1, steps)
-            known = kept[r]
-            new = [t for t in dict.fromkeys(times) if t not in known]
-            if new:
-                xv = paths[r](np.array(new)[:, None])
-                known.update(zip(new, -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))))
-            table[:, b] = [known[t] for t in times]
-            kept[r] = dict(zip(times, table[:, b]))
+        nonlocal last
+        rows = np.array(active)
+        h, grid = _rk4_grid(t0[rows], t1[rows], steps)
+        new = np.ones(grid.shape, dtype=bool)
+        if last is not None:
+            last_rows, last_grid, last_table = last
+            sel = np.searchsorted(last_rows, rows)
+            new[0::2] = grid[0::2] != last_grid[:, sel]
+        b, i = np.nonzero(new.T)  # row-major, so a domain error names a row's first point
+        t = grid[i, b]
+        r = rows[b]
+        xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
+        for row, path in paths.items():
+            at = r == row
+            if at.any():
+                xv[at] = path(t[at][:, None])
+        table = np.empty((2 * steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
+        table[i, b] = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
+        if last is not None:
+            ki, kb = np.nonzero(~new)
+            table[ki, kb] = last_table[ki // 2, sel[kb]]
+        last = rows, grid, table
+        h = h[:, None, None]
         h2, h6 = h / 2, h / 6
-        y = np.repeat(state[None], len(active), axis=0)
+        y = np.repeat(state[None], len(rows), axis=0)
         for j in range(steps):
             mid = table[2 * j + 1]
             k1 = table[2 * j] @ y
@@ -642,7 +666,7 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
             k3 = mid @ (y + h2 * k2)
             k4 = table[2 * j + 2] @ (y + h * k3)
             y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y.reshape((len(active),) + y0.shape)
+        return y.reshape((len(rows),) + y0.shape)
 
     return _rk4_doubling(run_level, len(curves), tol)
 

@@ -165,8 +165,8 @@ def cmd_invariance(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     loop_base = loop[0].point(0.0)
     H, _rep = loop_holonomy(chart, loop)
     rows = []
-    for i, ups in enumerate(_random_ups(manifest, seed, count=3)):
-        res = weyl_invariance_test(chart, ups, seed=seed)
+    changes = _random_ups(manifest, seed, count=3)
+    for i, (ups, res) in enumerate(zip(changes, weyl_invariance_test(chart, changes, seed=seed))):
         checks.add(f"weyl_invariance_change_{i}", res["max_weyl_residual"], "weyl_invariance")
         checks.add(f"cotton_change_law_{i}", res["max_cotton_residual"], "cotton_change_law")
         changed = project_change(chart, ups)

@@ -25,6 +25,7 @@ failing subexpression -- results are never silently NaN.
 from __future__ import annotations
 
 import math
+import re
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -603,7 +604,7 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
 # -- compilation --------------------------------------------------------------
 
 
-def _emit(node: Expr, names: dict, lines: list, counter: list, batch: bool) -> str:
+def _emit(node: Expr, names: dict, temps: dict, batch: bool) -> str:
     key = id(node)
     if key in names:
         return names[key]
@@ -613,7 +614,7 @@ def _emit(node: Expr, names: dict, lines: list, counter: list, batch: bool) -> s
         ref = node.name
     else:
         def sub(child):
-            return _emit(child, names, lines, counter, batch)
+            return _emit(child, names, temps, batch)
 
         if isinstance(node, Add):
             rhs = f"{sub(node.left)} + {sub(node.right)}"
@@ -634,9 +635,8 @@ def _emit(node: Expr, names: dict, lines: list, counter: list, batch: bool) -> s
             rhs = f"_{node.func}({sub(node.arg)})"
         else:
             raise AssertionError(f"unhandled node type {type(node)}")
-        ref = f"_t{counter[0]}"
-        counter[0] += 1
-        lines.append(f"    {ref} = {rhs}")
+        # operands are references already, so equal text is an equal computation
+        ref = temps.setdefault(rhs, f"_t{len(temps)}")
     names[key] = ref
     return ref
 
@@ -661,26 +661,36 @@ _SCALAR_NAMESPACE = {f"_{fn}": impl for fn, impl in _MATH_FUNCTIONS.items()}
 _BATCH_NAMESPACE = {name: _elementwise(impl) for name, impl in _SCALAR_NAMESPACE.items()}
 _BATCH_NAMESPACE["_pow"] = _elementwise(pow)
 _BATCH_NAMESPACE["_empty"] = np.empty
+_TEMP = re.compile(r"\b_t\d+\b")
 
 
-def _exec_source(exprs: list, coords: Sequence[str], batch: bool) -> Callable:
+def _source(exprs: list, coords: Sequence[str], batch: bool) -> str:
+    """Python source of `_compiled`, the function `_exec_source` returns."""
     names: dict = {}
-    lines: list[str] = []
-    counter = [0]
-    refs = [_emit(e, names, lines, counter, batch) for e in exprs]
+    temps: dict = {}
+    refs = [_emit(e, names, temps, batch) for e in exprs]
+    lines = [f"    {ref} = {rhs}" for rhs, ref in temps.items()]
     if batch:
-        src = ["def _compiled(_X):", f"    {', '.join(coords)}, = _X.T"]
-        src.extend(lines)
+        # a temporary is a whole column: free it after its last use
+        outputs = set(refs)
+        last = {used: i for i, rhs in enumerate(temps) for used in _TEMP.findall(rhs)}
+        for ref, i in last.items():
+            if ref not in outputs:
+                lines[i] += f"; del {ref}"
+        src = ["def _compiled(_X):", f"    {', '.join(coords)}, = _X.T", *lines]
         src.append(f"    _out = _empty((_X.shape[0], {len(refs)}))")
         src.extend(f"    _out[:, {j}] = {ref}" for j, ref in enumerate(refs))
         src.append("    return _out")
-        namespace = dict(_BATCH_NAMESPACE)
     else:
         src = [f"def _compiled({', '.join(coords)}):"]
         src.extend(lines)
         src.append(f"    return ({', '.join(refs)}{',' if len(refs) == 1 else ''})")
-        namespace = dict(_SCALAR_NAMESPACE)
-    exec("\n".join(src), namespace)
+    return "\n".join(src)
+
+
+def _exec_source(exprs: list, coords: Sequence[str], batch: bool) -> Callable:
+    namespace = dict(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE)
+    exec(_source(exprs, coords, batch), namespace)
     return namespace["_compiled"]
 
 
@@ -697,7 +707,9 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     single (B, n) array of points it returns a (B, k) array, bit for bit the
     rows the pointwise call gives: arithmetic runs on whole columns, while
     functions and powers go element by element through the same scalar
-    routines.  Shared subtrees are evaluated once.  A domain failure is
+    routines.  Shared subtrees, and subexpressions that are equal term by
+    term, are evaluated once; batch code frees each temporary column after
+    its last use, so a large batch keeps few alive.  A domain failure is
     re-evaluated at the same point by eval_many, which raises the
     ExprDomainError naming the failing subexpression; a batch with a
     floating-point exception is re-evaluated point by point to find it.

@@ -202,29 +202,31 @@ def cotton(chart: ChartModel, point) -> TensorValue:
     return TensorValue(p, point_fields(chart, p)["CY"], "ddd")
 
 
-def weyl_invariance_test(chart: ChartModel, ups, seed: int = 0,
-                         n_points: int = 10) -> dict:
-    """Measure how far the Weyl and Cotton tensors drift under a change.
+def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
+                         n_points: int = 10) -> list:
+    """Measure how far the Weyl and Cotton tensors drift under projective changes.
 
-    Weyl should be exactly invariant; Cotton should transform by
-    CY' = CY - Ups . W.  Both charts are valued on jets at the same sample
-    points.  Returns the max residuals over sample points.
+    `changes` is a sequence of one-forms (`OneFormField`s or component
+    sequences).  Weyl should be exactly invariant; Cotton should transform
+    by CY' = CY - Ups . W.  Every chart is valued on jets at the same
+    sample points, the unchanged one once for all changes.  Returns one
+    dict of max residuals over sample points per change.
     """
-    if not isinstance(ups, OneFormField):
-        ups = OneFormField(chart, np.asarray(ups, dtype=object))
     pts = sample_points(chart, seed=seed, n_random=n_points, n_grid=4)
     before = point_fields(chart, pts)
-    after = point_fields(chart, pts, ups=ups)
-    worst_w = 0.0
-    worst_cy = 0.0
-    for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):
-        scale = 1.0 + max_abs(w1)
-        worst_w = max(worst_w, max_abs(w2 - w1) / scale)
-        expected = cy1 - np.einsum("k,hjkl->hjl", ups.at(p), w1)
-        cscale = 1.0 + max_abs(expected)
-        worst_cy = max(worst_cy, max_abs(cy2 - expected) / cscale)
-    return {
-        "max_weyl_residual": worst_w,
-        "max_cotton_residual": worst_cy,
-        "n_points": len(pts),
-    }
+    results = []
+    for ups in changes:
+        if not isinstance(ups, OneFormField):
+            ups = OneFormField(chart, np.asarray(ups, dtype=object))
+        after = point_fields(chart, pts, ups=ups)
+        worst_w = 0.0
+        worst_cy = 0.0
+        for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):
+            scale = 1.0 + max_abs(w1)
+            worst_w = max(worst_w, max_abs(w2 - w1) / scale)
+            expected = cy1 - np.einsum("k,hjkl->hjl", ups.at(p), w1)
+            cscale = 1.0 + max_abs(expected)
+            worst_cy = max(worst_cy, max_abs(cy2 - expected) / cscale)
+        results.append({"max_weyl_residual": worst_w, "max_cotton_residual": worst_cy,
+                        "n_points": len(pts)})
+    return results

@@ -486,7 +486,8 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
     report.vtheta_min = float(vth.min())
     report.vtheta_max = float(vth.max())
     report.accepted = (worst["dth_om"] <= 1e-6 and worst["dth_reeb"] <= 1e-6
-                       and worst["weyl"] <= 1e-7 and vth.min() > 0.0)
+                       and worst["weyl"] <= 1e-7 and vth.min() > 0.0
+                       and report.path_residual <= 1e-6)
     if not report.accepted:
         report.reject_reason = "contact residuals above tolerance"
     return report
@@ -586,7 +587,8 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
     frac = len(report.degenerate_points) / max(len(pts), 1)
     report.meta["degenerate_fraction"] = frac
     report.accepted = (worst["sq"] <= 1e-7 and worst["span"] <= 1e-7
-                       and worst["lie"] <= 1e-4 and frac <= 0.2)
+                       and worst["lie"] <= 1e-4 and frac <= 0.2
+                       and report.path_residual <= 1e-6)
     if not report.accepted:
         report.reject_reason = "complex reduction residuals above tolerance"
     return report

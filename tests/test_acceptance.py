@@ -113,7 +113,7 @@ def test_criterion_03_projective_invariance_of_weyl_and_loops():
     H, _ = loop_holonomy(c, loop)
     for k in range(5):
         ups = linear_ups(c, seed=100 + k)
-        res = weyl_invariance_test(c, ups, seed=k)
+        res = weyl_invariance_test(c, [ups], seed=k)[0]
         assert res["max_weyl_residual"] <= 1e-8
         changed = project_change(c, ups)
         H2, _ = loop_holonomy(changed, loop)

@@ -14,12 +14,13 @@ from tractorlab.affine import (
     max_abs,
     normalize_volume,
     project_change,
+    _rk4_grid,
     ricci,
     sample_points,
     symmetrize,
     transport_vector,
 )
-from tractorlab.expr import compile_exprs, num, parse, var
+from tractorlab.expr import _source, compile_exprs, eval_many, num, parse, var
 from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.library import (
     flat_chart,
@@ -345,3 +346,50 @@ def test_batch_evaluation_equals_pointwise_on_bundled_charts():
             want = np.array([at(p) for p in pts])
             assert got.shape == (len(pts),) + field.shape
             assert got.tobytes() == want.tobytes(), name
+
+
+def test_stage_grid_equals_the_accumulated_rk4_times():
+    intervals = [(0.0, 1.0), (0.1, 0.7), (1.0, 0.0)]  # dyadic, not dyadic, reversed
+    for steps in (64, 128, 1024):
+        h, grid = _rk4_grid(np.array([a for a, _ in intervals]),
+                            np.array([b for _, b in intervals]), steps)
+        assert grid.shape == (2 * steps + 1, len(intervals))
+        for col, (t0, t1) in enumerate(intervals):
+            h_ref = (t1 - t0) / steps
+            want, t = [], t0
+            for _ in range(steps):  # each step's end is accumulated as the next start
+                want += [t, t + h_ref / 2]
+                t += h_ref
+            want.append(t)
+            assert h[col] == h_ref
+            assert grid[:, col].tobytes() == np.array(want).tobytes()
+            h_one, one = _rk4_grid(t0, t1, steps)
+            assert h_one == h_ref and one.tobytes() == grid[:, col].tobytes()
+
+
+def test_segment_closed_form_equals_its_compiled_components():
+    t = np.array([0.0, 2.0 ** -7, 1 / 3, 0.5, 0.7, 1.0])
+    ends = [([0.0, -0.0, 0.3, 0.3], [-0.5, -0.0, 0.3, 1.3]),  # zero starts, zero and unit deltas
+            ([0.2, -0.3, 0.1, 0.0], [0.0, 0.4, -0.6, 1.0])]
+    for a, b in ends:
+        seg = Curve.segment(a, b)
+        path = compile_exprs(seg.components + seg.velocity_exprs(), ("t",))(t[:, None])
+        x = seg.start + seg.delta * t[:, None]
+        xdot = np.broadcast_to(seg.delta, x.shape)
+        assert np.concatenate([x, xdot], axis=1).tobytes() == path.tobytes()
+
+
+def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
+    for name in bundled_names():
+        m = load_bundled(name)
+        chart = m.chart
+        flat = list(connection_matrix_field(chart).ravel())
+        rhs = [line.split(" = ", 1)[1].split("; del ")[0]
+               for line in _source(flat, chart.coords, True).splitlines()
+               if line.startswith("    _t")]
+        assert len(rhs) == len(set(rhs)), name
+        pts = m.sample()[:5]
+        fn = compile_exprs(flat, chart.coords)
+        want = np.array([eval_many(flat, chart.env(p)) for p in pts])
+        assert fn(pts).tobytes() == want.tobytes(), name
+        assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes(), name

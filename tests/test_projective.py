@@ -109,7 +109,7 @@ def test_cotton_vanishes_on_constant_curvature_charts():
 def test_weyl_invariance_under_projective_change():
     c = polynomial_chart(3, seed=2)
     ups = [c.parse("0.4*x2"), c.parse("x1*x3 - 0.2"), c.parse("0.3*x1")]
-    report = weyl_invariance_test(c, ups, seed=6)
+    report = weyl_invariance_test(c, [ups], seed=6)[0]
     assert report["n_points"] >= 10
     assert report["max_weyl_residual"] <= 1e-10
     assert report["max_cotton_residual"] <= 1e-10
@@ -118,7 +118,7 @@ def test_weyl_invariance_under_projective_change():
 def test_weyl_invariance_on_curved_metric_chart():
     c = sphere_chart(2)
     ups = [c.parse("0.5*x2 + 0.1"), c.parse("-0.3*x1*x1")]
-    report = weyl_invariance_test(c, ups, seed=7)
+    report = weyl_invariance_test(c, [ups], seed=7)[0]
     assert report["max_weyl_residual"] <= 1e-10
     assert report["max_cotton_residual"] <= 1e-10
 

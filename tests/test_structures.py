@@ -349,6 +349,19 @@ def test_transport_that_does_not_converge_fails_its_residuals(twisted, monkeypat
     assert r.transport_agreement == np.inf
 
 
+def test_contact_and_complex_reject_a_transport_that_does_not_converge(flat3, monkeypatch):
+    alg = center_alg(flat3)
+    doubling = affine._rk4_doubling
+
+    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
+        return doubling(run_level, rows, tol, initial_steps, initial_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+    for r in (contact_from_symplectic(flat3, alg, OMEGA), complex_reduction(flat3, alg, J_STD)):
+        assert r.path_residual == np.inf
+        assert not r.accepted
+
+
 # -- holonomy block decomposition ----------------------------------------------
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from tractorlab import affine
 from tractorlab.affine import (
     Curve,
     _linear_transport,
@@ -255,3 +256,32 @@ def test_transports_equal_pointwise_rk4_bit_for_bit():
             assert y.shape == y0.shape
             assert y.tobytes() == y_ref.tobytes()
             assert (steps, ok) == (steps_ref, ok_ref)
+
+
+def test_transport_calls_the_field_once_per_level(monkeypatch):
+    m = load_bundled("sphere3")
+    c = m.chart
+    base = m.base()
+    M_at = c.evaluator(connection_matrix_field(c))
+    d = np.array([0.3, -0.2, 0.25])
+    batch = [Curve.segment(base, base + s * d) for s in (0.05, 1.0, 2.0)]
+    batch.append(Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7))
+    calls = {"field": 0, "level": 0}
+
+    def field(X):
+        calls["field"] += 1
+        return M_at(X)
+
+    doubling = affine._rk4_doubling
+
+    def counted(run_level, *args):
+        def level(active, steps):
+            calls["level"] += 1
+            return run_level(active, steps)
+        return doubling(level, *args)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", counted)
+    rows = _linear_transport(field, batch, np.eye(4), 1e-10)
+    assert len({steps for _, steps, _ in rows}) >= 2
+    assert calls["level"] >= 3
+    assert calls["field"] == calls["level"]
