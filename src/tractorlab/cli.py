@@ -189,7 +189,7 @@ def cmd_transport(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         curves = [Curve.segment(base, t) for t in targets]
     ops = []
     for i, (T, steps, ok) in enumerate(transport_operators(chart, curves)):
-        det_drift = abs(float(np.linalg.det(T)) - 1.0)
+        det_drift = abs(float(np.linalg.det(T)) - 1.0) if ok else np.inf
         checks.add(f"transport_det_curve_{i}", det_drift, "transport_det")
         ops.append({"operator": T, "steps": steps, "converged": bool(ok),
                     "det_drift": det_drift})

@@ -718,9 +718,8 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     for c in coords:
         if c in _MATH_FUNCTIONS or c in _RESERVED or c.startswith("_t"):
             raise ValueError(f"coordinate name '{c}' is reserved")
-    raw = _exec_source(flat, coords, batch=False)
     count = len(flat)
-    batched = None  # compiled on the first batch call; most fields never get one
+    raw = batched = None  # each source is compiled on its first call; most fields get one kind
 
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
         nonlocal batched
@@ -737,9 +736,12 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
             return np.array(rows, dtype=float).reshape(len(rows), count)
 
     def evaluate(*point) -> np.ndarray:
+        nonlocal raw
         if len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2:
             return evaluate_batch(point[0])
         values = [float(v) for v in point]
+        if raw is None:
+            raw = _exec_source(flat, coords, batch=False)
         try:
             return np.array(raw(*values), dtype=float)
         except _FAILURES:

@@ -271,8 +271,10 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
                  max_retries: int = 5):
     """Principal log of a loop holonomy H, shrinking the loop if it leaves the branch.
 
-    Returns (log, retries); each retry transports the shrunk loop alone.
+    Returns (log, retries, converged); each retry transports the shrunk loop
+    alone, and `converged` says whether every retry's transport converged.
     """
+    converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
     for attempt in range(max_retries + 1):
         if attempt:
@@ -280,9 +282,10 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
             base = segs[0].point(segs[0].t0)
             segs = [Curve.segment(base + 0.5 * (s.point(s.t0) - base),
                                   base + 0.5 * (s.point(s.t1) - base)) for s in segs]
-            H, _ = loop_holonomy(chart, segs, tol=ode_tol)
+            H, rep = loop_holonomy(chart, segs, tol=ode_tol)
+            converged = converged and rep["converged"]
         if max_abs(H - np.eye(H.shape[0])) < 1.0:
-            return np.real(logm(H)), attempt
+            return np.real(logm(H)), attempt, converged
     raise RuntimeError("loop holonomy stayed outside the log branch radius after retries")
 
 
@@ -319,8 +322,10 @@ def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6
         loop_family = _default_loop_family(chart, base, count, seed, eps)
     logs = []
     retries = 0
-    for loop, (H, _) in zip(loop_family, loop_holonomies(chart, loop_family, tol=ode_tol)):
-        log, attempts = _guarded_log(chart, loop, H, ode_tol)
+    converged = True
+    for loop, (H, rep) in zip(loop_family, loop_holonomies(chart, loop_family, tol=ode_tol)):
+        log, attempts, ok = _guarded_log(chart, loop, H, ode_tol)
+        converged = converged and rep["converged"] and ok
         retries += attempts
         norm = float(np.linalg.norm(log))
         if norm > log_floor:
@@ -329,7 +334,7 @@ def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6
     inf = infinitesimal_algebra(chart, base, max_order=max_order, tol=tol)
     merged = list(inf.basis) + logs
     basis, closed, rounds, bresid = bracket_closure(merged, m, tol)
-    tf = max((abs(float(np.trace(a))) for a in logs), default=0.0)
+    tf = max((abs(float(np.trace(a))) for a in logs), default=0.0) if converged else np.inf
     return HolonomyAlgebra(
         generators=np.array(logs) if logs else np.zeros((0, m, m)),
         basis=basis,

@@ -259,15 +259,16 @@ def loop_holonomies(chart: ChartModel, loops, tol: float = 1e-8) -> list:
             T, _, ok = next(ops)
             ok_all = ok_all and ok
             H = T @ H
-        out.append((H, {"det_drift": abs(float(np.linalg.det(H)) - 1.0), "converged": ok_all}))
+        drift = abs(float(np.linalg.det(H)) - 1.0) if ok_all else np.inf
+        out.append((H, {"det_drift": drift, "converged": ok_all}))
     return out
 
 
 def loop_holonomy(chart: ChartModel, loop, tol: float = 1e-8):
     """Holonomy of a closed loop (one curve or chained segments).
 
-    Returns (H, report) with the determinant drift in the report; the
-    connection is trace free so det H should be 1.
+    Returns (H, report) with the determinant drift in the report, infinite if
+    a transport did not converge; the connection is trace free so det H is 1.
     """
     return loop_holonomies(chart, [loop], tol)[0]
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tractorlab import __version__, cli
+from tractorlab import __version__, affine, cli
 from tractorlab.affine import max_abs, sample_points
 from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
@@ -194,6 +194,25 @@ def test_tol_scale_loosens_and_tightens():
     assert tight["all_pass"] is False
     loose = cli.run("verify", m, tol_scale=1e6)
     assert loose["all_pass"] is True
+
+
+def test_transport_that_does_not_converge_fails_transport_and_holonomy(monkeypatch):
+    doubling = affine._rk4_doubling
+
+    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
+        return doubling(run_level, rows, tol, initial_steps, initial_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+    m = load_bundled("randpoly3")
+    transport = cli.run("transport", m)
+    assert [c["converged"] for c in transport["result"]["curves"]] == [False, False]
+    residuals = {row["name"]: row["residual"] for row in transport["checks"]}
+    assert residuals["transport_det_curve_0"] == residuals["loop_det_0"] == np.inf
+    assert transport["all_pass"] is False
+    holonomy = cli.run("holonomy", m)
+    residuals = {row["name"]: row.get("residual") for row in holonomy["checks"]}
+    assert residuals["algebra_trace_free"] == np.inf
+    assert holonomy["all_pass"] is False
 
 
 # -- entry point -------------------------------------------------------------------

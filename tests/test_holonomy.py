@@ -311,6 +311,14 @@ def test_sphere2_loop_rank_zero():
     assert la.details["loops_only_rank"] == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_randpoly3_loop_logs_are_trace_free_to_round_off(seed):
+    # the loop holonomies lie in SL(5) up to the round-off of their transports
+    m = load_bundled("randpoly3")
+    la = loop_algebra(m.chart, m.base(), count=4, seed=seed)
+    assert la.trace_free_residual <= 5e-12
+
+
 # -- the curvature tower on jets -----------------------------------------------------
 
 

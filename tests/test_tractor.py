@@ -226,15 +226,26 @@ def pointwise_transport(field_at, curve, y0, tol=1e-8):
     return out.reshape(y0.shape), steps, ok
 
 
-def test_transports_equal_pointwise_rk4_bit_for_bit():
+def assert_matches_pointwise(y, steps, ok, y_ref, steps_ref, ok_ref):
+    """The kernel's contract against the pointwise RK4: the same step counts and
+    flags, and states equal up to the round-off of multiplying steps pairwise."""
+    assert (steps, ok) == (steps_ref, ok_ref)
+    assert y.shape == y_ref.shape
+    assert max_abs(y - y_ref) <= 1e-14 * (1.0 + max_abs(y_ref))
+
+
+SPHERE3_SHIFT = np.array([0.3, -0.2, 0.25])
+# stage times on [0.1, 0.7] are not dyadic, so levels share few of them
+CURVED = Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7)
+
+
+def test_transports_match_pointwise_rk4_and_are_batch_invariant():
     m = load_bundled("sphere3")
     c = m.chart
     base = m.base()
     M_at = c.evaluator(connection_matrix_field(c))
     g_at = c.evaluator(c.gamma)
-    curves = [Curve.segment(base, base + np.array([0.3, -0.2, 0.25])),
-              # stage times on [0.1, 0.7] are not dyadic, so levels share few of them
-              Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7)]
+    curves = [Curve.segment(base, base + SPHERE3_SHIFT), CURVED]
     v = np.array([0.3, 1.0, -0.5, 0.2])
     w = np.array([0.3, 1.0, -0.5])
     for curve in curves:
@@ -242,20 +253,41 @@ def test_transports_equal_pointwise_rk4_bit_for_bit():
                  (parallel_transport(c, curve, v), pointwise_transport(M_at, curve, v)),
                  (transport_vector(c, curve, w),
                   pointwise_transport(lambda x: g_at(x).transpose(1, 0, 2), curve, w))]
-        for (y, steps, ok), (y_ref, steps_ref, ok_ref) in cases:
-            assert y.tobytes() == y_ref.tobytes()
-            assert (steps, ok) == (steps_ref, ok_ref)
+        for got, ref in cases:
+            assert_matches_pointwise(*got, *ref)
     # one batch: segments of different lengths leave it at different levels
-    d = np.array([0.3, -0.2, 0.25])
-    batch = [Curve.segment(base, base + s * d) for s in (0.05, 1.0, 2.0)] + curves[1:]
+    batch = [Curve.segment(base, base + s * SPHERE3_SHIFT) for s in (0.05, 1.0, 2.0)] + [CURVED]
     for y0 in (np.eye(4), v):
         rows = _linear_transport(M_at, batch, y0, 1e-10)
         assert len({steps for _, steps, _ in rows}) >= 2
         for (y, steps, ok), curve in zip(rows, batch):
-            y_ref, steps_ref, ok_ref = pointwise_transport(M_at, curve, y0, tol=1e-10)
-            assert y.shape == y0.shape
-            assert y.tobytes() == y_ref.tobytes()
-            assert (steps, ok) == (steps_ref, ok_ref)
+            assert_matches_pointwise(y, steps, ok, *pointwise_transport(M_at, curve, y0, tol=1e-10))
+            # a row's bits do not depend on the rest of its batch
+            alone, steps_alone, ok_alone = _linear_transport(M_at, [curve], y0, 1e-10)[0]
+            assert y.tobytes() == alone.tobytes()
+            assert (steps, ok) == (steps_alone, ok_alone)
+
+
+def test_pairwise_product_takes_an_odd_step_count(monkeypatch):
+    m = load_bundled("sphere3")
+    M_at = m.chart.evaluator(connection_matrix_field(m.chart))
+    doubling = affine._rk4_doubling
+
+    def from_48(run_level, rows, tol, initial_steps=64, max_steps=affine._RK4_MAX_STEPS):
+        return doubling(run_level, rows, tol, 48, max_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", from_48)
+    batch = [Curve.segment(m.base(), m.base() + SPHERE3_SHIFT), CURVED]
+    for (y, steps, ok), curve in zip(_linear_transport(M_at, batch, np.eye(4), 1e-10), batch):
+        assert steps % 3 == 0
+        assert_matches_pointwise(y, steps, ok, *pointwise_transport(M_at, curve, np.eye(4), 1e-10))
+
+
+def test_flat_loop_holonomy_is_the_identity():
+    c = flat_chart(3)
+    H, rep = loop_holonomy(c, square_loop(c.center(), 0, 2, 0.3))
+    assert rep["converged"]
+    assert max_abs(H - np.eye(4)) <= 1e-13
 
 
 def test_transport_calls_the_field_once_per_level(monkeypatch):
