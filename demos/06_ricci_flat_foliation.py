@@ -27,7 +27,6 @@ print(f"  connection preserves K   {rep.preserve_K_residual:.2e}")
 print(f"  adapted rho on K         {rep.rho_residual:.2e}")
 print(f"  adapted Ricci on leaves  {rep.ricci_on_K:.2e}")
 print(f"  covolume along leaves    {rep.covolume_status}")
-print(f"  affine vs tractor transport of K: {rep.transport_agreement:.2e}")
 
 d = holonomy_decomposition_check(chart, alg)
 print(f"\ndecomposition check on the holonomy algebra (rank {alg.rank}):")

@@ -469,8 +469,8 @@ def _rk4_grid(t0, t1, steps: int):
     `t0` and `t1` are floats or arrays of shape (B,); the grid has shape
     (2*steps + 1,) + their shape, one column per row.  Step j uses entries
     2j, 2j + 1 and 2j + 2.  The step starts are the running sum t0, t0 + h,
-    (t0 + h) + h, ..., accumulated in order, so every integrator and every
-    caller that evaluates ahead of one sees the same floats.
+    (t0 + h) + h, ..., accumulated in order, so every integrator sees the
+    same floats.
     """
     t0 = np.asarray(t0, dtype=float)
     h = (t1 - t0) / steps
@@ -539,31 +539,6 @@ def rk4_adaptive(f, y0, t0: float, t1: float, tol: float = 1e-8,
     """
     return _rk4_doubling(lambda _active, steps: [_rk4_fixed(f, y0, t0, t1, steps)], 1, tol,
                          initial_steps, max_steps)[0]
-
-
-def _stage_memo(t0: float, t1: float, evaluate):
-    """t -> evaluate's value at t, for a right-hand side run by `rk4_adaptive`.
-
-    `evaluate(times)` takes an array of times and returns one value per
-    time.  A right-hand side asks for few distinct times: k2 and k3 of a
-    step share one, k4 of a step is k1 of the next, and on a dyadic
-    interval each doubled level contains the previous one.  The first time
-    a level asks for a time not yet kept, every new time of that level is
-    evaluated in one batch.
-    """
-    kept: dict = {}
-    next_level = _RK4_INITIAL_STEPS
-
-    def at(t: float):
-        nonlocal next_level
-        if t not in kept:
-            _, times = _rk4_grid(t0, t1, next_level)
-            next_level *= 2
-            new = [u for u in dict.fromkeys(times.tolist()) if u not in kept]
-            kept.update(zip(new, evaluate(np.array(new))))
-        return kept[t]
-
-    return at
 
 
 def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,

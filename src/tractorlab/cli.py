@@ -202,21 +202,23 @@ def cmd_transport(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     return {"curves": ops, "loops": loops_out}
 
 
-def _holonomy_algebra(manifest: Manifest, seed: int):
-    """The loop holonomy algebra at the base point; `holonomy` and `detect`
-    share one per manifest and seed, kept in `manifest.algebras`."""
+def _holonomy(manifest: Manifest, seed: int):
+    """(algebra, candidates, classification): the loop holonomy algebra at
+    the base point, the fiber structures it preserves and their labels;
+    `holonomy` and `detect` share one per manifest and seed, kept in
+    `manifest.algebras`."""
     if seed not in manifest.algebras:
-        manifest.algebras[seed] = loop_algebra(manifest.chart, manifest.base(), count=4, seed=seed)
+        alg = loop_algebra(manifest.chart, manifest.base(), count=4, seed=seed)
+        candidates = _candidates(alg, seed)
+        manifest.algebras[seed] = alg, candidates, classify(alg, candidates)
     return manifest.algebras[seed]
 
 
 def cmd_holonomy(manifest: Manifest, seed: int, checks: _Checks) -> dict:
-    alg = _holonomy_algebra(manifest, seed)
+    alg, candidates, table = _holonomy(manifest, seed)
     checks.add("algebra_trace_free", alg.trace_free_residual, "algebra_trace_free")
     checks.verdict("rank_stable", alg.rank_stable,
                    f"rank {alg.rank} under threshold x10 and /10")
-    candidates = _candidates(alg, seed)
-    table = classify(alg, candidates)
     return {
         "rank": alg.rank,
         "method": alg.method,
@@ -242,9 +244,7 @@ def _cand_dict(c):
 def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     chart = manifest.chart
     base = manifest.base()
-    alg = _holonomy_algebra(manifest, seed)
-    candidates = _candidates(alg, seed)
-    table = classify(alg, candidates)
+    alg, candidates, table = _holonomy(manifest, seed)
     labels = list(table["labels"])
     out = {
         "algebra_rank": alg.rank,

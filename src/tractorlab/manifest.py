@@ -56,7 +56,8 @@ class Manifest:
     asymmetry: float = 0.0
     raw: dict = field(default_factory=dict)
     gamma_entries: dict = field(default_factory=dict)  # declared "k,i,j" -> Expr, in order
-    algebras: dict = field(default_factory=dict, repr=False)  # seed -> loop algebra at base()
+    # seed -> (loop algebra at base(), its candidates, their classification)
+    algebras: dict = field(default_factory=dict, repr=False)
 
     def base(self) -> np.ndarray:
         if self.base_point is None:

@@ -35,15 +35,12 @@ from .affine import (
     Curve,
     max_abs,
     normalize_volume,
-    _stage_memo,
-    rk4_adaptive,
     sample_points,
 )
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
     invariant_subspaces, _containment_residual
 from .projective import assemble_rho, point_fields, ricci_from_rho
 from .tractor import (
-    connection_matrix_field,
     spread_structure,
     splitting_matrix,
     transport_operators,
@@ -125,7 +122,6 @@ class FoliationReport:
     ricci_on_K: float | None = None
     covolume_status: str | None = None
     covolume_residual: float | None = None
-    transport_agreement: float | None = None
     line_intersection_fraction: float | None = None
     inconclusive: bool = False
     reject_reason: str | None = None
@@ -611,6 +607,12 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     while the rho and Ricci restrictions are evaluated for the adapted
     connection through the transformation law, with finite differences
     supplying the derivative of the adapted one-form.
+
+    Along one ray from the base the transported frame is parallel by
+    construction, so no check along a single ray can see a subspace that is
+    not parallel.  `preserve_K_residual` is the one that does: it compares
+    transports along neighbouring rays (the stencil) and measures how far
+    the adapted covariant derivative of the frame leaves its span.
     """
     n = chart.n
     base = _base_point(chart, base_point)
@@ -734,59 +736,13 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     else:
         report.covolume_status = "not preserved"
 
-    report.transport_agreement = _k_transport_agreement(chart, B0, base, pts[: min(3, len(pts))])
     report.accepted = (worst["integ"] <= 1e-6 and worst["geod"] <= 1e-6
                        and worst["pres"] <= 1e-6 and worst["rho"] <= 1e-7
                        and worst["ric"] <= 1e-7
-                       and report.covolume_status != "not preserved"
-                       and report.transport_agreement <= 1e-6)
+                       and report.covolume_status != "not preserved")
     if not report.accepted:
         report.reject_reason = "foliation residuals above tolerance"
     return report
-
-
-def _k_transport_agreement(chart: ChartModel, B0: np.ndarray, base, targets) -> float:
-    """Tractor transport on the subspace vs adapted affine transport on its
-    projection, compared as directions."""
-    n = chart.n
-    k = B0.shape[1]
-    gamma_vals = chart.evaluator(chart.gamma)
-    M_vals = chart.evaluator(connection_matrix_field(chart))
-    worst = 0.0
-    base = np.asarray(base, dtype=float)
-    for target in targets:
-        target = np.asarray(target, dtype=float)
-        v = target - base
-
-        def fields(ts):
-            P = base + ts[:, None] * v
-            return zip(gamma_vals(P), M_vals(P))
-
-        fields_at = _stage_memo(0.0, 1.0, fields)
-
-        def f(t, state):
-            G, M = fields_at(t)
-            B = state[n:].reshape(n + 1, k)
-            Y = B[:n, :]
-            c = B[n, :]
-            ups = np.linalg.pinv(Y.T) @ c
-            y = state[:n]
-            dy = -(np.einsum("kij,i,j->k", G, v, y) + (ups @ v) * y + (ups @ y) * v)
-            dB = -np.einsum("i,irs,sk->rk", v, M, B)
-            return np.concatenate([dy, dB.ravel()])
-
-        y0 = B0[:n, 0].copy()
-        state0 = np.concatenate([y0, B0.ravel()])
-        final, steps, ok = rk4_adaptive(f, state0, 0.0, 1.0, tol=1e-9)
-        if not ok:
-            return np.inf
-        y_aff = final[:n]
-        B_tr = final[n:].reshape(n + 1, k)
-        y_trac = B_tr[:n, 0]
-        ua = y_aff / np.linalg.norm(y_aff)
-        ut = y_trac / np.linalg.norm(y_trac)
-        worst = max(worst, min(float(np.abs(ua - ut).max()), float(np.abs(ua + ut).max())))
-    return worst
 
 
 # -- decomposition of reducible holonomy -------------------------------------------------

@@ -301,20 +301,28 @@ def test_derivative_failure_names_its_gamma_entry(tmp_path, capsys):
 
 def test_holonomy_and_detect_share_one_algebra_per_seed(monkeypatch):
     calls = []
+    classified = []
     original = cli.loop_algebra
+    original_classify = cli.classify
 
     def counting(*args, **kwargs):
         calls.append(kwargs["seed"])
         return original(*args, **kwargs)
 
+    def counting_classify(*args, **kwargs):
+        classified.append(calls[-1])
+        return original_classify(*args, **kwargs)
+
     monkeypatch.setattr(cli, "loop_algebra", counting)
+    monkeypatch.setattr(cli, "classify", counting_classify)
     m = load_bundled("flat2")
     fresh = load_bundled("flat2")
     reports = [cli.render(cli.run(cmd, m, seed=seed))
                for seed in (0, 1) for cmd in ("holonomy", "detect")]
-    assert calls == [0, 1]
+    assert calls == classified == [0, 1]
     assert sorted(m.algebras) == [0, 1]
     monkeypatch.setattr(cli, "loop_algebra", original)
+    monkeypatch.setattr(cli, "classify", original_classify)
     assert cli.render(cli.run("detect", fresh, seed=1)) == reports[3]
 
 
