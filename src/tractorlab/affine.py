@@ -4,7 +4,8 @@ A chart is a box in R^n with named coordinates and Christoffel symbols
 Gamma^k_{ij} given as symbolic expressions.  This module provides the
 affine-level operations: curvature and Ricci tensors, projective change of
 connection, volume normalization, covariant derivatives of symbolic tensor
-fields, geodesic integration, and parallel transport of tangent vectors.
+fields, geodesic integration, and the batched RK4 kernel behind every
+linear transport.
 
 Index conventions used throughout the package:
 
@@ -39,7 +40,6 @@ __all__ = [
     "normalize_volume",
     "covariant_derivative",
     "integrate_geodesic",
-    "transport_vector",
     "sample_points",
     "max_abs",
 ]
@@ -110,9 +110,6 @@ class ChartModel:
     def n(self) -> int:
         return len(self.coords)
 
-    def var(self, i: int) -> Expr:
-        return var(self.coords[i])
-
     def parse(self, text: str) -> Expr:
         return parse(text, self.coords)
 
@@ -165,34 +162,15 @@ class ChartModel:
 
     def dgamma_field(self) -> np.ndarray:
         """Symbolic first derivatives d_h Gamma^k_{ij}, shape (n, n, n, n)."""
-        key = "dgamma"
-        arr = self._symbolic_cache.get(key)
-        if arr is None:
-            n = self.n
-            arr = np.empty((n, n, n, n), dtype=object)
-            for h in range(n):
-                name = self.coords[h]
-                for k in range(n):
-                    for i in range(n):
-                        for j in range(n):
-                            arr[h, k, i, j] = self.gamma[k, i, j].diff(name)
-            self._symbolic_cache[key] = arr
-        return arr
+        return self.symbolic("dgamma", lambda: np.array(
+            [[e.diff(name) for e in self.gamma.ravel()] for name in self.coords],
+            dtype=object).reshape((self.n,) * 4))
 
     def trace_gamma_field(self) -> np.ndarray:
         """tr(Gamma_i) = Gamma^m_{im}, shape (n,)."""
-        key = "trgamma"
-        arr = self._symbolic_cache.get(key)
-        if arr is None:
-            n = self.n
-            arr = np.empty((n,), dtype=object)
-            for i in range(n):
-                s = _ZERO
-                for m in range(n):
-                    s = s + self.gamma[m, i, m]
-                arr[i] = s
-            self._symbolic_cache[key] = arr
-        return arr
+        return self.symbolic("trgamma", lambda: np.array(
+            [sum((self.gamma[m, i, m] for m in range(self.n)), _ZERO) for i in range(self.n)],
+            dtype=object))
 
     def symbolic(self, key: str, builder: Callable[[], object]):
         val = self._symbolic_cache.get(key)
@@ -306,9 +284,6 @@ class Curve:
 
     def velocity(self, t: float) -> np.ndarray:
         return np.array(eval_many(self.velocity_exprs(), {"t": t}), dtype=float)
-
-    def is_closed(self, tol: float = 1e-12) -> bool:
-        return max_abs(self.point(self.t0) - self.point(self.t1)) <= tol
 
 
 @dataclass(frozen=True)
@@ -650,16 +625,6 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
         return (state + d[0] @ state).reshape((len(rows),) + y0.shape)
 
     return _rk4_doubling(run_level, len(curves), tol)
-
-
-def transport_vector(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
-    """Parallel transport of a tangent vector along a curve: vdot = -Gamma_xdot v.
-
-    Returns (vector_at_end, steps, converged).
-    """
-    gamma_at = chart.evaluator(chart.gamma)
-    # A_i[k, j] = Gamma^k_{ij}
-    return _linear_transport(lambda X: gamma_at(X).transpose(0, 2, 1, 3), [curve], v0, tol)[0]
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -68,10 +68,12 @@ class ExprNameError(ExprError):
 class ExprDomainError(ExprError):
     """Raised when evaluation leaves the domain of a subexpression.
 
-    `point` maps each coordinate to its value where the error was raised.
+    `point` maps each coordinate to its value where the error was raised,
+    and `space` is the `jets.JetSpace` it was raised in (None on floats).
     """
 
     point: dict | None = None
+    space = None
 
 
 _MATH_FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -191,7 +193,7 @@ class Num(Expr):
 
     def to_string(self):
         v = self.value
-        if v == int(v) and abs(v) < 1e16:
+        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)
 
@@ -409,7 +411,10 @@ def _pow(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Num) and not (a.value == 0.0 and k < 0):
-        return Num(float(a.value ** k))
+        try:
+            return Num(float(a.value ** k))
+        except OverflowError:  # evaluation reports it
+            pass
     return Pow(a, k)
 
 
@@ -525,19 +530,21 @@ class _Parser:
         return e
 
     def additive(self) -> Expr:
+        start = self.peek()[2]
         e = self.multiplicative()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.multiplicative()
-            e = _add(e, rhs) if op == "+" else _sub(e, rhs)
+            e = _finite(_add(e, rhs) if op == "+" else _sub(e, rhs), start)
         return e
 
     def multiplicative(self) -> Expr:
+        start = self.peek()[2]
         e = self.unary()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.unary()
-            e = _mul(e, rhs) if op == "*" else _div(e, rhs)
+            e = _finite(_mul(e, rhs) if op == "*" else _div(e, rhs), start)
         return e
 
     def unary(self) -> Expr:
@@ -569,7 +576,7 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return Num(float(text))
+            return _finite(Num(float(text)), pos)
         if kind == "(":
             e = self.additive()
             self.expect(")")
@@ -588,12 +595,20 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, found '{text or 'end of input'}'", pos)
 
 
+def _finite(e: Expr, position: int) -> Expr:
+    """`e`, unless it is a constant that is not finite (a literal beyond the
+    float range, or one folded from literals)."""
+    if isinstance(e, Num) and not math.isfinite(e.value):
+        raise ExprSyntaxError("number out of range", position)
+    return e
+
+
 def parse(text: str, coords: Sequence[str]) -> Expr:
     """Parse `text` over the given coordinate names.
 
-    Raises ExprSyntaxError (with position) for malformed input and
-    ExprNameError for identifiers that are neither coordinates nor one of
-    the supported functions.
+    Raises ExprSyntaxError (with position) for malformed input or a
+    constant beyond the float range, and ExprNameError for identifiers that
+    are neither coordinates nor one of the supported functions.
     """
     for c in coords:
         if c in _MATH_FUNCTIONS:
@@ -609,7 +624,8 @@ def _emit(node: Expr, names: dict, temps: dict, batch: bool) -> str:
     if key in names:
         return names[key]
     if isinstance(node, Num):
-        ref = repr(node.value)
+        # folding can make inf or nan, which have no literal
+        ref = repr(node.value) if math.isfinite(node.value) else f"float('{node.value}')"
     elif isinstance(node, Var):
         ref = node.name
     else:
@@ -855,6 +871,7 @@ def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
                         memo[key] = _node_value(node, env, memo, space)
                     except ExprDomainError as err:
                         err.point = {name: _value(x) for name, x in env.items()}
+                        err.space = space
                         raise
         out.append(memo[id(root)])
     return out

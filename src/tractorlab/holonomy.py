@@ -273,6 +273,8 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
 
     Returns (log, retries, converged); each retry transports the shrunk loop
     alone, and `converged` says whether every retry's transport converged.
+    A loop still outside the branch after the last retry gives the principal
+    log of its last holonomy with `converged` False.
     """
     converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
@@ -286,7 +288,7 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
             converged = converged and rep["converged"]
         if max_abs(H - np.eye(H.shape[0])) < 1.0:
             return np.real(logm(H)), attempt, converged
-    raise RuntimeError("loop holonomy stayed outside the log branch radius after retries")
+    return np.real(logm(H)), max_retries, False
 
 
 def _default_loop_family(chart: ChartModel, base, count: int, seed: int, eps: float):

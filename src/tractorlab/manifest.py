@@ -203,17 +203,19 @@ def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
     """`err` as a ManifestError naming the first gamma entry that fails at
     the point where `err` was raised; `err` itself if none does.
 
-    Entries are evaluated as first-order jets: derived fields hold their
-    derivatives, which can fail where the value does not (sqrt at 0).
+    Entries are evaluated as jets in the space `err` was raised in, or as
+    first-order jets if it was raised on floats: derived fields hold
+    derivatives of the entries, which can fail where the value does not
+    (sqrt at 0, or a high power of a pole only in the higher coefficients).
     `entries` maps each declared "k,i,j" key to its expression, in manifest
     order, and `coords` are the chart's coordinates.
     """
     env = err.point
     if env is not None and set(coords) <= set(env):
-        first_order = JetSpace(len(coords), 1)
+        space = JetSpace.of(len(coords), 1) if err.space is None else err.space
         for key, e in entries.items():
             try:
-                first_order.evaluate([e], coords, [env[c] for c in coords])
+                space.evaluate([e], coords, [env[c] for c in coords])
             except ExprDomainError as entry_err:
                 return ManifestError(f"$['gamma'][{key!r}]: {entry_err}")
     return err

@@ -27,6 +27,7 @@ from .affine import (
     TensorValue,
     curvature_field,
     max_abs,
+    project_change,
     ricci_field,
     sample_points,
 )
@@ -127,19 +128,16 @@ def cotton_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("CY", build)
 
 
-def point_fields(chart: ChartModel, points, ups=None, degree: int = 2,
-                 jets: bool = False) -> dict:
+def point_fields(chart: ChartModel, points, degree: int = 2, jets: bool = False) -> dict:
     """The curvature fields at a point (n,) or a batch of points (B, n), on jets.
 
     Returns float arrays of shape (B,) + the field's shape (no leading axis
     for one point): "gamma", "R", "Ric", "P", "W", "CY", the tractor
     connection "M", "dRic" (dRic[i, j, l] = d_i Ric[j, l]), "nablaRic"
     (indexed as dRic), and the tractor curvature twice: "F" assembled from
-    W and CY, "F_M" = d_h M_j - d_j M_h + [M_h, M_j].  With `ups` (a
-    one-form) they are the fields of Gamma' = Gamma + Ups d + d Ups, built
-    from the jets of Gamma and Ups.  With `jets` the Taylor coefficients
-    come last instead; a field taking k derivatives of Gamma is exact to
-    degree - k.
+    W and CY, "F_M" = d_h M_j - d_j M_h + [M_h, M_j].  With `jets` the
+    Taylor coefficients come last instead; a field taking k derivatives of
+    Gamma is exact to degree - k.
     """
     if degree < 2:
         raise ValueError("the fields take two derivatives of Gamma; degree must be at least 2")
@@ -148,11 +146,6 @@ def point_fields(chart: ChartModel, points, ups=None, degree: int = 2,
     s1, s2 = space.sizes[degree - 1], space.sizes[degree - 2]
     eye = np.eye(n)
     G = space.evaluate(chart.gamma, chart.coords, points)
-    if ups is not None:
-        if not isinstance(ups, OneFormField):
-            ups = OneFormField(chart, np.asarray(ups, dtype=object))
-        U = space.evaluate(ups.components, chart.coords, points)
-        G = G + np.einsum("...iz,kj->...kijz", U, eye) + np.einsum("...jz,ki->...kijz", U, eye)
     G1 = G[..., :s1]
     dG = np.swapaxes(space.grad(G, 3, s1), -4, -3)  # d_h G^k_jl
     GG = space.contract("...khm,...mjl->...hjkl", G1, G1)  # G^k_hm G^m_jl
@@ -218,7 +211,7 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
     for ups in changes:
         if not isinstance(ups, OneFormField):
             ups = OneFormField(chart, np.asarray(ups, dtype=object))
-        after = point_fields(chart, pts, ups=ups)
+        after = point_fields(project_change(chart, ups), pts)
         worst_w = 0.0
         worst_cy = 0.0
         for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):

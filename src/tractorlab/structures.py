@@ -630,8 +630,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     results = transport_operators(chart, [Curve.segment(base, q) for q in stencil])
     ops = [T for T, _, _ in results]
 
-    gamma_vals = chart.evaluator(chart.gamma)
-    rho_vals = point_fields(chart, np.array(pts))["P"]
+    fields = point_fields(chart, np.array(pts))
 
     def frame_and_ups(T):
         B = T @ B0
@@ -651,7 +650,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     n_line = 0
     stride = 2 * n + 1
     omegas = []
-    for s_idx, p in enumerate(pts):
+    for s_idx in range(len(pts)):
         Y, c, upsv, degenerate = frame_and_ups(ops[s_idx * stride])
         if degenerate:
             n_line += 1
@@ -669,8 +668,8 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
             dY[i] = (Yp_ - Ym_) / (2 * fd_step)
             dU[i] = (up_ - um_) / (2 * fd_step)
         else:
-            G = gamma_vals(p)
-            P = rho_vals[s_idx]
+            G = fields["gamma"][s_idx]
+            P = fields["P"][s_idx]
             Yp = np.linalg.pinv(Y)
             off = np.eye(n) - Y @ Yp
             yscale = 1.0 + max_abs(Y)

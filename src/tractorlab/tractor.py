@@ -23,7 +23,6 @@ correspond to (Y, a + Ups(Y)) in the splitting of c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +31,6 @@ from .affine import ChartModel, Curve, _linear_transport, max_abs
 from .projective import point_fields, rho_field
 
 __all__ = [
-    "TractorVec",
-    "TractorEndo",
-    "AlgebraElement",
     "connection_matrix",
     "connection_matrix_field",
     "assemble_connection_matrix",
@@ -49,91 +45,6 @@ __all__ = [
     "loop_holonomies",
     "spread_structure",
 ]
-
-@dataclass(frozen=True)
-class TractorVec:
-    """Tractor components (Y, a) at a point, in a chart splitting."""
-
-    point: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-        if self.components.shape != (self.point.shape[0] + 1,):
-            raise ValueError("tractor components must have length n+1")
-
-    @property
-    def top(self) -> np.ndarray:
-        return self.components[:-1]
-
-    @property
-    def bottom(self) -> float:
-        return float(self.components[-1])
-
-
-@dataclass(frozen=True)
-class TractorEndo:
-    """Endomorphism of the tractor fiber at a point."""
-
-    point: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        m = self.point.shape[0] + 1
-        if self.matrix.shape != (m, m):
-            raise ValueError("endomorphism must be (n+1) x (n+1)")
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Graded element (X, A, nu) of the tractor algebra sl(n+1).
-
-    X is the tangent part, A the gl(n) part, nu the cotangent part; the
-    embedded matrix is [[A, X], [nu, -tr A]].
-    """
-
-    X: np.ndarray
-    A: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
-        n = self.X.shape[0]
-        if self.A.shape != (n, n) or self.nu.shape != (n,):
-            raise ValueError("block shapes are inconsistent")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = self.X.shape[0]
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = self.A
-        out[:n, n] = self.X
-        out[n, :n] = self.nu
-        out[n, n] = -np.trace(self.A)
-        return out
-
-    @staticmethod
-    def from_matrix(mat) -> "AlgebraElement":
-        mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0] - 1
-        if abs(np.trace(mat)) > 1e-9 * (1.0 + np.abs(mat).max()):
-            raise ValueError("matrix is not trace free")
-        return AlgebraElement(mat[:n, n], mat[:n, :n], mat[n, :n])
-
-    def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Blockwise Lie bracket; agrees with the matrix commutator."""
-        A1, X1, n1 = self.A, self.X, self.nu
-        A2, X2, n2 = other.A, other.X, other.nu
-        c1, c2 = -np.trace(A1), -np.trace(A2)
-        A = A1 @ A2 - A2 @ A1 + np.outer(X1, n2) - np.outer(X2, n1)
-        X = A1 @ X2 - A2 @ X1 + c2 * X1 - c1 * X2
-        nu = n1 @ A2 - n2 @ A1 + c1 * n2 - c2 * n1
-        return AlgebraElement(X, A, nu)
 
 
 # -- connection matrices --------------------------------------------------------

@@ -18,7 +18,6 @@ from tractorlab.affine import (
     ricci,
     sample_points,
     symmetrize,
-    transport_vector,
 )
 from tractorlab.expr import _source, compile_exprs, eval_many, num, parse, var
 from tractorlab.manifest import bundled_names, load_bundled
@@ -252,40 +251,6 @@ def test_projective_change_preserves_geodesic_traces():
         assert dist <= 1e-6
 
 
-def test_transport_preserves_metric_norm():
-    c = sphere_chart(2)
-    curve = Curve.from_strings(["0.3*cos(t)", "0.3*sin(t)"], 0.0, math.pi / 2)
-    v0 = np.array([0.2, -0.1])
-    v1, _, ok = transport_vector(c, curve, v0, tol=1e-10)
-    assert ok
-    gfield = TensorField(c, c.metric, "dd")
-    g0 = gfield.at(curve.point(0.0)).components
-    g1 = gfield.at(curve.point(curve.t1)).components
-    n0 = v0 @ g0 @ v0
-    n1 = v1 @ g1 @ v1
-    assert n1 == pytest.approx(n0, rel=1e-8)
-
-
-def test_transport_is_linear():
-    c = sphere_chart(2)
-    curve = Curve.segment([-0.2, -0.1], [0.3, 0.25])
-    a, b = 0.7, -1.3
-    v = np.array([0.4, 0.1])
-    w = np.array([-0.2, 0.5])
-    tv, _, _ = transport_vector(c, curve, v)
-    tw, _, _ = transport_vector(c, curve, w)
-    tboth, _, _ = transport_vector(c, curve, a * v + b * w)
-    assert max_abs(tboth - (a * tv + b * tw)) <= 1e-9
-
-
-def test_flat_transport_is_identity():
-    c = flat_chart(3)
-    curve = Curve.from_strings(["0.5*sin(t)", "t*t/4", "-0.3*t"], 0.0, 1.0)
-    v0 = np.array([1.0, -2.0, 0.5])
-    v1, _, _ = transport_vector(c, curve, v0)
-    assert max_abs(v1 - v0) <= 1e-12
-
-
 def test_sample_points_deterministic_and_inside():
     c = sphere_chart(3)
     a = sample_points(c, seed=11)
@@ -316,9 +281,6 @@ def test_curve_helpers():
     seg = Curve.segment([0.0, 1.0], [2.0, -1.0])
     assert max_abs(seg.point(0.5) - np.array([1.0, 0.0])) == 0.0
     assert max_abs(seg.velocity(0.3) - np.array([2.0, -2.0])) == 0.0
-    loop = Curve.from_strings(["cos(t)", "sin(t)"], 0.0, 2 * math.pi)
-    assert loop.is_closed(tol=1e-12)
-    assert not seg.is_closed()
 
 
 def test_evaluator_is_cached_per_field_and_shaped_like_it():

@@ -299,6 +299,49 @@ def test_derivative_failure_names_its_gamma_entry(tmp_path, capsys):
         "in 'sqrt(x1*x1 + x2*x2)'\n")
 
 
+def test_higher_order_jet_failure_names_its_gamma_entry(tmp_path, capsys):
+    # x1 is within round-off of 0 at the first sample point: the degree-2 jets
+    # of the fields overflow there, while the entry's first-order jet does not
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]], gamma={"0,1,1": "2/x1^7"})
+    path = tmp_path / "pole7.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compute", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == "error: $['gamma']['0,1,1']: overflow in '2/x1^7'\n"
+
+
+@pytest.mark.parametrize("entry", ["1e400*x1", "1e200/1e-300*x1"])
+def test_constant_beyond_the_float_range_is_an_input_error(tmp_path, capsys, entry):
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]], gamma={"0,1,1": entry})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compute", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $['gamma']['0,1,1']: number out of range (at position 0)\n")
+
+
+def test_derivative_of_a_function_of_a_huge_constant_runs(tmp_path):
+    # d/dx1 atan(u) = 1/(1 + u^2) * du/dx1: 1e200^2 stays unfolded, and du/dx1 is 0
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={"1,0,1": "atan(1e200)", "1,1,0": "atan(1e200)"})
+    path = tmp_path / "atan.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path), "--out",
+                     str(tmp_path / "r.json")]) == 0
+
+
+def test_constants_that_fold_to_inf_fail_a_check(tmp_path):
+    # every entry 1e300: the curvature folds 1e300*1e300 to inf, and inf - inf to nan
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={f"{k},{i},{j}": "1e300" for k in range(2) for i in range(2)
+                          for j in range(2)})
+    path = tmp_path / "e300.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["transport", "--manifest", str(path), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["all_pass"] is False
+
+
 def test_holonomy_and_detect_share_one_algebra_per_seed(monkeypatch):
     calls = []
     classified = []

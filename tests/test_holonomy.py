@@ -30,7 +30,12 @@ from tractorlab.expr import eval_many, parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.manifest import load_bundled
 from tractorlab.projective import cotton_field, weyl_field
-from tractorlab.tractor import assemble_tractor_curvature, connection_matrix_field, loop_holonomy
+from tractorlab.tractor import (
+    assemble_tractor_curvature,
+    connection_matrix_field,
+    loop_holonomy,
+    square_loop,
+)
 
 P3 = np.array([0.15, 0.25, 0.35])
 
@@ -309,6 +314,22 @@ def test_sphere2_loop_rank_zero():
     la = loop_algebra(sphere_chart(2), np.array([0.1, -0.2]), count=3)
     assert la.rank == 0
     assert la.details["loops_only_rank"] == 0
+
+
+def test_loop_outside_the_log_branch_after_every_retry_fails_the_trace_check():
+    # |Gamma| <= 1000 keeps every transport convergent, while curvature up to
+    # 4e5 keeps the square's holonomy outside the branch through five halvings
+    chart = ChartModel(("x1", "x2"), np.zeros((2, 2, 2)), [[-0.8, 0.8], [-0.8, 0.8]])
+    gamma = chart.gamma.copy()
+    gamma[0, 1, 1] = chart.parse("1000*sin(400*x1)")
+    gamma[1, 0, 1] = gamma[1, 1, 0] = chart.parse("1000*sin(400*x2)")
+    chart = chart.with_gamma(gamma)
+    base = chart.center()
+    H, rep = loop_holonomy(chart, square_loop(base, 0, 1, 0.04 / 2 ** 5), tol=1e-10)
+    assert rep["converged"] and np.abs(H - np.eye(3)).max() >= 1.0
+    la = loop_algebra(chart, base, loop_family=[square_loop(base, 0, 1, 0.04)])
+    assert la.details["log_retries"] == 5
+    assert la.trace_free_residual == np.inf
 
 
 @pytest.mark.parametrize("seed", range(4))

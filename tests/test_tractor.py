@@ -10,17 +10,13 @@ from tractorlab.affine import (
     project_change,
     rk4_adaptive,
     sample_points,
-    transport_vector,
 )
 from tractorlab.expr import compile_exprs
 from tractorlab.manifest import load_bundled
 from tractorlab.library import flat_chart, polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.projective import rho
 from tractorlab.tractor import (
-    AlgebraElement,
     connection_matrix_field,
-    TractorEndo,
-    TractorVec,
     connection_matrix,
     loop_holonomy,
     parallel_transport,
@@ -180,31 +176,6 @@ def test_spread_structure_flat_closed_forms():
         assert max_abs(spread_k[idx] - T @ K0 @ Tinv) <= 1e-9
 
 
-def test_algebra_element_bracket_matches_matrix_commutator():
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        e1 = AlgebraElement(rng.normal(size=3), rng.normal(size=(3, 3)), rng.normal(size=3))
-        e2 = AlgebraElement(rng.normal(size=3), rng.normal(size=(3, 3)), rng.normal(size=3))
-        lhs = e1.bracket(e2).matrix
-        rhs = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
-        assert max_abs(lhs - rhs) <= 1e-12
-        assert abs(np.trace(lhs)) <= 1e-12
-    back = AlgebraElement.from_matrix(e1.matrix)
-    assert max_abs(back.matrix - e1.matrix) <= 1e-15
-    with pytest.raises(ValueError):
-        AlgebraElement.from_matrix(np.eye(4))
-
-
-def test_tractor_value_validation():
-    with pytest.raises(ValueError):
-        TractorVec(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        TractorEndo(np.zeros(3), np.zeros((3, 3)))
-    v = TractorVec(np.zeros(2), np.array([1.0, 2.0, 3.0]))
-    assert v.bottom == 3.0
-    assert max_abs(v.top - np.array([1.0, 2.0])) == 0.0
-
-
 def test_open_loop_is_rejected():
     c = flat_chart(2)
     segs = [Curve.segment([0.0, 0.0], [0.5, 0.0]), Curve.segment([0.5, 0.0], [0.5, 0.5])]
@@ -244,15 +215,11 @@ def test_transports_match_pointwise_rk4_and_are_batch_invariant():
     c = m.chart
     base = m.base()
     M_at = c.evaluator(connection_matrix_field(c))
-    g_at = c.evaluator(c.gamma)
     curves = [Curve.segment(base, base + SPHERE3_SHIFT), CURVED]
     v = np.array([0.3, 1.0, -0.5, 0.2])
-    w = np.array([0.3, 1.0, -0.5])
     for curve in curves:
         cases = [(transport_operator(c, curve), pointwise_transport(M_at, curve, np.eye(4))),
-                 (parallel_transport(c, curve, v), pointwise_transport(M_at, curve, v)),
-                 (transport_vector(c, curve, w),
-                  pointwise_transport(lambda x: g_at(x).transpose(1, 0, 2), curve, w))]
+                 (parallel_transport(c, curve, v), pointwise_transport(M_at, curve, v))]
         for got, ref in cases:
             assert_matches_pointwise(*got, *ref)
     # one batch: segments of different lengths leave it at different levels
