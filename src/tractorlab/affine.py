@@ -3,9 +3,8 @@
 A chart is a box in R^n with named coordinates and Christoffel symbols
 Gamma^k_{ij} given as symbolic expressions.  This module provides the
 affine-level operations: curvature and Ricci tensors, projective change of
-connection, volume normalization, covariant derivatives of symbolic tensor
-fields, geodesic integration, and the batched RK4 kernel behind every
-linear transport.
+connection, volume normalization, geodesic integration, and the batched RK4
+kernel behind every linear transport.
 
 Index conventions used throughout the package:
 
@@ -29,7 +28,6 @@ from .expr import Expr, compile_exprs, eval_many, num, parse, var, FUNCTION_NAME
 __all__ = [
     "ChartModel",
     "TensorValue",
-    "TensorField",
     "OneFormField",
     "Curve",
     "GeodesicPath",
@@ -38,7 +36,6 @@ __all__ = [
     "ricci",
     "project_change",
     "normalize_volume",
-    "covariant_derivative",
     "integrate_geodesic",
     "sample_points",
     "max_abs",
@@ -74,13 +71,13 @@ class ChartModel:
     """A coordinate box with Christoffel symbols as symbolic expressions.
 
     Values of the curvature fields at sample points come from Taylor jets
-    of `gamma` (`projective.point_fields`), not from compiled fields.  The
-    symbolic derived fields (curvature, rho, Weyl, the tractor connection,
-    ...) are object arrays built once per chart through `symbolic(key,
-    builder)`; of those only the tractor connection is compiled, for
-    transport.  `evaluator(field)` compiles a field the chart owns -- such
-    an array, `gamma` or `metric` -- into a callable cached by the field
-    itself that maps a point to values of the field's shape.
+    of `gamma` (`projective.point_fields`), not from compiled fields.
+    Derived arrays, and the transport connection, are built once per chart
+    through `symbolic(key, builder)`; transport compiles `gamma` with the
+    partials the curvature needs and assembles the tractor connection from
+    them in numpy (`tractor.connection_field`).  `evaluator(field)` compiles a field the
+    chart owns -- such an array, `gamma` or `metric` -- into a callable
+    cached by the field itself that maps a point to values of its shape.
     """
 
     def __init__(self, coords: Sequence[str], gamma, domain, metric=None, name: str = ""):
@@ -131,9 +128,10 @@ class ChartModel:
     def evaluator(self, field: np.ndarray) -> Callable[[object], np.ndarray]:
         """Compiled values of `field` at a point or at a batch of points.
 
-        Compiling pays off for fields evaluated at many points, such as the
-        tractor connection at every RK4 stage of a transport; values at a
-        few sample points are cheaper on jets (`projective.point_fields`).
+        Compiling pays off for fields evaluated at many points, such as
+        the program behind the tractor connection at every RK4 stage of a
+        transport; values at a few sample points are cheaper on jets
+        (`projective.point_fields`).
         `field` is a symbolic array this chart owns (a `symbolic` result,
         `gamma` or `metric`).  The callable maps a point of shape (n,) to
         values in `field.shape`, and a batch of shape (B, n) to values in
@@ -202,31 +200,6 @@ class TensorValue:
         object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
         if self.components.ndim != len(self.variance):
             raise ValueError("variance string must have one letter per tensor slot")
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Symbolic tensor field on a chart."""
-
-    chart: ChartModel
-    components: np.ndarray
-    variance: str
-
-    def __post_init__(self):
-        raw = np.asarray(self.components, dtype=object)
-        comps = _as_expr_array(raw, raw.shape)
-        object.__setattr__(self, "components", comps)
-        if comps.ndim != len(self.variance):
-            raise ValueError("variance string must have one letter per tensor slot")
-        if any(v not in "ud" for v in self.variance):
-            raise ValueError("variance letters must be 'u' or 'd'")
-        if comps.shape != (self.chart.n,) * comps.ndim:
-            raise ValueError("tensor components must be n in every slot")
-
-    def at(self, point) -> TensorValue:
-        p = np.asarray(point, dtype=float)
-        out = np.array(eval_many(self.components.ravel(), self.chart.env(p)), dtype=float)
-        return TensorValue(p, out.reshape(self.components.shape), self.variance)
 
 
 @dataclass(frozen=True)
@@ -406,29 +379,6 @@ def normalize_volume(chart: ChartModel) -> tuple[ChartModel, OneFormField]:
     label = f"{chart.name}/vol" if chart.name else "volume-normalized"
     out.name = label
     return out, form
-
-
-def covariant_derivative(chart: ChartModel, tensor: TensorField) -> TensorField:
-    """Covariant derivative; result gains a leading lower slot."""
-    if tensor.chart is not chart:
-        raise ValueError("tensor field belongs to a different chart")
-    n = chart.n
-    shape = tensor.components.shape
-    out = np.empty((n,) + shape, dtype=object)
-    for a in range(n):
-        name = chart.coords[a]
-        for idx in np.ndindex(*shape) if shape else [()]:
-            term = tensor.components[idx].diff(name)
-            for slot, letter in enumerate(tensor.variance):
-                i_s = idx[slot]
-                for m in range(n):
-                    swapped = idx[:slot] + (m,) + idx[slot + 1 :]
-                    if letter == "u":
-                        term = term + chart.gamma[i_s, a, m] * tensor.components[swapped]
-                    else:
-                        term = term - chart.gamma[m, a, i_s] * tensor.components[swapped]
-            out[(a,) + idx] = term
-    return TensorField(chart, out, "d" + tensor.variance)
 
 
 # -- integration -------------------------------------------------------------------

@@ -6,16 +6,16 @@ order.  A small fixed grammar keeps that tractable: numeric literals, named
 coordinates, ``+ - * /``, integer powers written ``base^k``, and a closed
 set of unary functions (``sin cos tan exp log sqrt atan``).
 
-Expressions are immutable trees.  Differentiation returns a new tree and is
-exact; the only simplification performed is constant folding plus the
-additive/multiplicative identities, which is enough to keep derivative
-towers from filling up with structural zeros.  One interpreter,
-:func:`eval_many`, evaluates expressions; it walks them as a DAG with an
-explicit stack and is the one place that holds the domain rules.
-:func:`compile_exprs` emits plain Python source using the ``math`` module
-for hot paths such as transport integration, for one point or for a numpy
-batch of points with the same results; when that code fails at a point it
-re-evaluates there with the interpreter to report the error.
+Expressions are immutable trees.  Differentiation (forward mode,
+:func:`tangents`) returns new trees and is exact; the only simplification
+performed is constant folding plus the additive/multiplicative identities,
+which is enough to keep derivative towers from filling up with structural
+zeros.  One interpreter, :func:`eval_many`, evaluates expressions; it walks
+them as a DAG with an explicit stack and is the one place that holds the
+domain rules.  :func:`compile_exprs` emits plain Python source using the
+``math`` module for hot paths such as transport integration, for one point
+or for a numpy batch of points with the same results; when that code fails
+at a point it re-evaluates there with the interpreter to report the error.
 
 Domain problems (``log`` of a non-positive number, division by zero, even
 roots of negatives, overflow) raise :class:`ExprDomainError` naming the
@@ -44,6 +44,7 @@ __all__ = [
     "var",
     "compile_exprs",
     "eval_many",
+    "tangents",
     "FUNCTION_NAMES",
 ]
 
@@ -135,21 +136,10 @@ class Expr:
 
     def diff(self, name: str) -> "Expr":
         """Exact partial derivative with respect to the coordinate `name`."""
-        return self._diff(name, {})
+        return tangents([self], (name,))[0][0]
 
     def eval(self, env: Mapping[str, float]) -> float:
         return eval_many((self,), env)[0]
-
-    def _diff(self, name: str, memo: dict) -> "Expr":
-        key = id(self)
-        hit = memo.get(key)
-        if hit is None:
-            hit = self._diff_impl(name, memo)
-            memo[key] = hit
-        return hit
-
-    def _diff_impl(self, name: str, memo: dict) -> "Expr":
-        raise NotImplementedError
 
     def is_zero(self) -> bool:
         return isinstance(self, Num) and self.value == 0.0
@@ -188,8 +178,6 @@ class Num(Expr):
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("expressions are immutable")
 
-    def _diff_impl(self, name, memo):
-        return _ZERO
 
     def to_string(self):
         v = self.value
@@ -208,8 +196,6 @@ class Var(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def _diff_impl(self, name, memo):
-        return _ONE if self.name == name else _ZERO
 
     def to_string(self):
         return self.name
@@ -230,8 +216,6 @@ class Add(_Binary):
     __slots__ = ()
     _PREC = 10
 
-    def _diff_impl(self, name, memo):
-        return _add(self.left._diff(name, memo), self.right._diff(name, memo))
 
     def to_string(self):
         return f"{self._paren(self.left)} + {self._paren(self.right)}"
@@ -241,8 +225,6 @@ class Sub(_Binary):
     __slots__ = ()
     _PREC = 10
 
-    def _diff_impl(self, name, memo):
-        return _sub(self.left._diff(name, memo), self.right._diff(name, memo))
 
     def to_string(self):
         return f"{self._paren(self.left)} - {self._paren(self.right, strict=True)}"
@@ -252,10 +234,6 @@ class Mul(_Binary):
     __slots__ = ()
     _PREC = 20
 
-    def _diff_impl(self, name, memo):
-        da = self.left._diff(name, memo)
-        db = self.right._diff(name, memo)
-        return _add(_mul(da, self.right), _mul(self.left, db))
 
     def to_string(self):
         return f"{self._paren(self.left)}*{self._paren(self.right)}"
@@ -265,11 +243,6 @@ class Div(_Binary):
     __slots__ = ()
     _PREC = 20
 
-    def _diff_impl(self, name, memo):
-        da = self.left._diff(name, memo)
-        db = self.right._diff(name, memo)
-        numer = _sub(_mul(da, self.right), _mul(self.left, db))
-        return _div(numer, _mul(self.right, self.right))
 
     def to_string(self):
         return f"{self._paren(self.left)}/{self._paren(self.right, strict=True)}"
@@ -285,8 +258,6 @@ class Neg(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def _diff_impl(self, name, memo):
-        return _neg(self.operand._diff(name, memo))
 
     def to_string(self):
         return f"-{self._paren(self.operand, strict=True)}"
@@ -303,9 +274,6 @@ class Pow(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def _diff_impl(self, name, memo):
-        da = self.base._diff(name, memo)
-        return _mul(_mul(Num(self.exponent), _pow(self.base, self.exponent - 1)), da)
 
     def to_string(self):
         return f"{self._paren(self.base, strict=True)}^{self.exponent}"
@@ -322,9 +290,6 @@ class Call(Expr):
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def _diff_impl(self, name, memo):
-        da = self.arg._diff(name, memo)
-        return _mul(_chain_rule(self.func, self.arg), da)
 
     def to_string(self):
         return f"{self.func}({self.arg.to_string()})"
@@ -418,22 +383,79 @@ def _pow(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
-def _chain_rule(func: str, u: Expr) -> Expr:
-    if func == "sin":
+def _tangent_factor(node: Call) -> Expr:
+    """f'(u) of a call f(u), reusing the call's own node where f' allows."""
+    f, u = node.func, node.arg
+    if f == "sin":
         return Call("cos", u)
-    if func == "cos":
+    if f == "cos":
         return _neg(Call("sin", u))
-    if func == "tan":
-        return _add(_ONE, _pow(Call("tan", u), 2))
-    if func == "exp":
-        return Call("exp", u)
-    if func == "log":
+    if f == "tan":
+        return _add(_ONE, _pow(node, 2))
+    if f == "exp":
+        return node
+    if f == "log":
         return _div(_ONE, u)
-    if func == "sqrt":
-        return _div(_ONE, _mul(Num(2.0), Call("sqrt", u)))
-    if func == "atan":
+    if f == "sqrt":
+        return _div(Num(0.5), node)
+    if f == "atan":
         return _div(_ONE, _add(_ONE, _pow(u, 2)))
-    raise AssertionError(f"no derivative rule for '{func}'")
+    raise AssertionError(f"no derivative rule for '{f}'")
+
+
+def tangents(exprs: Iterable[Expr], coords: Sequence[str]) -> list:
+    """First partials of every expression in every coordinate, as Expr nodes.
+
+    Forward mode by source transformation (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 3): one walk over the expressions as a DAG,
+    memoised on node identity, gives each node its n tangents, built from
+    its operands' tangents and the value nodes themselves, so values and
+    tangents compiled together evaluate every shared node once.  A quotient
+    q = a/b has tangent (da - q*db)/b, and tan, exp and sqrt reuse their own
+    node; the constructors fold the zeros.  Returns one list per coordinate,
+    in the order of `coords`, of the partials in the order of `exprs`.
+    """
+    index = {c: h for h, c in enumerate(coords)}
+    zeros = (_ZERO,) * len(coords)
+    memo: dict = {}
+
+    def rule(node):
+        t = type(node)
+        if t is Num:
+            return zeros
+        if t is Var:
+            h = index.get(node.name)
+            return zeros if h is None else zeros[:h] + (_ONE,) + zeros[h + 1:]
+        da = memo[id(_node_children(node)[0])]
+        if t is Neg:
+            return tuple(_neg(x) for x in da)
+        if t is Pow or t is Call:
+            factor = (_tangent_factor(node) if t is Call else
+                      _mul(Num(node.exponent), _pow(node.base, node.exponent - 1)))
+            return tuple(_mul(factor, x) for x in da)
+        a, b, db = node.left, node.right, memo[id(node.right)]
+        if t is Add:
+            return tuple(_add(x, y) for x, y in zip(da, db))
+        if t is Sub:
+            return tuple(_sub(x, y) for x, y in zip(da, db))
+        if t is Mul:
+            return tuple(_add(_mul(x, b), _mul(a, y)) for x, y in zip(da, db))
+        return tuple(_div(_sub(x, _mul(node, y)), b) for x, y in zip(da, db))  # Div
+
+    roots = list(exprs)
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            pending = [c for c in _node_children(node) if id(c) not in memo]
+            if pending:
+                stack.extend(pending)
+            else:
+                memo[id(stack.pop())] = rule(node)
+    return [[memo[id(e)][h] for e in roots] for h in range(len(coords))]
 
 
 def _structurally_equal(a: Expr, b: Expr) -> bool:
@@ -694,9 +716,9 @@ def _source(exprs: list, coords: Sequence[str], batch: bool) -> str:
             if ref not in outputs:
                 lines[i] += f"; del {ref}"
         src = ["def _compiled(_X):", f"    {', '.join(coords)}, = _X.T", *lines]
-        src.append(f"    _out = _empty((_X.shape[0], {len(refs)}))")
-        src.extend(f"    _out[:, {j}] = {ref}" for j, ref in enumerate(refs))
-        src.append("    return _out")
+        src.append(f"    _out = _empty(({len(refs)}, _X.shape[0]))")  # a contiguous row per output
+        src.extend(f"    _out[{j}] = {ref}" for j, ref in enumerate(refs))
+        src.append("    return _out.T")
     else:
         src = [f"def _compiled({', '.join(coords)}):"]
         src.extend(lines)
@@ -721,7 +743,9 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     array of the k expressions, in order; the values are taken as Python
     floats, so a numpy scalar input fails like a float one.  Called with a
     single (B, n) array of points it returns a (B, k) array, bit for bit the
-    rows the pointwise call gives: arithmetic runs on whole columns, while
+    rows the pointwise call gives (the transpose of one contiguous row per
+    expression, so each expression's values are contiguous): arithmetic runs
+    on whole columns, while
     functions and powers go element by element through the same scalar
     routines.  Shared subtrees, and subexpressions that are equal term by
     term, are evaluated once; batch code frees each temporary column after

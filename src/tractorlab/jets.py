@@ -16,8 +16,9 @@ A jet may hold one point or a batch: coefficients of shape (size,) or
 (B, size), composed point by point, with the domain rules at every point.
 `JetSpace.evaluate` seeds the coordinates at a point or a (B, n) batch and
 walks the expressions once.  This is how the curvature fields are valued
-at sample points (`projective.point_fields`); of the derived fields, only
-the tractor connection is compiled, for transport.
+at sample points (`projective.point_fields`).  Transport instead compiles
+the Christoffel symbols with their first partials (`expr.tangents`) and
+assembles the tractor connection from those values at every stage.
 """
 
 from __future__ import annotations
@@ -131,9 +132,17 @@ class JetSpace:
 
     def compose(self, b: np.ndarray, series) -> np.ndarray:
         """f(b) by Horner's rule in b - b(p), where series(b0, degree) gives the
-        Taylor coefficients of f at one value b0; each point has its own."""
-        degree = self.sizes.index(b.shape[-1])
-        coeffs = np.array([series(b0, degree) for b0 in b[..., 0].ravel().tolist()])
+        Taylor coefficients of f at one value b0; each point has its own.  A
+        b with no non-constant coefficients zeroes every coefficient past
+        f(b0), so one that overflows is dropped, not raised; the rules on
+        f(b0) and on whether f has derivatives at b0 still apply."""
+        degree, values = self.sizes.index(b.shape[-1]), b[..., 0].ravel().tolist()
+        try:
+            coeffs = np.array([series(b0, degree) for b0 in values])
+        except OverflowError:
+            if b[..., 1:].any():
+                raise
+            degree, coeffs = 0, np.array([series(b0, 0) for b0 in values])
         coeffs = coeffs.reshape(b.shape[:-1] + (degree + 1,))
         h = b.copy()
         h[..., 0] = 0.0

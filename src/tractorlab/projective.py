@@ -12,9 +12,10 @@ The central objects:
 Values at sample points come from Taylor jets (`point_fields`): the
 Christoffel symbols are expanded to degree 2 at a batch of points in one
 walk, and every field is a few vectorized contractions of those jets.  The
-symbolic fields (`rho_field`, `weyl_field`, `cotton_field`) remain for the
-tractor connection, whose compiled form drives transport, and as a
-reference; nothing here compiles them.
+symbolic fields (`rho_field`, `weyl_field`, `cotton_field`) remain as a
+reference only: transport assembles the tractor connection from compiled
+Christoffel symbols and their first partials (`tractor.connection_field`),
+and nothing here compiles them.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ acts through the matrix
 
 so that parallel transport along x(t) solves vdot = -M(xdot) v.  The weight
 term w_i makes every M_i trace free; transport operators therefore have
-determinant one.  The curvature of this connection is block triangular,
+determinant one.  M needs Gamma and its first partials only: transport
+compiles those once per chart and assembles P and M from their values in
+numpy (`connection_field`), building no curvature symbolically.  The
+curvature of this connection is block triangular,
 
     F_{hj} = [[W_{hj}, 0], [CY_{hj}, 0]],
 
@@ -23,17 +26,17 @@ correspond to (Y, a + Ups(Y)) in the splitting of c.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .affine import ChartModel, Curve, _linear_transport, max_abs
-from .projective import point_fields, rho_field
+from .expr import tangents
+from .projective import point_fields
 
 __all__ = [
+    "connection_field",
     "connection_matrix",
-    "connection_matrix_field",
-    "assemble_connection_matrix",
     "splitting_matrix",
     "assemble_tractor_curvature",
     "tractor_curvature",
@@ -50,41 +53,101 @@ __all__ = [
 # -- connection matrices --------------------------------------------------------
 
 
-def _zero_of(x):
-    """The zero of the ring the scalar x belongs to: float, Expr or jet."""
-    return x * 0.0 + 0.0  # the + 0.0 turns -0.0 into 0.0
+def _connection_program(chart: ChartModel) -> np.ndarray:
+    """Gamma^k_ij, then the derivative terms of R[k, j, k, l], d_k Gamma^k_jl -
+    d_j Gamma^k_kl, as one flat array.  Each d_h comes from a forward-mode walk
+    (`expr.tangents`) over the entries it applies to: Gamma^h_jl, Gamma^k_kl."""
+    def build():
+        n, flat = chart.n, list(chart.gamma.ravel())
+        d = {}  # (h, e) -> d_h of flat[e], with e = (k*n + i)*n + j
+        for h, name in enumerate(chart.coords):
+            used = sorted({(h * n + j) * n + l for j in range(n) for l in range(n)}
+                          | {(k * n + k) * n + l for k in range(n) for l in range(n)})
+            d.update(((h, e), t) for e, t in zip(used, tangents([flat[e] for e in used],
+                                                                 (name,))[0]))
+        return np.array(flat + [d[k, (k * n + j) * n + l] - d[j, (k * n + k) * n + l]
+                                for k, j, l in np.ndindex(n, n, n)], dtype=object)
+
+    return chart.symbolic("Mprog", build)
 
 
-def assemble_connection_matrix(gamma, rho_comps) -> np.ndarray:
-    """M_i from gamma[k,i,j] and P, shape (n, n+1, n+1); works on Expr or jets."""
-    n = gamma.shape[0]
-    zero = _zero_of(gamma[0, 0, 0])
-    M = np.empty((n, n + 1, n + 1), dtype=object)
-    for i in range(n):
-        w = sum((gamma[m, i, m] for m in range(n)), zero) / float(-(n + 1))
-        for k in range(n):
-            for m in range(n):
-                entry = gamma[k, i, m]
-                if k == m:
-                    entry = entry + w
-                M[i, k, m] = entry
-            M[i, k, n] = zero + 1.0 if k == i else zero
-        for m in range(n):
-            M[i, n, m] = rho_comps[i, m]
-        M[i, n, n] = w
-    return M
+def _assemble_connection(values: np.ndarray, steps: list, out: np.ndarray) -> None:
+    """M_i into `out` (B, n, n+1, n+1) from rows of `_connection_program` values.
+
+    The work runs on one row per entry, so each numpy call spans the batch.
+    R[k, j, k, l], Ric and P are summed in the order of `assemble_curvature`,
+    `assemble_ricci` and `assemble_rho`: the derivative terms, the m-terms
+    one m = c at a time, then the sum over k.  `steps` lists (k, c, first,
+    second): like the symbolic chain, a product whose factors are literal
+    zeros is left out, so with the same derivatives this is its M bit for bit.
+    """
+    B, n, m = len(values), out.shape[1], out.shape[2]
+    G = values[:, :n ** 3].T.reshape(n, n, n, B)  # G[k, i, j, b]
+    A = values[:, n ** 3:].T.reshape(n, n, n, B)  # A[k, j, l, b], summed in place
+    t1, t2 = np.empty((n, n, B)), np.empty((n, n, B))
+    for k, c, first, second in steps:  # Gamma^k_kc Gamma^c_jl - Gamma^k_jc Gamma^c_kl
+        if second:
+            np.multiply(G[k, :, c, None], G[c, k, None], out=t2)
+        if first:
+            np.multiply(G[k, k, c], G[c], out=t1)
+            if second:
+                t1 -= t2
+            A[k] += t1
+        elif second:
+            A[k] -= t2
+    ric, tr = A[0], G[0, :, 0].copy()
+    for k in range(1, n):
+        ric += A[k]
+        tr += G[k, :, k]
+    Mt = out.reshape(B, n * m * m).T.reshape(n, m, m, B)  # Mt[i, r, s] = M_i[r, s], a view
+    Mt[:, :n, :n] = G.swapaxes(0, 1)
+    w = np.divide(tr, float(-(n + 1)), out=Mt[:, n, n])
+    Mt.reshape(n, m * m, B)[:, :n * m + n:m + 1] += w[:, None]  # Gamma_i's diagonal
+    Mt[:, :n, n] = np.eye(n)[:, :, None]
+    P = np.multiply(float(n), ric, out=t1)
+    P += ric.swapaxes(0, 1)
+    P *= -(1.0 / float(n * n - 1))
+    Mt[:, n, :n] = P
 
 
-def connection_matrix_field(chart: ChartModel) -> np.ndarray:
-    """Symbolic M_i, shape (n, n+1, n+1)."""
-    return chart.symbolic("Mconn", lambda: assemble_connection_matrix(chart.gamma,
-                                                                      rho_field(chart)))
+# Points per program call and assembly: each point's M depends on that point
+# alone, and chunks bound the temporaries of a large batch.
+_CHUNK = 2048
+
+
+def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
+    """M_i at a batch of points (B, n), shape (B, n, n+1, n+1).
+
+    Gamma and the first partials the curvature needs are compiled once per
+    chart as one program (`_connection_program`), and Ric, P and M are
+    assembled from their values in numpy; no curvature is built
+    symbolically.  The callable is built once per chart.
+    """
+    def build():
+        program, n = _connection_program(chart), chart.n
+        values = chart.evaluator(program)
+        zero = np.array([e.is_zero() for e in program[:n ** 3]]).reshape(n, n, n)
+        steps = [(k, c, not (zero[k, k, c] or zero[c].all()),
+                  not (zero[k, :, c].all() or zero[c, k].all())) for k, c in np.ndindex(n, n)]
+
+        def field(points) -> np.ndarray:
+            points = np.asarray(points, dtype=float)
+            M = np.empty((len(points), n, n + 1, n + 1))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
+                for s in range(0, len(points), _CHUNK):
+                    _assemble_connection(values(points[s:s + _CHUNK]), steps, M[s:s + _CHUNK])
+            return M
+
+        return field
+
+    return chart.symbolic("Mfield", build)
 
 
 def connection_matrix(chart: ChartModel, point, direction) -> np.ndarray:
-    """M(X) = X^i M_i at a point; vdot = -M(xdot) v transports tractors."""
+    """M(X) = X^i M_i at a point, bit for bit the row of a batch; vdot =
+    -M(xdot) v transports tractors."""
     X = np.asarray(direction, dtype=float)
-    M = chart.evaluator(connection_matrix_field(chart))(np.asarray(point, dtype=float))
+    M = connection_field(chart)(np.asarray(point, dtype=float)[None])[0]
     return np.einsum("i,ikl->kl", X, M)
 
 
@@ -108,7 +171,7 @@ def assemble_tractor_curvature(W, CY) -> np.ndarray:
     """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats, Expr or jets."""
     n = W.shape[0]
     F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
-    F[...] = _zero_of(W[0, 0, 0, 0]) if W.dtype == object else 0.0
+    F[...] = W[0, 0, 0, 0] * 0.0 + 0.0 if W.dtype == object else 0.0  # Expr or jet zero
     F[:, :, :n, :n] = W
     F[:, :, n, :n] = CY
     return F
@@ -129,14 +192,13 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 
 def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
-    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), [curve], v0, tol)[0]
+    return _linear_transport(connection_field(chart), [curve], v0, tol)[0]
 
 
 def transport_operators(chart: ChartModel, curves: Sequence[Curve], tol: float = 1e-8) -> list:
     """Transport operators along several curves of one chart, integrated as
     one batch; returns [(T, steps, ok)] in the order of `curves`."""
-    return _linear_transport(chart.evaluator(connection_matrix_field(chart)), curves,
-                             np.eye(chart.n + 1), tol)
+    return _linear_transport(connection_field(chart), curves, np.eye(chart.n + 1), tol)
 
 
 def transport_operator(chart: ChartModel, curve: Curve, tol: float = 1e-8):

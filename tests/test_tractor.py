@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from tractorlab import affine
+from tractorlab import affine, cli, expr
 from tractorlab.affine import (
     Curve,
     _linear_transport,
@@ -12,11 +12,11 @@ from tractorlab.affine import (
     sample_points,
 )
 from tractorlab.expr import compile_exprs
-from tractorlab.manifest import load_bundled
+from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.library import flat_chart, polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.projective import rho
 from tractorlab.tractor import (
-    connection_matrix_field,
+    connection_field,
     connection_matrix,
     loop_holonomy,
     parallel_transport,
@@ -26,10 +26,14 @@ from tractorlab.tractor import (
     tractor_curvature,
     tractor_curvature_from_connection,
     transport_operator,
+    transport_operators,
 )
+
+from oracle import connection_matrix_field
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])
+SPHERE3_SHIFT = np.array([0.3, -0.2, 0.25])
 
 
 def test_connection_matrix_blocks():
@@ -44,6 +48,44 @@ def test_connection_matrix_blocks():
     assert M[2, 2] == pytest.approx(w, abs=1e-13)
     gl = np.einsum("i,kim->km", X, g) + w * np.eye(2)
     assert max_abs(M[:2, :2] - gl) <= 1e-13
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_connection_field_matches_the_symbolic_chain(name):
+    # the numpy assembly sums in the chain's order, so M agrees bit for bit
+    m = load_bundled(name)
+    pts = m.sample()
+    charts = [m.chart] + [project_change(m.chart, ups) for ups in cli._random_ups(m, 0, 3)]
+    for chart in charts:
+        want = chart.evaluator(connection_matrix_field(chart))(pts)
+        got = connection_field(chart)(pts)
+        assert got.shape == want.shape == (len(pts), chart.n, chart.n + 1, chart.n + 1)
+        assert got.tobytes() == want.tobytes(), chart.name
+        X = np.linspace(-1.0, 1.0, chart.n)
+        for p, row in zip(pts[:5], got):  # one point is the row of a batch, bit for bit
+            want = np.einsum("i,ikl->kl", X, row)
+            assert connection_matrix(chart, p, X).tobytes() == want.tobytes()
+
+
+def test_connection_matrix_compiles_what_transport_uses(monkeypatch):
+    # a warm-up call to connection_matrix leaves transport nothing to compile
+    m = load_bundled("sphere3")
+    chart, base = m.chart, m.base()
+    connection_matrix(chart, base, np.eye(3)[0])
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((affine, "compile_exprs"), (expr, "compile_exprs"),
+                         (expr, "_exec_source")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    curves = [Curve.segment(base, base + SPHERE3_SHIFT)] + square_loop(base, 0, 1, 0.08)
+    assert all(ok for _, _, ok in transport_operators(chart, curves))
+    assert calls == []
 
 
 def test_connection_matrix_is_trace_free():
@@ -183,14 +225,15 @@ def test_open_loop_is_rejected():
         loop_holonomy(c, segs)
 
 
-def pointwise_transport(field_at, curve, y0, tol=1e-8):
-    """Linear transport with one field evaluation per right-hand side call."""
+def pointwise_transport(field, curve, y0, tol=1e-8):
+    """Linear transport with one field evaluation, at one point, per
+    right-hand side call."""
     xs = compile_exprs(curve.components, ("t",))
     vs = compile_exprs(curve.velocity_exprs(), ("t",))
     y0 = np.asarray(y0, dtype=float)
 
     def f(t, y):
-        Mx = np.einsum("i,ikl->kl", vs(t), field_at(xs(t)))
+        Mx = np.einsum("i,ikl->kl", vs(t), field(xs(t)[None])[0])
         return (-Mx @ y.reshape(y0.shape)).ravel()
 
     out, steps, ok = rk4_adaptive(f, y0.ravel(), curve.t0, curve.t1, tol=tol)
@@ -205,7 +248,6 @@ def assert_matches_pointwise(y, steps, ok, y_ref, steps_ref, ok_ref):
     assert max_abs(y - y_ref) <= 1e-14 * (1.0 + max_abs(y_ref))
 
 
-SPHERE3_SHIFT = np.array([0.3, -0.2, 0.25])
 # stage times on [0.1, 0.7] are not dyadic, so levels share few of them
 CURVED = Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7)
 
@@ -214,7 +256,7 @@ def test_transports_match_pointwise_rk4_and_are_batch_invariant():
     m = load_bundled("sphere3")
     c = m.chart
     base = m.base()
-    M_at = c.evaluator(connection_matrix_field(c))
+    M_at = connection_field(c)
     curves = [Curve.segment(base, base + SPHERE3_SHIFT), CURVED]
     v = np.array([0.3, 1.0, -0.5, 0.2])
     for curve in curves:
@@ -237,7 +279,7 @@ def test_transports_match_pointwise_rk4_and_are_batch_invariant():
 
 def test_pairwise_product_takes_an_odd_step_count(monkeypatch):
     m = load_bundled("sphere3")
-    M_at = m.chart.evaluator(connection_matrix_field(m.chart))
+    M_at = connection_field(m.chart)
     doubling = affine._rk4_doubling
 
     def from_48(run_level, rows, tol, initial_steps=64, max_steps=affine._RK4_MAX_STEPS):
@@ -261,7 +303,7 @@ def test_transport_calls_the_field_once_per_level(monkeypatch):
     m = load_bundled("sphere3")
     c = m.chart
     base = m.base()
-    M_at = c.evaluator(connection_matrix_field(c))
+    M_at = connection_field(c)
     d = np.array([0.3, -0.2, 0.25])
     batch = [Curve.segment(base, base + s * d) for s in (0.05, 1.0, 2.0)]
     batch.append(Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7))
