@@ -76,8 +76,9 @@ class ChartModel:
     through `symbolic(key, builder)`; transport compiles `gamma` with the
     partials the curvature needs and assembles the tractor connection from
     them in numpy (`tractor.connection_field`).  `evaluator(field)` compiles a field the
-    chart owns -- such an array, `gamma` or `metric` -- into a callable
-    cached by the field itself that maps a point to values of its shape.
+    chart owns -- such an array, `gamma` or `metric` -- into one program,
+    cached by the field itself, that maps a point or a batch of points to
+    values of its shape.
     """
 
     def __init__(self, coords: Sequence[str], gamma, domain, metric=None, name: str = ""):
@@ -135,7 +136,8 @@ class ChartModel:
         `field` is a symbolic array this chart owns (a `symbolic` result,
         `gamma` or `metric`).  The callable maps a point of shape (n,) to
         values in `field.shape`, and a batch of shape (B, n) to values in
-        `(B,) + field.shape`, bit for bit the pointwise ones.  It is
+        `(B,) + field.shape`; both run one program (`compile_exprs`), so a
+        batch row is bit for bit the point's values.  It is
         compiled on the first call for a field and cached under the
         field's identity; the cache holds the field too, so that identity
         is never reused.
@@ -332,12 +334,8 @@ def symmetrize(chart: ChartModel, seed: int = 0) -> tuple[ChartModel, float]:
         for i in range(n):
             for j in range(n):
                 sym[k, i, j] = 0.5 * (chart.gamma[k, i, j] + chart.gamma[k, j, i])
-    pts = sample_points(chart, seed=seed, n_random=10)
-    worst = 0.0
-    for p in pts:
-        g = chart.gamma_at(p)
-        worst = max(worst, max_abs(g - g.transpose(0, 2, 1)))
-    return chart.with_gamma(sym, name=chart.name), worst
+    g = chart.evaluator(chart.gamma)(sample_points(chart, seed=seed, n_random=10))
+    return chart.with_gamma(sym, name=chart.name), max_abs(g - g.transpose(0, 1, 3, 2))
 
 
 def project_change(chart: ChartModel, ups) -> ChartModel:

@@ -343,23 +343,23 @@ def cmd_verify(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     pts = manifest.sample()[:20]
     f = point_fields(chart, pts)
 
-    rebuild = trace = tmatch = tpart = mtrace = rho_ric = 0.0
+    # each residual is the max_abs of its per-sample values, so a NaN fails it
+    rebuild, trace, rho_ric, mtrace = [], [], [], []
     for R, W, P, Ric, M in zip(f["R"], f["W"], f["P"], f["Ric"], f["M"]):
         back = (W + np.einsum("hl,kj->hjkl", P, eye)
                 + np.einsum("hj,kl->hjkl", P - P.T, eye)
                 - np.einsum("jl,kh->hjkl", P, eye))
-        rebuild = max(rebuild, max_abs(back - R) / (1.0 + max_abs(R)))
+        rebuild.append(max_abs(back - R) / (1.0 + max_abs(R)))
         wscale = 1.0 + max_abs(W)
-        trace = max(trace,
-                    max_abs(np.einsum("kjkl->jl", W)) / wscale,
-                    max_abs(np.einsum("hjkk->hj", W)) / wscale,
-                    max_abs(W + W.transpose(1, 0, 2, 3)) / wscale)
-        rho_ric = max(rho_ric,
-                      max_abs(ricci_from_rho(P) - Ric) / (1.0 + max_abs(Ric)))
-        mtrace = max(mtrace, max(abs(float(np.trace(M[i]))) for i in range(n)))
-    for F_a, F_d in zip(f["F"][:8], f["F_M"][:8]):
-        tmatch = max(tmatch, max_abs(F_a - F_d) / (1.0 + max_abs(F_a)))
-        tpart = max(tpart, max_abs(F_d[:, :, :n, n]))
+        trace += [max_abs(np.einsum("kjkl->jl", W)) / wscale,
+                  max_abs(np.einsum("hjkk->hj", W)) / wscale,
+                  max_abs(W + W.transpose(1, 0, 2, 3)) / wscale]
+        rho_ric.append(max_abs(ricci_from_rho(P) - Ric) / (1.0 + max_abs(Ric)))
+        mtrace += [float(np.trace(M[i])) for i in range(n)]
+    rebuild, trace, rho_ric, mtrace = map(max_abs, (rebuild, trace, rho_ric, mtrace))
+    F_a, F_d = f["F"][:8], f["F_M"][:8]
+    tmatch = max_abs([max_abs(a - d) / (1.0 + max_abs(a)) for a, d in zip(F_a, F_d)])
+    tpart = max_abs(F_d[:, :, :, :n, n])
     checks.add("weyl_rebuilds_curvature", rebuild, "weyl_rebuild")
     checks.add("weyl_trace_free", trace, "weyl_trace")
     checks.add("rho_ricci_consistency", rho_ric, "rho_ricci")

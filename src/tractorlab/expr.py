@@ -10,12 +10,16 @@ Expressions are immutable trees.  Differentiation (forward mode,
 :func:`tangents`) returns new trees and is exact; the only simplification
 performed is constant folding plus the additive/multiplicative identities,
 which is enough to keep derivative towers from filling up with structural
-zeros.  One interpreter, :func:`eval_many`, evaluates expressions; it walks
-them as a DAG with an explicit stack and is the one place that holds the
-domain rules.  :func:`compile_exprs` emits plain Python source using the
-``math`` module for hot paths such as transport integration, for one point
-or for a numpy batch of points with the same results; when that code fails
-at a point it re-evaluates there with the interpreter to report the error.
+zeros.  Nothing here recurses over a tree: every consumer of an expression
+DAG (the interpreter, :func:`tangents` and the code emitter) runs on one
+explicit-stack post-order walk memoised on node identity, and text is
+written from an explicit stack of pieces, so depth is bounded by memory and
+not by the recursion limit.  One interpreter, :func:`eval_many`, evaluates
+expressions and is the one place that holds the domain rules.
+:func:`compile_exprs` emits one plain Python program for hot paths such as
+transport integration, which runs on floats at a point and on numpy columns
+for a batch of points with the same results; when it fails at a point the
+interpreter re-evaluates there to report the error.
 
 Domain problems (``log`` of a non-positive number, division by zero, even
 roots of negatives, overflow) raise :class:`ExprDomainError` naming the
@@ -149,23 +153,11 @@ class Expr:
     _PREC = 0
 
     def to_string(self) -> str:
-        raise NotImplementedError
-
-    def _paren(self, child: "Expr", strict: bool = False) -> str:
-        s = child.to_string()
-        if child._PREC < self._PREC or (strict and child._PREC == self._PREC):
-            return f"({s})"
-        return s
+        """The expression as text that `parse` reads back to the same value."""
+        return _render(self)
 
     def __repr__(self):
         return f"{type(self).__name__}<{self.to_string()}>"
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return _structurally_equal(self, other)
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class Num(Expr):
@@ -179,13 +171,6 @@ class Num(Expr):
         raise AttributeError("expressions are immutable")
 
 
-    def to_string(self):
-        v = self.value
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-
-
 class Var(Expr):
     __slots__ = ("name",)
     _PREC = 100
@@ -195,10 +180,6 @@ class Var(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-
-    def to_string(self):
-        return self.name
 
 
 class _Binary(Expr):
@@ -217,17 +198,9 @@ class Add(_Binary):
     _PREC = 10
 
 
-    def to_string(self):
-        return f"{self._paren(self.left)} + {self._paren(self.right)}"
-
-
 class Sub(_Binary):
     __slots__ = ()
     _PREC = 10
-
-
-    def to_string(self):
-        return f"{self._paren(self.left)} - {self._paren(self.right, strict=True)}"
 
 
 class Mul(_Binary):
@@ -235,17 +208,9 @@ class Mul(_Binary):
     _PREC = 20
 
 
-    def to_string(self):
-        return f"{self._paren(self.left)}*{self._paren(self.right)}"
-
-
 class Div(_Binary):
     __slots__ = ()
     _PREC = 20
-
-
-    def to_string(self):
-        return f"{self._paren(self.left)}/{self._paren(self.right, strict=True)}"
 
 
 class Neg(Expr):
@@ -257,10 +222,6 @@ class Neg(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-
-    def to_string(self):
-        return f"-{self._paren(self.operand, strict=True)}"
 
 
 class Pow(Expr):
@@ -275,10 +236,6 @@ class Pow(Expr):
         raise AttributeError("expressions are immutable")
 
 
-    def to_string(self):
-        return f"{self._paren(self.base, strict=True)}^{self.exponent}"
-
-
 class Call(Expr):
     __slots__ = ("func", "arg")
     _PREC = 100
@@ -291,8 +248,83 @@ class Call(Expr):
         raise AttributeError("expressions are immutable")
 
 
-    def to_string(self):
-        return f"{self.func}({self.arg.to_string()})"
+# -- the one walk ---------------------------------------------------------------
+
+
+def _node_children(node: Expr):
+    if isinstance(node, _Binary):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _postorder(roots: Iterable[Expr], done):
+    """Yield each node under `roots` that is not in `done` once, children first.
+
+    This is the one walk over an expression DAG: an explicit stack, so depth
+    is bounded by memory and not by the recursion limit, memoised on node
+    identity through `done` (a dict or set of ids), which the caller must
+    extend with each yielded node before asking for the next.  A node's
+    children are pushed left to right, so the right one is visited first.
+    """
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in done:
+                stack.pop()
+                continue
+            pending = [c for c in _node_children(node) if id(c) not in done]
+            if pending:
+                stack.extend(pending)
+            else:
+                yield stack.pop()
+
+
+_INFIX = {Add: (" + ", False), Sub: (" - ", True), Mul: ("*", False), Div: ("/", True)}
+
+
+def _render(root: Expr) -> str:
+    """Text of a tree, written from an explicit stack of pieces (strings and
+    nodes still to write), so a shared subtree is written at each use.  A
+    child is parenthesised when it binds looser than its parent, or as
+    loosely on the strict side (the right of - and /, a negated operand, a
+    power's base)."""
+
+    def side(parent, child, strict):
+        if child._PREC < parent._PREC or (strict and child._PREC == parent._PREC):
+            return ("(", child, ")")
+        return (child,)
+
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is str:
+            out.append(node)
+        elif t is Num:
+            v = node.value
+            out.append(str(int(v)) if math.isfinite(v) and v == int(v) and abs(v) < 1e16
+                       else repr(v))
+        elif t is Var:
+            out.append(node.name)
+        elif t is Call:
+            stack += (")", node.arg, f"{node.func}(")
+        elif t is Neg:
+            stack += reversed(("-", *side(node, node.operand, True)))
+        elif t is Pow:
+            stack += reversed((*side(node, node.base, True), f"^{node.exponent}"))
+        else:
+            op, strict = _INFIX[t]
+            stack += reversed((*side(node, node.left, False), op,
+                               *side(node, node.right, strict)))
+    return "".join(out)
 
 
 _ZERO = Num(0.0)
@@ -443,39 +475,9 @@ def tangents(exprs: Iterable[Expr], coords: Sequence[str]) -> list:
         return tuple(_div(_sub(x, _mul(node, y)), b) for x, y in zip(da, db))  # Div
 
     roots = list(exprs)
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
-                continue
-            pending = [c for c in _node_children(node) if id(c) not in memo]
-            if pending:
-                stack.extend(pending)
-            else:
-                memo[id(stack.pop())] = rule(node)
+    for node in _postorder(roots, memo):
+        memo[id(node)] = rule(node)
     return [[memo[id(e)][h] for e in roots] for h in range(len(coords))]
-
-
-def _structurally_equal(a: Expr, b: Expr) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, _Binary):
-        return _structurally_equal(a.left, b.left) and _structurally_equal(a.right, b.right)
-    if isinstance(a, Neg):
-        return _structurally_equal(a.operand, b.operand)
-    if isinstance(a, Pow):
-        return a.exponent == b.exponent and _structurally_equal(a.base, b.base)
-    if isinstance(a, Call):
-        return a.func == b.func and _structurally_equal(a.arg, b.arg)
-    raise AssertionError(f"unhandled node type {type(a)}")
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -641,42 +643,34 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
 # -- compilation --------------------------------------------------------------
 
 
-def _emit(node: Expr, names: dict, temps: dict, batch: bool) -> str:
-    key = id(node)
-    if key in names:
-        return names[key]
-    if isinstance(node, Num):
+def _emit(node: Expr, names: dict, temps: dict) -> str:
+    """How emitted code refers to `node`, given its children's references in
+    `names` (keyed by node id): a literal, a coordinate, or the temporary that
+    holds its right-hand side."""
+    t = type(node)
+    if t is Num:
         # folding can make inf or nan, which have no literal
-        ref = repr(node.value) if math.isfinite(node.value) else f"float('{node.value}')"
-    elif isinstance(node, Var):
-        ref = node.name
+        return repr(node.value) if math.isfinite(node.value) else f"float('{node.value}')"
+    if t is Var:
+        return node.name
+    kids = [names[id(c)] for c in _node_children(node)]
+    a, b = kids[0], kids[-1]
+    if t is Add:
+        rhs = f"{a} + {b}"
+    elif t is Sub:
+        rhs = f"{a} - ({b})"
+    elif t is Mul:
+        rhs = f"({a}) * ({b})"
+    elif t is Div:
+        rhs = f"({a}) / ({b})"
+    elif t is Neg:
+        rhs = f"-({a})"
+    elif t is Pow:
+        rhs = f"_pow({a}, {node.exponent})"
     else:
-        def sub(child):
-            return _emit(child, names, temps, batch)
-
-        if isinstance(node, Add):
-            rhs = f"{sub(node.left)} + {sub(node.right)}"
-        elif isinstance(node, Sub):
-            rhs = f"{sub(node.left)} - ({sub(node.right)})"
-        elif isinstance(node, Mul):
-            rhs = f"({sub(node.left)}) * ({sub(node.right)})"
-        elif isinstance(node, Div):
-            rhs = f"({sub(node.left)}) / ({sub(node.right)})"
-        elif isinstance(node, Neg):
-            rhs = f"-({sub(node.operand)})"
-        elif isinstance(node, Pow):
-            if batch:
-                rhs = f"_pow({sub(node.base)}, {node.exponent})"
-            else:
-                rhs = f"({sub(node.base)}) ** ({node.exponent})"
-        elif isinstance(node, Call):
-            rhs = f"_{node.func}({sub(node.arg)})"
-        else:
-            raise AssertionError(f"unhandled node type {type(node)}")
-        # operands are references already, so equal text is an equal computation
-        ref = temps.setdefault(rhs, f"_t{len(temps)}")
-    names[key] = ref
-    return ref
+        rhs = f"_{node.func}({a})"
+    # operands are references already, so equal text is an equal computation
+    return temps.setdefault(rhs, f"_t{len(temps)}")
 
 
 def _elementwise(fn: Callable) -> Callable:
@@ -695,45 +689,39 @@ def _elementwise(fn: Callable) -> Callable:
     return apply
 
 
-_SCALAR_NAMESPACE = {f"_{fn}": impl for fn, impl in _MATH_FUNCTIONS.items()}
-_BATCH_NAMESPACE = {name: _elementwise(impl) for name, impl in _SCALAR_NAMESPACE.items()}
-_BATCH_NAMESPACE["_pow"] = _elementwise(pow)
-_BATCH_NAMESPACE["_empty"] = np.empty
+_NAMESPACE = {f"_{fn}": _elementwise(impl) for fn, impl in _MATH_FUNCTIONS.items()}
+_NAMESPACE["_pow"] = _elementwise(pow)
 _TEMP = re.compile(r"\b_t\d+\b")
 
 
-def _source(exprs: list, coords: Sequence[str], batch: bool) -> str:
-    """Python source of `_compiled`, the function `_exec_source` returns."""
+def _source(exprs: list, coords: Sequence[str]) -> str:
+    """Python source of `_compiled(*coords, _out)`, which stores expression j
+    in `_out[j]` and returns `_out`."""
     names: dict = {}
     temps: dict = {}
-    refs = [_emit(e, names, temps, batch) for e in exprs]
+    for node in _postorder(exprs, names):
+        names[id(node)] = _emit(node, names, temps)
+    refs = [names[id(e)] for e in exprs]
     lines = [f"    {ref} = {rhs}" for rhs, ref in temps.items()]
-    if batch:
-        # a temporary is a whole column: free it after its last use
-        outputs = set(refs)
-        last = {used: i for i, rhs in enumerate(temps) for used in _TEMP.findall(rhs)}
-        for ref, i in last.items():
-            if ref not in outputs:
-                lines[i] += f"; del {ref}"
-        src = ["def _compiled(_X):", f"    {', '.join(coords)}, = _X.T", *lines]
-        src.append(f"    _out = _empty(({len(refs)}, _X.shape[0]))")  # a contiguous row per output
-        src.extend(f"    _out[{j}] = {ref}" for j, ref in enumerate(refs))
-        src.append("    return _out.T")
-    else:
-        src = [f"def _compiled({', '.join(coords)}):"]
-        src.extend(lines)
-        src.append(f"    return ({', '.join(refs)}{',' if len(refs) == 1 else ''})")
-    return "\n".join(src)
+    # on a batch a temporary is a whole column: free it after its last use
+    outputs = set(refs)
+    last = {used: i for i, rhs in enumerate(temps) for used in _TEMP.findall(rhs)}
+    for ref, i in last.items():
+        if ref not in outputs:
+            lines[i] += f"; del {ref}"
+    return "\n".join([f"def _compiled({', '.join([*coords, '_out'])}):", *lines,
+                      *(f"    _out[{j}] = {ref}" for j, ref in enumerate(refs)),
+                      "    return _out"])
 
 
-def _exec_source(exprs: list, coords: Sequence[str], batch: bool) -> Callable:
-    namespace = dict(_BATCH_NAMESPACE if batch else _SCALAR_NAMESPACE)
-    exec(_source(exprs, coords, batch), namespace)
+def _exec_source(exprs: list, coords: Sequence[str]) -> Callable:
+    namespace = dict(_NAMESPACE)
+    exec(_source(exprs, coords), namespace)
     return namespace["_compiled"]
 
 
 _FAILURES = (ZeroDivisionError, ValueError, OverflowError)
-_RESERVED = {"_X", "_out", *_BATCH_NAMESPACE}
+_RESERVED = {"_out", *_NAMESPACE}
 
 
 def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., np.ndarray]:
@@ -742,66 +730,49 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     Called with one value per coordinate, the result returns a 1-d float
     array of the k expressions, in order; the values are taken as Python
     floats, so a numpy scalar input fails like a float one.  Called with a
-    single (B, n) array of points it returns a (B, k) array, bit for bit the
-    rows the pointwise call gives (the transpose of one contiguous row per
-    expression, so each expression's values are contiguous): arithmetic runs
-    on whole columns, while
-    functions and powers go element by element through the same scalar
-    routines.  Shared subtrees, and subexpressions that are equal term by
-    term, are evaluated once; batch code frees each temporary column after
-    its last use, so a large batch keeps few alive.  A domain failure is
-    re-evaluated at the same point by eval_many, which raises the
-    ExprDomainError naming the failing subexpression; a batch with a
-    floating-point exception is re-evaluated point by point to find it.
+    single (B, n) array of points it returns a (B, k) array (the transpose
+    of one contiguous row per expression).  Both run one emitted program:
+    on floats at a point, on whole columns for a batch, where `+ - * /` and
+    negation are exact numpy operations and functions and powers go element
+    by element through the same scalar routines, so each row is bit for bit
+    the point's values.  Shared subtrees, and subexpressions that are equal
+    term by term, are evaluated once, and each temporary is freed after its
+    last use, so a large batch keeps few columns alive.  The program is
+    compiled on the first call.  A batch with a floating-point exception is
+    rerun point by point; a domain failure at a point is re-evaluated there
+    by eval_many, which raises the ExprDomainError naming the failing
+    subexpression.
     """
     flat = list(exprs)
     for c in coords:
         if c in _MATH_FUNCTIONS or c in _RESERVED or c.startswith("_t"):
             raise ValueError(f"coordinate name '{c}' is reserved")
     count = len(flat)
-    raw = batched = None  # each source is compiled on its first call; most fields get one kind
-
-    def evaluate_batch(points: np.ndarray) -> np.ndarray:
-        nonlocal batched
-        points = np.asarray(points, dtype=float)
-        if points.shape[1] != len(coords):
-            raise ValueError(f"points must have {len(coords)} columns")
-        if batched is None:
-            batched = _exec_source(flat, coords, batch=True)
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                return batched(points)
-        except (FloatingPointError,) + _FAILURES:
-            rows = [evaluate(*p) for p in points.tolist()]
-            return np.array(rows, dtype=float).reshape(len(rows), count)
+    program = None
 
     def evaluate(*point) -> np.ndarray:
-        nonlocal raw
+        nonlocal program
+        if program is None:
+            program = _exec_source(flat, coords)
         if len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2:
-            return evaluate_batch(point[0])
+            points = np.asarray(point[0], dtype=float)
+            if points.shape[1] != len(coords):
+                raise ValueError(f"points must have {len(coords)} columns")
+            try:
+                with np.errstate(divide="raise", invalid="raise", over="raise"):
+                    return program(*points.T, np.empty((count, len(points)))).T
+            except (FloatingPointError,) + _FAILURES:
+                rows = [evaluate(*p) for p in points.tolist()]
+                return np.array(rows, dtype=float).reshape(len(rows), count)
         values = [float(v) for v in point]
-        if raw is None:
-            raw = _exec_source(flat, coords, batch=False)
         try:
-            return np.array(raw(*values), dtype=float)
+            return np.array(program(*values, [0.0] * count), dtype=float)
         except _FAILURES:
             eval_many(flat, dict(zip(coords, values)))
             raise
 
     evaluate.n_outputs = count  # type: ignore[attr-defined]
     return evaluate
-
-
-def _node_children(node: Expr):
-    if isinstance(node, _Binary):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    return ()
 
 
 def _value(x):
@@ -875,27 +846,13 @@ def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
     floats at one point; `JetSpace.evaluate` narrows a batch to its first
     failing point).
     """
+    roots = list(exprs)
     memo: dict = {}
-    out = []
-    for root in exprs:
-        if id(root) not in memo:
-            stack = [root]
-            while stack:
-                node = stack[-1]
-                key = id(node)
-                if key in memo:
-                    stack.pop()
-                    continue
-                pending = [c for c in _node_children(node) if id(c) not in memo]
-                if pending:
-                    stack.extend(pending)
-                else:
-                    stack.pop()
-                    try:
-                        memo[key] = _node_value(node, env, memo, space)
-                    except ExprDomainError as err:
-                        err.point = {name: _value(x) for name, x in env.items()}
-                        err.space = space
-                        raise
-        out.append(memo[id(root)])
-    return out
+    for node in _postorder(roots, memo):
+        try:
+            memo[id(node)] = _node_value(node, env, memo, space)
+        except ExprDomainError as err:
+            err.point = {name: _value(x) for name, x in env.items()}
+            err.space = space
+            raise
+    return [memo[id(e)] for e in roots]

@@ -91,11 +91,12 @@ def _span_basis(mats, m: int, tol: float):
     Rank counts singular values above tol times the largest.  A stack whose
     largest singular value sits below an absolute floor is treated as zero:
     evaluating an identically vanishing curvature leaves rounding residue
-    that must not be ranked relative to itself.
+    that must not be ranked relative to itself.  A stack that is not finite
+    has no singular values and rank 0.
     """
-    if len(mats) == 0:
-        return np.zeros((0, m, m)), np.zeros(0), 0
     stack = np.array([np.asarray(a, dtype=float).ravel() for a in mats])
+    if len(mats) == 0 or not np.isfinite(stack).all():
+        return np.zeros((0, m, m)), np.zeros(0), 0
     u, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] <= _SPAN_FLOOR:
         return np.zeros((0, m, m)), s, 0
@@ -274,7 +275,8 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
     Returns (log, retries, converged); each retry transports the shrunk loop
     alone, and `converged` says whether every retry's transport converged.
     A loop still outside the branch after the last retry gives the principal
-    log of its last holonomy with `converged` False.
+    log of its last holonomy with `converged` False, and a holonomy that is
+    not finite gives a log of NaNs with `converged` False.
     """
     converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
@@ -286,6 +288,8 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
                                   base + 0.5 * (s.point(s.t1) - base)) for s in segs]
             H, rep = loop_holonomy(chart, segs, tol=ode_tol)
             converged = converged and rep["converged"]
+        if not np.isfinite(H).all():
+            return np.full_like(H, np.nan), attempt, False
         if max_abs(H - np.eye(H.shape[0])) < 1.0:
             return np.real(logm(H)), attempt, converged
     return np.real(logm(H)), max_retries, False

@@ -19,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .affine import ChartModel, Curve, sample_points, symmetrize
+from .affine import ChartModel, Curve, max_abs, sample_points, symmetrize
 from .expr import Expr, ExprDomainError, num, parse
 from .jets import JetSpace
 
@@ -224,14 +224,11 @@ def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
 def _asymmetry(chart: ChartModel, entries: dict, n_points: int = 5) -> float:
     """Max asymmetry of the symbols at samples; a domain error names its entry."""
     pts = sample_points(chart, seed=0, n_random=n_points, n_grid=0)
-    worst = 0.0
-    for p in pts:
-        try:
-            g = chart.gamma_at(p)
-        except ExprDomainError as err:
-            raise gamma_entry_error(chart.coords, entries, err) from None
-        worst = max(worst, float(np.abs(g - g.transpose(0, 2, 1)).max()))
-    return worst
+    try:
+        g = chart.evaluator(chart.gamma)(pts)
+    except ExprDomainError as err:
+        raise gamma_entry_error(chart.coords, entries, err) from None
+    return max_abs(g - g.transpose(0, 1, 3, 2))
 
 
 # -- writing and the bundled corpus ---------------------------------------------

@@ -207,6 +207,9 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     """
     pts = sample_points(chart, seed=seed)[:n_samples]
     fields = point_fields(chart, pts)
+    if not (np.isfinite(fields["Ric"]).all() and np.isfinite(fields["nablaRic"]).all()):
+        return EinsteinReport(False, np.inf, None, np.nan,
+                              reject_reason="Ricci or its covariant derivative not finite")
 
     worst = 0.0
     det_min = np.inf

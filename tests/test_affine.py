@@ -346,7 +346,7 @@ def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
         chart = m.chart
         flat = list(connection_matrix_field(chart).ravel())
         rhs = [line.split(" = ", 1)[1].split("; del ")[0]
-               for line in _source(flat, chart.coords, True).splitlines()
+               for line in _source(flat, chart.coords).splitlines()
                if line.startswith("    _t")]
         assert len(rhs) == len(set(rhs)), name
         pts = m.sample()[:5]

@@ -363,6 +363,55 @@ def test_constants_that_fold_to_inf_fail_a_check(tmp_path):
     assert json.loads(out.read_text())["all_pass"] is False
 
 
+def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch):
+    # the same all-1e300 chart: its holonomies, Ricci tensor and curvature are
+    # not finite; one RK4 level keeps the transports, which cannot converge, short
+    doubling = affine._rk4_doubling
+
+    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
+        return doubling(run_level, rows, tol, initial_steps, initial_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={f"{k},{i},{j}": "1e300" for k in range(2) for i in range(2)
+                          for j in range(2)})
+    path = tmp_path / "e300.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["holonomy", "--manifest", str(path), "--out", str(out)]) == 1
+        rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
+        assert rows["algebra_trace_free"]["residual"] == np.inf
+        assert cli.main(["suite", "--manifest", str(path), "--out", str(out)]) == 1
+    rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
+    assert rows["holonomy.algebra_trace_free"]["pass"] is False
+    nan_rows = [f"invariance.{check}_{i}" for check in ("weyl_invariance_change",
+                                                        "cotton_change_law") for i in range(3)]
+    nan_rows += [f"verify.{check}" for check in ("weyl_rebuilds_curvature", "weyl_trace_free",
+                                                 "rho_ricci_consistency",
+                                                 "tractor_curvature_match")]
+    for name in nan_rows:
+        assert np.isnan(rows[name]["residual"]) and rows[name]["pass"] is False, name
+
+
+def test_an_entry_of_two_thousand_terms_runs_the_suite(tmp_path):
+    # the sum parses to a chain of additions deeper than the recursion limit
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={"0,1,1": " + ".join(["0.0005*x1*x2"] * 2000)})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["suite", "--manifest", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_a_deep_entry_outside_its_domain_is_named(tmp_path, capsys):
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={"0,1,1": f"log({' + '.join(['0.0005*x1'] * 2000)})"})
+    path = tmp_path / "longlog.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["suite", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $['gamma']['0,1,1']: log(-")
+
+
 def test_holonomy_and_detect_share_one_algebra_per_seed(monkeypatch):
     calls = []
     classified = []

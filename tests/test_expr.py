@@ -16,6 +16,7 @@ from tractorlab.expr import (
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
+    Num,
     compile_exprs,
     eval_many,
     num,
@@ -171,7 +172,7 @@ def test_mixed_partials_commute() -> None:
 def test_derivative_of_constant_tree_is_zero_node() -> None:
     e = parse("3*y + 7", XY)
     d = e.diff("x")
-    assert d == num(0.0)
+    assert d.is_zero()
 
 
 # -- operator overloading (used by the tensor layers) ---------------------------
@@ -194,9 +195,9 @@ def test_folding_identities() -> None:
     assert x + 0.0 is x
     assert 0.0 + x is x
     assert x * 1.0 is x
-    assert (x * 0.0) == num(0.0)
+    assert (x * 0.0).is_zero()
     assert (x**1) is x
-    assert (x**0) == num(1.0)
+    assert isinstance(x**0, Num) and (x**0).value == 1.0
     assert -(-x) is x
 
 
@@ -263,7 +264,7 @@ def test_compiled_batch_equals_pointwise_bit_for_bit() -> None:
     fn = compile_exprs(exprs, XY)
     pts = np.random.default_rng(0).uniform(-0.9, 0.9, size=(400, 2))
     got = fn(pts)
-    want = np.array([fn(*p) for p in pts])
+    want = np.array([eval_many(exprs, {"x": px, "y": py}) for px, py in pts.tolist()])
     assert got.shape == (400, len(texts))
     assert got.tobytes() == want.tobytes()
 
@@ -327,6 +328,23 @@ def test_property_render_round_trip(e: Expr, px: float, py: float) -> None:
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(e=safe_trees(), pts=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                                    min_size=1, max_size=4))
+def test_property_program_and_interpreter_agree(e: Expr, pts: list) -> None:
+    # at a point, on a batch and in eval_many: the same bits, or an ExprDomainError
+    fn = compile_exprs([e], XY)
+    try:
+        want = np.array([eval_many([e], {"x": px, "y": py}) for px, py in pts])
+    except ExprDomainError:
+        for call in (lambda: fn(np.array(pts)), lambda: [fn(*p) for p in pts]):
+            with pytest.raises(ExprDomainError):
+                call()
+        return
+    assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes()
+    assert fn(np.array(pts)).tobytes() == want.tobytes()
+
+
 def test_eval_many_matches_single_eval() -> None:
     e1 = parse("sin(x*y) + x^3/(1 + y^2)", XY)
     e2 = e1.diff("x")
@@ -350,3 +368,8 @@ def test_eval_many_survives_deep_chains() -> None:
         e = e + num(1.0)
     assert eval_many([e], {"x": 0.5}) == [pytest.approx(5000.5)]
     assert e.eval({"x": 0.5}) == 5000.5
+    fn = compile_exprs([e], ("x",))
+    assert fn(0.5).tolist() == [5000.5]
+    assert fn(np.array([[0.5], [1.5]])).tolist() == [[5000.5], [5001.5]]
+    assert e.diff("x").eval({"x": 0.5}) == 1.0
+    assert parse(e.to_string(), ("x",)).eval({"x": 0.5}) == 5000.5

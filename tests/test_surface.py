@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tractorlab
-from tractorlab.expr import Expr
+from tractorlab.expr import Expr, compile_exprs, parse
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tractorlab.__path__))
@@ -25,6 +25,12 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"tractorlab.{mod}"), name, None))]
     assert missing == []
     assert callable(Expr.diff)  # wrapped as the expr.diff leaf
+
+
+def test_compiled_program_carries_its_output_count():
+    # the tracer copies n_outputs onto the evaluator it wraps
+    exprs = [parse(text, ("x", "y")) for text in ("x*y", "sin(x)", "2")]
+    assert compile_exprs(exprs, ("x", "y")).n_outputs == 3
 
 
 @pytest.mark.parametrize("module", ["tractorlab"] + [f"tractorlab.{m}" for m in MODULES])
