@@ -206,10 +206,11 @@ def _holonomy(manifest: Manifest, seed: int):
     """(algebra, candidates, classification): the loop holonomy algebra at
     the base point, the fiber structures it preserves and their labels;
     `holonomy` and `detect` share one per manifest and seed, kept in
-    `manifest.algebras`."""
+    `manifest.algebras`.  An algebra that is not finite preserves nothing
+    that can be read off it, so it has no candidates."""
     if seed not in manifest.algebras:
         alg = loop_algebra(manifest.chart, manifest.base(), count=4, seed=seed)
-        candidates = _candidates(alg, seed)
+        candidates = _candidates(alg, seed) if alg.finite else []
         manifest.algebras[seed] = alg, candidates, classify(alg, candidates)
     return manifest.algebras[seed]
 
@@ -245,6 +246,9 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     chart = manifest.chart
     base = manifest.base()
     alg, candidates, table = _holonomy(manifest, seed)
+    if not alg.finite:
+        # the classification below rests on the algebra; a finite one adds no row
+        checks.add("algebra_trace_free", alg.trace_free_residual, "algebra_trace_free")
     labels = list(table["labels"])
     out = {
         "algebra_rank": alg.rank,

@@ -263,27 +263,31 @@ def _node_children(node: Expr):
     return ()
 
 
-def _postorder(roots: Iterable[Expr], done):
-    """Yield each node under `roots` that is not in `done` once, children first.
+def _postorder(roots: Iterable[Expr], memo: dict, visit: Callable) -> None:
+    """Store `visit(node)` in `memo[id(node)]` for each node under `roots`
+    that `memo` does not hold yet, children first.
 
     This is the one walk over an expression DAG: an explicit stack, so depth
     is bounded by memory and not by the recursion limit, memoised on node
-    identity through `done` (a dict or set of ids), which the caller must
-    extend with each yielded node before asking for the next.  A node's
-    children are pushed left to right, so the right one is visited first.
+    identity, so `visit` may read its children's results from `memo`.  A
+    node whose children are not all in `memo` goes back on the stack under a
+    marker, with those children above it pushed left to right, so the right
+    one is visited first.
     """
     for root in roots:
         stack = [root]
         while stack:
-            node = stack[-1]
-            if id(node) in done:
-                stack.pop()
+            node = stack.pop()
+            if node is None:  # the node below has all its children in memo
+                node = stack.pop()
+            elif id(node) in memo:
                 continue
-            pending = [c for c in _node_children(node) if id(c) not in done]
-            if pending:
-                stack.extend(pending)
             else:
-                yield stack.pop()
+                pending = [c for c in _node_children(node) if id(c) not in memo]
+                if pending:
+                    stack += (node, None, *pending)
+                    continue
+            memo[id(node)] = visit(node)
 
 
 _INFIX = {Add: (" + ", False), Sub: (" - ", True), Mul: ("*", False), Div: ("/", True)}
@@ -475,8 +479,7 @@ def tangents(exprs: Iterable[Expr], coords: Sequence[str]) -> list:
         return tuple(_div(_sub(x, _mul(node, y)), b) for x, y in zip(da, db))  # Div
 
     roots = list(exprs)
-    for node in _postorder(roots, memo):
-        memo[id(node)] = rule(node)
+    _postorder(roots, memo, rule)
     return [[memo[id(e)][h] for e in roots] for h in range(len(coords))]
 
 
@@ -699,8 +702,7 @@ def _source(exprs: list, coords: Sequence[str]) -> str:
     in `_out[j]` and returns `_out`."""
     names: dict = {}
     temps: dict = {}
-    for node in _postorder(exprs, names):
-        names[id(node)] = _emit(node, names, temps)
+    _postorder(exprs, names, lambda node: _emit(node, names, temps))
     refs = [names[id(e)] for e in exprs]
     lines = [f"    {ref} = {rhs}" for rhs, ref in temps.items()]
     # on a batch a temporary is a whole column: free it after its last use
@@ -848,11 +850,10 @@ def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
     """
     roots = list(exprs)
     memo: dict = {}
-    for node in _postorder(roots, memo):
-        try:
-            memo[id(node)] = _node_value(node, env, memo, space)
-        except ExprDomainError as err:
-            err.point = {name: _value(x) for name, x in env.items()}
-            err.space = space
-            raise
+    try:
+        _postorder(roots, memo, lambda node: _node_value(node, env, memo, space))
+    except ExprDomainError as err:
+        err.point = {name: _value(x) for name, x in env.items()}
+        err.space = space
+        raise
     return [memo[id(e)] for e in roots]

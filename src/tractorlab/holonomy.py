@@ -68,6 +68,12 @@ class HolonomyAlgebra:
     def fiber_dim(self) -> int:
         return self.basis.shape[1] if self.basis.ndim == 3 else self.generators.shape[1]
 
+    @property
+    def finite(self) -> bool:
+        """False when a loop transport did not converge or was not finite:
+        the logs of such loops are dropped, so the rank means nothing."""
+        return bool(np.isfinite(self.trace_free_residual))
+
 
 @dataclass
 class StructureCandidate:
@@ -665,12 +671,13 @@ def classify(alg: HolonomyAlgebra, candidates) -> dict:
 
     The mapping (preserved structure -> geometric structure) is the label
     dictionary only; apart from the metric case these are not equivalences,
-    and the report says so.
+    and the report says so.  An algebra that is not `finite` is neither
+    trivial nor given a label.
     """
     labels = []
     equivalences = {}
-    trivial = alg.rank == 0
-    for cand in candidates:
+    trivial = alg.finite and alg.rank == 0
+    for cand in candidates if alg.finite else ():
         if cand is None or (cand.meta or {}).get("trivial"):
             continue
         if cand.kind == "metric":

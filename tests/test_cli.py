@@ -382,9 +382,18 @@ def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch
         assert cli.main(["holonomy", "--manifest", str(path), "--out", str(out)]) == 1
         rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
         assert rows["algebra_trace_free"]["residual"] == np.inf
+        # the logs of loops that are not finite are dropped, which leaves rank 0:
+        # that is no evidence of trivial holonomy
+        assert cli.main(["detect", "--manifest", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        rows = {row["name"]: row for row in report["checks"]}
+        assert rows["algebra_trace_free"]["pass"] is False
+        assert report["result"]["classification"]["trivial_holonomy"] is False
+        assert report["result"]["candidates"] == [] and report["result"]["labels"] == []
         assert cli.main(["suite", "--manifest", str(path), "--out", str(out)]) == 1
     rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
     assert rows["holonomy.algebra_trace_free"]["pass"] is False
+    assert rows["detect.algebra_trace_free"]["pass"] is False
     nan_rows = [f"invariance.{check}_{i}" for check in ("weyl_invariance_change",
                                                         "cotton_change_law") for i in range(3)]
     nan_rows += [f"verify.{check}" for check in ("weyl_rebuilds_curvature", "weyl_trace_free",

@@ -331,6 +331,7 @@ def test_loop_outside_the_log_branch_after_every_retry_fails_the_trace_check():
     la = loop_algebra(chart, base, loop_family=[square_loop(base, 0, 1, 0.04)])
     assert la.details["log_retries"] == 5
     assert la.trace_free_residual == np.inf
+    assert not la.finite and classify(la, [])["trivial_holonomy"] is False
 
 
 @pytest.mark.parametrize("seed", range(4))
