@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Expr, compile_exprs, eval_many, num, parse, var, FUNCTION_NAMES
+from .expr import Expr, compile_exprs, eval_many, intern, num, parse, var, FUNCTION_NAMES
 
 __all__ = [
     "ChartModel",
@@ -58,6 +58,7 @@ def _as_expr_array(data, shape) -> np.ndarray:
             arr[it.multi_index] = num(float(val))
         else:
             raise TypeError(f"component {it.multi_index} is not an expression: {val!r}")
+    arr.flat[:] = intern(arr.flat)
     return arr
 
 
@@ -70,6 +71,10 @@ def max_abs(arr) -> float:
 class ChartModel:
     """A coordinate box with Christoffel symbols as symbolic expressions.
 
+    `gamma` and `metric` are interned (`expr.intern`) per array: equal
+    subexpressions of their entries are one node, so every walk memoised on
+    node identity -- jets, `tangents`, the code emitter -- does each of them
+    once.  The sphere3 and hyperbolic3 Γ hold 31 distinct subexpressions.
     Values of the curvature fields at sample points come from Taylor jets
     of `gamma` (`projective.point_fields`), not from compiled fields.
     Derived arrays, and the transport connection, are built once per chart
@@ -432,23 +437,29 @@ def _rk4_doubling(run_level, rows: int, tol: float, initial_steps: int = _RK4_IN
     `steps` fixed steps and returns their end states in that order.  A row
     is converged at the first level whose state `cur` satisfies
     max_abs(cur - prev) <= tol * (1 + max_abs(cur)) against the level
-    before, and then leaves the batch.  Returns (state, steps, converged)
+    before, and then leaves the batch.  A row whose state is not finite
+    leaves it at once, not converged: no finer level can mend it, and an
+    infinite state would pass the test.  Returns (state, steps, converged)
     per row; a row still apart at `max_steps` keeps its last state.
     """
     steps = initial_steps
     active = list(range(rows))
-    prev = dict(zip(active, run_level(active, steps)))
+    prev: dict = {}
     out = [None] * rows
-    while steps < max_steps and active:
-        steps *= 2
+    while active:
         apart = []
         for r, cur in zip(active, run_level(active, steps)):
-            if max_abs(cur - prev[r]) <= tol * (1.0 + max_abs(cur)):
+            if not np.isfinite(cur).all():
+                out[r] = (cur, steps, False)
+            elif r in prev and max_abs(cur - prev[r]) <= tol * (1.0 + max_abs(cur)):
                 out[r] = (cur, steps, True)
             else:
                 prev[r] = cur
                 apart.append(r)
         active = apart
+        if steps >= max_steps:
+            break
+        steps *= 2
     for r in active:
         out[r] = (prev[r], steps, False)
     return out

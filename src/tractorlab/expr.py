@@ -14,7 +14,10 @@ zeros.  Nothing here recurses over a tree: every consumer of an expression
 DAG (the interpreter, :func:`tangents` and the code emitter) runs on one
 explicit-stack post-order walk memoised on node identity, and text is
 written from an explicit stack of pieces, so depth is bounded by memory and
-not by the recursion limit.  One interpreter, :func:`eval_many`, evaluates
+not by the recursion limit.  :func:`intern` hash-conses expressions on
+that walk; a chart interns the arrays it takes, so in the expressions a
+chart owns identity equals structure, and each walk does every distinct
+subexpression once.  One interpreter, :func:`eval_many`, evaluates
 expressions and is the one place that holds the domain rules.
 :func:`compile_exprs` emits one plain Python program for hot paths such as
 transport integration, which runs on floats at a point and on numpy columns
@@ -49,6 +52,7 @@ __all__ = [
     "compile_exprs",
     "eval_many",
     "tangents",
+    "intern",
     "FUNCTION_NAMES",
 ]
 
@@ -288,6 +292,39 @@ def _postorder(roots: Iterable[Expr], memo: dict, visit: Callable) -> None:
                     stack += (node, None, *pending)
                     continue
             memo[id(node)] = visit(node)
+
+
+def intern(exprs: Iterable[Expr]) -> list:
+    """The expressions with one node for each distinct subexpression.
+
+    Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
+    2006) on the one walk: each node is keyed on its type, its payload and
+    the identities of its already-interned children, and the first node
+    with a key stands for all of them, so a walk memoised on identity
+    evaluates each distinct subexpression once.  A number is keyed by
+    `float.hex`, which keeps 0.0 and -0.0 apart.  Text and values are
+    unchanged, and interning interned expressions returns them as they are.
+    """
+    table: dict = {}
+    memo: dict = {}
+
+    def canonical(node):
+        t = type(node)
+        children = _node_children(node)
+        kids = tuple(memo[id(c)] for c in children)
+        payload = (node.value.hex() if t is Num else node.name if t is Var else
+                   node.exponent if t is Pow else node.func if t is Call else None)
+        key = (t, payload, *map(id, kids))
+        if key not in table:
+            if kids != children:  # Expr has no __eq__, so this compares identities
+                node = (t(kids[0], payload) if t is Pow else t(payload, kids[0]) if t is Call
+                        else t(*kids))
+            table[key] = node
+        return table[key]
+
+    roots = list(exprs)
+    _postorder(roots, memo, canonical)
+    return [memo[id(e)] for e in roots]
 
 
 _INFIX = {Add: (" + ", False), Sub: (" - ", True), Mul: ("*", False), Div: ("/", True)}

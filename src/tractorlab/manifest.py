@@ -11,6 +11,7 @@ connection.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -69,9 +70,14 @@ class Manifest:
                              n_random=self.n_random, n_grid=self.n_grid)
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The schema's validator, built and its schema checked once per process."""
     text = resources.files("tractorlab").joinpath("schema/manifest_schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def loads(text: str, source: str = "<string>") -> Manifest:
@@ -79,9 +85,9 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ManifestError(f"{source}: not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as e:
+    # the error `jsonschema.validate` would raise
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if e is not None:
         path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
         raise ManifestError(f"{source}: {path}: {e.message}") from e
 

@@ -131,6 +131,12 @@ class FoliationReport:
 # -- shared helpers -----------------------------------------------------------------
 
 
+def _worse(running: float, value: float) -> float:
+    """The larger of two residuals, NaN if either is: `max(0.0, nan)` is 0.0,
+    which would let a residual that is not a number pass its bound."""
+    return max_abs((running, value))
+
+
 def _base_point(chart: ChartModel, base_point):
     if base_point is None:
         return chart.center()
@@ -151,7 +157,7 @@ def _fiber_invariance(alg: HolonomyAlgebra, value: np.ndarray, kind: str) -> flo
             d = (np.eye(value.shape[0]) - proj) @ A @ proj
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        worst = max(worst, max_abs(d) / scale)
+        worst = _worse(worst, max_abs(d) / scale)
     return worst
 
 
@@ -217,9 +223,9 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     sigs = set()
     for R, D in zip(fields["Ric"], fields["nablaRic"]):
         scale = 1.0 + max_abs(R)
-        worst = max(worst, max_abs(D) / scale)
+        worst = _worse(worst, max_abs(D) / scale)
         det_min = min(det_min, abs(np.linalg.det(R)))
-        asym = max(asym, max_abs(R - R.T) / scale)
+        asym = _worse(asym, max_abs(R - R.T) / scale)
         vals = np.linalg.eigvalsh(0.5 * (R + R.T))
         vscale = max(1.0, np.abs(vals).max())
         sigs.add((int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale))))
@@ -282,9 +288,9 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
             dH0[:n, :n] = -dP
             u = np.trace(Rinv @ dR[i]) / (2 * (n + 1))
             E = dH0 - 2 * u * H0 - M[i].T @ H0 - H0 @ M[i]
-            blocks[0] = max(blocks[0], max_abs(E[:n, :n]) / scale)
-            blocks[1] = max(blocks[1], max(max_abs(E[:n, n]), max_abs(E[n, :n])) / scale)
-            blocks[2] = max(blocks[2], abs(E[n, n]) / scale)
+            blocks[0] = _worse(blocks[0], max_abs(E[:n, :n]) / scale)
+            blocks[1] = _worse(blocks[1], max_abs((E[:n, n], E[n, :n])) / scale)
+            blocks[2] = _worse(blocks[2], abs(E[n, n]) / scale)
 
     base = chart.center()
     h_base = h_at(base)
@@ -293,13 +299,13 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
                                     check_paths=10, seed=seed)
     transport_resid = 0.0
     for hv, local in zip(values, h_at(spread_pts)):
-        transport_resid = max(transport_resid, max_abs(hv - local) / (1.0 + max_abs(local)))
+        transport_resid = _worse(transport_resid, max_abs(hv - local) / (1.0 + max_abs(local)))
 
     vals = np.linalg.eigvalsh(h_base)
     vscale = np.abs(vals).max()
     report.h = h_at
     report.parallel_residual = float(blocks.max())
-    report.transport_residual = max(transport_resid, info["max_path_residual"])
+    report.transport_residual = _worse(transport_resid, info["max_path_residual"])
     report.h_signature = (int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale)))
     report.meta["identity_blocks"] = blocks.tolist()
     if chart.metric is not None:
@@ -376,7 +382,7 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
         resid = 0.0
         for hv, h_p in zip(values, ein.h(pts)):
             local = c * h_p
-            resid = max(resid, max_abs(hv - local) / (1.0 + max_abs(local)))
+            resid = _worse(resid, max_abs(hv - local) / (1.0 + max_abs(local)))
         report["consistency_residual"] = resid
         report["accepted"] = resid <= 1e-6
     else:
@@ -447,20 +453,20 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
 
         u, sv, vt = np.linalg.svd(theta[None, :])
         Hb = vt[1:]                      # rank n-1 basis of ker theta
-        worst["th_H"] = max(worst["th_H"], float(np.abs(Hb @ theta).max()) /
-                            (1.0 + np.abs(theta).max()))
+        worst["th_H"] = _worse(worst["th_H"], float(np.abs(Hb @ theta).max()) /
+                               (1.0 + np.abs(theta).max()))
         A = np.vstack([dtheta, theta[None, :]])
         rhs = np.zeros(n + 1)
         rhs[n] = 1.0
         reeb, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        worst["th_R"] = max(worst["th_R"], abs(float(theta @ reeb) - 1.0))
+        worst["th_R"] = _worse(worst["th_R"], abs(float(theta @ reeb) - 1.0))
         scale = 1.0 + max_abs(om_p)
-        worst["dth_reeb"] = max(worst["dth_reeb"], float(np.abs(dtheta @ reeb).max()) / scale)
+        worst["dth_reeb"] = _worse(worst["dth_reeb"], float(np.abs(dtheta @ reeb).max()) / scale)
         for a in range(n - 1):
             for b in range(a + 1, n - 1):
                 lhs = float(Hb[a] @ dtheta @ Hb[b])
                 rhs_ab = float(Hb[a] @ om_p[:n, :n] @ Hb[b])
-                worst["dth_om"] = max(worst["dth_om"], abs(lhs - rhs_ab) / scale)
+                worst["dth_om"] = _worse(worst["dth_om"], abs(lhs - rhs_ab) / scale)
         # v_theta = (dtheta)^m wedge theta, contracted against the epsilon tensor
         factors = [dtheta] * m + [theta]
         v = eps_nd
@@ -469,7 +475,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         vthetas.append(float(v))
         W = weyl[s_idx]
         wscale = 1.0 + max_abs(W)
-        worst["weyl"] = max(worst["weyl"], float(np.abs(
+        worst["weyl"] = _worse(worst["weyl"], float(np.abs(
             np.einsum("k,hjkl->hjl", theta, W)).max()) / wscale)
 
         report.H_basis.append(Hb)
@@ -557,8 +563,8 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
         coords, res, *_ = np.linalg.lstsq(Hb.T, images.T, rcond=None)
         JH = coords
         recon = JH.T @ Hb
-        worst["span"] = max(worst["span"], max_abs(images - recon) / jscale)
-        worst["sq"] = max(worst["sq"], max_abs(JH @ JH + np.eye(n - 1)))
+        worst["span"] = _worse(worst["span"], max_abs(images - recon) / jscale)
+        worst["sq"] = _worse(worst["sq"], max_abs(JH @ JH + np.eye(n - 1)))
 
         # Lie derivative of the smooth transverse operator along R, by
         # central differences of both the operator and the R field
@@ -574,7 +580,7 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
             - np.einsum("ki,kj->ij", dR, D0) + np.einsum("ik,jk->ij", D0, dR)
         Q = np.eye(n) - np.outer(R0, R0) / float(R0 @ R0)
         lie_t = Q @ lie @ Q
-        worst["lie"] = max(worst["lie"], max_abs(lie_t) / jscale)
+        worst["lie"] = _worse(worst["lie"], max_abs(lie_t) / jscale)
 
         report.R_field.append(R)
         report.H_basis.append(Hb)
@@ -658,8 +664,8 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
         if degenerate:
             n_line += 1
             continue
-        worst["adapt"] = max(worst["adapt"], float(np.abs(c - Y.T @ upsv).max()) /
-                             (1.0 + np.abs(c).max()))
+        worst["adapt"] = _worse(worst["adapt"], float(np.abs(c - Y.T @ upsv).max()) /
+                                (1.0 + np.abs(c).max()))
         dY = np.zeros((n, n, k))
         dU = np.zeros((n, n))
         for i in range(n):
@@ -682,34 +688,34 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
                     if a < b:
                         brk = np.einsum("i,ik->k", Y[:, a], dY[:, :, b]) \
                             - np.einsum("i,ik->k", Y[:, b], dY[:, :, a])
-                        worst["integ"] = max(worst["integ"],
-                                             float(np.abs(off @ brk).max()) / yscale)
+                        worst["integ"] = _worse(worst["integ"],
+                                                float(np.abs(off @ brk).max()) / yscale)
                     cov = np.einsum("i,ik->k", Y[:, a], dY[:, :, b]) \
                         + np.einsum("i,kij,j->k", Y[:, a], G, Y[:, b])
-                    worst["geod"] = max(worst["geod"],
-                                        float(np.abs(off @ cov).max()) / yscale)
+                    worst["geod"] = _worse(worst["geod"],
+                                           float(np.abs(off @ cov).max()) / yscale)
 
             # adapted-gauge checks
             nabla_u = dU - np.einsum("mij,m->ij", G, upsv)
             P_ad = P + nabla_u - np.outer(upsv, upsv)
-            worst["rho"] = max(worst["rho"],
-                               float(np.abs(P_ad @ Y).max()) / (1.0 + max_abs(P_ad)))
+            worst["rho"] = _worse(worst["rho"],
+                                  float(np.abs(P_ad @ Y).max()) / (1.0 + max_abs(P_ad)))
             ric_ad = ricci_from_rho(P_ad)
-            worst["ric"] = max(worst["ric"],
-                               float(np.abs(Y.T @ ric_ad @ Y).max()) / (1.0 + max_abs(ric_ad)))
+            worst["ric"] = _worse(worst["ric"],
+                                  float(np.abs(Y.T @ ric_ad @ Y).max()) / (1.0 + max_abs(ric_ad)))
 
             omega_i = np.zeros(n)
             for i in range(n):
                 nb = dY[i] + np.einsum("kj,ja->ka", G[:, i, :], Y) \
                     + upsv[i] * Y + np.outer(np.eye(n)[i], upsv @ Y)
-                worst["pres"] = max(worst["pres"], float(np.abs(off @ nb).max()) / yscale)
+                worst["pres"] = _worse(worst["pres"], float(np.abs(off @ nb).max()) / yscale)
                 omega_i[i] = np.trace(Yp @ nb)
-            worst["omK"] = max(worst["omK"], float(np.abs(omega_i @ Y).max()) /
-                               (1.0 + np.abs(omega_i).max()))
+            worst["omK"] = _worse(worst["omK"], float(np.abs(omega_i @ Y).max()) /
+                                  (1.0 + np.abs(omega_i).max()))
             ups2 = -omega_i / k
             corr = omega_i + k * ups2 + (ups2 @ Y) @ Yp
-            worst["omega"] = max(worst["omega"], float(np.abs(omega_i).max()))
-            worst["omega_corr"] = max(worst["omega_corr"], float(np.abs(corr).max()))
+            worst["omega"] = _worse(worst["omega"], float(np.abs(omega_i).max()))
+            worst["omega_corr"] = _worse(worst["omega_corr"], float(np.abs(corr).max()))
             omegas.append(omega_i)
             report.K_basis.append(Y)
             continue

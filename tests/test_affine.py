@@ -354,3 +354,26 @@ def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
         want = np.array([eval_many(flat, chart.env(p)) for p in pts])
         assert fn(pts).tobytes() == want.tobytes(), name
         assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes(), name
+
+
+def structure_key(e, keys):
+    """A nested tuple naming the tree under `e`: equal exactly when the trees are."""
+    if id(e) not in keys:
+        kids = [structure_key(getattr(e, a), keys)
+                for a in ("left", "right", "operand", "base", "arg") if hasattr(e, a)]
+        payload = [getattr(e, a) for a in ("name", "exponent", "func") if hasattr(e, a)]
+        if hasattr(e, "value"):
+            payload.append(e.value.hex())
+        keys[id(e)] = (type(e).__name__, *payload, *kids)
+    return keys[id(e)]
+
+
+@pytest.mark.parametrize("name, distinct", [("sphere3", 31), ("hyperbolic3", 31),
+                                            ("randpoly3", 183), ("sphere2", 21)])
+def test_bundled_gamma_has_one_node_per_distinct_subexpression(name, distinct):
+    gamma = load_bundled(name).chart.gamma
+    keys: dict = {}
+    for e in gamma.ravel():
+        structure_key(e, keys)
+    # keys holds one entry per node by identity
+    assert len(keys) == len(set(keys.values())) == distinct

@@ -1,12 +1,14 @@
 """Manifest loading and the command-line report surface."""
 
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
 from tractorlab import __version__, affine, cli, projective
-from tractorlab.affine import max_abs, sample_points
+from tractorlab.affine import Curve, max_abs, sample_points
 from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
     ManifestError,
@@ -16,6 +18,7 @@ from tractorlab.manifest import (
     loads,
 )
 from tractorlab.library import sphere_chart
+from tractorlab.tractor import transport_operators
 
 
 def make_doc(**overrides):
@@ -58,6 +61,23 @@ def test_schema_violations_carry_field_paths():
         loads(json.dumps(make_doc(version="one")))
     with pytest.raises(ManifestError, match="extra_key"):
         loads(json.dumps(make_doc(extra_key=1)))
+
+
+def test_schema_errors_are_the_ones_jsonschema_validate_raises():
+    # the validator is built once; each message must still be validate's best match
+    schema = json.loads((resources.files("tractorlab") / "schema/manifest_schema.json").read_text())
+    missing = make_doc()
+    del missing["domain"], missing["gamma"]
+    docs = [missing, make_doc(version="one"), make_doc(extra_key=1),
+            make_doc(gamma={"0,0,0": 3}), make_doc(dimension=0, coordinates=[]),
+            make_doc(loops=[{"plane": "xy", "size": -1}]), [1, 2]]
+    for doc in docs:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, schema)
+        path = "$" + "".join(f"[{p!r}]" for p in want.value.absolute_path)
+        with pytest.raises(ManifestError) as got:
+            loads(json.dumps(doc), source="m.json")
+        assert str(got.value) == f"m.json: {path}: {want.value.message}"
 
 
 def test_unknown_coordinate_names_the_entry():
@@ -361,6 +381,24 @@ def test_constants_that_fold_to_inf_fail_a_check(tmp_path):
     with np.errstate(all="ignore"):
         assert cli.main(["transport", "--manifest", str(path), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["all_pass"] is False
+
+
+def test_a_transport_that_is_not_finite_stops_at_once(tmp_path):
+    # no finer RK4 level can make these states finite, and an infinite one must
+    # not pass the convergence test
+    doc = make_doc(domain=[[-0.8, 0.8], [-0.8, 0.8]],
+                   gamma={f"{k},{i},{j}": "1e300" for k in range(2) for i in range(2)
+                          for j in range(2)})
+    path = tmp_path / "e300.json"
+    path.write_text(json.dumps(doc))
+    chart = loads(path.read_text()).chart
+    with np.errstate(all="ignore"):
+        results = transport_operators(chart, [Curve.segment([0.0, 0.0], [0.5, 0.2]),
+                                              Curve.segment([0.1, -0.3], [-0.4, 0.6])])
+        for T, steps, ok in results:
+            assert not ok and steps <= 128 and not np.isfinite(T).all()
+        assert cli.main(["holonomy", "--manifest", str(path),
+                         "--out", str(tmp_path / "r.json")]) == 1
 
 
 def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch):

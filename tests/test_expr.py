@@ -16,9 +16,11 @@ from tractorlab.expr import (
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
+    Mul,
     Num,
     compile_exprs,
     eval_many,
+    intern,
     num,
     parse,
     var,
@@ -373,3 +375,55 @@ def test_eval_many_survives_deep_chains() -> None:
     assert fn(np.array([[0.5], [1.5]])).tolist() == [[5000.5], [5001.5]]
     assert e.diff("x").eval({"x": 0.5}) == 1.0
     assert parse(e.to_string(), ("x",)).eval({"x": 0.5}) == 5000.5
+
+
+# -- hash-consing ----------------------------------------------------------------
+
+
+def identity_count(exprs) -> int:
+    """Nodes under `exprs`, counted by identity."""
+    seen, stack = set(), list(exprs)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack += [getattr(e, a) for a in ("left", "right", "operand", "base", "arg")
+                      if hasattr(e, a)]
+    return len(seen)
+
+
+def test_intern_merges_equal_subtrees() -> None:
+    a = parse("sin(x*y) + 1/(1 + x^2)", XY)
+    b = parse("cos(x*y) - 1/(1 + x^2)", XY)
+    ia, ib = intern([a, b])
+    assert a.right is not b.right and ia.right is ib.right
+    assert ia.left.arg is ib.left.arg
+    assert identity_count([ia, ib]) < identity_count([a, b])
+    one, same = intern([num(1.0), num(1.0)])
+    assert one is same
+
+
+def test_intern_keeps_signed_zeros_apart() -> None:
+    zero, minus_zero = intern([num(0.0), num(-0.0)])
+    assert zero is not minus_zero
+    assert math.copysign(1.0, minus_zero.value) == -1.0
+    # x*0 and x*-0 print alike but differ in the sign of their value
+    pos, neg = intern([Mul(var("x"), num(0.0)), Mul(var("x"), num(-0.0))])
+    assert pos is not neg and pos.left is neg.left
+    values = eval_many([pos, neg], {"x": 1.0, "y": 0.0})
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=st.lists(safe_trees(), min_size=1, max_size=4),
+       px=st.floats(-1.5, 1.5), py=st.floats(-1.5, 1.5))
+def test_property_intern_keeps_text_and_values(trees: list, px: float, py: float) -> None:
+    # share subtrees between the roots too, as a chart's entries do
+    roots = trees + [t * trees[0] for t in trees]
+    interned = intern(roots)
+    assert [e.to_string() for e in interned] == [e.to_string() for e in roots]
+    assert [e is f for e, f in zip(intern(interned), interned)] == [True] * len(roots)
+    assert identity_count(interned) <= identity_count(roots)
+    env = {"x": px, "y": py}
+    want = np.array(eval_many(roots, env))
+    assert np.array(eval_many(interned, env)).tobytes() == want.tobytes()

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 import sympy
 
-from tractorlab.expr import ExprDomainError, parse
+from tractorlab.expr import ExprDomainError, num, parse
 from tractorlab.jets import JetSpace
+from tractorlab.manifest import bundled_names, load_bundled
 
 DEGREE = 5
 
@@ -124,3 +125,18 @@ def test_sqrt_at_zero_has_a_value_but_no_derivatives():
     e = parse("sqrt(x*x + y*y)", ("x", "y"))
     assert JetSpace(2, 0).evaluate([e], ("x", "y"), (0.0, 0.0))[0].tolist() == [0.0]
     assert e.eval({"x": 0.0, "y": 0.0}) == 0.0
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_interned_gamma_has_the_jets_of_its_separately_parsed_entries(name):
+    # the chart shares each distinct subexpression of its entries; parsed one
+    # by one they share nothing, and every jet coefficient must agree bit for bit
+    m = load_bundled(name)
+    chart = m.chart
+    separate = np.full(chart.gamma.shape, num(0.0), dtype=object)
+    for key, text in m.raw["gamma"].items():
+        separate[tuple(int(s) for s in key.split(","))] = parse(text, chart.coords)
+    space = JetSpace(chart.n, 3)
+    pts = m.sample()[:8]
+    want = space.evaluate(separate, chart.coords, pts)
+    assert space.evaluate(chart.gamma, chart.coords, pts).tobytes() == want.tobytes()

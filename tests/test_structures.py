@@ -11,7 +11,7 @@ values follow from the Ricci sign alone.
 import numpy as np
 import pytest
 
-from tractorlab import affine
+from tractorlab import affine, projective, structures
 from tractorlab.affine import normalize_volume, project_change, sample_points
 from tractorlab.expr import parse
 from tractorlab.holonomy import algebra_from_generators, compare_spans, infinitesimal_algebra
@@ -371,6 +371,33 @@ def test_contact_and_complex_reject_a_transport_that_does_not_converge(flat3, mo
     for r in (contact_from_symplectic(flat3, alg, OMEGA), complex_reduction(flat3, alg, J_STD)):
         assert r.path_residual == np.inf
         assert not r.accepted
+
+
+def nan_at_one_sample(monkeypatch, key):
+    """Make `structures.point_fields` return NaN in field `key` at its second point."""
+
+    def poisoned(chart, points):
+        fields = projective.point_fields(chart, points)
+        if np.ndim(points) == 2 and len(points) > 1:
+            fields[key] = fields[key].copy()
+            fields[key][1] = np.nan
+        return fields
+
+    monkeypatch.setattr(structures, "point_fields", poisoned)
+
+
+def test_a_nan_residual_at_one_sample_fails_its_chain(flat3, twisted, sphere3, monkeypatch):
+    # a NaN residual must not read as the largest finite one
+    alg = center_alg(flat3)
+    nan_at_one_sample(monkeypatch, "W")
+    r = contact_from_symplectic(flat3, alg, OMEGA)
+    assert np.isnan(r.weyl_in_H) and not r.accepted
+    nan_at_one_sample(monkeypatch, "P")
+    r = foliation_analysis(twisted, center_alg(twisted), k_basis([0, 1]))
+    assert np.isnan(r.rho_residual) and not r.accepted
+    nan_at_one_sample(monkeypatch, "M")
+    r = einstein_check(sphere3)
+    assert np.isnan(r.parallel_residual)
 
 
 # -- holonomy block decomposition ----------------------------------------------
