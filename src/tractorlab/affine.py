@@ -224,19 +224,21 @@ class OneFormField:
         return np.array(eval_many(self.components, self.chart.env(point)), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """A parametric curve with symbolic components x(t).
+    """A parametric curve with symbolic components x(t), compared by identity.
 
-    A straight segment also carries `start` and `delta`, so that transport
-    evaluates x(t) = start + delta*t and xdot(t) = delta without compiling.
+    A straight segment (`Curve.segment`) is numbers only: x(t) = start +
+    delta*t and xdot(t) = delta, which `point`, `velocity` and transport
+    evaluate as such.  Its `components` are built from `start` and `delta`
+    on first access and cached.
     """
 
     components: tuple
     t0: float
     t1: float
-    start: np.ndarray | None = field(default=None, compare=False, repr=False)
-    delta: np.ndarray | None = field(default=None, compare=False, repr=False)
+    start: np.ndarray | None = field(default=None, repr=False)
+    delta: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
     def from_strings(texts: Sequence[str], t0: float, t1: float) -> "Curve":
@@ -252,17 +254,29 @@ class Curve:
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        seg = Curve(None, 0.0, 1.0, np.where(a == 0.0, -0.0, a), (b - a) + 0.0)
+        object.__delattr__(seg, "components")  # built by __getattr__ when asked for
+        return seg
+
+    def __getattr__(self, name):  # runs only for a segment's components not yet built
+        if name != "components":
+            raise AttributeError(name)
         t = var("t")
-        comps = tuple(num(ai) + (bi - ai) * t for ai, bi in zip(a, b))
-        return Curve(comps, 0.0, 1.0, np.where(a == 0.0, -0.0, a), (b - a) + 0.0)
+        comps = tuple(num(a) + d * t for a, d in zip(self.start, self.delta))
+        object.__setattr__(self, "components", comps)
+        return comps
 
     def velocity_exprs(self) -> tuple:
         return tuple(c.diff("t") for c in self.components)
 
     def point(self, t: float) -> np.ndarray:
+        if self.delta is not None:
+            return self.start + self.delta * t
         return np.array(eval_many(self.components, {"t": t}), dtype=float)
 
     def velocity(self, t: float) -> np.ndarray:
+        if self.delta is not None:
+            return self.delta.copy()
         return np.array(eval_many(self.velocity_exprs(), {"t": t}), dtype=float)
 
 
@@ -535,7 +549,7 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     y0 = np.asarray(y0, dtype=float)
     state = y0.reshape(y0.shape[0], -1)
     m = state.shape[0]
-    n = len(curves[0].components)
+    n = len(curves[0].components if curves[0].delta is None else curves[0].delta)
     t0 = np.array([c.t0 for c in curves])
     t1 = np.array([c.t1 for c in curves])
     start = np.array([np.zeros(n) if c.delta is None else c.start for c in curves])

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import logm
 
 from .affine import ChartModel, Curve, max_abs, sample_points
 from .jets import JetSpace
@@ -284,6 +283,8 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
     log of its last holonomy with `converged` False, and a holonomy that is
     not finite gives a log of NaNs with `converged` False.
     """
+    from scipy.linalg import logm  # here, so that commands taking no log never import scipy
+
     converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
     for attempt in range(max_retries + 1):

@@ -660,6 +660,9 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     stride = 2 * n + 1
     omegas = []
     for s_idx in range(len(pts)):
+        if not np.isfinite(np.array(ops[s_idx * stride:(s_idx + 1) * stride]) @ B0).all():
+            worst = dict.fromkeys(worst, np.inf)  # a failed sample, not a line
+            continue
         Y, c, upsv, degenerate = frame_and_ups(ops[s_idx * stride])
         if degenerate:
             n_line += 1

@@ -331,13 +331,21 @@ def test_stage_grid_equals_the_accumulated_rk4_times():
 def test_segment_closed_form_equals_its_compiled_components():
     t = np.array([0.0, 2.0 ** -7, 1 / 3, 0.5, 0.7, 1.0])
     ends = [([0.0, -0.0, 0.3, 0.3], [-0.5, -0.0, 0.3, 1.3]),  # zero starts, zero and unit deltas
-            ([0.2, -0.3, 0.1, 0.0], [0.0, 0.4, -0.6, 1.0])]
+            ([0.2, -0.3, 0.1, 0.0], [0.0, 0.4, -0.6, 1.0]),
+            ([-0.0, 1e-300, -7.25, 0.1], [1.0, -1e-300, 1e3 / 3, 0.1 + 2 ** -52]),
+            ([0.08, 0.08, -0.0, 1.0], [0.16, 0.0, -1.0, 0.0])]
+    rng = np.random.default_rng(5)
+    ends += [tuple(rng.uniform(-1.0, 1.0, (2, 4)).round(int(k))) for k in range(1, 8)]
     for a, b in ends:
         seg = Curve.segment(a, b)
         path = compile_exprs(seg.components + seg.velocity_exprs(), ("t",))(t[:, None])
         x = seg.start + seg.delta * t[:, None]
         xdot = np.broadcast_to(seg.delta, x.shape)
         assert np.concatenate([x, xdot], axis=1).tobytes() == path.tobytes()
+        for ti, want in zip(t, path):  # the numeric path of a segment and its expressions
+            assert np.concatenate([seg.point(ti), seg.velocity(ti)]).tobytes() == want.tobytes()
+            interpreted = eval_many(seg.components + seg.velocity_exprs(), {"t": ti})
+            assert np.array(interpreted).tobytes() == want.tobytes()
 
 
 def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():

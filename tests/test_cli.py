@@ -1,7 +1,11 @@
 """Manifest loading and the command-line report surface."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -439,6 +443,42 @@ def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch
                                                  "tractor_curvature_match")]
     for name in nan_rows:
         assert np.isnan(rows[name]["residual"]) and rows[name]["pass"] is False, name
+
+
+def test_frames_that_are_not_finite_fail_the_foliation_chain(tmp_path, capsys):
+    # the transported frames of the all-1e300 chart are not finite; an SVD of
+    # them does not converge, which must not read as bad input
+    doc = make_doc(dimension=3, coordinates=["x1", "x2", "x3"], domain=[[-0.8, 0.8]] * 3,
+                   gamma={f"{k},{i},{j}": "1e300" for k in range(3) for i in range(3)
+                          for j in range(3)},
+                   structures={"K": [[1.0], [0.0], [0.0], [0.0]]})
+    path = tmp_path / "e300.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["detect", "--manifest", str(path), "--out", str(out)]) == 1
+    assert not any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    report = json.loads(out.read_text())
+    rows = {row["name"]: row for row in report["checks"]}
+    assert rows["foliation_accepted"]["pass"] is False
+    assert report["result"]["foliation"]["rho_residual"] == np.inf
+    assert report["result"]["foliation"]["inconclusive"] is False
+    assert "decomposition" in report["result"]
+
+
+def test_cold_start_imports_scipy_only_for_a_matrix_logarithm(tmp_path):
+    # a fresh process per command: scipy.linalg costs a cold start a quarter
+    # of a second, and only the loop estimator takes a matrix logarithm
+    script = ("import sys\nfrom tractorlab import cli\n"
+              "code = cli.main([sys.argv[1], '--manifest', 'sphere2', '--out', sys.argv[2]])\n"
+              "print(code, 'scipy' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for command in ("compute", "transport", "verify", "invariance", "holonomy"):
+        proc = subprocess.run([sys.executable, "-c", script, command, str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0", str(command == "holonomy")], command
 
 
 def test_an_entry_of_two_thousand_terms_runs_the_suite(tmp_path):
