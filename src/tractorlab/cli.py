@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .affine import Curve, OneFormField, max_abs, project_change
+from .affine import Curve, OneFormField, max_abs
 from .expr import ExprDomainError, ExprError
 from .holonomy import (
     classify,
@@ -169,8 +169,7 @@ def cmd_invariance(manifest: Manifest, seed: int, checks: _Checks) -> dict:
     for i, (ups, res) in enumerate(zip(changes, weyl_invariance_test(chart, changes, seed=seed))):
         checks.add(f"weyl_invariance_change_{i}", res["max_weyl_residual"], "weyl_invariance")
         checks.add(f"cotton_change_law_{i}", res["max_cotton_residual"], "cotton_change_law")
-        changed = project_change(chart, ups)
-        H2, _rep2 = loop_holonomy(changed, loop)
+        H2, _rep2 = loop_holonomy(res["chart"], loop)
         S = splitting_matrix(ups.at(loop_base))
         drift = max_abs(S @ H2 @ np.linalg.inv(S) - H) / (1.0 + max_abs(H))
         checks.add(f"loop_invariance_change_{i}", drift, "loop_invariance")

@@ -19,6 +19,7 @@ against all generators before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -272,6 +273,76 @@ def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3,
 
 # -- loop estimator ----------------------------------------------------------------------
 
+# Al-Mohy & Higham, SIAM J. Sci. Comput. 34(4), 2012: the [m/m] Pade
+# approximant of log(I + E) is within a few units of round-off of it when
+# ||E||_1 <= _THETA[m - 1] (the thresholds scipy's logm uses)
+_THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
+_MAX_SQRTS = 64
+_MAX_SQRT_STEPS = 64
+
+
+@cache
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return (x + 1) / 2, w / 2
+
+
+def _sqrtm(X: np.ndarray, eye: np.ndarray):
+    """Principal square root by the determinant-scaled product form of the
+    Denman-Beavers iteration (Higham 2008, ch. 6), or None when it
+    meets values that are not finite or has not converged after
+    `_MAX_SQRT_STEPS` steps.  M - I is squared by each step, so the step
+    taken once it is 1e-8 is the last."""
+    n = X.shape[0]
+    M = Y = X
+    for _ in range(_MAX_SQRT_STEPS):
+        eps = np.linalg.norm(M - eye, 1)
+        if not np.isfinite(eps):
+            return None
+        mu = np.exp(-np.linalg.slogdet(M)[1] / (2 * n))
+        M_inv = np.linalg.inv(M) / mu ** 2
+        Y = 0.5 * mu * Y @ (eye + M_inv)
+        M = 0.5 * (eye + 0.5 * (mu ** 2 * M + M_inv))
+        if eps <= 1e-8:
+            return Y
+    return None
+
+
+def _principal_log(H: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a real matrix by inverse scaling and squaring.
+
+    s square roots bring X = H^(1/2^s) to ||X - I||_1 <= _THETA[-1]; then
+    log X is the [m/m] Pade approximant of log(I + E), E = X - I, for the
+    least m that `_THETA` allows, written as the m-point Gauss-Legendre sum
+    of w_j E (I + x_j E)^-1 (Higham 2008, ch. 11), and log H = 2^s log X.
+    E is carried through the roots as E' = (I + X')^-1 E, which never
+    subtracts I from a root.  A matrix with no real principal log (an
+    eigenvalue on the closed negative real axis), one that is not finite,
+    and one that needs more than `_MAX_SQRTS` roots give NaNs; nothing
+    raises.
+    """
+    eye = np.eye(H.shape[0])
+    nan = np.full_like(eye, np.nan)
+    X = np.asarray(H, dtype=float)
+    E = X - eye
+    s = 0
+    with np.errstate(all="ignore"):
+        try:
+            while (norm := np.linalg.norm(E, 1)) > _THETA[-1]:
+                X = _sqrtm(X, eye) if s < _MAX_SQRTS else None
+                if X is None:
+                    return nan
+                E = np.linalg.solve(eye + X, E)
+                s += 1
+            if not np.isfinite(norm):
+                return nan
+            x, w = _gauss_legendre(next(m for m, t in enumerate(_THETA, 1) if norm <= t))
+            log = 2.0 ** s * np.tensordot(w, np.linalg.solve(eye + x[:, None, None] * E, E), 1)
+        except np.linalg.LinAlgError:
+            return nan
+    return log if np.isfinite(log).all() else nan
+
 
 def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float,
                  max_retries: int = 5):
@@ -281,10 +352,10 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
     alone, and `converged` says whether every retry's transport converged.
     A loop still outside the branch after the last retry gives the principal
     log of its last holonomy with `converged` False, and a holonomy that is
-    not finite gives a log of NaNs with `converged` False.
+    not finite gives a log of NaNs with `converged` False.  A holonomy with
+    no real principal log (`_principal_log` gives NaNs) is outside the
+    branch.
     """
-    from scipy.linalg import logm  # here, so that commands taking no log never import scipy
-
     converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
     for attempt in range(max_retries + 1):
@@ -298,8 +369,10 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
         if not np.isfinite(H).all():
             return np.full_like(H, np.nan), attempt, False
         if max_abs(H - np.eye(H.shape[0])) < 1.0:
-            return np.real(logm(H)), attempt, converged
-    return np.real(logm(H)), max_retries, False
+            log = _principal_log(H)
+            if np.isfinite(log).all():
+                return log, attempt, converged
+    return _principal_log(H), max_retries, False
 
 
 def _default_loop_family(chart: ChartModel, base, count: int, seed: int, eps: float):

@@ -204,7 +204,9 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
     sequences).  Weyl should be exactly invariant; Cotton should transform
     by CY' = CY - Ups . W.  Every chart is valued on jets at the same
     sample points, the unchanged one once for all changes.  Returns one
-    dict of max residuals over sample points per change.
+    dict per change: the max residuals over sample points, and the changed
+    chart under "chart", so that a caller can use it without building it
+    again.
     """
     pts = sample_points(chart, seed=seed, n_random=n_points, n_grid=4)
     before = point_fields(chart, pts)
@@ -212,7 +214,8 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
     for ups in changes:
         if not isinstance(ups, OneFormField):
             ups = OneFormField(chart, np.asarray(ups, dtype=object))
-        after = point_fields(project_change(chart, ups), pts)
+        changed = project_change(chart, ups)
+        after = point_fields(changed, pts)
         # max_abs of the per-point residuals, so a NaN fails the change
         res_w, res_cy = [], []
         for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):
@@ -220,5 +223,6 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
             expected = cy1 - np.einsum("k,hjkl->hjl", ups.at(p), w1)
             res_cy.append(max_abs(cy2 - expected) / (1.0 + max_abs(expected)))
         results.append({"max_weyl_residual": max_abs(res_w),
-                        "max_cotton_residual": max_abs(res_cy), "n_points": len(pts)})
+                        "max_cotton_residual": max_abs(res_cy), "n_points": len(pts),
+                        "chart": changed})
     return results

@@ -767,21 +767,25 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
     gl-blocks in the affine curvature span of the base connection, and
     whether the tangent-column part is zero (cone case) or full.  The
     decomposition statement itself is only asserted when the induced
-    action is irreducible.
+    action is irreducible.  An algebra or sampled curvature that is not
+    finite has no block pattern to read: both residuals are inf.
     """
     n = chart.n
     gens = list(alg.basis)
-    t_star = max((float(np.abs(A[n, :n]).max()) for A in gens), default=0.0)
-
     pts = sample_points(chart, seed=seed)[:12]
+    curvature = point_fields(chart, pts)["R"]
+    finite = alg.finite and bool(np.isfinite(curvature).all())
+    t_star = max((float(np.abs(A[n, :n]).max()) for A in gens), default=0.0) \
+        if finite else np.inf
+
     affine_mats = []
-    for R in point_fields(chart, pts)["R"]:
+    for R in curvature:
         for h in range(n):
             for j in range(h + 1, n):
                 affine_mats.append(R[h, j])
     affine_basis, closed, rounds, bres = bracket_closure(affine_mats, n, tol)
     gl_blocks = [A[:n, :n] for A in gens]
-    containment = _containment_residual(gl_blocks, affine_basis)
+    containment = _containment_residual(gl_blocks, affine_basis) if finite else np.inf
 
     col_stack = np.array([A[:n, n] for A in gens]) if gens else np.zeros((0, n))
     if col_stack.size:
@@ -801,7 +805,10 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
         irreducible = invariant_subspaces(gl_alg) == [] and gl_alg.rank > 0
     else:
         irreducible = False
-    if t_star > 1e-9:
+    if not finite:
+        decomposition = None
+        note = "holonomy algebra or sampled curvature not finite"
+    elif t_star > 1e-9:
         decomposition = None
         note = "tangent-row part does not vanish; no invariant rank-n subspace"
     elif irreducible:

@@ -445,9 +445,9 @@ def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch
         assert np.isnan(rows[name]["residual"]) and rows[name]["pass"] is False, name
 
 
-def test_frames_that_are_not_finite_fail_the_foliation_chain(tmp_path, capsys):
-    # the transported frames of the all-1e300 chart are not finite; an SVD of
-    # them does not converge, which must not read as bad input
+def detect_e300_with_k(tmp_path, capsys):
+    """The `detect` report and check rows of a 3-d chart whose 27 Christoffel
+    symbols are all 1e300, with a K structure; it must exit 1, not 2."""
     doc = make_doc(dimension=3, coordinates=["x1", "x2", "x3"], domain=[[-0.8, 0.8]] * 3,
                    gamma={f"{k},{i},{j}": "1e300" for k in range(3) for i in range(3)
                           for j in range(3)},
@@ -459,26 +459,66 @@ def test_frames_that_are_not_finite_fail_the_foliation_chain(tmp_path, capsys):
         assert cli.main(["detect", "--manifest", str(path), "--out", str(out)]) == 1
     assert not any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
     report = json.loads(out.read_text())
-    rows = {row["name"]: row for row in report["checks"]}
+    return report, {row["name"]: row for row in report["checks"]}
+
+
+def test_frames_that_are_not_finite_fail_the_foliation_chain(tmp_path, capsys):
+    # the transported frames of the all-1e300 chart are not finite; an SVD of
+    # them does not converge, which must not read as bad input
+    report, rows = detect_e300_with_k(tmp_path, capsys)
     assert rows["foliation_accepted"]["pass"] is False
     assert report["result"]["foliation"]["rho_residual"] == np.inf
     assert report["result"]["foliation"]["inconclusive"] is False
     assert "decomposition" in report["result"]
 
 
-def test_cold_start_imports_scipy_only_for_a_matrix_logarithm(tmp_path):
-    # a fresh process per command: scipy.linalg costs a cold start a quarter
-    # of a second, and only the loop estimator takes a matrix logarithm
-    script = ("import sys\nfrom tractorlab import cli\n"
-              "code = cli.main([sys.argv[1], '--manifest', 'sphere2', '--out', sys.argv[2]])\n"
-              "print(code, 'scipy' in sys.modules)")
+def test_curvature_that_is_not_finite_fails_the_decomposition_row(tmp_path, capsys):
+    # the algebra of the all-1e300 chart has no basis and its curvature is
+    # NaN: an empty block pattern must not read as a vanishing tangent row
+    report, rows = detect_e300_with_k(tmp_path, capsys)
+    assert rows["t_star_row_max"]["pass"] is False
+    assert rows["t_star_row_max"]["residual"] == np.inf
+    assert report["result"]["decomposition"]["affine_containment_residual"] == np.inf
+
+
+def test_invariance_builds_each_projective_change_once(monkeypatch):
+    calls = []
+    original = affine.project_change
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (affine, projective, cli):
+        monkeypatch.setattr(module, "project_change", counting, raising=False)
+    report = cli.run("invariance", load_bundled("flat2"), seed=0)
+    assert len(calls) == len(report["result"]["changes"]) == 3
+
+
+def run_cold(script, *args):
+    """Run a Python script in a fresh process that imports this checkout's tractorlab."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    for command in ("compute", "transport", "verify", "invariance", "holonomy"):
-        proc = subprocess.run([sys.executable, "-c", script, command, str(tmp_path / "r.json")],
-                              capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.split() == ["0", str(command == "holonomy")], command
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh process per command: importing scipy.linalg costs a cold start
+    # about 0.3 s and 30 MB, and scipy is only a test dependency
+    script = ("import sys\nfrom tractorlab import cli\n"
+              "code = cli.main([sys.argv[1], '--manifest', 'sphere2', '--out', sys.argv[2]])\n"
+              "print(code, 'scipy' in sys.modules)")
+    for command in cli.COMMANDS:
+        proc = run_cold(script, command, str(tmp_path / "r.json"))
+        assert proc.stdout.split() == ["0", "False"], command
+
+
+def test_suite_runs_with_scipy_blocked(tmp_path):
+    script = ("import sys\nsys.modules['scipy'] = None\nfrom tractorlab import cli\n"
+              "print(cli.main(['suite', '--manifest', 'sphere2', '--out', sys.argv[1]]))")
+    assert run_cold(script, str(tmp_path / "r.json")).stdout.split() == ["0"]
 
 
 def test_an_entry_of_two_thousand_terms_runs_the_suite(tmp_path):

@@ -7,7 +7,7 @@ forced by flatness (round spheres).
 
 import numpy as np
 import pytest
-from scipy.linalg import logm
+from scipy.linalg import expm, logm
 from hypothesis import assume, given, settings, strategies as st
 
 from tractorlab.holonomy import (
@@ -24,6 +24,8 @@ from tractorlab.holonomy import (
     loop_algebra,
     _curvature_tower,
     _default_loop_family,
+    _guarded_log,
+    _principal_log,
 )
 from tractorlab.affine import ChartModel
 from tractorlab.expr import eval_many, parse
@@ -239,6 +241,61 @@ def test_max_order_validation():
         infinitesimal_algebra(twisted_chart(), P3, max_order=-1)
 
 
+# -- the principal logarithm --------------------------------------------------------
+
+# Worst errors measured over 3,600 matrices expm(S), ||S||_2 <= 1, m = 3, 4, 5,
+# six seeds: 3.4e-15 against scipy's logm, 1.3e-15 against S itself and
+# 8.9e-16 between tr L and log det H; 1.2e-15 relative to scipy on unipotent
+# and Jordan-block H.  Each tolerance is about three times its worst case.
+LOG_VS_SCIPY_TOL = 1e-14
+LOG_TRUE_TOL = 4e-15
+LOG_TRACE_TOL = 3e-15
+LOG_DEFECTIVE_TOL = 4e-15
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_principal_log_matches_scipy_on_exponentials(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(200):
+        S = rng.standard_normal((m, m))
+        S *= rng.uniform(0.0, 1.0) / np.linalg.norm(S, 2)
+        H = expm(S)
+        L = _principal_log(H)
+        assert np.abs(L - np.real(logm(H))).max() <= LOG_VS_SCIPY_TOL
+        assert np.abs(L - S).max() <= LOG_TRUE_TOL
+        assert abs(np.trace(L) - np.log(np.linalg.det(H))) <= LOG_TRACE_TOL
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_principal_log_of_unipotent_and_defective_matrices(m):
+    rng = np.random.default_rng(50 + m)
+    for scale in (1e-3, 0.1, 1.0, 5.0):
+        N = np.triu(rng.standard_normal((m, m)), 1) * scale
+        unipotent = np.eye(m) + N + N @ N / 2 + N @ N @ N / 6
+        jordan = 2.0 * np.eye(m) + scale * np.eye(m, k=1)
+        for H in (unipotent, jordan):
+            reference = np.real(logm(H))
+            error = np.abs(_principal_log(H) - reference).max()
+            assert error <= LOG_DEFECTIVE_TOL * max(1.0, np.abs(reference).max())
+
+
+def test_principal_log_of_the_identity_is_exactly_zero():
+    for m in (3, 4, 5):
+        assert not _principal_log(np.eye(m)).any()
+
+
+@pytest.mark.parametrize("H", [
+    np.full((3, 3), np.nan),
+    np.diag([np.inf, 1.0, 1.0]),
+    np.diag([-1.0, -1.0, 1.0, 1.0]),   # singular square-root iterate
+    np.diag([-2.0, 1.0, 1.0]),         # no real principal log
+    np.diag([0.0, 1.0, 1.0, 1.0]),     # singular
+    np.full((3, 3), 1e300),
+], ids=["nan", "inf", "minus-identity-block", "negative", "singular", "huge"])
+def test_principal_log_without_a_real_principal_log_is_nan(H):
+    assert np.isnan(_principal_log(H)).all()
+
+
 # -- chart-based estimates ----------------------------------------------------------
 
 
@@ -305,7 +362,7 @@ def test_loop_algebra_equals_per_loop_holonomy_logs():
     logs = []
     for loop in family:
         H, _ = loop_holonomy(chart, loop, tol=1e-10)
-        log = np.real(logm(H))
+        log = _principal_log(H)
         logs.append(log / float(np.linalg.norm(log)))
     assert la.details["log_retries"] == 0
     assert la.generators.tobytes() == np.array(logs).tobytes()
@@ -332,6 +389,16 @@ def test_loop_outside_the_log_branch_after_every_retry_fails_the_trace_check():
     assert la.details["log_retries"] == 5
     assert la.trace_free_residual == np.inf
     assert not la.finite and classify(la, [])["trivial_holonomy"] is False
+
+
+def test_a_holonomy_with_no_real_log_is_retried_on_a_shrunk_loop():
+    # I - 0.9 J (J all ones) lies within max-abs 1 of I, but has eigenvalue -1.7
+    chart = sphere_chart(2)
+    loop = square_loop(np.array([0.1, -0.2]), 0, 1, 0.08)
+    H = np.eye(3) - 0.9 * np.ones((3, 3))
+    log, retries, converged = _guarded_log(chart, loop, H, ode_tol=1e-10)
+    assert retries == 1 and converged
+    assert np.isfinite(log).all()
 
 
 @pytest.mark.parametrize("seed", range(4))
