@@ -403,6 +403,10 @@ def normalize_volume(chart: ChartModel) -> tuple[ChartModel, OneFormField]:
 
 _RK4_INITIAL_STEPS = 64
 _RK4_MAX_STEPS = 65536
+# Points per `field` call and step matrices per tile of the transport
+# kernel.  A power of two, so a block of _CHUNK steps of one row is a
+# subtree of the row's pairwise product.
+_CHUNK = 2048
 
 
 def _rk4_grid(t0, t1, steps: int):
@@ -520,6 +524,40 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
     return GeodesicPath(ts, pts, vels, False, converged)
 
 
+def _rk4_increments(table: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The increments D_j of k RK4 steps on y = I, each step being I + D_j.
+
+    `table` holds -A at the stage times of the steps, shape (2k + 1, B, m, m)
+    with step j on entries 2j, 2j + 1 and 2j + 2, and `h` the step sizes,
+    shape (B, 1, 1); the RK4 formulas run once for all k steps of all B rows.
+    """
+    steps, m = len(table) // 2, table.shape[-1]
+    k = table[0:-1:2].copy()  # k1, then k2, k3, k4 of every step at once
+    d, y, mid = k.copy(), np.empty(k.shape), table[1::2]
+    for a, c, w in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (table[2::2], h, 1.0)):
+        np.multiply(c, k, out=y)
+        y.reshape(steps, -1, m * m)[..., ::m + 1] += 1.0  # y = I + c k
+        np.matmul(a, y, out=k)
+        np.multiply(w, k, out=y)
+        d += y
+    d *= h / 6
+    return d
+
+
+def _pairwise_product(d: np.ndarray) -> np.ndarray:
+    """(I + D_{k-1}) ... (I + D_0) - I of increments stacked on axis 0.
+
+    The steps are multiplied pairwise in increment form, (I + D')(I + D) =
+    I + (D' + D + D'D), rounding no 1 + small before the end; an odd tail
+    waits a round.  On an aligned block of 2^j steps the first j rounds
+    pair within the block, so its product is a subtree of the whole one.
+    """
+    while len(d) > 1:
+        later, earlier = d[1::2], d[0:-1:2]
+        d = np.concatenate([later + earlier + later @ earlier, d[2 * len(later):]])
+    return d[0]
+
+
 def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     """Integrate ydot = -A(xdot) y along each curve; returns [(y_at_end, steps, ok)].
 
@@ -532,17 +570,21 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     and stage times and converges on its own under the doubling rule of
     `rk4_adaptive` (`_rk4_doubling`); converged rows leave the batch.  A
     level builds the stage grid of all active rows at once (`_rk4_grid`)
-    and keeps -A(t) of every time equal to the one at the same place in
-    the previous level's grid (on a dyadic interval, every even entry).
-    The other times of all rows go through one path evaluation -- closed
-    form for segments, a compile per kernel call for any other curve --,
-    one `field` call and one einsum forming -A(t) = -xdot^i A_i(x(t)).
-    The ODE is linear, so each RK4 step is a matrix I + D_j: the RK4
-    formulas run once on y = I for all steps of all active rows, and the
-    steps are multiplied pairwise in increment form, (I + D')(I + D) =
-    I + (D' + D + D'D), rounding no 1 + small before the end.  Steps and
-    flags are `rk4_adaptive`'s with a pointwise right-hand side, states
-    agree with it to round-off, and a row's bits do not depend on its batch.
+    and fills a stage table of -A(t), copying from the previous level's
+    table every time equal to the one at the same place in its grid (on a
+    dyadic interval, every even entry) before that table is dropped.  The
+    other times go, in row-major chunks of at most `_CHUNK` points, through
+    one path evaluation -- closed form for segments, a compile per kernel
+    call for any other curve --, one `field` call and one einsum forming
+    -A(t) = -xdot^i A_i(x(t)).  The ODE is linear, so each RK4 step is a
+    matrix I + D_j: the RK4 formulas run on y = I (`_rk4_increments`) and
+    the steps are multiplied pairwise (`_pairwise_product`), over tiles of
+    rows holding at most `_CHUNK` steps; a row deeper than that is cut into
+    aligned blocks of `_CHUNK` steps whose products are subtrees of its
+    own.  So the kernel holds one stage table and buffers of `_CHUNK`
+    points.  Steps and flags are `rk4_adaptive`'s with a pointwise
+    right-hand side, states agree with it to round-off, and a row's bits
+    depend neither on its batch nor on its tile.
     """
     if not curves:
         return []
@@ -562,40 +604,35 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
         nonlocal last
         rows = np.array(active)
         h, grid = _rk4_grid(t0[rows], t1[rows], steps)
+        table = np.empty((2 * steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
         new = np.ones(grid.shape, dtype=bool)
         if last is not None:
-            last_rows, last_grid = last[:2]  # the old table goes when `last` moves on
+            last_rows, last_grid, last_table = last
             sel = np.searchsorted(last_rows, rows)
             new[0::2] = grid[0::2] != last_grid[:, sel]
-        b, i = np.nonzero(new.T)  # row-major, so a domain error names a row's first point
-        t = grid[i, b]
-        r = rows[b]
-        xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
-        for row, path in paths.items():
-            at = r == row
-            if at.any():
-                xv[at] = path(t[at][:, None])
-        table = np.empty((2 * steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
-        table[i, b] = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
-        if last is not None:
-            ki, kb = np.nonzero(~new)
-            table[ki, kb] = last[2][ki // 2, sel[kb]]
+            for b, s in enumerate(sel):  # row by row, so the copy makes no temporary
+                table[0::2, b] = last_table[:, s]
+            last = last_table = None
+        at = np.flatnonzero(new.T)  # row-major, so a domain error names a row's first point
+        for s in range(0, len(at), _CHUNK):
+            b, i = np.divmod(at[s:s + _CHUNK], len(grid))
+            t, r = grid[i, b], rows[b]
+            xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
+            for row, path in paths.items():
+                on = r == row
+                if on.any():
+                    xv[on] = path(t[on][:, None])
+            table[i, b] = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
         last = rows, grid, table
         h = h[:, None, None]
-        k = table[0:-1:2].copy()  # k1, then k2, k3, k4 of every step at once
-        d, y, mid = k.copy(), np.empty(k.shape), table[1::2]
-        for a, c, w in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (table[2::2], h, 1.0)):
-            np.multiply(c, k, out=y)
-            y.reshape(steps, -1, m * m)[..., ::m + 1] += 1.0  # y = I + c k
-            np.matmul(a, y, out=k)
-            np.multiply(w, k, out=y)
-            d += y
-        d *= h / 6  # the increments D_j
-        del k, y
-        while len(d) > 1:  # pairwise; an odd tail waits a round
-            later, earlier = d[1::2], d[0:-1:2]
-            d = np.concatenate([later + earlier + later @ earlier, d[2 * len(later):]])
-        return (state + d[0] @ state).reshape((len(rows),) + y0.shape)
+        tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)  # rows a tile, steps a block
+        prod = np.empty((len(rows), m, m))
+        for first in range(0, len(rows), tile):
+            on = slice(first, first + tile)
+            prod[on] = _pairwise_product(np.array([
+                _pairwise_product(_rk4_increments(table[2 * j:2 * (j + block) + 1, on], h[on]))
+                for j in range(0, steps, block)]))
+        return (state + prod @ state).reshape((len(rows),) + y0.shape)
 
     return _rk4_doubling(run_level, len(curves), tol)
 

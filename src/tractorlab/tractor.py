@@ -71,17 +71,19 @@ def _connection_program(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("Mprog", build)
 
 
-def _assemble_connection(values: np.ndarray, steps: list, out: np.ndarray) -> None:
-    """M_i into `out` (B, n, n+1, n+1) from rows of `_connection_program` values.
+def _assemble_connection(values: np.ndarray, steps: list, n: int) -> np.ndarray:
+    """M_i (B, n, n+1, n+1) from rows of `_connection_program` values.
 
-    The work runs on one row per entry, so each numpy call spans the batch.
+    The work runs on one row per entry, so each numpy call spans the batch,
+    and M is written field-major: the result is the transposed view of an
+    (n, n+1, n+1, B) array, so every write is contiguous.
     R[k, j, k, l], Ric and P are summed in the order of `assemble_curvature`,
     `assemble_ricci` and `assemble_rho`: the derivative terms, the m-terms
     one m = c at a time, then the sum over k.  `steps` lists (k, c, first,
     second): like the symbolic chain, a product whose factors are literal
     zeros is left out, so with the same derivatives this is its M bit for bit.
     """
-    B, n, m = len(values), out.shape[1], out.shape[2]
+    B, m = len(values), n + 1
     G = values[:, :n ** 3].T.reshape(n, n, n, B)  # G[k, i, j, b]
     A = values[:, n ** 3:].T.reshape(n, n, n, B)  # A[k, j, l, b], summed in place
     t1, t2 = np.empty((n, n, B)), np.empty((n, n, B))
@@ -99,7 +101,7 @@ def _assemble_connection(values: np.ndarray, steps: list, out: np.ndarray) -> No
     for k in range(1, n):
         ric += A[k]
         tr += G[k, :, k]
-    Mt = out.reshape(B, n * m * m).T.reshape(n, m, m, B)  # Mt[i, r, s] = M_i[r, s], a view
+    Mt = np.empty((n, m, m, B))  # Mt[i, r, s] = M_i[r, s]
     Mt[:, :n, :n] = G.swapaxes(0, 1)
     w = np.divide(tr, float(-(n + 1)), out=Mt[:, n, n])
     Mt.reshape(n, m * m, B)[:, :n * m + n:m + 1] += w[:, None]  # Gamma_i's diagonal
@@ -108,11 +110,7 @@ def _assemble_connection(values: np.ndarray, steps: list, out: np.ndarray) -> No
     P += ric.swapaxes(0, 1)
     P *= -(1.0 / float(n * n - 1))
     Mt[:, n, :n] = P
-
-
-# Points per program call and assembly: each point's M depends on that point
-# alone, and chunks bound the temporaries of a large batch.
-_CHUNK = 2048
+    return Mt.transpose(3, 0, 1, 2)
 
 
 def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
@@ -120,8 +118,10 @@ def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
 
     Gamma and the first partials the curvature needs are compiled once per
     chart as one program (`_connection_program`), and Ric, P and M are
-    assembled from their values in numpy; no curvature is built
-    symbolically.  The callable is built once per chart.
+    assembled from their values in numpy (`_assemble_connection`); no
+    curvature is built symbolically.  The result is a field-major view,
+    and the batch is evaluated whole: the transport kernel bounds its
+    batches (`affine._CHUNK`).  The callable is built once per chart.
     """
     def build():
         program, n = _connection_program(chart), chart.n
@@ -132,11 +132,8 @@ def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
 
         def field(points) -> np.ndarray:
             points = np.asarray(points, dtype=float)
-            M = np.empty((len(points), n, n + 1, n + 1))
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
-                for s in range(0, len(points), _CHUNK):
-                    _assemble_connection(values(points[s:s + _CHUNK]), steps, M[s:s + _CHUNK])
-            return M
+                return _assemble_connection(values(points), steps, n)
 
         return field
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -326,3 +328,68 @@ def test_transport_calls_the_field_once_per_level(monkeypatch):
     assert len({steps for _, steps, _ in rows}) >= 2
     assert calls["level"] >= 3
     assert calls["field"] == calls["level"]
+
+
+def test_tiles_and_step_blocks_do_not_change_bits(monkeypatch):
+    # 48 rows fill several tiles of rows; at tol 0 the deep segment reaches
+    # 16,384 steps, more than one tile holds, so its rows are cut into blocks
+    m = load_bundled("sphere3")
+    base = m.base()
+    M_at = connection_field(m.chart)
+    batch = [Curve.segment(base, p) for p in sample_points(m.chart, seed=0)[:48]] + [CURVED]
+    deep = Curve.segment(base, base + SPHERE3_SHIFT)
+    doubling = affine._rk4_doubling
+
+    def from_48(run_level, rows, tol, initial_steps=64, max_steps=affine._RK4_MAX_STEPS):
+        return doubling(run_level, rows, tol, 48, max_steps)
+
+    def run(curves, tol, chunk=affine._CHUNK, rk4_doubling=doubling):
+        monkeypatch.setattr(affine, "_CHUNK", chunk)
+        monkeypatch.setattr(affine, "_rk4_doubling", rk4_doubling)
+        return [(y.tobytes(), steps, ok) for y, steps, ok in
+                _linear_transport(M_at, curves, np.eye(4), tol)]
+
+    want = run(batch, 1e-8)
+    assert want == [run([curve], 1e-8)[0] for curve in batch]
+    deep_rows = run([deep], 0.0)
+    assert deep_rows[0][1] == 16384
+    # one tile and one block per level, as in a single product; then tiles of
+    # 32 steps, whose blocks of 48 * 2^k steps end in a shorter block
+    for chunk in (2 ** 20, 32):
+        assert run(batch, 1e-8, chunk) == want
+        assert run([deep], 0.0, chunk) == deep_rows
+        assert run(batch, 1e-8, chunk, from_48) == run(batch, 1e-8, affine._CHUNK, from_48)
+
+
+def spread_64():
+    """The sphere3 curves and chart of a 64-point spread from the base point."""
+    m = load_bundled("sphere3")
+    return [Curve.segment(m.base(), p) for p in sample_points(m.chart, seed=0)[:64]], m.chart
+
+
+def test_transport_keeps_to_its_memory_bound():
+    curves, c = spread_64()
+    deep = Curve.segment(curves[0].start, curves[0].start + SPHERE3_SHIFT)
+    transport_operators(c, curves[:1])  # compile the connection outside the trace
+    for batch, tol, bound in ((curves, 1e-8, 5.5e6), ([deep], 0.0, 8e6)):
+        tracemalloc.start()
+        try:
+            transport_operators(c, batch, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (len(batch), tol, peak)
+
+
+def test_field_calls_take_at_most_one_chunk_of_points():
+    curves, c = spread_64()
+    M_at = connection_field(c)
+    sizes = []
+
+    def field(X):
+        sizes.append(len(X))
+        return M_at(X)
+
+    _linear_transport(field, curves, np.eye(4), 1e-8)
+    assert sum(sizes) > 2 * affine._CHUNK  # the levels need several calls each
+    assert max(sizes) <= affine._CHUNK
