@@ -43,6 +43,11 @@ __all__ = [
 
 _ZERO = num(0.0)
 
+# Freeing a 4 MB mmapped array raises glibc's mmap threshold to 4 MB and its trim
+# threshold to 8 MB (mallopt(3), "M_MMAP_THRESHOLD ... dynamic adjustment"), so the
+# kernel's per-level arrays stay on a heap not trimmed and re-faulted per transport.
+np.empty(1 << 19)
+
 
 def _as_expr_array(data, shape) -> np.ndarray:
     arr = np.empty(shape, dtype=object)

@@ -3,7 +3,9 @@
 A manifest is a strict JSON document (schema in schema/manifest_schema.json)
 describing a chart: dimension, coordinate names, a sparse map of Christoffel
 expressions, the domain box, and optional sampling policy, curves, loops,
-fiber structures, and tolerance overrides.  Christoffel keys are zero-based
+fiber structures, and tolerance overrides.  `_errors` checks the draft-07
+keywords the schema uses with jsonschema's messages, so no command imports
+jsonschema; the tests keep it as the reference.  Christoffel keys are zero-based
 "k,i,j" triples.  Asymmetric symbols are rejected unless the manifest sets
 "symmetrize": true, because everything downstream assumes a torsion-free
 connection.
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .affine import ChartModel, Curve, max_abs, sample_points, symmetrize
@@ -70,14 +72,99 @@ class Manifest:
                              n_random=self.n_random, n_grid=self.n_grid)
 
 
+_KEYWORDS = {"type", "const", "minimum", "exclusiveMinimum", "minLength", "pattern", "minItems",
+             "maxItems", "items", "required", "properties", "patternProperties",
+             "additionalProperties", "$schema", "$id", "title", "description"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float),
+          "integer": int}
+
+
+def _is(v, name: str) -> bool:
+    """Draft-07 types: bool is neither a number nor an integer, and 2.0 is an integer."""
+    if isinstance(v, float) and name == "integer":
+        return v.is_integer()
+    return isinstance(v, _TYPES[name]) and (name == "boolean" or not isinstance(v, bool))
+
+
+def _checked(schema) -> dict:
+    """`schema`, once every keyword in it, at every depth, is one `_errors` implements."""
+    for key, arg in schema.items():
+        if (key not in _KEYWORDS or key == "type" and arg not in _TYPES
+                or key == "const" and not isinstance(arg, str)
+                or key == "items" and not isinstance(arg, dict)
+                or key == "additionalProperties" and not isinstance(arg, (bool, dict))):
+            raise ValueError(f"manifest schema: keyword {key!r} ({arg!r}) is not implemented")
+        if key in ("properties", "patternProperties"):
+            for sub in arg.values():
+                _checked(sub)
+        elif key in ("items", "additionalProperties") and isinstance(arg, dict):
+            _checked(arg)
+    return schema
+
+
+def _errors(schema: dict, v, path: tuple):
+    """(path, message) of each violation of `schema` by `v`, with the messages
+    of jsonschema's Draft7Validator; keywords are checked in schema order."""
+    for key, arg in schema.items():
+        if key == "type" and not _is(v, arg):
+            yield path, f"{v!r} is not of type {arg!r}"
+        elif key == "const" and v != arg:
+            yield path, f"{arg!r} was expected"
+        elif key == "minimum" and _is(v, "number") and v < arg:
+            yield path, f"{v!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and _is(v, "number") and v <= arg:
+            yield path, f"{v!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "pattern" and isinstance(v, str) and not re.search(arg, v):
+            yield path, f"{v!r} does not match {arg!r}"
+        elif (key == "minLength" and isinstance(v, str)
+              or key == "minItems" and isinstance(v, list)) and len(v) < arg:
+            yield path, f"{v!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(v, list) and len(v) > arg:
+            yield path, f"{v!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "items" and isinstance(v, list):
+            for i, item in enumerate(v):
+                yield from _errors(arg, item, path + (i,))
+        elif not isinstance(v, dict):
+            continue
+        elif key == "required":
+            yield from ((path, f"{p!r} is a required property") for p in arg if p not in v)
+        elif key == "properties":
+            for p, sub in arg.items():
+                if p in v:
+                    yield from _errors(sub, v[p], path + (p,))
+        elif key == "patternProperties":
+            for regex, sub in arg.items():
+                for p in filter(re.compile(regex).search, v):
+                    yield from _errors(sub, v[p], path + (p,))
+        elif key == "additionalProperties" and arg is not True:
+            regexes = sorted(schema.get("patternProperties", {}))
+            extras = sorted(p for p in v if p not in schema.get("properties", {})
+                            and not any(re.search(r, p) for r in regexes))
+            listed, one = ", ".join(map(repr, extras)), len(extras) == 1
+            if isinstance(arg, dict):
+                for p in extras:
+                    yield from _errors(arg, v[p], path + (p,))
+            elif extras and "patternProperties" in schema:
+                yield path, (f"{listed} {'does' if one else 'do'} not match any of the regexes: "
+                             + ", ".join(map(repr, regexes)))
+            elif extras:
+                yield path, (f"Additional properties are not allowed ({listed} "
+                             f"{'was' if one else 'were'} unexpected)")
+
+
 @functools.cache
-def _validator():
-    """The schema's validator, built and its schema checked once per process."""
+def _validator() -> dict:
+    """The manifest schema, read and its keywords checked once per process."""
     text = resources.files("tractorlab").joinpath("schema/manifest_schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _checked(json.loads(text))
+
+
+def _schema_error(doc) -> str | None:
+    """"$path: message" of the error `jsonschema.validate` would raise, or None:
+    its `best_match`, which for a schema that applies one subschema at each
+    location is the shortest path, then the greatest, then the first found."""
+    best = max(_errors(_validator(), doc, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
+    return None if best is None else "$" + "".join(f"[{p!r}]" for p in best[0]) + ": " + best[1]
 
 
 def loads(text: str, source: str = "<string>") -> Manifest:
@@ -85,11 +172,9 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ManifestError(f"{source}: not valid JSON: {e}") from e
-    # the error `jsonschema.validate` would raise
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if e is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ManifestError(f"{source}: {path}: {e.message}") from e
+    error = _schema_error(doc)
+    if error is not None:
+        raise ManifestError(f"{source}: {error}")
 
     n = doc["dimension"]
     coords = tuple(doc["coordinates"])

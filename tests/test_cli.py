@@ -1,7 +1,12 @@
 """Manifest loading and the command-line report surface."""
 
+import collections
+import copy
+import functools
 import json
 import os
+import platform
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -11,12 +16,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tractorlab import __version__, affine, cli, projective
+from tractorlab import __version__, affine, cli, manifest, projective
 from tractorlab.affine import Curve, max_abs, sample_points
 from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
     ManifestError,
     bundled_names,
+    bundled_path,
     chart_to_manifest,
     load_bundled,
     loads,
@@ -82,6 +88,97 @@ def test_schema_errors_are_the_ones_jsonschema_validate_raises():
         with pytest.raises(ManifestError) as got:
             loads(json.dumps(doc), source="m.json")
         assert str(got.value) == f"m.json: {path}: {want.value.message}"
+
+
+_ODD_VALUES = [None, True, False, 0, -1, 1, 2, 2.0, -0.0, 1.5, -0.5, float("nan"), float("inf"),
+               float("-inf"), 1e300, "", "x", "x1", "1x", "0,0,0", [], [0.0], [1, 2], [[0, 1]],
+               [-1.0, 1.0, 2.0], {}, {"0,0,0": "x1"}, {"seed": 1}]
+_ODD_KEYS = ["extra", "0,0", "0,0,0", "1,2", "0,0,0,0", "a,0,0", "00,1,2", "0,0,0\n", " 0,0",
+             "seed", "base", "K", "omega", "t0", "size", "plane"]
+_OPTIONAL = {"symmetrize": True, "metric": {"0,0": "1", "1,1": "x1"},
+             "samples": {"seed": 3, "n_random": 4, "n_grid": 0}, "base_point": [0.0, 0.0],
+             "curves": [{"components": ["t", "-t"], "t0": 0, "t1": 0.5}],
+             "loops": [{"base": [0.0, 0.0], "plane": [0, 1], "size": 0.1}],
+             "structures": {"K": [[1.0], [0.0], [0.0]]}, "tolerances": {"loop_det": 1e-6}}
+
+
+def _mutated(doc, rng):
+    """`doc` after one to three random edits: a deleted key or item, an odd value
+    (wrong type, NaN, inf, bool, bad gamma or metric key), an added key or item,
+    an optional section, or an edited leaf (an int made an integral float and
+    back, zero, negative, NaN, inf or a bool; a string emptied or changed)."""
+    def nodes(v, path=()):
+        yield path, v
+        items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+        for k, x in items:
+            yield from nodes(x, path + (k,))
+
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        maps = rng.random() < 0.5  # else a big gamma map takes most of the edits
+        path, node = rng.choice([(p, v) for p, v in nodes(doc)
+                                 if maps or p[:1] not in [("gamma",), ("metric",)] or len(p) < 2])
+        parent = functools.reduce(lambda v, k: v[k], path[:-1], doc)
+        action = rng.randrange(5)
+        if action == 0 and path:
+            del parent[path[-1]]
+        elif action == 1:
+            value = copy.deepcopy(rng.choice(_ODD_VALUES))
+            if path:
+                parent[path[-1]] = value
+            else:
+                doc = value
+        elif action == 2 and isinstance(node, dict):
+            node[rng.choice(_ODD_KEYS)] = copy.deepcopy(rng.choice(_ODD_VALUES + ["x2"]))
+        elif action == 2 and isinstance(node, list):
+            node.append(copy.deepcopy(rng.choice(_ODD_VALUES)))
+        elif action == 3 and isinstance(doc, dict):
+            key = rng.choice(sorted(_OPTIONAL))
+            doc[key] = copy.deepcopy(_OPTIONAL[key])
+        elif action == 4 and path and type(node) in (int, float):
+            swapped = float(node) if type(node) is int else int(node) if node.is_integer() else node
+            parent[path[-1]] = rng.choice([swapped, 0, -1, -0.0, float("nan"), float("inf"), True])
+        elif action == 4 and path and isinstance(node, str):
+            parent[path[-1]] = rng.choice(["", "1x", node + "!"])
+    return doc
+
+
+def test_schema_errors_match_jsonschema_on_mutated_manifests():
+    # loads rejects exactly what Draft7Validator rejects, with its best match
+    schema = json.loads((resources.files("tractorlab") / "schema/manifest_schema.json").read_text())
+    reference = jsonschema.Draft7Validator(schema)
+    seeds = [json.loads(bundled_path(name).read_text()) for name in bundled_names()] + [make_doc()]
+    rng = random.Random(20)
+    rejected = collections.Counter()
+    for _ in range(2500):
+        text = json.dumps(_mutated(rng.choice(seeds), rng))
+        doc = json.loads(text)
+        want = jsonschema.exceptions.best_match(reference.iter_errors(doc))
+        if want is None:  # the check loads makes before it reads any field
+            assert manifest._schema_error(doc) is None, text
+            continue
+        rejected[want.validator] += 1
+        path = "$" + "".join(f"[{p!r}]" for p in want.absolute_path)
+        with pytest.raises(ManifestError) as got:
+            loads(text, source="m.json")
+        assert str(got.value) == f"m.json: {path}: {want.message}", text
+    # every keyword that can fail has failed, and both sides are well sampled
+    assert set(rejected) == {"type", "const", "minimum", "exclusiveMinimum", "minLength", "pattern",
+                             "minItems", "maxItems", "required", "additionalProperties"}
+    assert 500 <= sum(rejected.values()) <= 2000
+
+
+def test_schema_keywords_the_loader_does_not_implement_raise_when_read():
+    schema = json.loads((resources.files("tractorlab") / "schema/manifest_schema.json").read_text())
+    assert manifest._checked(copy.deepcopy(schema)) == schema
+    enum = copy.deepcopy(schema)
+    enum["properties"]["format"]["enum"] = ["tractorlab-manifest"]
+    with pytest.raises(ValueError, match="keyword 'enum'"):
+        manifest._checked(enum)
+    unique = copy.deepcopy(schema)
+    unique["properties"]["coordinates"]["uniqueItems"] = True
+    with pytest.raises(ValueError, match="keyword 'uniqueItems'"):
+        manifest._checked(unique)
 
 
 def test_unknown_coordinate_names_the_entry():
@@ -506,19 +603,47 @@ def run_cold(script, *args):
 
 def test_no_command_imports_scipy(tmp_path):
     # a fresh process per command: importing scipy.linalg costs a cold start
-    # about 0.3 s and 30 MB, and scipy is only a test dependency
+    # about 0.3 s and 30 MB, jsonschema 65-100 ms and 5 MB, and both are only
+    # test dependencies
     script = ("import sys\nfrom tractorlab import cli\n"
               "code = cli.main([sys.argv[1], '--manifest', 'sphere2', '--out', sys.argv[2]])\n"
-              "print(code, 'scipy' in sys.modules)")
+              "print(code, 'scipy' in sys.modules, 'jsonschema' in sys.modules)")
     for command in cli.COMMANDS:
         proc = run_cold(script, command, str(tmp_path / "r.json"))
-        assert proc.stdout.split() == ["0", "False"], command
+        assert proc.stdout.split() == ["0", "False", "False"], command
 
 
 def test_suite_runs_with_scipy_blocked(tmp_path):
-    script = ("import sys\nsys.modules['scipy'] = None\nfrom tractorlab import cli\n"
+    script = ("import sys\nsys.modules['scipy'] = None\nsys.modules['jsonschema'] = None\n"
+              "from tractorlab import cli\n"
               "print(cli.main(['suite', '--manifest', 'sphere2', '--out', sys.argv[1]]))")
     assert run_cold(script, str(tmp_path / "r.json")).stdout.split() == ["0"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_transports_do_not_fault_their_pages_in_again():
+    # a heap trimmed between transports re-faults the kernel's arrays on every
+    # call: 243 minor faults per sphere3 lasso, against none once it is not
+    script = """
+import resource
+import numpy as np
+from tractorlab import tractor
+from tractorlab.affine import Curve
+from tractorlab.manifest import load_bundled
+m = load_bundled("sphere3")
+chart, base = m.chart, m.base()
+half = (chart.domain[:, 1] - chart.domain[:, 0]) / 2.0
+anchor = base + 0.6 * half * np.ones(3) / np.sqrt(3.0)
+lasso = ([Curve.segment(base, anchor)] + tractor.square_loop(anchor, 0, 1, 0.08)
+         + [Curve.segment(anchor, base)])
+for _ in range(20):
+    tractor.loop_holonomy(chart, lasso)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    tractor.loop_holonomy(chart, lasso)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+    assert float(run_cold(script).stdout) <= 2.0
 
 
 def test_an_entry_of_two_thousand_terms_runs_the_suite(tmp_path):
