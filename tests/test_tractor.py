@@ -279,6 +279,22 @@ def test_transports_match_pointwise_rk4_and_are_batch_invariant():
             assert (steps, ok) == (steps_alone, ok_alone)
 
 
+def test_a_level_reuses_stage_values_only_at_equal_times(monkeypatch):
+    # the step ends of CURVED on [0.1, 0.7] repeat few of the previous level's
+    # times, a segment's all of them: each state is, bit for bit, the state of
+    # its last level run on its own, with no level before it to reuse
+    m = load_bundled("sphere3")
+    M_at = connection_field(m.chart)
+    batch = [CURVED, Curve.segment(m.base(), m.base() + SPHERE3_SHIFT)]
+    doubling = affine._rk4_doubling
+    for (y, steps, ok), curve in zip(_linear_transport(M_at, batch, np.eye(4), 1e-10), batch):
+        assert ok and steps > affine._RK4_INITIAL_STEPS
+        monkeypatch.setattr(affine, "_rk4_doubling", lambda run_level, rows, tol:
+                            doubling(run_level, rows, tol, steps, steps))
+        (alone, _, _), = _linear_transport(M_at, [curve], np.eye(4), 1e-10)
+        assert alone.tobytes() == y.tobytes()
+
+
 def test_pairwise_product_takes_an_odd_step_count(monkeypatch):
     m = load_bundled("sphere3")
     M_at = connection_field(m.chart)
@@ -361,6 +377,35 @@ def test_tiles_and_step_blocks_do_not_change_bits(monkeypatch):
         assert run(batch, 1e-8, chunk, from_48) == run(batch, 1e-8, affine._CHUNK, from_48)
 
 
+def test_groups_of_rows_do_not_change_bits(monkeypatch):
+    # 31 rows are integrated in groups of 15, 15 and 1 (_CHUNK // 129 = 15):
+    # CURVED opens the second group and is the third; with _CHUNK = 2**20
+    # the batch is one group
+    m = load_bundled("sphere3")
+    base = m.base()
+    M_at = connection_field(m.chart)
+    segments = [Curve.segment(base, p) for p in sample_points(m.chart, seed=1)[:29]]
+    batch = segments[:15] + [CURVED] + segments[15:] + [CURVED]
+    doubling, groups = affine._rk4_doubling, []
+
+    def counted(run_level, rows, tol):
+        groups.append(rows)
+        return doubling(run_level, rows, tol)
+
+    def run(curves, chunk=affine._CHUNK):
+        monkeypatch.setattr(affine, "_CHUNK", chunk)
+        return [(y.tobytes(), steps, ok) for y, steps, ok in
+                _linear_transport(M_at, curves, np.eye(4), 1e-8)]
+
+    monkeypatch.setattr(affine, "_rk4_doubling", counted)
+    want = run(batch)
+    assert groups == [15, 15, 1]
+    assert want == [run([curve])[0] for curve in batch]
+    groups.clear()
+    assert run(batch, 2 ** 20) == want
+    assert groups == [31]
+
+
 def spread_64():
     """The sphere3 curves and chart of a 64-point spread from the base point."""
     m = load_bundled("sphere3")
@@ -371,14 +416,16 @@ def test_transport_keeps_to_its_memory_bound():
     curves, c = spread_64()
     deep = Curve.segment(curves[0].start, curves[0].start + SPHERE3_SHIFT)
     transport_operators(c, curves[:1])  # compile the connection outside the trace
-    for batch, tol, bound in ((curves, 1e-8, 5.5e6), ([deep], 0.0, 8e6)):
+    # at tol -1 no row converges: the deepest level, 65,536 steps, holds one stage table
+    for batch, tol, bound in ((curves, 1e-8, 3.2e6), ([deep], 0.0, 8e6), ([deep], -1.0, 20e6)):
         tracemalloc.start()
         try:
-            transport_operators(c, batch, tol)
+            rows = transport_operators(c, batch, tol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound, (len(batch), tol, peak)
+    assert rows[0][1:] == (affine._RK4_MAX_STEPS, False)
 
 
 def test_field_calls_take_at_most_one_chunk_of_points():
