@@ -456,33 +456,36 @@ def _rk4_doubling(run_level, rows: int, tol: float, initial_steps: int = _RK4_IN
                   max_steps: int = _RK4_MAX_STEPS) -> list:
     """Double the RK4 step count of each row until two resolutions agree.
 
-    `run_level(active, steps)` integrates the rows listed in `active` with
-    `steps` fixed steps and returns their end states in that order.  A row
+    `run_level(active, levels)` integrates the rows listed in `active` with
+    each step count in `levels` and returns, level by level, their end
+    states in that order.  No row converges at its first level, so the
+    first call asks for the first two levels (the first alone if the second
+    would pass `max_steps`) and each later call for the next one.  A row
     is converged at the first level whose state `cur` satisfies
     max_abs(cur - prev) <= tol * (1 + max_abs(cur)) against the level
     before, and then leaves the batch.  A row whose state is not finite
     leaves it at once, not converged: no finer level can mend it, and an
     infinite state would pass the test.  Returns (state, steps, converged)
-    per row; a row still apart at `max_steps` keeps its last state.
+    per row; a row still apart at the last level, initial_steps * 2^k <=
+    `max_steps`, keeps its last state.
     """
-    steps = initial_steps
-    active = list(range(rows))
-    prev: dict = {}
-    out = [None] * rows
-    while active:
-        apart = []
-        for r, cur in zip(active, run_level(active, steps)):
-            if not np.isfinite(cur).all():
-                out[r] = (cur, steps, False)
-            elif r in prev and max_abs(cur - prev[r]) <= tol * (1.0 + max_abs(cur)):
-                out[r] = (cur, steps, True)
-            else:
-                prev[r] = cur
-                apart.append(r)
-        active = apart
-        if steps >= max_steps:
-            break
-        steps *= 2
+    steps, active, prev, out = initial_steps, list(range(rows)), {}, [None] * rows
+    levels = [steps, 2 * steps] if 2 * steps <= max_steps else [steps]
+    while active and levels:
+        for steps, states in zip(levels, run_level(active, levels)):
+            for r, cur in zip(active, states):
+                if out[r] is not None:  # left at the level before, in the same call
+                    continue
+                if not np.isfinite(cur).all():
+                    out[r] = (cur, steps, False)
+                elif r in prev and max_abs(cur - prev[r]) <= tol * (1.0 + max_abs(cur)):
+                    out[r] = (cur, steps, True)
+                else:
+                    prev[r] = cur
+            if all(out[r] is not None for r in active):  # a generator runs no more levels
+                break
+        active = [r for r in active if out[r] is None]
+        levels = [2 * steps] if 2 * steps <= max_steps else []
     for r in active:
         out[r] = (prev[r], steps, False)
     return out
@@ -494,8 +497,8 @@ def rk4_adaptive(f, y0, t0: float, t1: float, tol: float = 1e-8,
 
     Returns (final_state, steps_used, converged).
     """
-    return _rk4_doubling(lambda _active, steps: [_rk4_fixed(f, y0, t0, t1, steps)], 1, tol,
-                         initial_steps, max_steps)[0]
+    return _rk4_doubling(lambda _active, levels: ([_rk4_fixed(f, y0, t0, t1, s)] for s in levels),
+                         1, tol, initial_steps, max_steps)[0]
 
 
 def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
@@ -534,7 +537,8 @@ def _rk4_increments(even: np.ndarray, odd: np.ndarray, h: np.ndarray) -> np.ndar
 
     `even` holds -A at the step ends t_0, ..., t_k, shape (k + 1, B, m, m),
     `odd` at the midpoints, shape (k, B, m, m), and `h` the step sizes,
-    shape (B, 1, 1); the RK4 formulas run once for all k steps of all B rows.
+    shape (B, 1, 1) or, per step, (k, B, 1, 1); the RK4 formulas run once for
+    all k steps of all B rows.
     """
     steps, m = len(odd), odd.shape[-1]
     k = even[:-1].copy()  # k1, then k2, k3, k4 of every step at once
@@ -572,28 +576,34 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     together.
 
     The curves are the rows of consecutive groups of at most
-    `_CHUNK // (2 * _RK4_INITIAL_STEPS + 1)` = 15, so a group's first level
-    fills one chunk; a group runs to convergence before the next starts.
-    In a group each row has its own step size and stage times and converges
-    on its own under the doubling rule of `rk4_adaptive` (`_rk4_doubling`);
-    converged rows leave the group.  A level keeps -A(t) in two tables, at
-    the step ends of its grid (`_rk4_grid`) and at the midpoints: it copies
-    the previous level's tables to the step ends they repeat (on a dyadic
-    interval, all), drops them, then allocates the midpoints' table.  The
-    other step ends, then the midpoints, each row by row in time order, go
-    in chunks of at most `_CHUNK` points through one path evaluation --
-    closed form for segments, a compile per kernel call for any other curve
-    --, one `field` call and one einsum forming -A(t) = -xdot^i A_i(x(t));
-    the first point to fail raises, so of two groups that would raise a
-    domain error, the earlier one does.  The ODE is linear, so each RK4 step
-    is a matrix I + D_j: the RK4 formulas run on y = I (`_rk4_increments`)
-    and the steps are multiplied pairwise (`_pairwise_product`), over tiles
-    of rows holding at most `_CHUNK` steps; a row deeper than that is cut
-    into aligned blocks of `_CHUNK` steps whose products are subtrees of its
-    own.  So the kernel holds one group's stage table and buffers of one
-    chunk.  Steps and flags are `rk4_adaptive`'s with a pointwise right-hand
-    side, states agree with it to round-off, and a row's bits depend neither
-    on its batch, nor on its group, nor on its tile.
+    `_CHUNK // (4 * _RK4_INITIAL_STEPS + 1)` = 7, each run to convergence
+    before the next starts.  In a group each row has its own step size and
+    stage times and converges on its own under the doubling rule of
+    `rk4_adaptive` (`_rk4_doubling`); converged rows leave the group.  No
+    row converges at its first level, so a group's first pass integrates
+    its first two levels at once (one chunk, for segments): it evaluates
+    the finer level's stage grid (`_rk4_grid`), then the coarser level's
+    stages at times no finer step end repeats (on a dyadic interval,
+    none), and holds both in one table, so one `_rk4_increments` call
+    serves both and their pairwise trees go on as one once the finer one
+    has halved.  A later level, or a lone first one, keeps -A(t) at its step
+    ends and at its midpoints: it copies the previous level's values to the
+    step ends they repeat, drops them, allocates the midpoints, and
+    evaluates the other step ends, then the midpoints, row by row in time
+    order.  Points go in chunks of at most `_CHUNK` through one path
+    evaluation -- closed form for segments, a compile per kernel call for
+    any other curve --, one `field` call and one einsum forming -A(t) =
+    -xdot^i A_i(x(t)); the first point to fail raises, so of two groups
+    that would raise a domain error, the earlier one does.  The ODE is
+    linear, so each RK4 step is a matrix I + D_j: the RK4 formulas run on
+    y = I (`_rk4_increments`) and the steps are multiplied pairwise
+    (`_pairwise_product`); a later level does so over tiles of rows holding
+    at most `_CHUNK` steps, and cuts a deeper row into aligned blocks of
+    `_CHUNK` steps whose products are subtrees of its own.  So the kernel
+    holds one group's stage table and buffers of one chunk.  Steps and
+    flags are `rk4_adaptive`'s with a pointwise right-hand side, states
+    agree with it to round-off, and a row's bits depend neither on its
+    batch, nor on its group, nor on its tile.
     """
     if not curves:
         return []
@@ -609,9 +619,44 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
              for r, c in enumerate(curves) if c.delta is None}
     group = last = None  # the rows of a group; (rows, ends, half, even, odd) of its last level
 
-    def run_level(active, steps):
+    def stage(t, r, out=None):  # -A at the times t of the rows r, shape (len(t), m, m)
+        xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
+        for row, path in paths.items():
+            on = r == row
+            if on.any():
+                xv[on] = path(t[on][:, None])
+        return np.negative(np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n])), out=out)
+
+    def first_pass(rows, steps):  # the products of a group's levels of steps and 2 * steps
         nonlocal last
+        size, skip = len(rows), 2 * steps + 2  # the coarse level's stages and a spacer go first
+        h, grid = _rk4_grid(t0[rows], t1[rows], 2 * steps)
+        h_coarse, coarse = _rk4_grid(t0[rows], t1[rows], steps)
+        fresh = coarse != grid[0::2]  # coarse stages at times no fine step end repeats
+        t = np.concatenate([grid.ravel(), coarse[fresh]])
+        r = np.concatenate([np.tile(rows, len(grid)), rows[fresh.nonzero()[1]]])
+        flat = np.empty((skip * size + len(t), m, m))
+        for s in range(0, len(t), _CHUNK):
+            stage(t[s:s + _CHUNK], r[s:s + _CHUNK], flat[skip * size + s:][:_CHUNK])
+        table = flat[:(skip + len(grid)) * size].reshape(-1, size, m, m)
+        table[:skip - 1] = table[skip::2]
+        table[:skip - 1][fresh] = flat[len(table) * size:]
+        table[skip - 1] = 0.0  # the spacer step, from the coarse level's end to the fine start
+        last = rows, grid[0::2], h / 2, table[skip::2], table[skip + 1::2]
+        d = _rk4_increments(table[0::2], table[1::2],
+                            np.repeat([h_coarse, h], [steps + 1, 2 * steps], axis=0)[..., None, None])
+        later, earlier = d[steps + 2::2], d[steps + 1::2]  # the fine tree's first round leaves
+        prods = _pairwise_product(np.concatenate(  # `steps` factors: the trees go on as one
+            [d[:steps], later + earlier + later @ earlier], axis=1))
+        return prods[:size], prods[size:]
+
+    def run_level(active, levels):
         rows = group[active]
+        prods = first_pass(rows, levels[0]) if len(levels) > 1 else [one_level(rows, levels[0])]
+        return [(state + p @ state).reshape((len(rows),) + y0.shape) for p in prods]
+
+    def one_level(rows, steps):  # a level alone, reusing the level before if there is one
+        nonlocal last
         h, ends = _rk4_grid(t0[rows], t1[rows], steps)
         ends, half = ends[0::2].copy(), h / 2  # the step ends; the midpoints are ends + half
         fresh = np.ones((len(rows), steps + 1), dtype=bool)  # step ends not reused
@@ -631,14 +676,8 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
         def fill(s, e):  # -A at points s, ..., e - 1
             be, je = np.divmod(ev[s:e], steps + 1)
             bo, jo = np.divmod(np.arange(max(s - len(ev), 0), e - len(ev)), steps)
-            b = np.concatenate([be, bo])
-            t, r = np.concatenate([ends[je, be], ends[jo, bo] + half[bo]]), rows[b]
-            xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
-            for row, path in paths.items():
-                on = r == row
-                if on.any():
-                    xv[on] = path(t[on][:, None])
-            a = -np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n]))
+            a = stage(np.concatenate([ends[je, be], ends[jo, bo] + half[bo]]),
+                      rows[np.concatenate([be, bo])])
             even[je, be], odd[jo, bo] = a[:len(be)], a[len(be):]
         for s in range(0, total, _CHUNK):
             fill(s, min(s + _CHUNK, total))
@@ -652,9 +691,9 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
                 _pairwise_product(_rk4_increments(even[j:j + block + 1, on],
                                                   odd[j:j + block, on], h[on]))
                 for j in range(0, steps, block)]))
-        return (state + prod @ state).reshape((len(rows),) + y0.shape)
+        return prod
 
-    out, size = [], max(1, _CHUNK // (2 * _RK4_INITIAL_STEPS + 1))
+    out, size = [], max(1, _CHUNK // (4 * _RK4_INITIAL_STEPS + 1))
     for first in range(0, len(curves), size):
         group, last = np.arange(first, min(first + size, len(curves))), None
         out += _rk4_doubling(run_level, len(group), tol)

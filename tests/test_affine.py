@@ -14,6 +14,7 @@ from tractorlab.affine import (
     project_change,
     _rk4_grid,
     ricci,
+    rk4_adaptive,
     sample_points,
     symmetrize,
 )
@@ -326,6 +327,16 @@ def test_stage_grid_equals_the_accumulated_rk4_times():
             assert grid[:, col].tobytes() == np.array(want).tobytes()
             h_one, one = _rk4_grid(t0, t1, steps)
             assert h_one == h_ref and one.tobytes() == grid[:, col].tobytes()
+
+
+def test_rk4_adaptive_stops_at_the_last_level_within_max_steps():
+    # from 48 steps the levels run 48 * 2^k; the last one within 65,536 is 49,152
+    decay = lambda t, y: -y  # noqa: E731
+    for initial, last in ((48, 49152), (64, 65536)):
+        _, steps, ok = rk4_adaptive(decay, np.ones(1), 0.0, 1.0, tol=-1.0, initial_steps=initial)
+        assert (steps, ok) == (last, False)
+    _, steps, ok = rk4_adaptive(decay, np.ones(1), 0.0, 1.0, tol=-1.0, max_steps=64)
+    assert (steps, ok) == (64, False)
 
 
 def test_segment_closed_form_equals_its_compiled_components():

@@ -317,15 +317,13 @@ def test_flat_loop_holonomy_is_the_identity():
     assert max_abs(H - np.eye(4)) <= 1e-13
 
 
-def test_transport_calls_the_field_once_per_level(monkeypatch):
+def test_transport_calls_the_field_once_per_pass(monkeypatch):
+    # a group's first pass integrates its first two levels with one field
+    # call; each later level is a pass of its own, with one call
     m = load_bundled("sphere3")
-    c = m.chart
     base = m.base()
-    M_at = connection_field(c)
-    d = np.array([0.3, -0.2, 0.25])
-    batch = [Curve.segment(base, base + s * d) for s in (0.05, 1.0, 2.0)]
-    batch.append(Curve.from_strings(["0.1*cos(3*t)", "0.2*sin(t)^2", "t/(1 + t^2)"], 0.1, 0.7))
-    calls = {"field": 0, "level": 0}
+    M_at = connection_field(m.chart)
+    calls = {"field": 0, "pass": 0, "level": 0}
 
     def field(X):
         calls["field"] += 1
@@ -334,16 +332,75 @@ def test_transport_calls_the_field_once_per_level(monkeypatch):
     doubling = affine._rk4_doubling
 
     def counted(run_level, *args):
-        def level(active, steps):
-            calls["level"] += 1
-            return run_level(active, steps)
+        def level(active, levels):
+            calls["pass"] += 1
+            calls["level"] += len(levels)
+            return run_level(active, levels)
         return doubling(level, *args)
 
+    def run(curves, tol):
+        calls.update(dict.fromkeys(calls, 0))
+        return _linear_transport(field, curves, np.eye(4), tol)
+
     monkeypatch.setattr(affine, "_rk4_doubling", counted)
-    rows = _linear_transport(field, batch, np.eye(4), 1e-10)
+    batch = [Curve.segment(base, base + s * SPHERE3_SHIFT) for s in (0.05, 1.0, 2.0)] + [CURVED]
+    rows = run(batch, 1e-10)
     assert len({steps for _, steps, _ in rows}) >= 2
     assert calls["level"] >= 3
-    assert calls["field"] == calls["level"]
+    assert calls["level"] == calls["pass"] + 1
+    assert calls["field"] == calls["pass"]
+    # seven segments that converge at 128 steps make one pass and one call
+    anchor = base + SPHERE3_SHIFT / 2
+    seven = ([Curve.segment(base, anchor)] + square_loop(anchor, 0, 1, 0.08)
+             + [Curve.segment(anchor, base), Curve.segment(base, anchor)])
+    assert [(steps, ok) for _, steps, ok in run(seven, 1e-8)] == [(128, True)] * 7
+    assert calls == {"field": 1, "pass": 1, "level": 2}
+    curves, _ = spread_64()
+    run(curves, 1e-8)
+    assert calls["field"] <= 10
+
+
+def test_a_shared_pass_equals_one_level_runs(monkeypatch):
+    # the 64- and 128-step states of a first pass equal, bit for bit, runs of
+    # one level: for a segment, whose 64-step stages all repeat 128-step step
+    # ends, and for CURVED, whose do not, in one group
+    m = load_bundled("sphere3")
+    M_at = connection_field(m.chart)
+    batch = [Curve.segment(m.base(), m.base() + SPHERE3_SHIFT), CURVED]
+    doubling, shared = affine._rk4_doubling, {}
+
+    def recorded(run_level, rows, tol):
+        def level(active, levels):
+            states = run_level(active, levels)
+            shared.setdefault("first", dict(zip(levels, states)))
+            return states
+        return doubling(level, rows, tol)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", recorded)
+    _linear_transport(M_at, batch, np.eye(4), 1e-10)
+    assert sorted(shared["first"]) == [64, 128]
+    for steps, states in shared["first"].items():
+        monkeypatch.setattr(affine, "_rk4_doubling", lambda run_level, rows, tol:
+                            doubling(run_level, rows, tol, steps, steps))
+        for curve, state in zip(batch, states):
+            (alone, alone_steps, _), = _linear_transport(M_at, [curve], np.eye(4), 1e-10)
+            assert alone_steps == steps
+            assert alone.tobytes() == state.tobytes()
+
+
+def test_transport_stops_at_the_last_level_within_max_steps(monkeypatch):
+    # from 48 steps the levels run 48 * 2^k: the last one within 65,536 is 49,152
+    m = load_bundled("sphere3")
+    doubling = affine._rk4_doubling
+
+    def from_48(run_level, rows, tol, initial_steps=64, max_steps=affine._RK4_MAX_STEPS):
+        return doubling(run_level, rows, tol, 48, max_steps)
+
+    monkeypatch.setattr(affine, "_rk4_doubling", from_48)
+    (_, steps, ok), = _linear_transport(connection_field(m.chart),
+                                        [Curve.segment(m.base(), m.base() + SPHERE3_SHIFT)],
+                                        np.eye(4), -1.0)
+    assert (steps, ok) == (49152, False)
 
 
 def test_tiles_and_step_blocks_do_not_change_bits(monkeypatch):
@@ -378,14 +435,14 @@ def test_tiles_and_step_blocks_do_not_change_bits(monkeypatch):
 
 
 def test_groups_of_rows_do_not_change_bits(monkeypatch):
-    # 31 rows are integrated in groups of 15, 15 and 1 (_CHUNK // 129 = 15):
+    # 15 rows are integrated in groups of 7, 7 and 1 (_CHUNK // 257 = 7):
     # CURVED opens the second group and is the third; with _CHUNK = 2**20
     # the batch is one group
     m = load_bundled("sphere3")
     base = m.base()
     M_at = connection_field(m.chart)
-    segments = [Curve.segment(base, p) for p in sample_points(m.chart, seed=1)[:29]]
-    batch = segments[:15] + [CURVED] + segments[15:] + [CURVED]
+    segments = [Curve.segment(base, p) for p in sample_points(m.chart, seed=1)[:13]]
+    batch = segments[:7] + [CURVED] + segments[7:] + [CURVED]
     doubling, groups = affine._rk4_doubling, []
 
     def counted(run_level, rows, tol):
@@ -399,11 +456,11 @@ def test_groups_of_rows_do_not_change_bits(monkeypatch):
 
     monkeypatch.setattr(affine, "_rk4_doubling", counted)
     want = run(batch)
-    assert groups == [15, 15, 1]
+    assert groups == [7, 7, 1]
     assert want == [run([curve])[0] for curve in batch]
     groups.clear()
     assert run(batch, 2 ** 20) == want
-    assert groups == [31]
+    assert groups == [15]
 
 
 def spread_64():
@@ -417,7 +474,7 @@ def test_transport_keeps_to_its_memory_bound():
     deep = Curve.segment(curves[0].start, curves[0].start + SPHERE3_SHIFT)
     transport_operators(c, curves[:1])  # compile the connection outside the trace
     # at tol -1 no row converges: the deepest level, 65,536 steps, holds one stage table
-    for batch, tol, bound in ((curves, 1e-8, 3.2e6), ([deep], 0.0, 8e6), ([deep], -1.0, 20e6)):
+    for batch, tol, bound in ((curves, 1e-8, 2.8e6), ([deep], 0.0, 8e6), ([deep], -1.0, 20e6)):
         tracemalloc.start()
         try:
             rows = transport_operators(c, batch, tol)
