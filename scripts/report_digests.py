@@ -23,13 +23,18 @@ For every report it prints the JSON path of each field that differs.  A
 float, or a list of floats such as a matrix's data, is numeric: its line
 gives the largest absolute and relative change.  Any other difference -- a
 verdict, label, rank, count, string, or a report or element missing on one
-side -- is printed with both values and makes the exit status 1.
+side -- is printed with both values and makes the exit status 1.  A demo's
+output is compared line by line: a line whose text around its floats (numbers
+with a point or an exponent) is unchanged differs in its floats only, and is
+numeric; any other changed line, or a change in the number of lines, makes
+the exit status 1.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,13 +72,35 @@ def _field_diffs(a, b, path: str):
         yield path, False, f"{json.dumps(a)[:60]} -> {json.dumps(b)[:60]}"
 
 
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
+def _line_diffs(a: str, b: str):
+    """(line, numeric, detail) for each line where the demo outputs a and b differ."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        yield "lines", False, f"{len(lines_a)} -> {len(lines_b)}"
+        return
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x == y:
+            continue
+        floats = [list(map(float, _FLOAT.findall(line))) for line in (x, y)]
+        if _FLOAT.split(x) == _FLOAT.split(y) and floats[0] != floats[1]:
+            yield from _field_diffs(*floats, f"line {i}")
+        else:
+            yield f"line {i}", False, f"{x[:60]!r} -> {y[:60]!r}"
+
+
 def diff_dirs(dir_a: Path, dir_b: Path) -> int:
-    """Print the fields that differ between the saved reports of two directories."""
+    """Print what differs between the saved reports or demo outputs of two directories."""
     status = 0
-    for name in sorted({p.name for p in dir_a.glob("*.json")} | {p.name for p in dir_b.glob("*.json")}):
-        docs = [json.loads(d.joinpath(name).read_text()) if d.joinpath(name).exists()
-                else "<missing>" for d in (dir_a, dir_b)]
-        for path, numeric, detail in _field_diffs(*docs, "$"):
+    names = {p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.suffix in (".json", ".txt")}
+    for name in sorted(names):
+        texts = [d.joinpath(name).read_text() if d.joinpath(name).exists() else '"<missing>"'
+                 for d in (dir_a, dir_b)]
+        diffs = (_field_diffs(*map(json.loads, texts), "$") if name.endswith(".json")
+                 else _line_diffs(*texts))
+        for path, numeric, detail in diffs:
             print(name, path, detail)
             status = status or int(not numeric)
     return status

@@ -579,31 +579,30 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     `_CHUNK // (4 * _RK4_INITIAL_STEPS + 1)` = 7, each run to convergence
     before the next starts.  In a group each row has its own step size and
     stage times and converges on its own under the doubling rule of
-    `rk4_adaptive` (`_rk4_doubling`); converged rows leave the group.  No
-    row converges at its first level, so a group's first pass integrates
-    its first two levels at once (one chunk, for segments): it evaluates
-    the finer level's stage grid (`_rk4_grid`), then the coarser level's
-    stages at times no finer step end repeats (on a dyadic interval,
-    none), and holds both in one table, so one `_rk4_increments` call
-    serves both and their pairwise trees go on as one once the finer one
-    has halved.  A later level, or a lone first one, keeps -A(t) at its step
-    ends and at its midpoints: it copies the previous level's values to the
-    step ends they repeat, drops them, allocates the midpoints, and
-    evaluates the other step ends, then the midpoints, row by row in time
-    order.  Points go in chunks of at most `_CHUNK` through one path
-    evaluation -- closed form for segments, a compile per kernel call for
-    any other curve --, one `field` call and one einsum forming -A(t) =
-    -xdot^i A_i(x(t)); the first point to fail raises, so of two groups
-    that would raise a domain error, the earlier one does.  The ODE is
-    linear, so each RK4 step is a matrix I + D_j: the RK4 formulas run on
-    y = I (`_rk4_increments`) and the steps are multiplied pairwise
-    (`_pairwise_product`); a later level does so over tiles of rows holding
-    at most `_CHUNK` steps, and cuts a deeper row into aligned blocks of
-    `_CHUNK` steps whose products are subtrees of its own.  So the kernel
-    holds one group's stage table and buffers of one chunk.  Steps and
-    flags are `rk4_adaptive`'s with a pointwise right-hand side, states
-    agree with it to round-off, and a row's bits depend neither on its
-    batch, nor on its group, nor on its tile.
+    `rk4_adaptive` (`_rk4_doubling`); converged rows leave the group.  A
+    pass (a `run_level` call) evaluates -A(t) on the stage grid (`_rk4_grid`)
+    of the level it integrates, time-major, into one table; nothing it
+    computes outlives it.  No row converges at its first level, so a
+    group's first pass integrates its first two levels (one chunk, for
+    segments): the table holds the coarser level's stages, a spacer step
+    and the finer grid, and the coarser stages are the finer step ends
+    where the times agree bit for bit (on a dyadic interval, all) and are
+    evaluated after the finer grid elsewhere; one `_rk4_increments` call
+    serves both levels, and their pairwise trees go on as one once the
+    finer one has halved.  Points go in chunks of at most `_CHUNK` through
+    one path evaluation -- closed form for segments, a compile per kernel
+    call for any other curve --, one `field` call and one einsum forming
+    -A(t) = -xdot^i A_i(x(t)); the first point to fail raises, so of two
+    groups that would raise a domain error, the earlier one does.  The ODE
+    is linear, so each RK4 step is a matrix I + D_j: the RK4 formulas run
+    on y = I (`_rk4_increments`) and the steps are multiplied pairwise
+    (`_pairwise_product`), for a later level over tiles of rows holding at
+    most `_CHUNK` steps, a deeper row cut into aligned blocks of `_CHUNK`
+    steps whose products are subtrees of its own.  So the kernel holds one
+    pass's stage table and buffers of one chunk.  Steps and flags are
+    `rk4_adaptive`'s with a pointwise right-hand side, states agree with
+    it to round-off, and a row's bits depend neither on its batch, nor on
+    its group, nor on its tile.
     """
     if not curves:
         return []
@@ -617,7 +616,6 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     delta = np.array([np.zeros(n) if c.delta is None else c.delta for c in curves])
     paths = {r: compile_exprs(c.components + c.velocity_exprs(), ("t",))
              for r, c in enumerate(curves) if c.delta is None}
-    group = last = None  # the rows of a group; (rows, ends, half, even, odd) of its last level
 
     def stage(t, r, out=None):  # -A at the times t of the rows r, shape (len(t), m, m)
         xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
@@ -627,75 +625,52 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
                 xv[on] = path(t[on][:, None])
         return np.negative(np.einsum("bi,bikl->bkl", xv[:, n:], field(xv[:, :n])), out=out)
 
-    def first_pass(rows, steps):  # the products of a group's levels of steps and 2 * steps
-        nonlocal last
-        size, skip = len(rows), 2 * steps + 2  # the coarse level's stages and a spacer go first
-        h, grid = _rk4_grid(t0[rows], t1[rows], 2 * steps)
-        h_coarse, coarse = _rk4_grid(t0[rows], t1[rows], steps)
-        fresh = coarse != grid[0::2]  # coarse stages at times no fine step end repeats
-        t = np.concatenate([grid.ravel(), coarse[fresh]])
-        r = np.concatenate([np.tile(rows, len(grid)), rows[fresh.nonzero()[1]]])
-        flat = np.empty((skip * size + len(t), m, m))
-        for s in range(0, len(t), _CHUNK):
-            stage(t[s:s + _CHUNK], r[s:s + _CHUNK], flat[skip * size + s:][:_CHUNK])
-        table = flat[:(skip + len(grid)) * size].reshape(-1, size, m, m)
-        table[:skip - 1] = table[skip::2]
-        table[:skip - 1][fresh] = flat[len(table) * size:]
-        table[skip - 1] = 0.0  # the spacer step, from the coarse level's end to the fine start
-        last = rows, grid[0::2], h / 2, table[skip::2], table[skip + 1::2]
-        d = _rk4_increments(table[0::2], table[1::2],
-                            np.repeat([h_coarse, h], [steps + 1, 2 * steps], axis=0)[..., None, None])
-        later, earlier = d[steps + 2::2], d[steps + 1::2]  # the fine tree's first round leaves
-        prods = _pairwise_product(np.concatenate(  # `steps` factors: the trees go on as one
-            [d[:steps], later + earlier + later @ earlier], axis=1))
-        return prods[:size], prods[size:]
-
-    def run_level(active, levels):
-        rows = group[active]
-        prods = first_pass(rows, levels[0]) if len(levels) > 1 else [one_level(rows, levels[0])]
-        return [(state + p @ state).reshape((len(rows),) + y0.shape) for p in prods]
-
-    def one_level(rows, steps):  # a level alone, reusing the level before if there is one
-        nonlocal last
+    def run_level(active, levels):  # one pass: a group's first two levels, or one later level
+        rows, steps, coarse_steps = group[active], levels[-1], levels[0]
+        size, skip = len(rows), 2 * coarse_steps + 2 if len(levels) > 1 else 0
         h, ends = _rk4_grid(t0[rows], t1[rows], steps)
         ends, half = ends[0::2].copy(), h / 2  # the step ends; the midpoints are ends + half
-        fresh = np.ones((len(rows), steps + 1), dtype=bool)  # step ends not reused
-        even = np.empty((steps + 1, len(rows), m, m))  # time-major: one (B, m, m) per stage
-        if last is not None:  # the previous level, of steps // 2 steps
-            last_rows, last_ends, last_half, last_even, last_odd = last
-            sel = np.searchsorted(last_rows, rows)
-            fresh[:, 0::2] = (ends[0::2] != last_ends[:, sel]).T
-            fresh[:, 1::2] = (ends[1::2] != last_ends[:-1, sel] + last_half[sel]).T
-            for b, s in enumerate(sel):  # row by row, so the copy makes no temporary
-                even[0::2, b], even[1::2, b] = last_even[:, s], last_odd[:, s]
-            last = last_ends = last_even = last_odd = None
-        odd = np.empty((steps, len(rows), m, m))
-        ev = np.flatnonzero(fresh)  # then the midpoints: the k-th is point len(ev) + k
-        total = len(ev) + len(rows) * steps
-
-        def fill(s, e):  # -A at points s, ..., e - 1
-            be, je = np.divmod(ev[s:e], steps + 1)
-            bo, jo = np.divmod(np.arange(max(s - len(ev), 0), e - len(ev)), steps)
-            a = stage(np.concatenate([ends[je, be], ends[jo, bo] + half[bo]]),
-                      rows[np.concatenate([be, bo])])
-            even[je, be], odd[jo, bo] = a[:len(be)], a[len(be):]
-        for s in range(0, total, _CHUNK):
-            fill(s, min(s + _CHUNK, total))
-        last = rows, ends, half, even, odd
-        h = h[:, None, None]
-        tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)  # rows a tile, steps a block
-        prod = np.empty((len(rows), m, m))
-        for first in range(0, len(rows), tile):
-            on = slice(first, first + tile)
-            prod[on] = _pairwise_product(np.array([
-                _pairwise_product(_rk4_increments(even[j:j + block + 1, on],
-                                                  odd[j:j + block, on], h[on]))
-                for j in range(0, steps, block)]))
-        return prod
+        extra_t, extra_r = np.empty(0), np.empty(0, dtype=int)  # stages after the grid
+        if skip:  # the coarse level's stages and a spacer step go first
+            h_coarse, coarse = _rk4_grid(t0[rows], t1[rows], coarse_steps)
+            fresh = coarse != ends  # coarse stages at times no fine step end repeats
+            extra_t, extra_r = coarse[fresh], rows[fresh.nonzero()[1]]
+        points = (2 * steps + 1) * size
+        flat = np.empty((skip * size + points + len(extra_t), m, m))
+        for s in range(0, points + len(extra_t), _CHUNK):  # time-major, then the extras
+            e = min(s + _CHUNK, points)
+            i = slice(s // (2 * size), -(-e // (2 * size)))  # the steps of the chunk's stages
+            t = np.concatenate([ends[i], ends[i] + half], axis=1)  # a step's end, its midpoint
+            on = slice(s - 2 * size * i.start, e - 2 * size * i.start)
+            x = slice(max(s - points, 0), max(s + _CHUNK - points, 0))
+            stage(np.concatenate([t.ravel()[on], extra_t[x]]),
+                  np.concatenate([np.repeat(rows[None], 2 * len(t), 0).ravel()[on], extra_r[x]]),
+                  flat[skip * size + s:][:_CHUNK])
+        table = flat[:len(flat) - len(extra_t)].reshape(-1, size, m, m)
+        even, odd = table[0::2], table[1::2]
+        if skip:
+            table[:skip - 1] = table[skip::2]
+            table[:skip - 1][fresh] = flat[len(table) * size:]
+            table[skip - 1] = 0.0  # the spacer step, from the coarse level's end to the fine start
+            d = _rk4_increments(even, odd, np.repeat([h_coarse, h], [coarse_steps + 1, steps],
+                                                     axis=0)[..., None, None])
+            later, earlier = d[coarse_steps + 2::2], d[coarse_steps + 1::2]  # the fine tree's
+            prods = _pairwise_product(np.concatenate(  # first round; then the trees go on as one
+                [d[:coarse_steps], later + earlier + later @ earlier], axis=1))
+        else:
+            tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)  # rows a tile, steps a block
+            prods = np.empty((size, m, m))
+            for first in range(0, size, tile):
+                on = slice(first, first + tile)
+                prods[on] = _pairwise_product(np.array([
+                    _pairwise_product(_rk4_increments(even[j:j + block + 1, on],
+                                                      odd[j:j + block, on], h[on, None, None]))
+                    for j in range(0, steps, block)]))
+        return list((state + prods @ state).reshape((-1, size) + y0.shape))  # level by level
 
     out, size = [], max(1, _CHUNK // (4 * _RK4_INITIAL_STEPS + 1))
     for first in range(0, len(curves), size):
-        group, last = np.arange(first, min(first + size, len(curves))), None
+        group = np.arange(first, min(first + size, len(curves)))  # the rows `run_level` reads
         out += _rk4_doubling(run_level, len(group), tol)
     return out
 

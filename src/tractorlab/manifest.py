@@ -228,13 +228,16 @@ def loads(text: str, source: str = "<string>") -> Manifest:
             )
 
     samples = doc.get("samples", {})
-    base_point = None
-    if "base_point" in doc:
-        base_point = np.asarray(doc["base_point"], dtype=float)
-        if base_point.shape != (n,):
-            raise ManifestError(f"$['base_point']: expected {n} components")
-        if not chart.contains(base_point):
-            raise ManifestError("$['base_point']: outside the domain box")
+
+    def point(value, where: str) -> np.ndarray:
+        p = np.asarray(value, dtype=float)
+        if p.shape != (n,):
+            raise ManifestError(f"{where}: expected {n} components")
+        if not chart.contains(p):
+            raise ManifestError(f"{where}: outside the domain box")
+        return p
+
+    base_point = point(doc["base_point"], "$['base_point']") if "base_point" in doc else None
 
     curves = []
     for i, cdoc in enumerate(doc.get("curves", [])):
@@ -250,13 +253,15 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         plane = tuple(map(int, ldoc["plane"]))
         if not all(0 <= p < n for p in plane) or plane[0] == plane[1]:
             raise ManifestError(f"$['loops'][{i}]['plane']: needs two distinct axes below {n}")
-        base = np.asarray(ldoc.get("base", (domain[:, 0] + domain[:, 1]) / 2.0), dtype=float)
+        base = point(ldoc.get("base", chart.center()), f"$['loops'][{i}]['base']")
         loops.append({"base": base, "plane": plane, "size": float(ldoc["size"])})
 
     structures = {}
     for key, mat in doc.get("structures", {}).items():
-        arr = np.asarray(mat, dtype=float)
         rows = n + 1
+        if len({len(row) for row in mat}) > 1:
+            raise ManifestError(f"$['structures'][{key!r}]: rows of different lengths")
+        arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != rows:
             raise ManifestError(f"$['structures'][{key!r}]: expected {rows} rows")
         if key in ("omega", "h", "J") and arr.shape[1] != rows:

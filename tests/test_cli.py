@@ -219,6 +219,22 @@ def test_structure_shape_validation():
     square = np.eye(3).tolist()
     with pytest.raises(ManifestError, match="between 1 and 2 columns"):
         loads(json.dumps(make_doc(structures={"K": square})))
+    with pytest.raises(ManifestError, match=r"^\$\['structures'\]\['omega'\]: rows of"):
+        loads(json.dumps(make_doc(structures={"omega": [[0, 1, 0], [1, 0]]})))
+
+
+@pytest.mark.parametrize("base, message", [
+    ([0.0], "expected 2 components"), ([0.0, 0.0, 0.0], "expected 2 components"),
+    ([5.0, 5.0], "outside the domain box")])
+def test_loop_base_is_validated_like_the_base_point(tmp_path, capsys, base, message):
+    doc = make_doc(loops=[{"base": base, "plane": [0, 1], "size": 0.1}])
+    with pytest.raises(ManifestError, match=rf"^\$\['loops'\]\[0\]\['base'\]: {message}$"):
+        loads(json.dumps(doc))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    for command in ("transport", "verify"):
+        assert cli.main([command, "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: $['loops'][0]['base']: {message}\n"
 
 
 def test_loop_plane_validation():
@@ -412,6 +428,17 @@ def test_pole_on_the_base_point_is_a_domain_error_not_nan(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["transport", "--manifest", str(path)]) == 2
     assert "1/x1" in capsys.readouterr().err
+
+
+def test_domain_error_first_met_in_a_later_pass_names_its_gamma_entry(tmp_path, capsys):
+    # the first pass (64 and 128 steps) never samples x1 = 1/512; the 256-step pass does
+    doc = make_doc(gamma={"0,0,0": "1/(x1 - 0.001953125)"},
+                   curves=[{"components": ["t", "0"], "t0": 0.0, "t1": 1.0}])
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $['gamma']['0,0,0']: division by zero in '1/(x1 - 0.001953125)'\n")
 
 
 def test_domain_error_after_load_names_its_gamma_entry(tmp_path, capsys):

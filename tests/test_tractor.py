@@ -282,7 +282,7 @@ def test_transports_match_pointwise_rk4_and_are_batch_invariant():
 def test_a_level_reuses_stage_values_only_at_equal_times(monkeypatch):
     # the step ends of CURVED on [0.1, 0.7] repeat few of the previous level's
     # times, a segment's all of them: each state is, bit for bit, the state of
-    # its last level run on its own, with no level before it to reuse
+    # its last level run on its own, with no level before it
     m = load_bundled("sphere3")
     M_at = connection_field(m.chart)
     batch = [CURVED, Curve.segment(m.base(), m.base() + SPHERE3_SHIFT)]
@@ -401,6 +401,25 @@ def test_transport_stops_at_the_last_level_within_max_steps(monkeypatch):
                                         [Curve.segment(m.base(), m.base() + SPHERE3_SHIFT)],
                                         np.eye(4), -1.0)
     assert (steps, ok) == (49152, False)
+
+
+def test_a_domain_error_first_met_in_a_later_pass_raises():
+    # the first pass (64 and 128 steps) never samples x1 = 1/512; the midpoint
+    # of the 256-step pass's first step does, in the second field call
+    gamma = np.zeros((2, 2, 2), dtype=object)
+    gamma[0, 0, 0] = expr.parse("1/(x1 - 0.001953125)", ("x1", "x2"))
+    M_at = connection_field(affine.ChartModel(("x1", "x2"), gamma, [[-1.0, 1.0], [-1.0, 1.0]]))
+    calls = []
+
+    def field(X):
+        calls.append(len(X))
+        return M_at(X)
+
+    with pytest.raises(expr.ExprDomainError,
+                       match=r"^division by zero in '1/\(x1 - 0\.001953125\)'$") as exc:
+        _linear_transport(field, [Curve.segment([0.0, 0.0], [1.0, 0.0])], np.eye(3), 1e-8)
+    assert exc.value.point == {"x1": 0.001953125, "x2": 0.0}
+    assert len(calls) == 2
 
 
 def test_tiles_and_step_blocks_do_not_change_bits(monkeypatch):
