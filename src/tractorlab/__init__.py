@@ -42,7 +42,6 @@ from .structures import (
     complex_reduction,
     contact_from_symplectic,
     einstein_check,
-    einstein_to_tractor_metric,
     foliation_analysis,
     holonomy_decomposition_check,
     tractor_metric_to_einstein_verify,
@@ -63,7 +62,6 @@ __all__ = [
     "contact_from_symplectic",
     "cotton",
     "einstein_check",
-    "einstein_to_tractor_metric",
     "flat_chart",
     "foliation_analysis",
     "holonomy_decomposition_check",

@@ -494,11 +494,28 @@ def _bilinear_solutions(gens, m: int, symmetric: bool, tol: float):
     return sols, s
 
 
-def _verify_bilinear(gens, H) -> float:
+def _worse(running: float, value: float) -> float:
+    """The larger of two residuals, NaN if either is: `max(0.0, nan)` is 0.0,
+    which would let a residual that is not a number pass its bound."""
+    return max_abs((running, value))
+
+
+def _fiber_invariance(alg: HolonomyAlgebra, value: np.ndarray, kind: str) -> float:
+    """Worst defect, folded by `_worse`, of a fiber bilinear form, endomorphism
+    or subspace (the columns of `value`) under the generators."""
     worst = 0.0
-    for A in gens:
-        scale = (1.0 + max_abs(A)) * (1.0 + max_abs(H))
-        worst = max(worst, max_abs(A.T @ H + H @ A) / scale)
+    for A in alg.basis:
+        scale = (1.0 + max_abs(A)) * (1.0 + max_abs(value))
+        if kind == "bilinear":
+            d = A.T @ value + value @ A
+        elif kind == "endo":
+            d = A @ value - value @ A
+        elif kind == "subspace":
+            proj = value @ np.linalg.pinv(value)
+            d = (np.eye(value.shape[0]) - proj) @ A @ proj
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        worst = _worse(worst, max_abs(d) / scale)
     return worst
 
 
@@ -535,7 +552,7 @@ def invariant_metric(alg: HolonomyAlgebra, tol: float = 1e-7):
             continue
         if q > p:
             H, p, q = -H, q, p
-        resid = _verify_bilinear(gens, H)
+        resid = _fiber_invariance(alg, H, "bilinear")
         if resid > tol:
             continue
         if best is None or resid < best.residual:
@@ -560,7 +577,7 @@ def invariant_symplectic(alg: HolonomyAlgebra, tol: float = 1e-7):
     for W in sols:
         if abs(np.linalg.det(W)) < 1e-10:
             continue
-        resid = _verify_bilinear(gens, W)
+        resid = _fiber_invariance(alg, W, "bilinear")
         if resid > tol:
             continue
         if best is None or resid < best.residual:

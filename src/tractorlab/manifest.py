@@ -8,7 +8,8 @@ keywords the schema uses with jsonschema's messages, so no command imports
 jsonschema; the tests keep it as the reference.  Christoffel keys are zero-based
 "k,i,j" triples.  Asymmetric symbols are rejected unless the manifest sets
 "symmetrize": true, because everything downstream assumes a torsion-free
-connection.
+connection.  Points, loop squares and curve ends must lie in the domain box;
+a curve leaving it between its ends is not caught (needs an interval bound).
 """
 
 from __future__ import annotations
@@ -244,9 +245,13 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         if len(cdoc["components"]) != n:
             raise ManifestError(f"$['curves'][{i}]: expected {n} components")
         try:
-            curves.append(Curve.from_strings(cdoc["components"], cdoc["t0"], cdoc["t1"]))
+            curve = Curve.from_strings(cdoc["components"], cdoc["t0"], cdoc["t1"])
+            ends = {"t0": curve.point(curve.t0), "t1": curve.point(curve.t1)}
         except Exception as e:
             raise ManifestError(f"$['curves'][{i}]: {e}") from e
+        for t, end in ends.items():
+            point(end, f"$['curves'][{i}] at {t}")
+        curves.append(curve)
 
     loops = []
     for i, ldoc in enumerate(doc.get("loops", [])):
@@ -254,7 +259,10 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         if not all(0 <= p < n for p in plane) or plane[0] == plane[1]:
             raise ManifestError(f"$['loops'][{i}]['plane']: needs two distinct axes below {n}")
         base = point(ldoc.get("base", chart.center()), f"$['loops'][{i}]['base']")
-        loops.append({"base": base, "plane": plane, "size": float(ldoc["size"])})
+        size = float(ldoc["size"])
+        # the square's far corner; with the base it bounds the convex square
+        point(base + size * np.isin(np.arange(n), plane), f"$['loops'][{i}] far corner")
+        loops.append({"base": base, "plane": plane, "size": size})
 
     structures = {}
     for key, mat in doc.get("structures", {}).items():

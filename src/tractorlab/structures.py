@@ -19,8 +19,12 @@ in the same splitting, as an argument: the caller estimates it once (the
 `detect` command passes its `loop_algebra` result; a direct caller can pass
 the infinitesimal estimate from `holonomy`) and every chain reuses it.
 Where a check needs derivatives of transported data (exterior derivatives,
-Lie derivatives, the adapted one-form), central finite differences with a
-small step are used so the check stays independent of the symbolic route.
+Lie derivatives, the adapted one-form), central finite differences are used
+so the check stays independent of the symbolic route.  The contact, complex
+and foliation chains take them on one route, `_spread_stencil`, which spreads
+the fiber object to each sample p and to p ± _FD_STEP·e_i in one batch.
+Sample counts (`_*_SAMPLES`), the step and the bounds (`_NABLA_RIC_TOL`,
+`_DET_RIC_FLOOR`, `_INVARIANCE_TOL`, `_CLOSURE_TOL`) are module constants.
 """
 
 from __future__ import annotations
@@ -32,18 +36,16 @@ import numpy as np
 
 from .affine import (
     ChartModel,
-    Curve,
     max_abs,
     normalize_volume,
     sample_points,
 )
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
-    invariant_subspaces, _containment_residual
+    invariant_subspaces, _containment_residual, _fiber_invariance, _signature, _worse
 from .projective import assemble_rho, point_fields, ricci_from_rho
 from .tractor import (
     spread_structure,
     splitting_matrix,
-    transport_operators,
 )
 
 __all__ = [
@@ -52,13 +54,22 @@ __all__ = [
     "ComplexReport",
     "FoliationReport",
     "einstein_check",
-    "einstein_to_tractor_metric",
     "tractor_metric_to_einstein_verify",
     "contact_from_symplectic",
     "complex_reduction",
     "foliation_analysis",
     "holonomy_decomposition_check",
 ]
+
+_FD_STEP = 1e-4              # central-difference step of the stencil chains
+_CONTACT_SAMPLES = 8
+_COMPLEX_SAMPLES = 6
+_FOLIATION_SAMPLES = 6
+_EINSTEIN_SAMPLES = 40
+_NABLA_RIC_TOL = 1e-8        # bound on |nabla Ric| / (1 + |Ric|) for an Einstein connection
+_DET_RIC_FLOOR = 1e-8        # |det Ric| below this on a sample is degenerate
+_INVARIANCE_TOL = 1e-6       # bound on the fiber invariance residual of supplied data
+_CLOSURE_TOL = 1e-7          # span and closure tolerance of the affine curvature algebra
 
 
 # -- reports ---------------------------------------------------------------------
@@ -131,34 +142,10 @@ class FoliationReport:
 # -- shared helpers -----------------------------------------------------------------
 
 
-def _worse(running: float, value: float) -> float:
-    """The larger of two residuals, NaN if either is: `max(0.0, nan)` is 0.0,
-    which would let a residual that is not a number pass its bound."""
-    return max_abs((running, value))
-
-
 def _base_point(chart: ChartModel, base_point):
     if base_point is None:
         return chart.center()
     return np.asarray(base_point, dtype=float)
-
-
-def _fiber_invariance(alg: HolonomyAlgebra, value: np.ndarray, kind: str) -> float:
-    """Worst defect of the fiber structure under the algebra generators."""
-    worst = 0.0
-    for A in alg.basis:
-        scale = (1.0 + max_abs(A)) * (1.0 + max_abs(value))
-        if kind == "bilinear":
-            d = A.T @ value + value @ A
-        elif kind == "endo":
-            d = A @ value - value @ A
-        elif kind == "subspace":
-            proj = value @ np.linalg.pinv(value)
-            d = (np.eye(value.shape[0]) - proj) @ A @ proj
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        worst = _worse(worst, max_abs(d) / scale)
-    return worst
 
 
 def _to_vol_gauge(chart: ChartModel, base):
@@ -174,17 +161,25 @@ def _to_vol_gauge(chart: ChartModel, base):
     return vol_chart, splitting_matrix(u), splitting_matrix(-u)
 
 
-def _stencil(points, h: float, n: int):
-    """Each point followed by its 2n central-difference neighbours."""
-    out = []
-    for p in points:
-        out.append(np.asarray(p, dtype=float))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            out.append(p + e)
-            out.append(p - e)
-    return out
+def _spread_stencil(chart: ChartModel, kind: str, value, base, pts, check_paths: int,
+                    seed: int):
+    """Spread `value` to each sample p and to p ± h·e_i, h = _FD_STEP, in one batch.
+
+    Returns (at, plus, minus, info): the values at the samples (S, ...), at
+    p + h·e_i (S, n, ...) and at p - h·e_i (S, n, ...), and the path report.
+    The batch lists p, p + h·e_0, p - h·e_0, p + h·e_1, ... per sample;
+    `check_paths` draws its targets by index from that order.
+    """
+    n = chart.n
+    p = np.asarray(pts, dtype=float)
+    e = _FD_STEP * np.eye(n)
+    nbrs = np.stack([p[:, None] + e, p[:, None] - e], axis=2)      # (S, n, 2, n)
+    stencil = np.concatenate([p[:, None], nbrs.reshape(len(p), 2 * n, n)], axis=1)
+    values, info = spread_structure(chart, kind, value, base, stencil.reshape(-1, n),
+                                    check_paths=check_paths, seed=seed)
+    values = values.reshape((len(p), 2 * n + 1) + values.shape[1:])
+    nbr_values = values[:, 1:].reshape((len(p), n, 2) + values.shape[2:])
+    return values[:, 0], nbr_values[:, :, 0], nbr_values[:, :, 1], info
 
 
 def _levi_civita(n: int) -> np.ndarray:
@@ -202,16 +197,15 @@ def _levi_civita(n: int) -> np.ndarray:
 # -- Einstein chain -------------------------------------------------------------------
 
 
-def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
-                   tol: float = 1e-8, det_floor: float = 1e-8) -> EinsteinReport:
+def einstein_check(chart: ChartModel, seed: int = 0) -> EinsteinReport:
     """Does this connection have a nondegenerate parallel Ricci tensor?
 
     Acceptance requires max-norm of the covariant derivative of Ric at or
-    below `tol` over the sample set and |det Ric| bounded away from zero.
-    On acceptance the parallel fiber metric candidate and its residuals
-    are filled in as well.
+    below `_NABLA_RIC_TOL` over the sample set and |det Ric| at or above
+    `_DET_RIC_FLOOR`.  On acceptance the parallel fiber metric candidate and
+    its residuals are filled in as well.
     """
-    pts = sample_points(chart, seed=seed)[:n_samples]
+    pts = sample_points(chart, seed=seed)[:_EINSTEIN_SAMPLES]
     fields = point_fields(chart, pts)
     if not (np.isfinite(fields["Ric"]).all() and np.isfinite(fields["nablaRic"]).all()):
         return EinsteinReport(False, np.inf, None, np.nan,
@@ -226,14 +220,12 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
         worst = _worse(worst, max_abs(D) / scale)
         det_min = min(det_min, abs(np.linalg.det(R)))
         asym = _worse(asym, max_abs(R - R.T) / scale)
-        vals = np.linalg.eigvalsh(0.5 * (R + R.T))
-        vscale = max(1.0, np.abs(vals).max())
-        sigs.add((int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale))))
+        sigs.add(_signature(R)[:2])
 
-    if worst > tol:
+    if worst > _NABLA_RIC_TOL:
         return EinsteinReport(False, worst, None, det_min,
                               reject_reason="covariant derivative of Ricci above tolerance")
-    if det_min < det_floor:
+    if det_min < _DET_RIC_FLOOR:
         return EinsteinReport(False, worst, None, det_min,
                               reject_reason="Ricci degenerate on samples")
     if len(sigs) != 1:
@@ -242,21 +234,23 @@ def einstein_check(chart: ChartModel, seed: int = 0, n_samples: int = 40,
     sig = sigs.pop()
     report = EinsteinReport(True, worst, sig, det_min,
                             meta={"ric_asymmetry": asym, "n_samples": len(pts)})
-    _attach_tractor_metric(chart, report, seed=seed)
+    _attach_tractor_metric(chart, report, fields, seed)
     return report
 
 
-def _metric_sampler(chart: ChartModel):
-    """Points -> parallel fiber metric candidate sigma^-2 diag(-P, 1), at a
-    point (n,) or at a batch of points (B, n) in one jet evaluation.
-
-    The scale sigma = |det Ric|^(1/(2(n+1))) trivializes the line bundle by
-    the volume form the connection itself preserves, so the candidate is
-    parallel in any gauge of an Einstein connection.
-    """
+def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: dict, seed: int):
+    """Fill in the parallel fiber metric candidate of an accepted report: its
+    identity blocks at the first 20 samples of `fields`, and its transport."""
     n = chart.n
 
     def h_at(points):
+        """Points -> parallel fiber metric candidate sigma^-2 diag(-P, 1), at a
+        point (n,) or at a batch of points (B, n) in one jet evaluation.
+
+        The scale sigma = |det Ric|^(1/(2(n+1))) trivializes the line bundle by
+        the volume form the connection itself preserves, so the candidate is
+        parallel in any gauge of an Einstein connection.
+        """
         p = np.asarray(points, dtype=float)
         ric = point_fields(chart, p.reshape(-1, n))["Ric"]
         H = np.zeros((len(ric), n + 1, n + 1))
@@ -266,16 +260,8 @@ def _metric_sampler(chart: ChartModel):
             H_p /= abs(np.linalg.det(R)) ** (1.0 / (n + 1))
         return H.reshape(p.shape[:-1] + (n + 1, n + 1))
 
-    return h_at
-
-
-def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int = 0):
-    n = chart.n
-    h_at = _metric_sampler(chart)
-    pts = sample_points(chart, seed=seed)[:20]
-    fields = point_fields(chart, pts)
     blocks = np.zeros(3)
-    for R, dR, M in zip(fields["Ric"], fields["dRic"], fields["M"]):
+    for R, dR, M in list(zip(fields["Ric"], fields["dRic"], fields["M"]))[:20]:
         P = assemble_rho(R, n)
         H0 = np.zeros((n + 1, n + 1))
         H0[:n, :n] = -P
@@ -320,21 +306,9 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, seed: int 
         report.meta["signature_rule_holds"] = expected == report.h_signature
 
 
-def einstein_to_tractor_metric(chart: ChartModel, seed: int = 0):
-    """Parallel fiber metric of an accepted Einstein connection.
-
-    Returns (sampler, report); raises ValueError when einstein_check
-    rejects the chart.
-    """
-    report = einstein_check(chart, seed=seed)
-    if not report.accepted:
-        raise ValueError(f"not an Einstein connection: {report.reject_reason}")
-    return report.h, report
-
-
 def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
                                       h_at_base: np.ndarray, base_point=None,
-                                      seed: int = 0, tol: float = 1e-6) -> dict:
+                                      seed: int = 0) -> dict:
     """Verify a supplied parallel-metric candidate against the connection.
 
     Verification only: h must be invariant under `alg`, the holonomy
@@ -349,7 +323,7 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
     base = _base_point(chart, base_point)
     h0 = np.asarray(h_at_base, dtype=float)
     inv_resid = _fiber_invariance(alg, h0, "bilinear")
-    if inv_resid > tol:
+    if inv_resid > _INVARIANCE_TOL:
         return {"accepted": False, "precondition_failed": True,
                 "invariance_residual": inv_resid,
                 "reason": "h not invariant under the holonomy algebra"}
@@ -395,8 +369,8 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
 
 
 def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
-                            omega_at_base: np.ndarray, base_point=None, seed: int = 0,
-                            n_samples: int = 8, fd_step: float = 1e-4) -> ContactReport:
+                            omega_at_base: np.ndarray, base_point=None,
+                            seed: int = 0) -> ContactReport:
     """Contact data induced by a parallel fiber symplectic form.
 
     `alg` is the holonomy algebra at the base point in the chart's own
@@ -419,19 +393,14 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         return ContactReport(False, reject_reason="fiber form degenerate")
     base = _base_point(chart, base_point)
     inv = _fiber_invariance(alg, omega0, "bilinear")
-    if inv > 1e-6:
+    if inv > _INVARIANCE_TOL:
         return ContactReport(False, reject_reason="fiber form not invariant under the holonomy algebra",
                              meta={"invariance_residual": inv})
     vol_chart, S, _ = _to_vol_gauge(chart, base)
     om_v = S.T @ omega0 @ S
 
-    pts = [np.asarray(p, dtype=float) for p in sample_points(vol_chart, seed=seed)[:n_samples]]
-    stencil = _stencil(pts, fd_step, n)
-    values, info = spread_structure(vol_chart, "bilinear", om_v, base, stencil,
-                                    check_paths=6, seed=seed)
-
-    def theta_of(om):
-        return om[n, :n].copy()
+    pts = sample_points(vol_chart, seed=seed)[:_CONTACT_SAMPLES]
+    at, plus, minus, info = _spread_stencil(vol_chart, "bilinear", om_v, base, pts, 6, seed)
 
     eps_nd = _levi_civita(n)
     m = (n - 1) // 2
@@ -439,17 +408,13 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
                            meta={"invariance_residual": inv, "n_samples": len(pts)})
     worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_H": 0.0, "th_R": 0.0, "weyl": 0.0}
     vthetas = []
-    weyl = point_fields(chart, np.array(pts))["W"]
-    stride = 2 * n + 1
-    for s_idx, p in enumerate(pts):
-        om_p = values[s_idx * stride]
-        theta = theta_of(om_p)
-        dtheta = np.zeros((n, n))
-        for i in range(n):
-            th_plus = theta_of(values[s_idx * stride + 1 + 2 * i])
-            th_minus = theta_of(values[s_idx * stride + 2 + 2 * i])
-            dtheta[i, :] += (th_plus - th_minus) / (2 * fd_step)
-        dtheta = 0.5 * (dtheta - dtheta.T)
+    weyl = point_fields(chart, pts)["W"]
+    # theta is row n of omega, and grads[s, i] is d_i theta; + 0.0 turns a -0.0
+    # difference into 0.0, so a zero of dtheta or of the Reeb field never reads -0.0
+    grads = (plus[:, :, n, :n] - minus[:, :, n, :n]) / (2 * _FD_STEP) + 0.0
+    for om_p, grad, W in zip(at, grads, weyl):
+        theta = om_p[n, :n]
+        dtheta = 0.5 * (grad - grad.T)
 
         u, sv, vt = np.linalg.svd(theta[None, :])
         Hb = vt[1:]                      # rank n-1 basis of ker theta
@@ -473,7 +438,6 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         for f in factors[::-1]:
             v = np.tensordot(v, f, axes=f.ndim)
         vthetas.append(float(v))
-        W = weyl[s_idx]
         wscale = 1.0 + max_abs(W)
         worst["weyl"] = _worse(worst["weyl"], float(np.abs(
             np.einsum("k,hjkl->hjl", theta, W)).max()) / wscale)
@@ -502,8 +466,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
 
 
 def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.ndarray,
-                      base_point=None, seed: int = 0, n_samples: int = 6,
-                      fd_step: float = 1e-4) -> ComplexReport:
+                      base_point=None, seed: int = 0) -> ComplexReport:
     """Transverse field and annihilator complex structure from a fiber J.
 
     `alg` is the holonomy algebra at the base point in the chart's own
@@ -525,34 +488,27 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
                              meta={"square_defect": sq})
     base = _base_point(chart, base_point)
     inv = _fiber_invariance(alg, J0, "endo")
-    if inv > 1e-6:
+    if inv > _INVARIANCE_TOL:
         return ComplexReport(False, reject_reason="fiber map not invariant under the holonomy algebra",
                              meta={"invariance_residual": inv})
     vol_chart, S, Si = _to_vol_gauge(chart, base)
     J_v = Si @ J0 @ S
 
-    pts = [np.asarray(p, dtype=float) for p in sample_points(vol_chart, seed=seed)[:n_samples]]
-    stencil = _stencil(pts, fd_step, n)
-    values, info = spread_structure(vol_chart, "endo", J_v, base, stencil,
-                                    check_paths=6, seed=seed)
-
-    def r_of(J):
-        return J[:n, n].copy()
+    pts = sample_points(vol_chart, seed=seed)[:_COMPLEX_SAMPLES]
+    at, plus, minus, info = _spread_stencil(vol_chart, "endo", J_v, base, pts, 6, seed)
 
     def transverse_op(J):
-        R = r_of(J)
+        R = J[:n, n].copy()
         nrm2 = float(R @ R)
         Q = np.eye(n) - np.outer(R, R) / nrm2
         # dual action on covectors, expressed as a T -> T matrix
-        return (Q @ J[:n, :n].T).T, R, Q
+        return (Q @ J[:n, :n].T).T, Q
 
     report = ComplexReport(True, path_residual=info["max_path_residual"],
                            meta={"invariance_residual": inv, "n_samples": len(pts)})
     worst = {"sq": 0.0, "span": 0.0, "lie": 0.0}
-    stride = 2 * n + 1
-    for s_idx, p in enumerate(pts):
-        Jp = values[s_idx * stride]
-        R = r_of(Jp)
+    for p, Jp, J_plus, J_minus in zip(pts, at, plus, minus):
+        R = Jp[:n, n].copy()
         jscale = 1.0 + max_abs(Jp)
         if np.linalg.norm(R) <= 1e-6 * jscale:
             report.degenerate_points.append(p)
@@ -560,25 +516,19 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
         u, sv, vt = np.linalg.svd(R[None, :])
         Hb = vt[1:]                          # covector basis annihilating R
         images = Hb @ Jp[:n, :n]             # dual action of J on each eta
-        coords, res, *_ = np.linalg.lstsq(Hb.T, images.T, rcond=None)
-        JH = coords
+        JH, *_ = np.linalg.lstsq(Hb.T, images.T, rcond=None)
         recon = JH.T @ Hb
         worst["span"] = _worse(worst["span"], max_abs(images - recon) / jscale)
         worst["sq"] = _worse(worst["sq"], max_abs(JH @ JH + np.eye(n - 1)))
 
         # Lie derivative of the smooth transverse operator along R, by
         # central differences of both the operator and the R field
-        D0, R0, _ = transverse_op(Jp)
-        dD = np.zeros((n, n, n))
-        dR = np.zeros((n, n))
-        for i in range(n):
-            Dp_, Rp_, _ = transverse_op(values[s_idx * stride + 1 + 2 * i])
-            Dm_, Rm_, _ = transverse_op(values[s_idx * stride + 2 + 2 * i])
-            dD[i] = (Dp_ - Dm_) / (2 * fd_step)
-            dR[i] = (Rp_ - Rm_) / (2 * fd_step)
-        lie = np.einsum("k,kij->ij", R0, dD) \
+        D0, Q = transverse_op(Jp)
+        dD = np.array([transverse_op(a)[0] - transverse_op(b)[0]
+                       for a, b in zip(J_plus, J_minus)]) / (2 * _FD_STEP)
+        dR = (J_plus[:, :n, n] - J_minus[:, :n, n]) / (2 * _FD_STEP)
+        lie = np.einsum("k,kij->ij", R, dD) \
             - np.einsum("ki,kj->ij", dR, D0) + np.einsum("ik,jk->ij", D0, dR)
-        Q = np.eye(n) - np.outer(R0, R0) / float(R0 @ R0)
         lie_t = Q @ lie @ Q
         worst["lie"] = _worse(worst["lie"], max_abs(lie_t) / jscale)
 
@@ -603,8 +553,7 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
 
 
 def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.ndarray,
-                       base_point=None, seed: int = 0, n_samples: int = 6,
-                       fd_step: float = 1e-4) -> FoliationReport:
+                       base_point=None, seed: int = 0) -> FoliationReport:
     """Foliation data induced by an invariant subspace of the fiber.
 
     `alg` is the holonomy algebra at the base point in the chart's own
@@ -630,56 +579,45 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
         raise ValueError("subspace basis must be (n+1) x k with 1 <= k <= n")
     k = B0.shape[1]
     inv = _fiber_invariance(alg, B0, "subspace")
-    if inv > 1e-6:
+    if inv > _INVARIANCE_TOL:
         return FoliationReport(False, reject_reason="subspace not invariant under the holonomy algebra",
                                meta={"invariance_residual": inv})
 
-    pts = [np.asarray(p, dtype=float) for p in sample_points(chart, seed=seed)[:n_samples]]
-    stencil = _stencil(pts, fd_step, n)
-    results = transport_operators(chart, [Curve.segment(base, q) for q in stencil])
-    ops = [T for T, _, _ in results]
+    pts = sample_points(chart, seed=seed)[:_FOLIATION_SAMPLES]
+    at, plus, minus, info = _spread_stencil(chart, "vector", B0, base, pts, 0, seed)
+    fields = point_fields(chart, pts)
 
-    fields = point_fields(chart, np.array(pts))
-
-    def frame_and_ups(T):
-        B = T @ B0
-        Y = B[:n, :]
-        c = B[n, :]
-        sv = np.linalg.svd(Y, compute_uv=False)
-        degenerate = sv[-1] <= 1e-8 * max(sv[0], 1e-30)
-        upsv = np.linalg.pinv(Y.T) @ c if not degenerate else np.zeros(n)
-        return Y, c, upsv, degenerate
+    def ups_of(B):
+        """Least-norm one-form with Upsilon(Y_a) = c_a for the frame Y = B[:n]
+        and c = B[n]; None where Y is degenerate (the line meets the subspace)."""
+        sv = np.linalg.svd(B[:n], compute_uv=False)
+        return None if sv[-1] <= 1e-8 * max(sv[0], 1e-30) else np.linalg.pinv(B[:n].T) @ B[n]
 
     report = FoliationReport(True, meta={"invariance_residual": inv, "k": k,
                                          "n_samples": len(pts)})
-    # every residual is fed by the stencil; a transport that did not converge fails them
-    start = 0.0 if all(ok for _, _, ok in results) else np.inf
+    # every residual is fed by the stencil; a transport that did not converge
+    # fails them (the path residual is then inf)
     worst = dict.fromkeys(("integ", "geod", "pres", "rho", "ric", "adapt", "omega",
-                           "omega_corr", "omK"), start)
+                           "omega_corr", "omK"), info["max_path_residual"])
     n_line = 0
-    stride = 2 * n + 1
-    omegas = []
     for s_idx in range(len(pts)):
-        if not np.isfinite(np.array(ops[s_idx * stride:(s_idx + 1) * stride]) @ B0).all():
+        if not all(np.isfinite(v[s_idx]).all() for v in (at, plus, minus)):
             worst = dict.fromkeys(worst, np.inf)  # a failed sample, not a line
             continue
-        Y, c, upsv, degenerate = frame_and_ups(ops[s_idx * stride])
-        if degenerate:
+        upsv = ups_of(at[s_idx])
+        if upsv is None:
             n_line += 1
             continue
+        Y, c = at[s_idx, :n], at[s_idx, n]
         worst["adapt"] = _worse(worst["adapt"], float(np.abs(c - Y.T @ upsv).max()) /
                                 (1.0 + np.abs(c).max()))
-        dY = np.zeros((n, n, k))
-        dU = np.zeros((n, n))
-        for i in range(n):
-            Yp_, _, up_, d1 = frame_and_ups(ops[s_idx * stride + 1 + 2 * i])
-            Ym_, _, um_, d2 = frame_and_ups(ops[s_idx * stride + 2 + 2 * i])
-            if d1 or d2:
-                n_line += 1
-                break
-            dY[i] = (Yp_ - Ym_) / (2 * fd_step)
-            dU[i] = (up_ - um_) / (2 * fd_step)
+        ups_plus = [ups_of(B) for B in plus[s_idx]]
+        ups_minus = [ups_of(B) for B in minus[s_idx]]
+        if any(u is None for u in ups_plus + ups_minus):
+            n_line += 1
         else:
+            dY = (plus[s_idx, :, :n] - minus[s_idx, :, :n]) / (2 * _FD_STEP)
+            dU = (np.array(ups_plus) - np.array(ups_minus)) / (2 * _FD_STEP)
             G = fields["gamma"][s_idx]
             P = fields["P"][s_idx]
             Yp = np.linalg.pinv(Y)
@@ -719,9 +657,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
             corr = omega_i + k * ups2 + (ups2 @ Y) @ Yp
             worst["omega"] = _worse(worst["omega"], float(np.abs(omega_i).max()))
             worst["omega_corr"] = _worse(worst["omega_corr"], float(np.abs(corr).max()))
-            omegas.append(omega_i)
             report.K_basis.append(Y)
-            continue
 
     frac = n_line / max(len(pts), 1)
     report.line_intersection_fraction = frac
@@ -760,7 +696,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
 
 
 def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
-                                 seed: int = 0, tol: float = 1e-7) -> dict:
+                                 seed: int = 0) -> dict:
     """Block pattern of a holonomy algebra with an invariant rank-n subspace.
 
     Reports the worst bottom-row (T*-part) entry, containment of the
@@ -783,7 +719,7 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
         for h in range(n):
             for j in range(h + 1, n):
                 affine_mats.append(R[h, j])
-    affine_basis, closed, rounds, bres = bracket_closure(affine_mats, n, tol)
+    affine_basis, closed, rounds, bres = bracket_closure(affine_mats, n, _CLOSURE_TOL)
     gl_blocks = [A[:n, :n] for A in gens]
     containment = _containment_residual(gl_blocks, affine_basis) if finite else np.inf
 

@@ -237,6 +237,39 @@ def test_loop_base_is_validated_like_the_base_point(tmp_path, capsys, base, mess
         assert capsys.readouterr().err == f"error: $['loops'][0]['base']: {message}\n"
 
 
+CURVE_TO_X1_5 = {"components": ["5*t", "0"], "t0": 0, "t1": 1}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"loops": [{"base": [0.95, 0.0], "plane": [0, 1], "size": 0.5}]},
+     "$['loops'][0] far corner: outside the domain box"),
+    ({"curves": [CURVE_TO_X1_5]}, "$['curves'][0] at t1: outside the domain box"),
+    # the curve crosses a pole outside the box: rejected at load, before a
+    # transport that does not converge in 65,536 steps
+    ({"gamma": {"0,0,0": "1/(x1 - 3)"}, "curves": [CURVE_TO_X1_5]},
+     "$['curves'][0] at t1: outside the domain box"),
+    ({"curves": [{"components": ["t", "0"], "t0": -2, "t1": 0}]},
+     "$['curves'][0] at t0: outside the domain box"),
+], ids=["loop_square", "curve_end", "curve_through_a_pole", "curve_start"])
+def test_loop_squares_and_curve_ends_must_lie_in_the_domain(tmp_path, capsys, overrides,
+                                                            message):
+    doc = make_doc(**overrides)
+    with pytest.raises(ManifestError) as err:
+        loads(json.dumps(doc))
+    assert str(err.value) == message
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_loop_square_and_a_curve_on_the_box_edge_load():
+    doc = make_doc(loops=[{"base": [0.5, 0.0], "plane": [0, 1], "size": 0.5}],
+                   curves=[{"components": ["t", "0"], "t0": -1, "t1": 1}])
+    m = loads(json.dumps(doc))
+    assert len(m.loops) == 1 and len(m.curves) == 1
+
+
 def test_loop_plane_validation():
     doc = make_doc(loops=[{"plane": [0, 0], "size": 0.1}])
     with pytest.raises(ManifestError, match="plane"):

@@ -27,7 +27,6 @@ from tractorlab.structures import (
     complex_reduction,
     contact_from_symplectic,
     einstein_check,
-    einstein_to_tractor_metric,
     foliation_analysis,
     holonomy_decomposition_check,
     tractor_metric_to_einstein_verify,
@@ -78,6 +77,28 @@ def linear_ups(chart, seed, scale=0.15):
     ]
 
 
+# -- the transported stencil ---------------------------------------------------
+
+
+def test_spread_stencil_equals_spreads_to_the_explicit_points(twisted):
+    pts = sample_points(twisted, seed=3)[:4]
+    base = twisted.center()
+    value = np.random.default_rng(0).standard_normal((4, 4))
+    at, plus, minus, info = structures._spread_stencil(twisted, "bilinear", value, base,
+                                                       pts, 0, 0)
+    assert info == {"max_path_residual": 0.0, "paths_checked": 0}
+
+    def spread(points):
+        return spread_structure(twisted, "bilinear", value, base, points)[0]
+
+    assert np.array_equal(at, spread(pts))
+    for i in range(twisted.n):
+        e = np.zeros(twisted.n)
+        e[i] = structures._FD_STEP
+        assert np.array_equal(plus[:, i], spread(pts + e)), i
+        assert np.array_equal(minus[:, i], spread(pts - e)), i
+
+
 # -- Einstein chain ------------------------------------------------------------
 
 
@@ -114,8 +135,6 @@ def test_einstein_rejections(flat3, twisted):
     r = einstein_check(polynomial_chart())
     assert not r.accepted
     assert "covariant derivative" in r.reject_reason
-    with pytest.raises(ValueError):
-        einstein_to_tractor_metric(flat3)
 
 
 def test_einstein_check_is_a_property_of_the_representative(sphere3):
@@ -128,7 +147,7 @@ def test_einstein_check_is_a_property_of_the_representative(sphere3):
 
 
 def test_sphere3_metric_round_trip(sphere3):
-    h_at, report = einstein_to_tractor_metric(sphere3)
+    h_at = einstein_check(sphere3).h
     out = tractor_metric_to_einstein_verify(sphere3, center_alg(sphere3),
                                             h_at(sphere3.center()))
     assert out["accepted"]
