@@ -30,6 +30,6 @@ for chart in (sphere_chart(3), hyperbolic_chart(3), polynomial_chart(3, seed=20)
     print(f"  h at the center:\n{np.array_str(h0, precision=5, suppress_small=True)}")
 
     alg = infinitesimal_algebra(chart, chart.center())
-    back = tractor_metric_to_einstein_verify(chart, alg, h0)
+    back = tractor_metric_to_einstein_verify(chart, alg, rep, h0)
     print(f"  round trip through the converse check: accepted={back['accepted']}, "
           f"consistency {back['consistency_residual']:.2e}\n")

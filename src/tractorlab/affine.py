@@ -2,9 +2,9 @@
 
 A chart is a box in R^n with named coordinates and Christoffel symbols
 Gamma^k_{ij} given as symbolic expressions.  This module provides the
-affine-level operations: curvature and Ricci tensors, projective change of
-connection, volume normalization, geodesic integration, and the batched RK4
-kernel behind every linear transport.
+affine-level operations: the symbolic curvature and Ricci fields,
+projective change of connection, volume normalization, sampling, and the
+batched RK4 kernel behind every linear transport.
 
 Index conventions used throughout the package:
 
@@ -30,13 +30,9 @@ __all__ = [
     "TensorValue",
     "OneFormField",
     "Curve",
-    "GeodesicPath",
     "symmetrize",
-    "curvature",
-    "ricci",
     "project_change",
     "normalize_volume",
-    "integrate_geodesic",
     "sample_points",
     "max_abs",
 ]
@@ -285,17 +281,6 @@ class Curve:
         return np.array(eval_many(self.velocity_exprs(), {"t": t}), dtype=float)
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    """Sampled geodesic: times, points, velocities, and a truncation flag."""
-
-    ts: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
-    exited_domain: bool
-    converged: bool
-
-
 # -- curvature ------------------------------------------------------------------
 
 
@@ -335,22 +320,10 @@ def ricci_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("Ric", lambda: assemble_ricci(curvature_field(chart)))
 
 
-def curvature(chart: ChartModel, point) -> TensorValue:
-    """Curvature tensor R[h,j,k,l] at a point (variance 'ddud')."""
-    p = np.asarray(point, dtype=float)
-    return TensorValue(p, chart.evaluator(curvature_field(chart))(p), "ddud")
-
-
-def ricci(chart: ChartModel, point) -> TensorValue:
-    """Ricci tensor Ric[j,l] at a point (not symmetrized)."""
-    p = np.asarray(point, dtype=float)
-    return TensorValue(p, chart.evaluator(ricci_field(chart))(p), "dd")
-
-
 # -- connection-level operations ---------------------------------------------------
 
 
-def symmetrize(chart: ChartModel, seed: int = 0) -> tuple[ChartModel, float]:
+def symmetrize(chart: ChartModel) -> tuple[ChartModel, float]:
     """Return a torsion-free copy plus the max asymmetry found at samples."""
     n = chart.n
     sym = np.empty((n, n, n), dtype=object)
@@ -358,7 +331,7 @@ def symmetrize(chart: ChartModel, seed: int = 0) -> tuple[ChartModel, float]:
         for i in range(n):
             for j in range(n):
                 sym[k, i, j] = 0.5 * (chart.gamma[k, i, j] + chart.gamma[k, j, i])
-    g = chart.evaluator(chart.gamma)(sample_points(chart, seed=seed, n_random=10))
+    g = chart.evaluator(chart.gamma)(sample_points(chart, seed=0, n_random=10))
     return chart.with_gamma(sym, name=chart.name), max_abs(g - g.transpose(0, 1, 3, 2))
 
 
@@ -432,23 +405,16 @@ def _rk4_grid(t0, t1, steps: int):
     return h, grid
 
 
-def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int, record: bool = False):
+def _rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, steps: int):
     y = np.array(y0, dtype=float)
     h, grid = _rk4_grid(t0, t1, steps)
     h, grid = float(h), grid.tolist()
-    ts = [t0]
-    ys = [y.copy()]
     for t, t_mid, t_end in zip(grid[0:-1:2], grid[1::2], grid[2::2]):
         k1 = f(t, y)
         k2 = f(t_mid, y + h / 2 * k1)
         k3 = f(t_mid, y + h / 2 * k2)
         k4 = f(t_end, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if record:
-            ts.append(t_end)
-            ys.append(y.copy())
-    if record:
-        return np.array(ts), np.array(ys)
     return y
 
 
@@ -499,37 +465,6 @@ def rk4_adaptive(f, y0, t0: float, t1: float, tol: float = 1e-8,
     """
     return _rk4_doubling(lambda _active, levels: ([_rk4_fixed(f, y0, t0, t1, s)] for s in levels),
                          1, tol, initial_steps, max_steps)[0]
-
-
-def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
-                       tol: float = 1e-8, record_steps: int = 128) -> GeodesicPath:
-    """Integrate the geodesic ODE xddot^k + Gamma^k_{ij} xdot^i xdot^j = 0.
-
-    The path is truncated with a flag if it leaves the domain box.
-    """
-    n = chart.n
-    p0 = np.asarray(point, dtype=float)
-    v0 = np.asarray(velocity, dtype=float)
-    gamma_at = chart.evaluator(chart.gamma)
-
-    def f(t, y):
-        x, v = y[:n], y[n:]
-        g = gamma_at(x)
-        acc = -np.einsum("kij,i,j->k", g, v, v)
-        return np.concatenate([v, acc])
-
-    y0 = np.concatenate([p0, v0])
-    _, steps, converged = rk4_adaptive(f, y0, 0.0, t_end, tol=tol)
-    record = max(record_steps, steps)
-    ts, ys = _rk4_fixed(f, y0, 0.0, t_end, record, record=True)
-    pts = ys[:, :n]
-    vels = ys[:, n:]
-    inside = np.array([chart.contains(p) for p in pts])
-    if not inside.all():
-        cut = int(np.argmin(inside))  # first step outside
-        cut = max(cut, 1)
-        return GeodesicPath(ts[:cut], pts[:cut], vels[:cut], True, converged)
-    return GeodesicPath(ts, pts, vels, False, converged)
 
 
 def _rk4_increments(even: np.ndarray, odd: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -688,21 +623,22 @@ def _van_der_corput(k: int, base: int) -> float:
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
+_SAMPLE_MARGIN = 0.05  # share of each side of the box kept clear of samples
 
 
 def sample_points(chart: ChartModel, seed: int = 0, n_random: int = 50,
-                  n_grid: int = 14, margin: float = 0.05) -> np.ndarray:
+                  n_grid: int = 14) -> np.ndarray:
     """Deterministic sample set: Halton grid plus seeded uniform points.
 
-    Points are drawn from the domain box shrunk inward by `margin` so that
-    finite flows and loops started at samples stay inside.
+    Points are drawn from the domain box shrunk inward by `_SAMPLE_MARGIN`
+    so that finite flows and loops started at samples stay inside.
     """
     n = chart.n
     lo = chart.domain[:, 0]
     hi = chart.domain[:, 1]
     span = hi - lo
-    lo_m = lo + margin * span
-    span_m = (1 - 2 * margin) * span
+    lo_m = lo + _SAMPLE_MARGIN * span
+    span_m = (1 - 2 * _SAMPLE_MARGIN) * span
     rows = []
     for k in range(1, n_grid + 1):
         u = np.array([_van_der_corput(k, _HALTON_BASES[d]) for d in range(n)])

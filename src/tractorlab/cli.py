@@ -28,6 +28,7 @@ from . import __version__
 from .affine import Curve, OneFormField, max_abs
 from .expr import ExprDomainError, ExprError
 from .holonomy import (
+    _LOOP_SIZE,
     classify,
     invariant_complex,
     invariant_metric,
@@ -121,15 +122,19 @@ class _Checks:
         return all(row["pass"] for row in self.rows)
 
 
-def _random_ups(manifest: Manifest, seed: int, count: int, scale: float = 0.1):
+_UPS_SCALE = 0.1  # bound on each coefficient of a random change Ups = a + b.x
+
+
+def _random_ups(manifest: Manifest, seed: int, count: int):
     chart = manifest.chart
     rng = np.random.default_rng(seed + 1000)
     out = []
     for _ in range(count):
         comps = []
         for _i in range(chart.n):
-            terms = [repr(float(rng.uniform(-scale, scale)))]
-            terms += [f"{float(rng.uniform(-scale, scale))!r}*{c}" for c in chart.coords]
+            terms = [repr(float(rng.uniform(-_UPS_SCALE, _UPS_SCALE)))]
+            terms += [f"{float(rng.uniform(-_UPS_SCALE, _UPS_SCALE))!r}*{c}"
+                      for c in chart.coords]
             comps.append(chart.parse(" + ".join(terms)))
         out.append(OneFormField(chart, np.asarray(comps, dtype=object)))
     return out
@@ -140,7 +145,7 @@ def _loops(manifest: Manifest):
     for ldoc in manifest.loops:
         loops.append(square_loop(ldoc["base"], ldoc["plane"][0], ldoc["plane"][1], ldoc["size"]))
     if not loops:
-        loops.append(square_loop(manifest.base(), 0, 1, 0.08))
+        loops.append(square_loop(manifest.base(), 0, 1, _LOOP_SIZE))
     return loops
 
 
@@ -308,8 +313,8 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
             "R_at_samples": [np.asarray(r) for r in rep.R_field[:3]],
         }
     if "h" in structures:
-        rep = tractor_metric_to_einstein_verify(chart, alg, structures["h"], base_point=base,
-                                                seed=seed)
+        rep = tractor_metric_to_einstein_verify(chart, alg, ein, structures["h"],
+                                                base_point=base, seed=seed)
         checks.verdict("tractor_metric_verified", rep["accepted"],
                        rep.get("reason", ""))
         out["tractor_metric"] = rep

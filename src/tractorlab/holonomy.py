@@ -12,8 +12,14 @@ covariant derivative is one vectorized step on the jets.
 On top of an estimated algebra, brute-force linear algebra finds the fiber
 structures it preserves: symmetric and alternating bilinear forms, complex
 structures (through the commutant), and invariant subspaces (through
-eigenspace analysis of generic elements).  Every candidate is re-verified
-against all generators before being returned.
+eigenspace analysis of generic elements).  The forms and the commutant are
+null spaces of one linear map each, read off one SVD (`_null_vectors`).
+Every candidate is re-verified against all generators before being
+returned; the zero algebra gives each detector its "trivial" candidate.
+
+Rank, closure and structure tolerances, the default loop size and the log
+retries are module constants (`_RANK_TOL`, `_LOOP_SIZE`, ...), not options:
+every report is computed with the same values.
 """
 
 from __future__ import annotations
@@ -89,6 +95,9 @@ class StructureCandidate:
 
 
 _SPAN_FLOOR = 1e-10
+_RANK_TOL = 1e-7          # singular values above this times the largest count towards a rank
+_CLOSURE_ROUNDS = 12      # bracket rounds before `bracket_closure` gives up
+_AGREE_TOL = 1e-5         # mutual containment bound of `compare_spans`
 
 
 def _span_basis(mats, m: int, tol: float):
@@ -129,7 +138,7 @@ def _containment_residual(mats, basis) -> float:
     return worst
 
 
-def bracket_closure(mats, m: int, tol: float, max_rounds: int = 12):
+def bracket_closure(mats, m: int, tol: float):
     """Close a span of matrices under commutators.
 
     Returns (basis, closed_initially, rounds, bracket_residual).
@@ -137,7 +146,7 @@ def bracket_closure(mats, m: int, tol: float, max_rounds: int = 12):
     basis, _, rank = _span_basis(mats, m, tol)
     closed_initially = None
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < _CLOSURE_ROUNDS:
         rounds += 1
         brackets = []
         for i in range(rank):
@@ -155,7 +164,7 @@ def bracket_closure(mats, m: int, tol: float, max_rounds: int = 12):
     return basis, bool(closed_initially), rounds, _containment_residual(brackets, basis)
 
 
-def algebra_from_generators(gens, fiber_dim: int | None = None, tol: float = 1e-7,
+def algebra_from_generators(gens, fiber_dim: int | None = None,
                             method: str = "provided") -> HolonomyAlgebra:
     """Wrap explicit generator matrices in the standard report format."""
     gens = [np.asarray(g, dtype=float) for g in gens]
@@ -164,18 +173,19 @@ def algebra_from_generators(gens, fiber_dim: int | None = None, tol: float = 1e-
             raise ValueError("fiber_dim is required when no generators are given")
         fiber_dim = gens[0].shape[0]
     m = fiber_dim
-    _, svals, rank = _span_basis(gens, m, tol)
+    _, svals, rank = _span_basis(gens, m, _RANK_TOL)
+    thresholds = (_RANK_TOL / 10, _RANK_TOL, _RANK_TOL * 10)
     if svals.size and svals[0] > _SPAN_FLOOR:
-        ranks = {t: int(np.sum(svals > t * svals[0])) for t in (tol / 10, tol, tol * 10)}
+        ranks = {t: int(np.sum(svals > t * svals[0])) for t in thresholds}
     else:
-        ranks = {t: 0 for t in (tol / 10, tol, tol * 10)}
-    basis, closed, rounds, bresid = bracket_closure(gens, m, tol)
+        ranks = {t: 0 for t in thresholds}
+    basis, closed, rounds, bresid = bracket_closure(gens, m, _RANK_TOL)
     tf = max((abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens), default=0.0)
     return HolonomyAlgebra(
         generators=np.array(gens) if gens else np.zeros((0, m, m)),
         basis=basis,
         rank=int(basis.shape[0]),
-        tolerance=tol,
+        tolerance=_RANK_TOL,
         method=method,
         rank_stable=len(set(ranks.values())) == 1,
         closed_under_bracket=closed,
@@ -187,7 +197,7 @@ def algebra_from_generators(gens, fiber_dim: int | None = None, tol: float = 1e-
     )
 
 
-def compare_spans(a: HolonomyAlgebra, b: HolonomyAlgebra, tol: float = 1e-5) -> dict:
+def compare_spans(a: HolonomyAlgebra, b: HolonomyAlgebra) -> dict:
     """Mutual containment report for two estimated algebras."""
     a_in_b = _containment_residual(list(a.basis), b.basis)
     b_in_a = _containment_residual(list(b.basis), a.basis)
@@ -196,7 +206,7 @@ def compare_spans(a: HolonomyAlgebra, b: HolonomyAlgebra, tol: float = 1e-5) -> 
         "rank_b": b.rank,
         "a_in_b_residual": a_in_b,
         "b_in_a_residual": b_in_a,
-        "agree": a.rank == b.rank and max(a_in_b, b_in_a) <= tol,
+        "agree": a.rank == b.rank and max(a_in_b, b_in_a) <= _AGREE_TOL,
     }
 
 
@@ -241,8 +251,7 @@ def _curvature_tower(chart: ChartModel, point, max_order: int):
             level = _covariant_derivative(space, level, M, G, space.sizes[degree - 1])
 
 
-def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3,
-                          tol: float = 1e-7) -> HolonomyAlgebra:
+def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3) -> HolonomyAlgebra:
     """Span of the tractor curvature and its covariant derivatives at a point.
 
     The tower is computed on Taylor jets at the point (`_curvature_tower`),
@@ -261,12 +270,12 @@ def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3,
     rank_by_order = []
     for order, vals in enumerate(_curvature_tower(chart, point, max_order)):
         mats.extend(vals)
-        rank_by_order.append(int(bracket_closure(mats, m, tol)[0].shape[0]))
+        rank_by_order.append(int(bracket_closure(mats, m, _RANK_TOL)[0].shape[0]))
         saturated = rank_by_order[-1] == m * m - 1
         stalled = order > 0 and rank_by_order[-1] == rank_by_order[-2]
         if saturated or stalled:
             break
-    alg = algebra_from_generators(mats, m, tol, method="infinitesimal")
+    alg = algebra_from_generators(mats, m, method="infinitesimal")
     alg.details.update(max_order=max_order, orders_used=order, rank_by_order=rank_by_order)
     return alg
 
@@ -279,6 +288,8 @@ def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3,
 _THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
 _MAX_SQRTS = 64
 _MAX_SQRT_STEPS = 64
+_LOOP_SIZE = 0.08  # side of the default family's squares, and of `cli`'s default loop
+_LOG_RETRIES = 5   # halvings of a loop whose holonomy leaves the principal log's branch
 
 
 @cache
@@ -344,8 +355,7 @@ def _principal_log(H: np.ndarray) -> np.ndarray:
     return log if np.isfinite(log).all() else nan
 
 
-def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float,
-                 max_retries: int = 5):
+def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float):
     """Principal log of a loop holonomy H, shrinking the loop if it leaves the branch.
 
     Returns (log, retries, converged); each retry transports the shrunk loop
@@ -358,7 +368,7 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
     """
     converged = True
     segs = [loop_segments] if isinstance(loop_segments, Curve) else list(loop_segments)
-    for attempt in range(max_retries + 1):
+    for attempt in range(_LOG_RETRIES + 1):
         if attempt:
             # shrink towards the base point of the loop
             base = segs[0].point(segs[0].t0)
@@ -372,7 +382,7 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
             log = _principal_log(H)
             if np.isfinite(log).all():
                 return log, attempt, converged
-    return _principal_log(H), max_retries, False
+    return _principal_log(H), _LOG_RETRIES, False
 
 
 def _default_loop_family(chart: ChartModel, base, count: int, seed: int, eps: float):
@@ -397,15 +407,14 @@ def _default_loop_family(chart: ChartModel, base, count: int, seed: int, eps: fl
 
 
 def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6,
-                 seed: int = 0, eps: float = 0.08, tol: float = 1e-7,
-                 ode_tol: float = 1e-10, log_floor: float = 1e-8,
-                 max_order: int = 3) -> HolonomyAlgebra:
+                 seed: int = 0, ode_tol: float = 1e-10,
+                 log_floor: float = 1e-8) -> HolonomyAlgebra:
     """Algebra spanned by logs of small-loop holonomies, merged with the
     infinitesimal estimate at the same point."""
     base = np.asarray(base_point, dtype=float)
     m = chart.n + 1
     if loop_family is None:
-        loop_family = _default_loop_family(chart, base, count, seed, eps)
+        loop_family = _default_loop_family(chart, base, count, seed, _LOOP_SIZE)
     logs = []
     retries = 0
     converged = True
@@ -416,16 +425,16 @@ def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6
         norm = float(np.linalg.norm(log))
         if norm > log_floor:
             logs.append(log / norm)
-    loops_basis, svals, loops_rank = _span_basis(logs, m, tol)
-    inf = infinitesimal_algebra(chart, base, max_order=max_order, tol=tol)
+    _, svals, loops_rank = _span_basis(logs, m, _RANK_TOL)
+    inf = infinitesimal_algebra(chart, base)
     merged = list(inf.basis) + logs
-    basis, closed, rounds, bresid = bracket_closure(merged, m, tol)
+    basis, closed, rounds, bresid = bracket_closure(merged, m, _RANK_TOL)
     tf = max((abs(float(np.trace(a))) for a in logs), default=0.0) if converged else np.inf
     return HolonomyAlgebra(
         generators=np.array(logs) if logs else np.zeros((0, m, m)),
         basis=basis,
         rank=int(basis.shape[0]),
-        tolerance=tol,
+        tolerance=_RANK_TOL,
         method="loops+infinitesimal",
         rank_stable=inf.rank_stable,
         closed_under_bracket=closed,
@@ -446,52 +455,45 @@ def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6
 # -- invariant structure detection ---------------------------------------------------------
 
 
-def _sym_basis(m: int):
-    out = []
-    for i in range(m):
-        for j in range(i, m):
-            E = np.zeros((m, m))
-            E[i, j] = E[j, i] = 1.0
-            out.append(E)
-    return out
+_SIGNATURE_TOL = 1e-9    # eigenvalues within this times the largest (at least 1) count as zero
+_COMPLEX_TOL = 1e-6      # bound on J^2 + I and on the commutator residual of a complex structure
+_SUBSPACE_TRIALS = 2     # generic elements whose eigenspaces `invariant_subspaces` combines
 
 
-def _antisym_basis(m: int):
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            E = np.zeros((m, m))
-            E[i, j] = 1.0
-            E[j, i] = -1.0
-            out.append(E)
-    return out
+def _trivial(kind: str) -> StructureCandidate:
+    """The candidate every detector returns for the zero algebra."""
+    return StructureCandidate(kind, None, 0.0,
+                              {"trivial": True, "note": "trivial holonomy, not informative"})
+
+
+def _null_vectors(L: np.ndarray, tol: float) -> np.ndarray:
+    """Null vectors of L, last first: the rows of its full vt whose singular
+    value is at most tol times the largest, or has none (fewer rows than
+    columns)."""
+    _, s, vt = np.linalg.svd(L)
+    return vt[::-1][:L.shape[1] - int(np.sum(s > tol * s[0]))]
 
 
 def _bilinear_solutions(gens, m: int, symmetric: bool, tol: float):
     """Null space of h -> A^T h + h A over the (anti)symmetric matrices.
 
-    Columns of the assembled matrix are indexed by basis forms, rows by
-    (generator, matrix entry); coefficient vectors in the null space give
-    forms annihilated by every generator at once.
+    Columns of the assembled matrix are indexed by the unit forms E_ij (i <=
+    j symmetric, i < j alternating), rows by (generator, matrix entry);
+    coefficient vectors in the null space give forms annihilated by every
+    generator at once.
     """
-    basis = _sym_basis(m) if symmetric else _antisym_basis(m)
-    cols = []
-    for E in basis:
-        col = [((A.T @ E + E @ A) / (1.0 + max_abs(A))).ravel() for A in gens]
-        cols.append(np.concatenate(col))
-    Lmat = np.array(cols).T
-    u, s, vt = np.linalg.svd(Lmat, full_matrices=True)
-    if s.size == 0:
-        null_dim = len(basis)
-    else:
-        null_dim = int(np.sum(s <= tol * s[0])) + max(0, len(basis) - s.size)
+    basis, sign = [], 1.0 if symmetric else -1.0
+    for i, j in zip(*np.triu_indices(m, 0 if symmetric else 1)):
+        E = np.zeros((m, m))
+        E[i, j], E[j, i] = 1.0, sign
+        basis.append(E)
+    Lmat = np.array([np.concatenate([((A.T @ E + E @ A) / (1.0 + max_abs(A))).ravel()
+                                     for A in gens]) for E in basis]).T
     sols = []
-    for k in range(null_dim):
-        coeffs = vt[len(basis) - 1 - k]
+    for coeffs in _null_vectors(Lmat, tol):
         H = sum(c * E for c, E in zip(coeffs, basis))
-        H = H / np.linalg.norm(H)
-        sols.append(H)
-    return sols, s
+        sols.append(H / np.linalg.norm(H))
+    return sols
 
 
 def _worse(running: float, value: float) -> float:
@@ -519,24 +521,22 @@ def _fiber_invariance(alg: HolonomyAlgebra, value: np.ndarray, kind: str) -> flo
     return worst
 
 
-def _signature(H, tol: float = 1e-9):
+def _signature(H):
     vals = np.linalg.eigvalsh(0.5 * (H + H.T))
     scale = max(1.0, float(np.abs(vals).max()))
-    pos = int(np.sum(vals > tol * scale))
-    neg = int(np.sum(vals < -tol * scale))
+    pos = int(np.sum(vals > _SIGNATURE_TOL * scale))
+    neg = int(np.sum(vals < -_SIGNATURE_TOL * scale))
     zero = H.shape[0] - pos - neg
     return pos, neg, zero
 
 
-def invariant_metric(alg: HolonomyAlgebra, tol: float = 1e-7):
+def invariant_metric(alg: HolonomyAlgebra, tol: float = _RANK_TOL):
     """Symmetric bilinear form fixed by every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0:
-        return StructureCandidate("metric", None, 0.0,
-                                  {"trivial": True,
-                                   "note": "trivial holonomy, not informative"})
-    sols, svals = _bilinear_solutions(gens, m, symmetric=True, tol=tol)
+        return _trivial("metric")
+    sols = _bilinear_solutions(gens, m, symmetric=True, tol=tol)
     candidates = list(sols)
     if len(sols) > 1:
         # individual null vectors can be degenerate while the space holds a
@@ -562,23 +562,21 @@ def invariant_metric(alg: HolonomyAlgebra, tol: float = 1e-7):
     return best
 
 
-def invariant_symplectic(alg: HolonomyAlgebra, tol: float = 1e-7):
+def invariant_symplectic(alg: HolonomyAlgebra):
     """Antisymmetric bilinear form fixed by every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0:
-        return StructureCandidate("symplectic", None, 0.0,
-                                  {"trivial": True,
-                                   "note": "trivial holonomy, not informative"})
+        return _trivial("symplectic")
     if m % 2 == 1:
         return None
-    sols, _ = _bilinear_solutions(gens, m, symmetric=False, tol=tol)
+    sols = _bilinear_solutions(gens, m, symmetric=False, tol=_RANK_TOL)
     best = None
     for W in sols:
         if abs(np.linalg.det(W)) < 1e-10:
             continue
         resid = _fiber_invariance(alg, W, "bilinear")
-        if resid > tol:
+        if resid > _RANK_TOL:
             continue
         if best is None or resid < best.residual:
             best = StructureCandidate("symplectic", W, resid,
@@ -587,38 +585,28 @@ def invariant_symplectic(alg: HolonomyAlgebra, tol: float = 1e-7):
 
 
 def _commutant(gens, m: int, tol: float):
-    rows = []
-    for A in gens:
-        scale = 1.0 + max_abs(A)
-        I = np.eye(m)
-        op = (np.kron(A, I) - np.kron(I, A.T)) / scale
-        rows.append(op)
-    L = np.vstack(rows)
-    u, s, vt = np.linalg.svd(L)
-    null_dim = int(np.sum(s <= tol * s[0])) + (m * m - s.size)
-    basis = [vt[m * m - 1 - k].reshape(m, m) for k in range(null_dim)]
-    return basis
+    I = np.eye(m)
+    L = np.vstack([(np.kron(A, I) - np.kron(I, A.T)) / (1.0 + max_abs(A)) for A in gens])
+    return [v.reshape(m, m) for v in _null_vectors(L, tol)]
 
 
-def _complex_from_element(B, tol: float):
+def _complex_from_element(B):
     vals, vecs = np.linalg.eig(B)
     scale = 1.0 + float(np.abs(vals).max())
     if np.any(np.abs(vals.imag) <= 1e-8 * scale):
         return None
     J = np.real(vecs @ np.diag(1j * np.sign(vals.imag)) @ np.linalg.inv(vecs))
-    if max_abs(J @ J + np.eye(B.shape[0])) > tol:
+    if max_abs(J @ J + np.eye(B.shape[0])) > _COMPLEX_TOL:
         return None
     return J
 
 
-def invariant_complex(alg: HolonomyAlgebra, seed: int = 0, tol: float = 1e-6):
+def invariant_complex(alg: HolonomyAlgebra, seed: int = 0):
     """Complex structure commuting with every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0:
-        return StructureCandidate("complex", None, 0.0,
-                                  {"trivial": True,
-                                   "note": "trivial holonomy, not informative"})
+        return _trivial("complex")
     if m % 2 == 1:
         return None
     comm = _commutant(gens, m, tol=1e-9)
@@ -629,22 +617,22 @@ def invariant_complex(alg: HolonomyAlgebra, seed: int = 0, tol: float = 1e-6):
     for attempt in range(2):
         coeffs = rng.normal(size=len(comm))
         B = sum(c * C for c, C in zip(coeffs, comm))
-        J = _complex_from_element(B, tol)
+        J = _complex_from_element(B)
         if J is not None:
             break
     if J is None:
         return None
     resid = max(max_abs(A @ J - J @ A) / (1.0 + max_abs(A)) for A in gens)
-    if resid > tol:
+    if resid > _COMPLEX_TOL:
         return None
     meta = {"commutant_dim": len(comm), "square_residual": max_abs(J @ J + np.eye(m))}
     # best-effort check for an anticommuting partner (hypercomplex hint)
-    partner = _anticommuting_partner(comm, J, rng, tol)
+    partner = _anticommuting_partner(comm, J)
     meta["anticommuting_partner_found"] = partner is not None
     return StructureCandidate("complex", J, resid, meta)
 
 
-def _anticommuting_partner(comm, J, rng, tol: float):
+def _anticommuting_partner(comm, J):
     """Search the commutant for a second complex structure anticommuting with J."""
     if not comm:
         return None
@@ -657,24 +645,21 @@ def _anticommuting_partner(comm, J, rng, tol: float):
         B = sum(c * C for c, C in zip(coeff, comm))
         if np.linalg.norm(B) < 1e-9:
             continue
-        K = _complex_from_element(B, tol)
-        if K is not None and max_abs(K @ J + J @ K) <= tol * 10:
+        K = _complex_from_element(B)
+        if K is not None and max_abs(K @ J + J @ K) <= _COMPLEX_TOL * 10:
             return K
     return None
 
 
-def invariant_subspaces(alg: HolonomyAlgebra, k: int | None = None, seed: int = 0,
-                        tol: float = 1e-7, n_trials: int = 2):
+def invariant_subspaces(alg: HolonomyAlgebra, seed: int = 0):
     """Invariant proper subspaces of the fiber, by eigenspace analysis."""
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0:
-        return [StructureCandidate("subspace", None, 0.0,
-                                   {"trivial": True,
-                                    "note": "trivial holonomy, not informative"})]
+        return [_trivial("subspace")]
     rng = np.random.default_rng(seed)
     found = []
-    for trial in range(n_trials):
+    for trial in range(_SUBSPACE_TRIALS):
         coeffs = rng.normal(size=len(gens))
         C = sum(c * A for c, A in zip(coeffs, gens))
         vals, vecs = np.linalg.eig(C)
@@ -711,12 +696,10 @@ def invariant_subspaces(alg: HolonomyAlgebra, k: int | None = None, seed: int = 
             dim = q.shape[1]
             if dim == 0 or dim >= m:
                 continue
-            if k is not None and dim != k:
-                continue
             proj = q @ q.T
             resid = max(max_abs((np.eye(m) - proj) @ A @ proj) / (1.0 + max_abs(A))
                         for A in gens)
-            if resid <= tol:
+            if resid <= _RANK_TOL:
                 found.append(StructureCandidate("subspace", q, resid, {"dim": dim}))
     # dedupe by projector distance
     unique = []

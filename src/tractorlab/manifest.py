@@ -325,9 +325,12 @@ def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
     return err
 
 
-def _asymmetry(chart: ChartModel, entries: dict, n_points: int = 5) -> float:
+_ASYMMETRY_POINTS = 5  # seeded samples at which the load checks the symbols' symmetry
+
+
+def _asymmetry(chart: ChartModel, entries: dict) -> float:
     """Max asymmetry of the symbols at samples; a domain error names its entry."""
-    pts = sample_points(chart, seed=0, n_random=n_points, n_grid=0)
+    pts = sample_points(chart, seed=0, n_random=_ASYMMETRY_POINTS, n_grid=0)
     try:
         g = chart.evaluator(chart.gamma)(pts)
     except ExprDomainError as err:

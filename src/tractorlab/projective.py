@@ -196,8 +196,10 @@ def cotton(chart: ChartModel, point) -> TensorValue:
     return TensorValue(p, point_fields(chart, p)["CY"], "ddd")
 
 
-def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
-                         n_points: int = 10) -> list:
+_INVARIANCE_POINTS = 10  # seeded samples of `weyl_invariance_test`, beside its 4 grid points
+
+
+def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0) -> list:
     """Measure how far the Weyl and Cotton tensors drift under projective changes.
 
     `changes` is a sequence of one-forms (`OneFormField`s or component
@@ -208,7 +210,7 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0,
     chart under "chart", so that a caller can use it without building it
     again.
     """
-    pts = sample_points(chart, seed=seed, n_random=n_points, n_grid=4)
+    pts = sample_points(chart, seed=seed, n_random=_INVARIANCE_POINTS, n_grid=4)
     before = point_fields(chart, pts)
     results = []
     for ups in changes:

@@ -307,8 +307,8 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: di
 
 
 def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
-                                      h_at_base: np.ndarray, base_point=None,
-                                      seed: int = 0) -> dict:
+                                      ein: EinsteinReport, h_at_base: np.ndarray,
+                                      base_point=None, seed: int = 0) -> dict:
     """Verify a supplied parallel-metric candidate against the connection.
 
     Verification only: h must be invariant under `alg`, the holonomy
@@ -316,7 +316,8 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
     the caller from loops or from the curvature tower).  It is then
     transported over the sample grid, the line direction is checked for
     degeneracy (up to a 20% sample budget), and where the chart itself
-    passes einstein_check the transported values are compared with the
+    passes the Einstein check -- `ein`, the caller's `einstein_check` report
+    for the chart and seed -- the transported values are compared with the
     constructed candidate up to one global scale.
     """
     n = chart.n
@@ -349,7 +350,6 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
         report["reason"] = "line direction degenerate on more than 20% of samples"
         return report
 
-    ein = einstein_check(chart, seed=seed)
     if ein.accepted:
         H0 = ein.h(base)
         c = float(np.tensordot(h0, H0) / np.tensordot(H0, H0))

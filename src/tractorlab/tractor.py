@@ -22,6 +22,11 @@ tensor in the bottom row, whatever the representative connection.
 Changing the representative by a one-form Ups rearranges the splitting:
 components (Y, a) taken in the splitting of project_change(c, ups)
 correspond to (Y, a + Ups(Y)) in the splitting of c.
+
+Transport runs the RK4 doubling of `affine._linear_transport` to
+`_TRANSPORT_TOL`; `transport_operator` and `spread_structure` always use
+it, the batched and loop routes take a caller's `tol` too.  The curvature
+routes read F from `projective.point_fields`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "connection_field",
     "connection_matrix",
     "splitting_matrix",
-    "assemble_tractor_curvature",
     "tractor_curvature",
     "tractor_curvature_from_connection",
     "parallel_transport",
@@ -165,16 +169,6 @@ def splitting_matrix(ups_value) -> np.ndarray:
 # -- curvature ---------------------------------------------------------------------
 
 
-def assemble_tractor_curvature(W, CY) -> np.ndarray:
-    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats, Expr or jets."""
-    n = W.shape[0]
-    F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
-    F[...] = W[0, 0, 0, 0] * 0.0 + 0.0 if W.dtype == object else 0.0  # Expr or jet zero
-    F[:, :, :n, :n] = W
-    F[:, :, n, :n] = CY
-    return F
-
-
 def tractor_curvature(chart: ChartModel, point) -> np.ndarray:
     """F[h,j] assembled from the Weyl and Cotton tensors at a point."""
     return point_fields(chart, np.asarray(point, dtype=float))["F"]
@@ -188,20 +182,24 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 # -- transport ---------------------------------------------------------------------
 
 
-def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = 1e-8):
+_TRANSPORT_TOL = 1e-8  # RK4 doubling tolerance of every transport
+
+
+def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = _TRANSPORT_TOL):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
     return _linear_transport(connection_field(chart), [curve], v0, tol)[0]
 
 
-def transport_operators(chart: ChartModel, curves: Sequence[Curve], tol: float = 1e-8) -> list:
+def transport_operators(chart: ChartModel, curves: Sequence[Curve],
+                        tol: float = _TRANSPORT_TOL) -> list:
     """Transport operators along several curves of one chart, integrated as
     one batch; returns [(T, steps, ok)] in the order of `curves`."""
     return _linear_transport(connection_field(chart), curves, np.eye(chart.n + 1), tol)
 
 
-def transport_operator(chart: ChartModel, curve: Curve, tol: float = 1e-8):
+def transport_operator(chart: ChartModel, curve: Curve):
     """Full transport operator T along a curve: columns are transported frames."""
-    return transport_operators(chart, [curve], tol)[0]
+    return transport_operators(chart, [curve])[0]
 
 
 def _loop_curves(loop) -> list:
@@ -217,7 +215,7 @@ def _loop_curves(loop) -> list:
     return curves
 
 
-def loop_holonomies(chart: ChartModel, loops, tol: float = 1e-8) -> list:
+def loop_holonomies(chart: ChartModel, loops, tol: float = _TRANSPORT_TOL) -> list:
     """Holonomies of several closed loops; every segment of every loop is
     transported in one batch.  Returns [(H, report)] as `loop_holonomy` does."""
     loops = [_loop_curves(loop) for loop in loops]
@@ -235,7 +233,7 @@ def loop_holonomies(chart: ChartModel, loops, tol: float = 1e-8) -> list:
     return out
 
 
-def loop_holonomy(chart: ChartModel, loop, tol: float = 1e-8):
+def loop_holonomy(chart: ChartModel, loop, tol: float = _TRANSPORT_TOL):
     """Holonomy of a closed loop (one curve or chained segments).
 
     Returns (H, report) with the determinant drift in the report, infinite if
@@ -272,7 +270,7 @@ def _apply_transport(kind: str, T: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 
 def spread_structure(chart: ChartModel, kind: str, value, base_point, points,
-                     tol: float = 1e-8, check_paths: int = 0, seed: int = 0):
+                     check_paths: int = 0, seed: int = 0):
     """Transport a fiber object from a base point to each target point.
 
     Transport runs along the straight coordinate segment to each target (a
@@ -294,7 +292,7 @@ def spread_structure(chart: ChartModel, kind: str, value, base_point, points,
     curves = [Curve.segment(base, p) for p in pts]
     for idx, mid in mids.items():
         curves += [Curve.segment(base, mid), Curve.segment(mid, pts[idx])]
-    results = transport_operators(chart, curves, tol)
+    results = transport_operators(chart, curves)
     ops = [T for T, _, _ in results]
     out = [_apply_transport(kind, T, value) for T in ops[:len(pts)]]
     # a transport that did not converge makes the residual fail

@@ -1,19 +1,111 @@
-"""Symbolic references the tests compare the package against.
+"""References the tests compare the package against, and routes only tests call.
 
 The package builds M from compiled Christoffel symbols and their first
 partials, assembled in numpy (`tractor.connection_field`).  Here M is built
 the long way, R -> Ric -> P -> M as expressions, and compiled.  Tensor
 fields with symbolic components and their covariant derivatives serve the
-same purpose for the jet-valued curvature fields.
+same purpose for the jet-valued curvature fields, as do the pointwise
+`curvature` and `ricci` (compiled symbolic fields) and
+`assemble_tractor_curvature`.  `integrate_geodesic` solves the geodesic ODE
+with the package's pointwise RK4 (`affine.rk4_adaptive`), which no command
+uses.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from tractorlab.affine import ChartModel, TensorValue, _as_expr_array
+from tractorlab.affine import (
+    ChartModel,
+    TensorValue,
+    _as_expr_array,
+    _rk4_grid,
+    curvature_field,
+    ricci_field,
+    rk4_adaptive,
+)
 from tractorlab.expr import eval_many
 from tractorlab.projective import rho_field
+
+
+def curvature(chart: ChartModel, point) -> TensorValue:
+    """Curvature tensor R[h,j,k,l] at a point (variance 'ddud')."""
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(curvature_field(chart))(p), "ddud")
+
+
+def ricci(chart: ChartModel, point) -> TensorValue:
+    """Ricci tensor Ric[j,l] at a point (not symmetrized)."""
+    p = np.asarray(point, dtype=float)
+    return TensorValue(p, chart.evaluator(ricci_field(chart))(p), "dd")
+
+
+def assemble_tractor_curvature(W, CY) -> np.ndarray:
+    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats, Expr or jets."""
+    n = W.shape[0]
+    F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
+    F[...] = W[0, 0, 0, 0] * 0.0 + 0.0 if W.dtype == object else 0.0  # Expr or jet zero
+    F[:, :, :n, :n] = W
+    F[:, :, n, :n] = CY
+    return F
+
+
+@dataclass(frozen=True)
+class GeodesicPath:
+    """Sampled geodesic: times, points, velocities, and a truncation flag."""
+
+    ts: np.ndarray
+    points: np.ndarray
+    velocities: np.ndarray
+    exited_domain: bool
+    converged: bool
+
+
+def _rk4_record(f, y0, t0: float, t1: float, steps: int):
+    """Times and states of fixed-step RK4 on the grid of `affine._rk4_grid`."""
+    y = np.array(y0, dtype=float)
+    h, grid = _rk4_grid(t0, t1, steps)
+    h, grid = float(h), grid.tolist()
+    ts, ys = [t0], [y.copy()]
+    for t, t_mid, t_end in zip(grid[0:-1:2], grid[1::2], grid[2::2]):
+        k1 = f(t, y)
+        k2 = f(t_mid, y + h / 2 * k1)
+        k3 = f(t_mid, y + h / 2 * k2)
+        k4 = f(t_end, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ts.append(t_end)
+        ys.append(y.copy())
+    return np.array(ts), np.array(ys)
+
+
+def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
+                       tol: float = 1e-8, record_steps: int = 128) -> GeodesicPath:
+    """Integrate the geodesic ODE xddot^k + Gamma^k_{ij} xdot^i xdot^j = 0.
+
+    The path is truncated with a flag if it leaves the domain box.
+    """
+    n = chart.n
+    p0 = np.asarray(point, dtype=float)
+    v0 = np.asarray(velocity, dtype=float)
+    gamma_at = chart.evaluator(chart.gamma)
+
+    def f(t, y):
+        x, v = y[:n], y[n:]
+        g = gamma_at(x)
+        acc = -np.einsum("kij,i,j->k", g, v, v)
+        return np.concatenate([v, acc])
+
+    y0 = np.concatenate([p0, v0])
+    _, steps, converged = rk4_adaptive(f, y0, 0.0, t_end, tol=tol)
+    ts, ys = _rk4_record(f, y0, 0.0, t_end, max(record_steps, steps))
+    pts = ys[:, :n]
+    vels = ys[:, n:]
+    inside = np.array([chart.contains(p) for p in pts])
+    if not inside.all():
+        cut = int(np.argmin(inside))  # first step outside
+        cut = max(cut, 1)
+        return GeodesicPath(ts[:cut], pts[:cut], vels[:cut], True, converged)
+    return GeodesicPath(ts, pts, vels, False, converged)
 
 
 def assemble_connection_matrix(gamma, rho_comps) -> np.ndarray:

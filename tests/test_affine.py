@@ -7,13 +7,10 @@ from tractorlab.affine import (
     ChartModel,
     Curve,
     OneFormField,
-    curvature,
-    integrate_geodesic,
     max_abs,
     normalize_volume,
     project_change,
     _rk4_grid,
-    ricci,
     rk4_adaptive,
     sample_points,
     symmetrize,
@@ -29,7 +26,14 @@ from tractorlab.library import (
 )
 from tractorlab.projective import weyl_field
 
-from oracle import TensorField, connection_matrix_field, covariant_derivative
+from oracle import (
+    TensorField,
+    connection_matrix_field,
+    covariant_derivative,
+    curvature,
+    integrate_geodesic,
+    ricci,
+)
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])

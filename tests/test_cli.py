@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tractorlab import __version__, affine, cli, manifest, projective
+from tractorlab import __version__, affine, cli, manifest, projective, structures
 from tractorlab.affine import Curve, max_abs, sample_points
 from tractorlab.expr import ExprDomainError
 from tractorlab.manifest import (
@@ -765,6 +765,25 @@ def test_holonomy_and_detect_share_one_algebra_per_seed(monkeypatch):
     monkeypatch.setattr(cli, "loop_algebra", original)
     monkeypatch.setattr(cli, "classify", original_classify)
     assert cli.render(cli.run("detect", fresh, seed=1)) == reports[3]
+
+
+def test_detect_runs_the_einstein_check_once(monkeypatch):
+    # flat3 supplies a tractor metric "h", whose verification reuses the
+    # report detect already has
+    calls = []
+    original = structures.einstein_check
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "einstein_check", counting)
+    monkeypatch.setattr(structures, "einstein_check", counting)
+    m = load_bundled("flat3")
+    assert "h" in m.structures
+    report = cli.run("detect", m)
+    assert len(calls) == 1
+    assert "tractor_metric" in report["result"]
 
 
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):

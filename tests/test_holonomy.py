@@ -32,13 +32,9 @@ from tractorlab.expr import eval_many, parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.manifest import load_bundled
 from tractorlab.projective import cotton_field, weyl_field
-from tractorlab.tractor import (
-    assemble_tractor_curvature,
-    loop_holonomy,
-    square_loop,
-)
+from tractorlab.tractor import loop_holonomy, square_loop
 
-from oracle import connection_matrix_field
+from oracle import assemble_tractor_curvature, connection_matrix_field
 
 P3 = np.array([0.15, 0.25, 0.35])
 

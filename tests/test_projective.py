@@ -7,7 +7,6 @@ from tractorlab.affine import (
     assemble_ricci,
     max_abs,
     project_change,
-    ricci,
     sample_points,
 )
 from tractorlab.expr import ExprDomainError, compile_exprs
@@ -31,9 +30,14 @@ from tractorlab.projective import (
     weyl,
     weyl_invariance_test,
 )
-from tractorlab.tractor import assemble_tractor_curvature
 
-from oracle import TensorField, assemble_connection_matrix, covariant_derivative
+from oracle import (
+    TensorField,
+    assemble_connection_matrix,
+    assemble_tractor_curvature,
+    covariant_derivative,
+    ricci,
+)
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])

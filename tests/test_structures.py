@@ -147,9 +147,9 @@ def test_einstein_check_is_a_property_of_the_representative(sphere3):
 
 
 def test_sphere3_metric_round_trip(sphere3):
-    h_at = einstein_check(sphere3).h
-    out = tractor_metric_to_einstein_verify(sphere3, center_alg(sphere3),
-                                            h_at(sphere3.center()))
+    ein = einstein_check(sphere3)
+    out = tractor_metric_to_einstein_verify(sphere3, center_alg(sphere3), ein,
+                                            ein.h(sphere3.center()))
     assert out["accepted"]
     assert not out["precondition_failed"]
     assert out["invariance_residual"] <= 1e-9
@@ -159,7 +159,7 @@ def test_sphere3_metric_round_trip(sphere3):
 
 def test_flat_constant_candidate_verifies(flat3):
     h0 = np.diag([1.0, 1.0, 1.0, -1.0])
-    out = tractor_metric_to_einstein_verify(flat3, center_alg(flat3), h0)
+    out = tractor_metric_to_einstein_verify(flat3, center_alg(flat3), einstein_check(flat3), h0)
     assert out["accepted"]
     assert out["consistency_residual"] is None
     pts = sample_points(flat3, seed=0)[:40]
@@ -169,7 +169,8 @@ def test_flat_constant_candidate_verifies(flat3):
 
 
 def test_verify_rejects_noninvariant_candidate(twisted):
-    out = tractor_metric_to_einstein_verify(twisted, center_alg(twisted), np.eye(4))
+    out = tractor_metric_to_einstein_verify(twisted, center_alg(twisted),
+                                            einstein_check(twisted), np.eye(4))
     assert out["precondition_failed"]
     assert not out["accepted"]
 

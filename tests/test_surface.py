@@ -1,11 +1,16 @@
 """The package surface that other code reaches by name.
 
-`bench/tracing.py` wraps tractorlab functions by module and name, and each
-module's `__all__` lists what it exports; a rename or deletion that leaves
-either stale breaks only at run time, so these tests resolve every name.
+`bench/tracing.py` wraps tractorlab functions by module and name, each
+module's `__all__` lists what it exports, and `bench/workloads.py` calls
+the package with the signatures it had when the benchmark was written; a
+rename, deletion or signature change that leaves any of them stale breaks
+only at run time, so these tests resolve every name and run one pass of
+every workload.
 """
 
+import ast
 import importlib
+import json
 import pkgutil
 import runpy
 from pathlib import Path
@@ -15,7 +20,9 @@ import pytest
 import tractorlab
 from tractorlab.expr import Expr, compile_exprs, parse
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+TRACING = BENCH / "tracing.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tractorlab.__path__))
 
 
@@ -37,3 +44,56 @@ def test_compiled_program_carries_its_output_count():
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("name", ["corpus_suite", "transport_warm", "gauge_cold"])
+def test_every_bench_workload_passes_one_pass(name):
+    # run_path compiles the file without writing bytecode under bench/
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+    known = json.loads((BENCH / "known_answers.json").read_text())
+    ops = next(workloads[name](0, known).passes())
+    failed = [(label, [row for row in rows if not row["pass"]])
+              for label, rows in ((label, op()) for label, op in ops)
+              if not all(row["pass"] for row in rows)]
+    assert ops and failed == []
+
+
+def _calls():
+    """Callee name -> [(positional count, keyword names, has *args or **kwargs)]
+    of every call in src, tests, demos, scripts and bench."""
+    calls = {}
+    for path in (p for d in ("src", "tests", "demos", "scripts", "bench")
+                 for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, star))
+    return calls
+
+
+def test_every_keyword_option_has_a_caller_that_sets_it():
+    # an option no caller sets is a constant; `library`'s half_width options
+    # set the example charts' domains, which are data
+    calls, unset = _calls(), []
+    for module in MODULES:
+        if module == "library":
+            continue
+        tree = ast.parse((ROOT / "src" / "tractorlab" / f"{module}.py").read_text())
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and "staticmethod" not in [ast.unparse(d) for d in f.decorator_list]}
+        for fn in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            a = fn.args
+            params = (a.posonlyargs + a.args)[id(fn) in methods:]  # no self
+            name = methods[id(fn)] if fn.name == "__init__" and id(fn) in methods else fn.name
+            options = [(i, p.arg) for i, p in enumerate(params)
+                       if i >= len(params) - len(a.defaults)]
+            options += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            unset += [f"{module}.{name}({arg})" for i, arg in options
+                      if not any(star or arg in kws or (i is not None and npos > i)
+                                 for npos, kws, star in calls.get(name, []))]
+    assert unset == []
