@@ -74,7 +74,7 @@ class ChartModel:
 
     `gamma` and `metric` are interned (`expr.intern`) per array: equal
     subexpressions of their entries are one node, so every walk memoised on
-    node identity -- jets, `tangents`, the code emitter -- does each of them
+    node identity -- jets, `tangents`, the tape builder -- does each of them
     once.  The sphere3 and hyperbolic3 Γ hold 31 distinct subexpressions.
     Values of the curvature fields at sample points come from Taylor jets
     of `gamma` (`projective.point_fields`), not from compiled fields.
@@ -221,8 +221,9 @@ class OneFormField:
         comps = _as_expr_array(self.components, (self.chart.n,))
         object.__setattr__(self, "components", comps)
 
-    def at(self, point) -> np.ndarray:
-        return np.array(eval_many(self.components, self.chart.env(point)), dtype=float)
+    def at(self, points) -> np.ndarray:
+        """The components at a point (n,), or at each point of a batch (B, n)."""
+        return self.chart.evaluator(self.components)(points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,16 +365,17 @@ def normalize_volume(chart: ChartModel) -> tuple[ChartModel, OneFormField]:
     """Projectively change to the connection preserving the coordinate volume.
 
     Returns the trace-free representative and the one-form used,
-    Ups_i = -tr(Gamma_i)/(n+1).
+    Ups_i = -tr(Gamma_i)/(n+1), built once per chart.
     """
-    n = chart.n
-    tr = chart.trace_gamma_field()
-    ups = np.array([tr[i] / float(-(n + 1)) for i in range(n)], dtype=object)
-    form = OneFormField(chart, ups)
-    out = project_change(chart, form)
-    label = f"{chart.name}/vol" if chart.name else "volume-normalized"
-    out.name = label
-    return out, form
+
+    def build():
+        tr = chart.trace_gamma_field()
+        form = OneFormField(chart, np.array([t / float(-(chart.n + 1)) for t in tr], dtype=object))
+        out = project_change(chart, form)
+        out.name = f"{chart.name}/vol" if chart.name else "volume-normalized"
+        return out, form
+
+    return chart.symbolic("vol", build)
 
 
 # -- integration -------------------------------------------------------------------

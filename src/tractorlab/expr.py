@@ -11,7 +11,7 @@ Expressions are immutable trees.  Differentiation (forward mode,
 performed is constant folding plus the additive/multiplicative identities,
 which is enough to keep derivative towers from filling up with structural
 zeros.  Nothing here recurses over a tree: every consumer of an expression
-DAG (the interpreter, :func:`tangents` and the code emitter) runs on one
+DAG (the interpreter, :func:`tangents` and the tape builder) runs on one
 explicit-stack post-order walk memoised on node identity, and text is
 written from an explicit stack of pieces, so depth is bounded by memory and
 not by the recursion limit.  :func:`intern` hash-conses expressions on
@@ -19,10 +19,11 @@ that walk; a chart interns the arrays it takes, so in the expressions a
 chart owns identity equals structure, and each walk does every distinct
 subexpression once.  One interpreter, :func:`eval_many`, evaluates
 expressions and is the one place that holds the domain rules.
-:func:`compile_exprs` emits one plain Python program for hot paths such as
-transport integration, which runs on floats at a point and on numpy columns
-for a batch of points with the same results; when it fails at a point the
-interpreter re-evaluates there to report the error.
+:func:`compile_exprs` builds one register tape for hot paths such as
+transport integration, a list of operations that one loop runs on floats at
+a point and on numpy columns for a batch of points with the same results;
+when it fails at a point the interpreter re-evaluates there to report the
+error.
 
 Domain problems (``log`` of a non-positive number, division by zero, even
 roots of negatives, overflow) raise :class:`ExprDomainError` naming the
@@ -32,7 +33,7 @@ failing subexpression -- results are never silently NaN.
 from __future__ import annotations
 
 import math
-import re
+import operator
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -683,84 +684,81 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
 # -- compilation --------------------------------------------------------------
 
 
-def _emit(node: Expr, names: dict, temps: dict) -> str:
-    """How emitted code refers to `node`, given its children's references in
-    `names` (keyed by node id): a literal, a coordinate, or the temporary that
-    holds its right-hand side."""
-    t = type(node)
-    if t is Num:
-        # folding can make inf or nan, which have no literal
-        return repr(node.value) if math.isfinite(node.value) else f"float('{node.value}')"
-    if t is Var:
-        return node.name
-    kids = [names[id(c)] for c in _node_children(node)]
-    a, b = kids[0], kids[-1]
-    if t is Add:
-        rhs = f"{a} + {b}"
-    elif t is Sub:
-        rhs = f"{a} - ({b})"
-    elif t is Mul:
-        rhs = f"({a}) * ({b})"
-    elif t is Div:
-        rhs = f"({a}) / ({b})"
-    elif t is Neg:
-        rhs = f"-({a})"
-    elif t is Pow:
-        rhs = f"_pow({a}, {node.exponent})"
-    else:
-        rhs = f"_{node.func}({a})"
-    # operands are references already, so equal text is an equal computation
-    return temps.setdefault(rhs, f"_t{len(temps)}")
+def _columnwise(fn: Callable) -> Callable:
+    """A tape step `fn(x)`, its second operand unused, on a float or on each
+    element of a column: numpy's vectorised sin, exp, ... may round otherwise."""
 
-
-def _elementwise(fn: Callable) -> Callable:
-    """`fn` applied to each element of a 1-d array, or to a plain float.
-
-    Batched code calls the scalar `math` routines (and float `**`) point by
-    point because numpy's vectorised sin, exp, power, ... may round
-    differently; `+ - * /` and negation are exact in numpy and stay whole-array.
-    """
-
-    def apply(x, *args):
+    def apply(x, _):
         if isinstance(x, np.ndarray):
-            return np.array(list(map(fn, x.tolist(), *(repeat(a) for a in args))), dtype=float)
-        return fn(x, *args)
+            return np.array(list(map(fn, x.tolist())), dtype=float)
+        return fn(x)
 
     return apply
 
 
-_NAMESPACE = {f"_{fn}": _elementwise(impl) for fn, impl in _MATH_FUNCTIONS.items()}
-_NAMESPACE["_pow"] = _elementwise(pow)
-_TEMP = re.compile(r"\b_t\d+\b")
+def _power(x, k):
+    """Float `**` by the integer k, on a float or on each element of a column."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(pow, x.tolist(), repeat(k))), dtype=float)
+    return pow(x, k)
 
 
-def _source(exprs: list, coords: Sequence[str]) -> str:
-    """Python source of `_compiled(*coords, _out)`, which stores expression j
-    in `_out[j]` and returns `_out`."""
-    names: dict = {}
-    temps: dict = {}
-    _postorder(exprs, names, lambda node: _emit(node, names, temps))
-    refs = [names[id(e)] for e in exprs]
-    lines = [f"    {ref} = {rhs}" for rhs, ref in temps.items()]
-    # on a batch a temporary is a whole column: free it after its last use
-    outputs = set(refs)
-    last = {used: i for i, rhs in enumerate(temps) for used in _TEMP.findall(rhs)}
-    for ref, i in last.items():
-        if ref not in outputs:
-            lines[i] += f"; del {ref}"
-    return "\n".join([f"def _compiled({', '.join([*coords, '_out'])}):", *lines,
-                      *(f"    _out[{j}] = {ref}" for j, ref in enumerate(refs)),
-                      "    return _out"])
+# `+ - * /` and negation are exact in numpy, so a batch runs them on whole columns
+_STEP_FNS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv,
+             Neg: lambda x, _: -x, Pow: _power,
+             **{f: _columnwise(fn) for f, fn in _MATH_FUNCTIONS.items()}}
 
 
-def _exec_source(exprs: list, coords: Sequence[str]) -> Callable:
-    namespace = dict(_NAMESPACE)
-    exec(_source(exprs, coords), namespace)
-    return namespace["_compiled"]
+def _tape(exprs: list, coords: Sequence[str]) -> tuple:
+    """The register tape of `exprs` over `coords`: (registers, steps, outputs).
+
+    An evaluation tape (Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., ch. 1-3) built on the one walk: one step `(fn, a, b, out)`, r[out] =
+    fn(r[a], r[b]), per distinct operation, keyed on its function and its
+    operands' values, a constant by `repr` (so -0.0 stays apart from 0.0).
+    The registers are the coordinates, then `registers`: the working ones,
+    empty and each reused after its last read, and the constants from the end.
+    """
+    n = len(coords)
+    # a value is i for coordinate i, the register -1 - k for constant k, n + j for step j
+    constants: dict = {}  # key -> (register, constant)
+    ops: dict = {}  # (fn, a, b) -> value
+
+    def constant(key, c) -> int:
+        return constants.setdefault(key, (~len(constants), c))[0]
+
+    def number(node):
+        t = type(node)
+        if t is Num:
+            return constant((Num, repr(node.value)), node.value)
+        if t is Var:
+            return coords.index(node.name)
+        a = refs[id(_node_children(node)[0])]
+        fn = _STEP_FNS[node.func if t is Call else t]
+        b = (refs[id(node.right)] if isinstance(node, _Binary) else
+             constant((Pow, node.exponent), node.exponent) if t is Pow else a)
+        return ops.setdefault((fn, a, b), n + len(ops))
+
+    refs: dict = {}
+    _postorder(exprs, refs, number)
+    outputs = [refs[id(e)] for e in exprs]
+    last = {}  # value -> the step that reads it last
+    for j, (_, a, b) in enumerate(ops):
+        last[a] = last[b] = j
+    last.update((v, len(ops)) for v in outputs)
+    register: dict = {}  # the value of a step -> its working register
+    free, steps, size = [], [], n
+    for j, (fn, a, b) in enumerate(ops):
+        ra, rb = register.get(a, a), register.get(b, b)
+        free += {r for u, r in ((a, ra), (b, rb)) if u >= n and last[u] == j}
+        out = register[n + j] = free.pop() if free else size
+        size = max(size, out + 1)
+        steps.append((fn, ra, rb, out))
+    registers = [None] * (size - n) + [c for _, c in constants.values()][::-1]
+    return registers, steps, [register.get(v, v) for v in outputs]
 
 
 _FAILURES = (ZeroDivisionError, ValueError, OverflowError)
-_RESERVED = {"_out", *_NAMESPACE}
 
 
 def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., np.ndarray]:
@@ -770,45 +768,42 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     array of the k expressions, in order; the values are taken as Python
     floats, so a numpy scalar input fails like a float one.  Called with a
     single (B, n) array of points it returns a (B, k) array (the transpose
-    of one contiguous row per expression).  Both run one emitted program:
-    on floats at a point, on whole columns for a batch, where `+ - * /` and
-    negation are exact numpy operations and functions and powers go element
-    by element through the same scalar routines, so each row is bit for bit
-    the point's values.  Shared subtrees, and subexpressions that are equal
-    term by term, are evaluated once, and each temporary is freed after its
-    last use, so a large batch keeps few columns alive.  The program is
-    compiled on the first call.  A batch with a floating-point exception is
-    rerun point by point; a domain failure at a point is re-evaluated there
-    by eval_many, which raises the ExprDomainError naming the failing
-    subexpression.
+    of one contiguous row per expression).  Both run one register tape
+    (`_tape`), on floats at a point and on whole columns for a batch, so each
+    row is bit for bit the point's values.  A batch with a floating-point
+    exception is rerun point by point; a domain failure at a point is
+    re-evaluated there by eval_many, which raises the ExprDomainError naming
+    the failing subexpression.
     """
     flat = list(exprs)
-    for c in coords:
-        if c in _MATH_FUNCTIONS or c in _RESERVED or c.startswith("_t"):
-            raise ValueError(f"coordinate name '{c}' is reserved")
-    count = len(flat)
-    program = None
+    count, n = len(flat), len(coords)
+    registers, steps, outputs = _tape(flat, coords)
 
     def evaluate(*point) -> np.ndarray:
-        nonlocal program
-        if program is None:
-            program = _exec_source(flat, coords)
-        if len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2:
+        batch = len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2
+        if batch:
             points = np.asarray(point[0], dtype=float)
-            if points.shape[1] != len(coords):
-                raise ValueError(f"points must have {len(coords)} columns")
-            try:
-                with np.errstate(divide="raise", invalid="raise", over="raise"):
-                    return program(*points.T, np.empty((count, len(points)))).T
-            except (FloatingPointError,) + _FAILURES:
-                rows = [evaluate(*p) for p in points.tolist()]
-                return np.array(rows, dtype=float).reshape(len(rows), count)
-        values = [float(v) for v in point]
+            if points.shape[1] != n:
+                raise ValueError(f"points must have {n} columns")
+            regs = [*points.T, *registers]
+        elif len(point) != n:
+            raise ValueError(f"a point must have {n} coordinates")
+        else:
+            regs = [*map(float, point), *registers]
         try:
-            return np.array(program(*values, [0.0] * count), dtype=float)
-        except _FAILURES:
-            eval_many(flat, dict(zip(coords, values)))
-            raise
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                for fn, a, b, r in steps:
+                    regs[r] = fn(regs[a], regs[b])
+        except (FloatingPointError,) + _FAILURES:
+            if not batch:
+                eval_many(flat, dict(zip(coords, regs)))
+                raise
+            rows = [evaluate(*p) for p in points.tolist()]
+            return np.array(rows, dtype=float).reshape(len(rows), count)
+        out = np.empty((count, len(points)) if batch else count)
+        for j, r in enumerate(outputs):
+            out[j] = regs[r]
+        return out.T
 
     evaluate.n_outputs = count  # type: ignore[attr-defined]
     return evaluate

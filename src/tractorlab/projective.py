@@ -220,9 +220,9 @@ def weyl_invariance_test(chart: ChartModel, changes, seed: int = 0) -> list:
         after = point_fields(changed, pts)
         # max_abs of the per-point residuals, so a NaN fails the change
         res_w, res_cy = [], []
-        for p, w1, w2, cy1, cy2 in zip(pts, before["W"], after["W"], before["CY"], after["CY"]):
+        for u, w1, w2, cy1, cy2 in zip(ups.at(pts), before["W"], after["W"], before["CY"], after["CY"]):
             res_w.append(max_abs(w2 - w1) / (1.0 + max_abs(w1)))
-            expected = cy1 - np.einsum("k,hjkl->hjl", ups.at(p), w1)
+            expected = cy1 - np.einsum("k,hjkl->hjl", u, w1)
             res_cy.append(max_abs(cy2 - expected) / (1.0 + max_abs(expected)))
         results.append({"max_weyl_residual": max_abs(res_w),
                         "max_cotton_residual": max_abs(res_cy), "n_points": len(pts),

@@ -15,7 +15,7 @@ from tractorlab.affine import (
     sample_points,
     symmetrize,
 )
-from tractorlab.expr import _source, compile_exprs, eval_many, num, parse, var
+from tractorlab.expr import ExprDomainError, _tape, compile_exprs, eval_many, num, parse, var
 from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.library import (
     flat_chart,
@@ -25,6 +25,7 @@ from tractorlab.library import (
     twisted_chart,
 )
 from tractorlab.projective import weyl_field
+from tractorlab.tractor import _connection_program
 
 from oracle import (
     TensorField,
@@ -363,20 +364,61 @@ def test_segment_closed_form_equals_its_compiled_components():
             assert np.array(interpreted).tobytes() == want.tobytes()
 
 
+def tape_operations(registers, steps, n):
+    """A number per tape step for the operation it computes, found by running
+    the tape on symbols: two steps get one number when they apply one
+    function to the same values."""
+    held = [("x", i) for i in range(n)]  # then constants, and None in a working register
+    held += [None if c is None else ("c", type(c), repr(c)) for c in registers]
+    numbers: dict = {}
+    out = []
+    for fn, a, b, r in steps:
+        assert held[a] is not None and held[b] is not None  # never read before written
+        held[r] = numbers.setdefault((fn, held[a], held[b]), len(numbers))
+        out.append(held[r])
+    return out
+
+
+# at most one step for each temporary of the Python source that the
+# connection programs were compiled to before the tape
+EMITTED_TEMPORARIES = {"flat2": 0, "flat3": 0, "hyperbolic3": 111, "product_rf3": 1,
+                       "randpoly3": 108, "sphere2": 52, "sphere3": 108}
+
+
 def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
+    assert sorted(EMITTED_TEMPORARIES) == bundled_names()
     for name in bundled_names():
         m = load_bundled(name)
         chart = m.chart
-        flat = list(connection_matrix_field(chart).ravel())
-        rhs = [line.split(" = ", 1)[1].split("; del ")[0]
-               for line in _source(flat, chart.coords).splitlines()
-               if line.startswith("    _t")]
-        assert len(rhs) == len(set(rhs)), name
+        flat = list(_connection_program(chart).ravel())
+        registers, steps, _ = _tape(flat, chart.coords)
+        ops = tape_operations(registers, steps, chart.n)
+        assert len(set(ops)) == len(ops) <= EMITTED_TEMPORARIES[name], name
         pts = m.sample()[:5]
         fn = compile_exprs(flat, chart.coords)
         want = np.array([eval_many(flat, chart.env(p)) for p in pts])
         assert fn(pts).tobytes() == want.tobytes(), name
         assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes(), name
+
+
+def test_one_form_on_a_batch_is_its_values_at_each_point_bit_for_bit():
+    c = sphere_chart(3)
+    texts = ("sin(x1)*exp(x2)", "x1/(2 + x3)", "(x2 + 1.5)^-2 - exp(-x3)")
+    ups = OneFormField(c, np.array([c.parse(t) for t in texts], dtype=object))
+    pts = sample_points(c, seed=3, n_random=20, n_grid=4)
+    batch = ups.at(pts)
+    assert batch.shape == (len(pts), 3)
+    for p, row in zip(pts, batch):
+        assert row.tobytes() == ups.at(p).tobytes()
+        assert row.tobytes() == np.array(eval_many(ups.components, c.env(p))).tobytes()
+    # poles at two points of the batch: the first one is reported
+    first, second = (c.parse(f"1/(x1 - {float(pts[k][0])!r})") for k in (6, 11))
+    poles = OneFormField(c, np.array([c.parse("x2"), first + second, c.parse("x3")],
+                                     dtype=object))
+    with pytest.raises(ExprDomainError) as err:
+        poles.at(pts)
+    assert f"division by zero in '{first.to_string()}'" in str(err.value)
+    assert err.value.point == dict(zip(c.coords, pts[6]))
 
 
 def structure_key(e, keys):

@@ -786,6 +786,19 @@ def test_detect_runs_the_einstein_check_once(monkeypatch):
     assert "tractor_metric" in report["result"]
 
 
+def test_coordinates_named_like_former_compiler_temporaries_run_the_suite(tmp_path):
+    # the schema accepts any identifier that is not a function name
+    text = bundled_path("sphere2").read_text().replace("x1", "_out").replace("x2", "_t0")
+    path = tmp_path / "renamed.json"
+    path.write_text(text)
+    outs = [tmp_path / "bundled.json", tmp_path / "renamed.json.out"]
+    codes = [cli.main(["suite", "--manifest", m, "--out", str(out)])
+             for m, out in zip(("sphere2", str(path)), outs)]
+    assert codes[1] == codes[0] == 0
+    rows = [json.loads(out.read_text())["checks"] for out in outs]
+    assert rows[1] == rows[0]
+
+
 def test_suite_over_whole_bundled_corpus_exits_zero(tmp_path):
     out = tmp_path / "corpus.json"
     code = cli.main(["suite", "--out", str(out)])

@@ -11,7 +11,7 @@ values follow from the Ricci sign alone.
 import numpy as np
 import pytest
 
-from tractorlab import affine, projective, structures
+from tractorlab import affine, cli, projective, structures, tractor
 from tractorlab.affine import normalize_volume, project_change, sample_points
 from tractorlab.expr import parse
 from tractorlab.holonomy import algebra_from_generators, compare_spans, infinitesimal_algebra
@@ -240,6 +240,24 @@ def test_invariance_check_is_splitting_independent(twisted):
         a = chain(twisted, own, value)
         b = chain(twisted, back, value)
         assert (a.accepted, a.reject_reason) == (b.accepted, b.reject_reason)
+
+
+def test_each_chart_has_one_volume_normalized_chart(monkeypatch):
+    # the contact and complex chains of one detect share it and its connection
+    m = load_bundled("flat3")
+    assert normalize_volume(m.chart) is normalize_volume(m.chart)
+    compiled = []
+    original = tractor._connection_program
+
+    def recording(chart):
+        compiled.append(chart)
+        return original(chart)
+
+    monkeypatch.setattr(tractor, "_connection_program", recording)
+    report = cli.run("detect", m)
+    assert {"contact", "complex"} <= set(report["result"])
+    vol_chart = normalize_volume(m.chart)[0]
+    assert [c for c in compiled if c.name == vol_chart.name] == [vol_chart]
 
 
 # -- complex chain -------------------------------------------------------------

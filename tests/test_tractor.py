@@ -82,8 +82,7 @@ def test_connection_matrix_compiles_what_transport_uses(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((affine, "compile_exprs"), (expr, "compile_exprs"),
-                         (expr, "_exec_source")):
+    for module, name in ((affine, "compile_exprs"), (expr, "compile_exprs"), (expr, "_tape")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     curves = [Curve.segment(base, base + SPHERE3_SHIFT)] + square_loop(base, 0, 1, 0.08)
     assert all(ok for _, _, ok in transport_operators(chart, curves))
