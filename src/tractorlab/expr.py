@@ -11,23 +11,24 @@ Expressions are immutable trees.  Differentiation (forward mode,
 performed is constant folding plus the additive/multiplicative identities,
 which is enough to keep derivative towers from filling up with structural
 zeros.  Nothing here recurses over a tree: every consumer of an expression
-DAG (the interpreter, :func:`tangents` and the tape builder) runs on one
+DAG (:func:`tangents`, :func:`intern` and the tape builder) runs on one
 explicit-stack post-order walk memoised on node identity, and text is
 written from an explicit stack of pieces, so depth is bounded by memory and
-not by the recursion limit.  :func:`intern` hash-conses expressions on
-that walk; a chart interns the arrays it takes, so in the expressions a
-chart owns identity equals structure, and each walk does every distinct
-subexpression once.  One interpreter, :func:`eval_many`, evaluates
-expressions and is the one place that holds the domain rules.
-:func:`compile_exprs` builds one register tape for hot paths such as
-transport integration, a list of operations that one loop runs on floats at
-a point and on numpy columns for a batch of points with the same results;
-when it fails at a point the interpreter re-evaluates there to report the
-error.
+not by the recursion limit.  A chart interns the arrays it takes, so in its
+expressions identity equals structure and a walk does every distinct
+subexpression once.
 
-Domain problems (``log`` of a non-positive number, division by zero, even
-roots of negatives, overflow) raise :class:`ExprDomainError` naming the
-failing subexpression -- results are never silently NaN.
+One evaluator values expressions: a register tape (`_tape`), whose steps
+one loop sweeps on three scalars -- Python floats at a point and numpy
+columns for a batch (:func:`compile_exprs`), and the jets of
+`jets.JetSpace` (:func:`eval_many`).  The domain rules are the scalar's
+own: Python raises for a float, numpy under ``errstate`` for a column (the
+batch is then swept point by point), a jet's Taylor series for a jet.  The
+tape only names the node of the step that failed, in an
+:class:`ExprDomainError` (``log`` of a non-positive number, division by
+zero, overflow, ...); results are never silently NaN.  An interval scalar
+that rounds outward would plug in as a jet does: the same steps call its
+operators and its space's ``call``, which raise where its own rules fail.
 """
 
 from __future__ import annotations
@@ -681,48 +682,69 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
     return _Parser(_tokenize(text), coords).parse()
 
 
-# -- compilation --------------------------------------------------------------
+# -- the tape ------------------------------------------------------------------
 
 
-def _columnwise(fn: Callable) -> Callable:
-    """A tape step `fn(x)`, its second operand unused, on a float or on each
-    element of a column: numpy's vectorised sin, exp, ... may round otherwise."""
+def _function_step(func: str) -> Callable:
+    """The tape step `func(x)`, its second operand unused: on a float, on each
+    element of a column (numpy's vectorised sin, exp, ... may round
+    otherwise), or on a jet through its space."""
+    fn = _MATH_FUNCTIONS[func]
 
     def apply(x, _):
         if isinstance(x, np.ndarray):
             return np.array(list(map(fn, x.tolist())), dtype=float)
-        return fn(x)
+        return fn(x) if isinstance(x, float) else x.space.call(func, x)
 
     return apply
 
 
 def _power(x, k):
-    """Float `**` by the integer k, on a float or on each element of a column."""
+    """`**` by the integer k, on a float or a jet, or on each element of a column."""
     if isinstance(x, np.ndarray):
         return np.array(list(map(pow, x.tolist(), repeat(k))), dtype=float)
     return pow(x, k)
 
 
+def _unbound(name, _):  # the step of a coordinate that the tape was not built over
+    raise KeyError(name)
+
+
 # `+ - * /` and negation are exact in numpy, so a batch runs them on whole columns
 _STEP_FNS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv,
-             Neg: lambda x, _: -x, Pow: _power,
-             **{f: _columnwise(fn) for f, fn in _MATH_FUNCTIONS.items()}}
+             Neg: lambda x, _: -x, Pow: _power, Var: _unbound,
+             **{f: _function_step(f) for f in _MATH_FUNCTIONS}}
+
+# the message of a failing step, by the type of its node and of what the scalar raised
+_MESSAGES = {
+    (Var, KeyError): "no value supplied for coordinate '{node.name}'",
+    (Div, ZeroDivisionError): "division by zero in '{text}'",
+    (Div, OverflowError): "overflow in '{text}'",
+    (Pow, ZeroDivisionError): "zero raised to negative power in '{text}'",
+    (Pow, OverflowError): "overflow in '{text}'",
+    (Call, ValueError): "{node.func}({x}) is outside the function domain in '{text}'",
+    (Call, OverflowError): "overflow in {node.func}({x})",
+    (Call, ZeroDivisionError): "{node.func} has no derivatives at {x} in '{text}'",
+}
+_FAILURES = tuple({exc for _, exc in _MESSAGES})
 
 
 def _tape(exprs: list, coords: Sequence[str]) -> tuple:
-    """The register tape of `exprs` over `coords`: (registers, steps, outputs).
+    """The register tape of `exprs` over `coords`: (registers, steps, outputs, nodes).
 
     An evaluation tape (Griewank & Walther, *Evaluating Derivatives*, 2nd
     ed., ch. 1-3) built on the one walk: one step `(fn, a, b, out)`, r[out] =
     fn(r[a], r[b]), per distinct operation, keyed on its function and its
-    operands' values, a constant by `repr` (so -0.0 stays apart from 0.0).
-    The registers are the coordinates, then `registers`: the working ones,
-    empty and each reused after its last read, and the constants from the end.
+    operands' values, a constant by `repr` (so -0.0 stays apart from 0.0);
+    `nodes[j]` is the first node that step j computes, which names it when
+    it fails.  A coordinate not in `coords` is a step that fails.  The
+    registers are the coordinates, then `registers`: the working ones, empty
+    and each reused after its last read, and the constants from the end.
     """
     n = len(coords)
     # a value is i for coordinate i, the register -1 - k for constant k, n + j for step j
     constants: dict = {}  # key -> (register, constant)
-    ops: dict = {}  # (fn, a, b) -> value
+    ops: dict = {}  # (fn, a, b) -> (value, node)
 
     def constant(key, c) -> int:
         return constants.setdefault(key, (~len(constants), c))[0]
@@ -731,13 +753,14 @@ def _tape(exprs: list, coords: Sequence[str]) -> tuple:
         t = type(node)
         if t is Num:
             return constant((Num, repr(node.value)), node.value)
-        if t is Var:
+        if t is Var and node.name in coords:
             return coords.index(node.name)
-        a = refs[id(_node_children(node)[0])]
+        a = (constant((Var, node.name), node.name) if t is Var else
+             refs[id(_node_children(node)[0])])
         fn = _STEP_FNS[node.func if t is Call else t]
         b = (refs[id(node.right)] if isinstance(node, _Binary) else
              constant((Pow, node.exponent), node.exponent) if t is Pow else a)
-        return ops.setdefault((fn, a, b), n + len(ops))
+        return ops.setdefault((fn, a, b), (n + len(ops), node))[0]
 
     refs: dict = {}
     _postorder(exprs, refs, number)
@@ -755,10 +778,32 @@ def _tape(exprs: list, coords: Sequence[str]) -> tuple:
         size = max(size, out + 1)
         steps.append((fn, ra, rb, out))
     registers = [None] * (size - n) + [c for _, c in constants.values()][::-1]
-    return registers, steps, [register.get(v, v) for v in outputs]
+    return registers, steps, [register.get(v, v) for v in outputs], [v[1] for v in ops.values()]
 
 
-_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+def _sweep(steps: list, regs: list) -> None:
+    """The one loop: run the steps of a tape on the registers `regs`, in place."""
+    for fn, a, b, r in steps:
+        regs[r] = fn(regs[a], regs[b])
+
+
+def _raise_named(steps: list, nodes: list, regs: list, coords: Sequence[str], space=None):
+    """After a sweep from `regs` failed, sweep again one step at a time and
+    raise the ExprDomainError of the first step that fails, named by its
+    node; return if none does, or if its failure has no message.  A sweep
+    writes only working registers, so `regs` still holds its inputs."""
+    for (fn, a, b, r), node in zip(steps, nodes):
+        try:
+            regs[r] = fn(regs[a], regs[b])
+        except _FAILURES as exc:
+            message = _MESSAGES.get((type(node), type(exc)))
+            if message is not None:
+                x = getattr(regs[a], "value", regs[a])  # a jet's value at its point
+                err = ExprDomainError(message.format(node=node, text=node.to_string(), x=x))
+                err.point = {name: getattr(v, "value", v) for name, v in zip(coords, regs)}
+                err.space = space
+                raise err from None
+            return
 
 
 def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[..., np.ndarray]:
@@ -768,16 +813,14 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     array of the k expressions, in order; the values are taken as Python
     floats, so a numpy scalar input fails like a float one.  Called with a
     single (B, n) array of points it returns a (B, k) array (the transpose
-    of one contiguous row per expression).  Both run one register tape
+    of one contiguous row per expression).  Both sweep one register tape
     (`_tape`), on floats at a point and on whole columns for a batch, so each
-    row is bit for bit the point's values.  A batch with a floating-point
-    exception is rerun point by point; a domain failure at a point is
-    re-evaluated there by eval_many, which raises the ExprDomainError naming
-    the failing subexpression.
+    row is bit for bit the point's values.  A batch that fails is swept
+    again point by point, where the tape names the failing subexpression.
     """
     flat = list(exprs)
     count, n = len(flat), len(coords)
-    registers, steps, outputs = _tape(flat, coords)
+    registers, steps, outputs, nodes = _tape(flat, coords)
 
     def evaluate(*point) -> np.ndarray:
         batch = len(point) == 1 and isinstance(point[0], np.ndarray) and point[0].ndim == 2
@@ -792,11 +835,10 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
             regs = [*map(float, point), *registers]
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                for fn, a, b, r in steps:
-                    regs[r] = fn(regs[a], regs[b])
+                _sweep(steps, regs)
         except (FloatingPointError,) + _FAILURES:
             if not batch:
-                eval_many(flat, dict(zip(coords, regs)))
+                _raise_named(steps, nodes, regs, coords)
                 raise
             rows = [evaluate(*p) for p in points.tolist()]
             return np.array(rows, dtype=float).reshape(len(rows), count)
@@ -809,83 +851,23 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     return evaluate
 
 
-def _value(x):
-    """A scalar's value where the domain rules apply: a number as a float, a
-    jet's value at its point (an array over a batch of points, where a rule
-    must hold at every point)."""
-    return float(x) if isinstance(x, (int, float, np.number)) else x.value
-
-
-def _node_value(node: Expr, env: Mapping, memo: dict, space):
-    t = type(node)
-    if t is Num:
-        return node.value if space is None else space.constant(node.value)
-    if t is Var:
-        try:
-            x = env[node.name]
-        except KeyError:
-            raise ExprDomainError(f"no value supplied for coordinate '{node.name}'") from None
-        return float(x) if space is None else x
-    if t is Add:
-        return memo[id(node.left)] + memo[id(node.right)]
-    if t is Sub:
-        return memo[id(node.left)] - memo[id(node.right)]
-    if t is Mul:
-        return memo[id(node.left)] * memo[id(node.right)]
-    if t is Div:
-        denom = memo[id(node.right)]
-        if np.any(_value(denom) == 0.0):
-            raise ExprDomainError(f"division by zero in '{node.to_string()}'")
-        try:
-            return memo[id(node.left)] / denom
-        except OverflowError:
-            raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
-    if t is Neg:
-        return -memo[id(node.operand)]
-    if t is Pow:
-        b = memo[id(node.base)]
-        if node.exponent < 0 and np.any(_value(b) == 0.0):
-            raise ExprDomainError(f"zero raised to negative power in '{node.to_string()}'")
-        try:
-            return b ** node.exponent
-        except OverflowError:
-            raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
-    if t is Call:
-        x = memo[id(node.arg)]
-        try:
-            return _MATH_FUNCTIONS[node.func](x) if space is None else space.call(node.func, x)
-        except ValueError:
-            raise ExprDomainError(f"{node.func}({_value(x)}) is outside the function domain "
-                                  f"in '{node.to_string()}'") from None
-        except OverflowError:
-            raise ExprDomainError(f"overflow in {node.func}({_value(x)})") from None
-        except ZeroDivisionError:
-            raise ExprDomainError(f"{node.func} has no derivatives at {_value(x)} "
-                                  f"in '{node.to_string()}'") from None
-    raise AssertionError(f"unhandled node type {t}")
-
-
 def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
-    """Evaluate many expressions at once, sharing work across common subtrees.
-
-    This is the one interpreter (Expr.eval calls it too).  It walks the
-    collection as a DAG (memo keyed on node identity) with an explicit
-    stack, so heavily shared trees evaluate in time proportional to the
-    number of distinct nodes and never hit the recursion limit.
-
-    The walk is generic over its scalar: Python floats with `space` None,
-    or the jets of a `jets.JetSpace`, whose domain rules act on their values
-    at the point, or at every point of a batch.  An ExprDomainError names
-    the failing subexpression, and its `point` holds the coordinates (as
-    floats at one point; `JetSpace.evaluate` narrows a batch to its first
-    failing point).
-    """
-    roots = list(exprs)
-    memo: dict = {}
+    """The values of expressions at `env`, from one sweep of a tape over the
+    coordinates of `env` (Expr.eval calls it too), on Python floats with
+    `space` None or on the jets of the `jets.JetSpace` `space` (at a point or
+    a batch).  An ExprDomainError names the failing subexpression, with the
+    coordinates in `point` (`JetSpace.evaluate` narrows a batch to its first
+    failing point)."""
+    coords = list(env)
+    registers, steps, outputs, nodes = _tape(list(exprs), coords)
+    if space is None:
+        regs = [*map(float, env.values()), *registers]
+    else:
+        regs = [*env.values(), *(space.constant(c) if isinstance(c, float) else c
+                                 for c in registers)]
     try:
-        _postorder(roots, memo, lambda node: _node_value(node, env, memo, space))
-    except ExprDomainError as err:
-        err.point = {name: _value(x) for name, x in env.items()}
-        err.space = space
+        _sweep(steps, regs)
+    except _FAILURES:
+        _raise_named(steps, nodes, regs, coords, space)
         raise
-    return [memo[id(e)] for e in roots]
+    return [regs[r] for r in outputs]

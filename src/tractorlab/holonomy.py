@@ -467,10 +467,10 @@ def _trivial(kind: str) -> StructureCandidate:
 
 
 def _null_vectors(L: np.ndarray, tol: float) -> np.ndarray:
-    """Null vectors of L, last first: the rows of its full vt whose singular
-    value is at most tol times the largest, or has none (fewer rows than
-    columns)."""
-    _, s, vt = np.linalg.svd(L)
+    """Null vectors of L, last first: the rows of vt whose singular value is
+    at most tol times the largest or missing; only a wide L needs the full vt
+    for the missing ones, so only then is a square U built."""
+    _, s, vt = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
     return vt[::-1][:L.shape[1] - int(np.sum(s > tol * s[0]))]
 
 

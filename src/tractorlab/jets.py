@@ -8,17 +8,18 @@ product is the truncated Cauchy product through one precomputed table of
 index pairs; ``diff`` shifts coefficients and is exact one degree lower;
 ``1/b``, integer powers and the seven functions compose their univariate
 Taylor series at b(p) with b - b(p).  `JetSpace` works on coefficient
-arrays, vectorized over leading axes; `Jet` gives a coefficient array the
-operators of a scalar for :func:`expr.eval_many`, which keeps its domain
-rules at b(p) and adds one: ``sqrt`` has no derivatives at 0.
+arrays, vectorized over leading axes.  `Jet` is a scalar of the one
+evaluator, the register tape of :func:`expr.eval_many`, and keeps its own
+domain rules: its series raise at b(p) as a float does, and ``sqrt`` has
+no derivatives at 0.
 
 A jet may hold one point or a batch: coefficients of shape (size,) or
 (B, size), composed point by point, with the domain rules at every point.
 `JetSpace.evaluate` seeds the coordinates at a point or a (B, n) batch and
-walks the expressions once.  This is how the curvature fields are valued
-at sample points (`projective.point_fields`).  Transport instead compiles
-the Christoffel symbols with their first partials (`expr.tangents`) and
-assembles the tractor connection from those values at every stage.
+sweeps the tape once; this values the curvature fields at sample points
+(`projective.point_fields`).  Transport instead compiles the Christoffel
+symbols with their first partials (`expr.tangents`) and assembles the
+tractor connection from those values at every stage.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def _power_series(b0: float, p: float, degree: int) -> list:
 
 def _function_series(func: str, b0: float, degree: int) -> list:
     """Taylor coefficients a_0..a_degree of func at b0, func(b0 + s) = sum a_k s^k;
-    a_0 is the interpreter's own value, with its domain errors, and a
-    derivative that does not exist raises ZeroDivisionError."""
+    a_0 is the float's own value, with its domain errors, and a derivative
+    that does not exist raises ZeroDivisionError."""
     a0 = _MATH_FUNCTIONS[func](b0)
     ks = range(1, degree + 1)
     if func == "exp":
@@ -164,7 +165,7 @@ class JetSpace:
     def evaluate(self, exprs, coords, points) -> np.ndarray:
         """Jets of an array of expressions over `coords` at a point (n,), shape
         exprs.shape + (size,), or at a batch of points (B, n), shape
-        (B,) + exprs.shape + (size,), in one walk.
+        (B,) + exprs.shape + (size,), in one sweep of the tape.
 
         A domain error in a batch is raised again from the first point that
         fails, naming the subexpression, with that point in `err.point`.
@@ -189,10 +190,9 @@ class JetSpace:
 
 class Jet:
     """Truncated Taylor series, at one point or a batch of points, with the
-    arithmetic operators of a scalar."""
+    arithmetic operators of a scalar on the jets of its space."""
 
     __slots__ = ("c", "space")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators below
 
     def __init__(self, c: np.ndarray, space: JetSpace):
         self.c = c
@@ -205,13 +205,7 @@ class Jet:
         return float(v) if v.ndim == 0 else v
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.c + other.c, self.space)
-        c = self.c.copy()
-        c[..., 0] += other
-        return Jet(c, self.space)
-
-    __radd__ = __add__
+        return Jet(self.c + other.c, self.space)
 
     def __neg__(self):
         return Jet(-self.c, self.space)
@@ -220,16 +214,10 @@ class Jet:
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.space.mul(self.c, other.c), self.space)
-        return Jet(self.c * other, self.space)
-
-    __rmul__ = __mul__
+        return Jet(self.space.mul(self.c, other.c), self.space)
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other ** -1
-        return Jet(self.c / other, self.space)
+        return self * other ** -1
 
     def __pow__(self, k: int):
         return Jet(self.space.compose(self.c, lambda b0, d: _power_series(b0, k, d)), self.space)

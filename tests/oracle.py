@@ -8,7 +8,9 @@ same purpose for the jet-valued curvature fields, as do the pointwise
 `curvature` and `ricci` (compiled symbolic fields) and
 `assemble_tractor_curvature`.  `integrate_geodesic` solves the geodesic ODE
 with the package's pointwise RK4 (`affine.rk4_adaptive`), which no command
-uses.
+uses.  `interpret` values expressions by walking their trees, with the
+domain rules written out at each node, as an independent check of the
+package's one evaluator, the register tape (`expr.eval_many`).
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,98 @@ from tractorlab.affine import (
     ricci_field,
     rk4_adaptive,
 )
-from tractorlab.expr import eval_many
+from tractorlab.expr import (
+    _MATH_FUNCTIONS,
+    Add,
+    Call,
+    Div,
+    ExprDomainError,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    _postorder,
+)
 from tractorlab.projective import rho_field
+
+
+def _value(x):
+    """A scalar's value where the domain rules apply: a number as a float, a
+    jet's value at its point (an array over a batch of points, where a rule
+    must hold at every point)."""
+    return float(x) if isinstance(x, (int, float, np.number)) else x.value
+
+
+def _node_value(node, env, memo: dict, space):
+    t = type(node)
+    if t is Num:
+        return node.value if space is None else space.constant(node.value)
+    if t is Var:
+        try:
+            x = env[node.name]
+        except KeyError:
+            raise ExprDomainError(f"no value supplied for coordinate '{node.name}'") from None
+        return float(x) if space is None else x
+    if t is Add:
+        return memo[id(node.left)] + memo[id(node.right)]
+    if t is Sub:
+        return memo[id(node.left)] - memo[id(node.right)]
+    if t is Mul:
+        return memo[id(node.left)] * memo[id(node.right)]
+    if t is Div:
+        denom = memo[id(node.right)]
+        if np.any(_value(denom) == 0.0):
+            raise ExprDomainError(f"division by zero in '{node.to_string()}'")
+        try:
+            return memo[id(node.left)] / denom
+        except OverflowError:
+            raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
+    if t is Neg:
+        return -memo[id(node.operand)]
+    if t is Pow:
+        b = memo[id(node.base)]
+        if node.exponent < 0 and np.any(_value(b) == 0.0):
+            raise ExprDomainError(f"zero raised to negative power in '{node.to_string()}'")
+        try:
+            return b ** node.exponent
+        except OverflowError:
+            raise ExprDomainError(f"overflow in '{node.to_string()}'") from None
+    if t is Call:
+        x = memo[id(node.arg)]
+        try:
+            return _MATH_FUNCTIONS[node.func](x) if space is None else space.call(node.func, x)
+        except ValueError:
+            raise ExprDomainError(f"{node.func}({_value(x)}) is outside the function domain "
+                                  f"in '{node.to_string()}'") from None
+        except OverflowError:
+            raise ExprDomainError(f"overflow in {node.func}({_value(x)})") from None
+        except ZeroDivisionError:
+            raise ExprDomainError(f"{node.func} has no derivatives at {_value(x)} "
+                                  f"in '{node.to_string()}'") from None
+    raise AssertionError(f"unhandled node type {t}")
+
+
+def interpret(exprs, env, space=None) -> list:
+    """The values of expressions at `env` by a walk over their trees: Python
+    floats with `space` None, or jets of the `jets.JetSpace` `space`.
+
+    The tree interpreter the package used before its register tape, kept as
+    the tape's reference: each node checks its own domain rule before it
+    computes (a zero denominator or base, by the value at the point), where
+    the tape leaves the rules to its scalar.  It raises the same
+    ExprDomainError messages, with the coordinates in `point`.
+    """
+    roots = list(exprs)
+    memo: dict = {}
+    try:
+        _postorder(roots, memo, lambda node: _node_value(node, env, memo, space))
+    except ExprDomainError as err:
+        err.point = {name: _value(x) for name, x in env.items()}
+        err.space = space
+        raise
+    return [memo[id(e)] for e in roots]
 
 
 def curvature(chart: ChartModel, point) -> TensorValue:
@@ -41,10 +133,10 @@ def ricci(chart: ChartModel, point) -> TensorValue:
 
 
 def assemble_tractor_curvature(W, CY) -> np.ndarray:
-    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats, Expr or jets."""
+    """F[h,j] = [[W[h,j], 0], [CY[h,j], 0]], shape (n,n,n+1,n+1); floats or Expr."""
     n = W.shape[0]
     F = np.empty((n, n, n + 1, n + 1), dtype=W.dtype)
-    F[...] = W[0, 0, 0, 0] * 0.0 + 0.0 if W.dtype == object else 0.0  # Expr or jet zero
+    F[...] = W[0, 0, 0, 0] * 0.0 + 0.0 if W.dtype == object else 0.0  # an Expr zero
     F[:, :, :n, :n] = W
     F[:, :, n, :n] = CY
     return F
@@ -155,7 +247,7 @@ class TensorField:
 
     def at(self, point) -> TensorValue:
         p = np.asarray(point, dtype=float)
-        out = np.array(eval_many(self.components.ravel(), self.chart.env(p)), dtype=float)
+        out = np.array(interpret(self.components.ravel(), self.chart.env(p)), dtype=float)
         return TensorValue(p, out.reshape(self.components.shape), self.variance)
 
 

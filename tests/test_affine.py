@@ -15,7 +15,7 @@ from tractorlab.affine import (
     sample_points,
     symmetrize,
 )
-from tractorlab.expr import ExprDomainError, _tape, compile_exprs, eval_many, num, parse, var
+from tractorlab.expr import ExprDomainError, _tape, compile_exprs, num, parse, var
 from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.library import (
     flat_chart,
@@ -33,6 +33,7 @@ from oracle import (
     covariant_derivative,
     curvature,
     integrate_geodesic,
+    interpret,
     ricci,
 )
 
@@ -360,7 +361,7 @@ def test_segment_closed_form_equals_its_compiled_components():
         assert np.concatenate([x, xdot], axis=1).tobytes() == path.tobytes()
         for ti, want in zip(t, path):  # the numeric path of a segment and its expressions
             assert np.concatenate([seg.point(ti), seg.velocity(ti)]).tobytes() == want.tobytes()
-            interpreted = eval_many(seg.components + seg.velocity_exprs(), {"t": ti})
+            interpreted = interpret(seg.components + seg.velocity_exprs(), {"t": ti})
             assert np.array(interpreted).tobytes() == want.tobytes()
 
 
@@ -391,12 +392,12 @@ def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
         m = load_bundled(name)
         chart = m.chart
         flat = list(_connection_program(chart).ravel())
-        registers, steps, _ = _tape(flat, chart.coords)
+        registers, steps, *_ = _tape(flat, chart.coords)
         ops = tape_operations(registers, steps, chart.n)
         assert len(set(ops)) == len(ops) <= EMITTED_TEMPORARIES[name], name
         pts = m.sample()[:5]
         fn = compile_exprs(flat, chart.coords)
-        want = np.array([eval_many(flat, chart.env(p)) for p in pts])
+        want = np.array([interpret(flat, chart.env(p)) for p in pts])
         assert fn(pts).tobytes() == want.tobytes(), name
         assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes(), name
 
@@ -410,7 +411,7 @@ def test_one_form_on_a_batch_is_its_values_at_each_point_bit_for_bit():
     assert batch.shape == (len(pts), 3)
     for p, row in zip(pts, batch):
         assert row.tobytes() == ups.at(p).tobytes()
-        assert row.tobytes() == np.array(eval_many(ups.components, c.env(p))).tobytes()
+        assert row.tobytes() == np.array(interpret(ups.components, c.env(p))).tobytes()
     # poles at two points of the batch: the first one is reported
     first, second = (c.parse(f"1/(x1 - {float(pts[k][0])!r})") for k in (6, 11))
     poles = OneFormField(c, np.array([c.parse("x2"), first + second, c.parse("x3")],

@@ -12,12 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tractorlab.expr import (
+    FUNCTION_NAMES,
+    Add,
+    Call,
+    Div,
     Expr,
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
     Mul,
+    Neg,
     Num,
+    Pow,
+    Sub,
     compile_exprs,
     eval_many,
     intern,
@@ -25,6 +32,9 @@ from tractorlab.expr import (
     parse,
     var,
 )
+from tractorlab.jets import Jet, JetSpace
+
+from oracle import interpret
 
 XY = ("x", "y")
 
@@ -266,7 +276,7 @@ def test_compiled_batch_equals_pointwise_bit_for_bit() -> None:
     fn = compile_exprs(exprs, XY)
     pts = np.random.default_rng(0).uniform(-0.9, 0.9, size=(400, 2))
     got = fn(pts)
-    want = np.array([eval_many(exprs, {"x": px, "y": py}) for px, py in pts.tolist()])
+    want = np.array([interpret(exprs, {"x": px, "y": py}) for px, py in pts.tolist()])
     assert got.shape == (400, len(texts))
     assert got.tobytes() == want.tobytes()
 
@@ -334,10 +344,10 @@ def test_property_render_round_trip(e: Expr, px: float, py: float) -> None:
 @given(e=safe_trees(), pts=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
                                     min_size=1, max_size=4))
 def test_property_program_and_interpreter_agree(e: Expr, pts: list) -> None:
-    # at a point, on a batch and in eval_many: the same bits, or an ExprDomainError
+    # at a point and on a batch, as interpreted: the same bits, or an ExprDomainError
     fn = compile_exprs([e], XY)
     try:
-        want = np.array([eval_many([e], {"x": px, "y": py}) for px, py in pts])
+        want = np.array([interpret([e], {"x": px, "y": py}) for px, py in pts])
     except ExprDomainError:
         for call in (lambda: fn(np.array(pts)), lambda: [fn(*p) for p in pts]):
             with pytest.raises(ExprDomainError):
@@ -352,7 +362,7 @@ def test_eval_many_matches_single_eval() -> None:
     e2 = e1.diff("x")
     e3 = e2.diff("y")
     env = {"x": 0.7, "y": -0.4}
-    got = eval_many([e1, e2, e3, e1], env)
+    got = interpret([e1, e2, e3, e1], env)
     want = [e1.eval(env), e2.eval(env), e3.eval(env), e1.eval(env)]
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -410,7 +420,7 @@ def test_intern_keeps_signed_zeros_apart() -> None:
     # x*0 and x*-0 print alike but differ in the sign of their value
     pos, neg = intern([Mul(var("x"), num(0.0)), Mul(var("x"), num(-0.0))])
     assert pos is not neg and pos.left is neg.left
-    values = eval_many([pos, neg], {"x": 1.0, "y": 0.0})
+    values = interpret([pos, neg], {"x": 1.0, "y": 0.0})
     assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
 
 
@@ -425,5 +435,136 @@ def test_property_intern_keeps_text_and_values(trees: list, px: float, py: float
     assert [e is f for e, f in zip(intern(interned), interned)] == [True] * len(roots)
     assert identity_count(interned) <= identity_count(roots)
     env = {"x": px, "y": py}
-    want = np.array(eval_many(roots, env))
+    want = np.array(interpret(roots, env))
     assert np.array(eval_many(interned, env)).tobytes() == want.tobytes()
+
+
+# -- domain errors on every scalar -----------------------------------------------
+
+GOOD = [(0.9, 0.1), (0.7, 0.2)]  # points where every case below has a value
+
+# expression, two points where it fails, its message on floats (None: a
+# float has a value there) and on degree-2 jets; the strings are those the
+# tree interpreter raised before the tape named its own failures
+DOMAIN_CASES = [
+    ("y/(x - y)", [(0.5, 0.5), (0.25, 0.25)],
+     "division by zero in 'y/(x - y)'", "division by zero in 'y/(x - y)'"),
+    ("(x - y)^-2", [(0.5, 0.5), (0.25, 0.25)],
+     "zero raised to negative power in '(x - y)^-2'",
+     "zero raised to negative power in '(x - y)^-2'"),
+    ("log(x - y)", [(0.3, 0.5), (0.1, 0.6)],
+     "log(-0.2) is outside the function domain in 'log(x - y)'",
+     "log(-0.2) is outside the function domain in 'log(x - y)'"),
+    ("sqrt(x - y)", [(0.3, 0.5), (0.1, 0.6)],
+     "sqrt(-0.2) is outside the function domain in 'sqrt(x - y)'",
+     "sqrt(-0.2) is outside the function domain in 'sqrt(x - y)'"),
+    ("sqrt(x*y)", [(0.0, 0.5), (0.3, 0.0)],
+     None, "sqrt has no derivatives at 0.0 in 'sqrt(x*y)'"),
+    ("exp(x)", [(1e4, 0.0), (2e4, 0.0)], "overflow in exp(10000.0)", "overflow in exp(10000.0)"),
+    ("x^2", [(1e200, 0.0), (2e200, 0.0)], "overflow in 'x^2'", "overflow in 'x^2'"),
+    ("y/x", [(1e-200, 0.5), (2e-200, 0.5)], None, "overflow in 'y/x'"),
+    ("x*z", [(0.5, 0.5), (0.25, 0.25)],
+     "no value supplied for coordinate 'z'", "no value supplied for coordinate 'z'"),
+]
+
+# each scalar of the tape: (on jets, run at a point or a batch of points)
+SCALARS = {
+    "float point": (False, lambda e, p: eval_many([e], dict(zip(XY, p)))),
+    "compiled point": (False, lambda e, p: compile_exprs([e], XY)(*p)),
+    "column batch": (False, lambda e, pts: compile_exprs([e], XY)(np.array(pts))),
+    "jet point": (True, lambda e, p: JetSpace.of(2, 2).evaluate([e], XY, p)),
+    "jet batch": (True, lambda e, pts: JetSpace.of(2, 2).evaluate([e], XY, pts)),
+}
+
+
+@pytest.mark.parametrize("scalar", SCALARS)
+@pytest.mark.parametrize("text, bad, on_floats, on_jets", DOMAIN_CASES)
+def test_every_domain_message_on_every_scalar(scalar, text, bad, on_floats, on_jets):
+    jets, run = SCALARS[scalar]
+    e = var("x") * var("z") if "z" in text else parse(text, XY)
+    batch = "batch" in scalar
+    points = [GOOD[0], bad[0], GOOD[1], bad[1]] if batch else bad[0]
+    message = on_jets if jets else on_floats
+    if message is None:
+        run(e, points)
+        return
+    with pytest.raises(ExprDomainError) as err:
+        run(e, points)
+    assert str(err.value) == message
+    # a batch reports its first failing point; every point fails without z
+    first = GOOD[0] if batch and "z" in text else bad[0]
+    assert err.value.point == dict(zip(XY, first))
+    assert err.value.space is (JetSpace.of(2, 2) if jets else None)
+
+
+# -- the tape against the tree interpreter -------------------------------------------
+
+CONSTANTS = [1.0, -1.5, 0.5, 2.0, 3.0, 1e200]
+STEPS = ["+", "-", "*", "/", "neg", "pow", *sorted(FUNCTION_NAMES)]
+
+
+@st.composite
+def expression_dags(draw):
+    """Up to three roots of a DAG over x, y, both zeros and other constants:
+    each new node reads earlier ones, so subtrees are shared, built without
+    folding so that x*-0.0 and x^-k stay in the tree."""
+    nodes = [var("x"), var("y"), num(0.0), num(-0.0)]
+    nodes += [num(draw(st.sampled_from(CONSTANTS))) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(1, 10))):
+        a, b = (nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(2))
+        step = draw(st.sampled_from(STEPS))
+        binary = {"+": Add, "-": Sub, "*": Mul, "/": Div}.get(step)
+        nodes.append(binary(a, b) if binary else Neg(a) if step == "neg" else
+                     Pow(a, draw(st.sampled_from([-3, -2, -1, 2, 3]))) if step == "pow" else
+                     Call(step, a))
+    return nodes[-draw(st.integers(1, 3)):]
+
+
+def outcome(call):
+    """The bytes of what `call` returns, or the message and point of its ExprDomainError."""
+    try:
+        return np.asarray(call(), dtype=float).tobytes()
+    except ExprDomainError as err:
+        return str(err), err.point
+
+
+def interpreted_jets(roots, space, pts):
+    """The interpreter's counterpart of `JetSpace.evaluate`: the same seeds,
+    and a failing batch narrowed to its first failing point."""
+    pts = np.asarray(pts, dtype=float)
+    lead = pts.shape[:-1]
+    env = {}
+    for name, x, v in zip(XY, np.moveaxis(pts, -1, 0), space._variables):
+        c = np.broadcast_to(v, lead + (space.size,)).copy()
+        c[..., 0] += x
+        env[name] = Jet(c, space)
+    try:
+        values = interpret(roots, env, space)
+    except ExprDomainError:
+        for p in pts if lead else ():
+            interpreted_jets(roots, space, p)
+        raise
+    return np.stack([np.broadcast_to(j.c, lead + (space.size,)) for j in values], axis=-2)
+
+
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=expression_dags(),
+       pts=st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=3))
+def test_property_tape_equals_the_interpreter_on_every_scalar(roots, pts):
+    # floats, columns and degree-2 jets: the same bits, or the same message at the same point
+    fn = compile_exprs(roots, XY)
+    space = JetSpace.of(2, 2)
+    per_point = [outcome(lambda: interpret(roots, dict(zip(XY, p)))) for p in pts]
+    for p, want in zip(pts, per_point):
+        assert outcome(lambda: eval_many(roots, dict(zip(XY, p)))) == want
+        assert outcome(lambda: fn(*p)) == want
+        assert outcome(lambda: space.evaluate(roots, XY, p)) == outcome(
+            lambda: interpreted_jets(roots, space, p))
+    failures = [w for w in per_point if isinstance(w, tuple)]
+    column = failures[0] if failures else b"".join(per_point)
+    assert outcome(lambda: fn(np.array(pts))) == column
+    assert outcome(lambda: space.evaluate(roots, XY, pts)) == outcome(
+        lambda: interpreted_jets(roots, space, pts))

@@ -25,16 +25,17 @@ from tractorlab.holonomy import (
     _curvature_tower,
     _default_loop_family,
     _guarded_log,
+    _null_vectors,
     _principal_log,
 )
 from tractorlab.affine import ChartModel
-from tractorlab.expr import eval_many, parse
+from tractorlab.expr import parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.manifest import load_bundled
 from tractorlab.projective import cotton_field, weyl_field
 from tractorlab.tractor import loop_holonomy, square_loop
 
-from oracle import assemble_tractor_curvature, connection_matrix_field
+from oracle import assemble_tractor_curvature, connection_matrix_field, interpret
 
 P3 = np.array([0.15, 0.25, 0.35])
 
@@ -295,6 +296,20 @@ def test_principal_log_without_a_real_principal_log_is_nan(H):
 # -- chart-based estimates ----------------------------------------------------------
 
 
+def test_null_vectors_of_a_wide_matrix_include_its_extra_columns():
+    # fewer rows than columns: the null space is held only by the rows of the
+    # full vt past the rank, so it must not be read from the reduced one
+    L = np.random.default_rng(3).normal(size=(3, 5))
+    null = _null_vectors(L, 1e-10)
+    assert null.shape == (2, 5)
+    assert np.abs(L @ null.T).max() <= 1e-12
+    np.testing.assert_allclose(null @ null.T, np.eye(2), atol=1e-12)
+    # a tall matrix of rank 3 in 4 columns: one null vector
+    tall = np.random.default_rng(4).normal(size=(8, 3)) @ np.random.default_rng(5).normal(
+        size=(3, 4))
+    assert _null_vectors(tall, 1e-10).shape == (1, 4)
+
+
 def test_sphere_infinitesimal_rank_zero():
     alg = infinitesimal_algebra(sphere_chart(2), np.array([0.2, -0.3]))
     assert alg.rank == 0
@@ -437,7 +452,7 @@ def symbolic_tower(chart, point, max_order):
     for order in range(max_order + 1):
         if order:
             level = symbolic_covariant_derivative(chart, M, level)
-        out.append(np.array(eval_many(level.ravel(), chart.env(point))).reshape(
+        out.append(np.array(interpret(level.ravel(), chart.env(point))).reshape(
             -1, chart.n + 1, chart.n + 1))
     return out
 
