@@ -132,29 +132,33 @@ class ChartModel:
 
     # -- compiled evaluators ----------------------------------------------------
 
-    def evaluator(self, field: np.ndarray) -> Callable[[object], np.ndarray]:
-        """Compiled values of `field` at a point or at a batch of points.
+    def evaluator(self, field: np.ndarray) -> Callable[..., np.ndarray]:
+        """Compiled values of `field` at a point, at a batch of points, or on jets.
 
-        Compiling pays off for fields evaluated at many points, such as
-        the program behind the tractor connection at every RK4 stage of a
-        transport; values at a few sample points are cheaper on jets
-        (`projective.point_fields`).
         `field` is a symbolic array this chart owns (a `symbolic` result,
         `gamma` or `metric`).  The callable maps a point of shape (n,) to
-        values in `field.shape`, and a batch of shape (B, n) to values in
-        `(B,) + field.shape`; both run one program (`compile_exprs`), so a
-        batch row is bit for bit the point's values.  It is
-        compiled on the first call for a field and cached under the
-        field's identity; the cache holds the field too, so that identity
-        is never reused.
+        values in `field.shape`, a batch of shape (B, n) to values in
+        `(B,) + field.shape`, and one `jets.Jet` per coordinate (from
+        `JetSpace.evaluate`) to coefficients in `field.shape + (size,)`,
+        with a leading (B,) for a batch.  One compiled program
+        (`compile_exprs`) runs on floats, columns and jets, so a batch row is
+        bit for bit the point's values, and the jets of Gamma in
+        `projective.point_fields` sweep the program compiled at load.  It is
+        compiled on the first call for a field and cached under the field's
+        identity; the cache holds the field too, so that identity is never
+        reused.
         """
         hit = self._evaluators.get(id(field))
         if hit is None:
             fn = compile_exprs(field.ravel(), self.coords)
             shape = field.shape
 
-            def at(points) -> np.ndarray:
-                p = np.asarray(points, dtype=float)
+            def at(*points) -> np.ndarray:
+                if hasattr(points[0], "space"):  # one jet per coordinate
+                    c = fn(*points)
+                    return c.reshape(c.shape[:-2] + shape + c.shape[-1:])
+                (p,) = points
+                p = np.asarray(p, dtype=float)
                 if p.ndim == 2:
                     return fn(p).reshape(p.shape[:1] + shape)
                 return fn(*p.tolist()).reshape(shape)

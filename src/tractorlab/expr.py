@@ -19,9 +19,10 @@ expressions identity equals structure and a walk does every distinct
 subexpression once.
 
 One evaluator values expressions: a register tape (`_tape`), whose steps
-one loop sweeps on three scalars -- Python floats at a point and numpy
-columns for a batch (:func:`compile_exprs`), and the jets of
-`jets.JetSpace` (:func:`eval_many`).  The domain rules are the scalar's
+one loop sweeps on three scalars.  One compiled program
+(:func:`compile_exprs`) runs on all three: Python floats at a point, numpy
+columns for a batch, and the jets of `jets.JetSpace`; :func:`eval_many`
+values one-off expressions on floats.  The domain rules are the scalar's
 own: Python raises for a float, numpy under ``errstate`` for a column (the
 batch is then swept point by point), a jet's Taylor series for a jet.  The
 tape only names the node of the step that failed, in an
@@ -813,10 +814,12 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     array of the k expressions, in order; the values are taken as Python
     floats, so a numpy scalar input fails like a float one.  Called with a
     single (B, n) array of points it returns a (B, k) array (the transpose
-    of one contiguous row per expression).  Both sweep one register tape
-    (`_tape`), on floats at a point and on whole columns for a batch, so each
-    row is bit for bit the point's values.  A batch that fails is swept
-    again point by point, where the tape names the failing subexpression.
+    of one contiguous row per expression), and with one `jets.Jet` per
+    coordinate their (k, size), or (B, k, size), Taylor coefficients.  All
+    three sweep one register tape (`_tape`), so each batch row is bit for bit
+    the point's values.  A column batch that fails is swept again point by
+    point, where the tape names the failing subexpression; jets keep numpy's
+    default error state and raise by their own series rules.
     """
     flat = list(exprs)
     count, n = len(flat), len(coords)
@@ -831,6 +834,17 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
             regs = [*points.T, *registers]
         elif len(point) != n:
             raise ValueError(f"a point must have {n} coordinates")
+        elif hasattr(point[0], "space"):  # one jet per coordinate
+            space = point[0].space
+            regs = [*point, *(space.constant(c) if isinstance(c, float) else c
+                              for c in registers)]
+            try:
+                _sweep(steps, regs)
+            except _FAILURES:
+                _raise_named(steps, nodes, regs, coords, space)
+                raise
+            shape = point[0].c.shape[:-1] + (space.size,)
+            return np.stack([np.broadcast_to(regs[r].c, shape) for r in outputs], axis=-2)
         else:
             regs = [*map(float, point), *registers]
         try:
@@ -851,23 +865,17 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
     return evaluate
 
 
-def eval_many(exprs: Iterable[Expr], env: Mapping, space=None) -> list:
-    """The values of expressions at `env`, from one sweep of a tape over the
-    coordinates of `env` (Expr.eval calls it too), on Python floats with
-    `space` None or on the jets of the `jets.JetSpace` `space` (at a point or
-    a batch).  An ExprDomainError names the failing subexpression, with the
-    coordinates in `point` (`JetSpace.evaluate` narrows a batch to its first
-    failing point)."""
+def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
+    """The float values of expressions at `env`, from one sweep of a tape over
+    the coordinates of `env`, for one-off expressions (Expr.eval calls it
+    too).  An ExprDomainError names the failing subexpression, with the
+    coordinates in `point`."""
     coords = list(env)
     registers, steps, outputs, nodes = _tape(list(exprs), coords)
-    if space is None:
-        regs = [*map(float, env.values()), *registers]
-    else:
-        regs = [*env.values(), *(space.constant(c) if isinstance(c, float) else c
-                                 for c in registers)]
+    regs = [*map(float, env.values()), *registers]
     try:
         _sweep(steps, regs)
     except _FAILURES:
-        _raise_named(steps, nodes, regs, coords, space)
+        _raise_named(steps, nodes, regs, coords)
         raise
     return [regs[r] for r in outputs]

@@ -9,17 +9,18 @@ index pairs; ``diff`` shifts coefficients and is exact one degree lower;
 ``1/b``, integer powers and the seven functions compose their univariate
 Taylor series at b(p) with b - b(p).  `JetSpace` works on coefficient
 arrays, vectorized over leading axes.  `Jet` is a scalar of the one
-evaluator, the register tape of :func:`expr.eval_many`, and keeps its own
-domain rules: its series raise at b(p) as a float does, and ``sqrt`` has
-no derivatives at 0.
+evaluator, the register tape that :func:`expr.compile_exprs` compiles, and
+keeps its own domain rules: its series raise at b(p) as a float does, and
+``sqrt`` has no derivatives at 0.
 
 A jet may hold one point or a batch: coefficients of shape (size,) or
 (B, size), composed point by point, with the domain rules at every point.
 `JetSpace.evaluate` seeds the coordinates at a point or a (B, n) batch and
-sweeps the tape once; this values the curvature fields at sample points
-(`projective.point_fields`).  Transport instead compiles the Christoffel
-symbols with their first partials (`expr.tangents`) and assembles the
-tractor connection from those values at every stage.
+sweeps, once, the tape of the compiled program that values the same field
+on floats and columns, so it builds none; this values the curvature fields
+at sample points (`projective.point_fields`).  Transport instead compiles
+the Christoffel symbols with their first partials (`expr.tangents`) and
+assembles the tractor connection from those values at every stage.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .expr import _MATH_FUNCTIONS, ExprDomainError, eval_many
+from .expr import _MATH_FUNCTIONS, ExprDomainError
 
 __all__ = ["Jet", "JetSpace"]
 
@@ -104,8 +105,13 @@ class JetSpace:
         return cls(n, degree)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of two jet arrays, broadcast over leading axes."""
-        return self.contract("...,...->...", a, b)
+        """Truncated product of two jet arrays, broadcast over leading axes; bit
+        for bit contract("...,...->...", a, b), whose einsum sums into 0.0 and
+        so turns a product of -0.0 into +0.0, as `+ 0.0` does."""
+        size = min(a.shape[-1], b.shape[-1])
+        end = self._bounds[size]
+        prod = a[..., self._left[:end]] * b[..., self._right[:end]] + 0.0
+        return np.add.reduceat(prod, self._bounds[:size], axis=-1)
 
     def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """np.einsum(spec, a, b) over the tensor axes of two jet arrays, with jet
@@ -133,18 +139,20 @@ class JetSpace:
 
     def compose(self, b: np.ndarray, series) -> np.ndarray:
         """f(b) by Horner's rule in b - b(p), where series(b0, degree) gives the
-        Taylor coefficients of f at one value b0; each point has its own.  A
-        b with no non-constant coefficients zeroes every coefficient past
-        f(b0), so one that overflows is dropped, not raised; the rules on
-        f(b0) and on whether f has derivatives at b0 still apply."""
+        Taylor coefficients of f at one value b0; each point has its own.  At
+        a point where b has no non-constant coefficients, f(b) has none past
+        f(b0), so a series that overflows there is dropped, not raised; the
+        rules on f(b0) and on whether f has derivatives at b0 still apply."""
         degree, values = self.sizes.index(b.shape[-1]), b[..., 0].ravel().tolist()
-        try:
-            coeffs = np.array([series(b0, degree) for b0 in values])
-        except OverflowError:
-            if b[..., 1:].any():
-                raise
-            degree, coeffs = 0, np.array([series(b0, 0) for b0 in values])
-        coeffs = coeffs.reshape(b.shape[:-1] + (degree + 1,))
+        coeffs = []
+        for i, b0 in enumerate(values):
+            try:
+                coeffs.append(series(b0, degree))
+            except OverflowError:
+                if b.reshape(len(values), -1)[i, 1:].any():
+                    raise
+                coeffs.append(series(b0, 0) + [0.0] * degree)
+        coeffs = np.array(coeffs).reshape(b.shape[:-1] + (degree + 1,))
         h = b.copy()
         h[..., 0] = 0.0
         out = np.zeros_like(b)
@@ -162,30 +170,28 @@ class JetSpace:
     def call(self, func: str, x: "Jet") -> "Jet":
         return Jet(self.compose(x.c, lambda b0, d: _function_series(func, b0, d)), self)
 
-    def evaluate(self, exprs, coords, points) -> np.ndarray:
-        """Jets of an array of expressions over `coords` at a point (n,), shape
-        exprs.shape + (size,), or at a batch of points (B, n), shape
-        (B,) + exprs.shape + (size,), in one sweep of the tape.
+    def evaluate(self, program, points) -> np.ndarray:
+        """The jets of a compiled program (`expr.compile_exprs`, or a chart's
+        `evaluator`) at a point (n,) or a batch of points (B, n): called with
+        one jet per coordinate, it sweeps its tape once and returns their
+        coefficients, the batch axis first and the coefficient axis last.
 
         A domain error in a batch is raised again from the first point that
         fails, naming the subexpression, with that point in `err.point`.
         """
-        exprs = np.asarray(exprs, dtype=object)
         points = np.asarray(points, dtype=float)
         lead = points.shape[:-1]
-        env = {}
-        for name, x, v in zip(coords, np.moveaxis(points, -1, 0), self._variables):
+        jets = []
+        for x, v in zip(np.moveaxis(points, -1, 0), self._variables):
             c = np.broadcast_to(v, lead + (self.size,)).copy()
             c[..., 0] += x
-            env[name] = Jet(c, self)
+            jets.append(Jet(c, self))
         try:
-            values = eval_many(exprs.ravel(), env, self)
+            return program(*jets)
         except ExprDomainError:
             for p in points.reshape(-1, points.shape[-1]) if lead else ():
-                self.evaluate(exprs, coords, p)
+                self.evaluate(program, p)
             raise
-        out = np.stack([np.broadcast_to(j.c, lead + (self.size,)) for j in values], axis=-2)
-        return out.reshape(lead + exprs.shape + (self.size,))
 
 
 class Jet:
@@ -210,8 +216,8 @@ class Jet:
     def __neg__(self):
         return Jet(-self.c, self.space)
 
-    def __sub__(self, other):
-        return self + -other
+    def __sub__(self, other):  # x - y is x + -y, but for the sign of a NaN y
+        return Jet(self.c - other.c, self.space)
 
     def __mul__(self, other):
         return Jet(self.space.mul(self.c, other.c), self.space)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .affine import ChartModel, Curve, max_abs, sample_points, symmetrize
-from .expr import Expr, ExprDomainError, num, parse
+from .expr import Expr, ExprDomainError, compile_exprs, num, parse
 from .jets import JetSpace
 
 __all__ = [
@@ -319,7 +319,7 @@ def gamma_entry_error(coords, entries: dict, err: ExprDomainError) -> Exception:
         space = JetSpace.of(len(coords), 1) if err.space is None else err.space
         for key, e in entries.items():
             try:
-                space.evaluate([e], coords, [env[c] for c in coords])
+                space.evaluate(compile_exprs([e], coords), [env[c] for c in coords])
             except ExprDomainError as entry_err:
                 return ManifestError(f"$['gamma'][{key!r}]: {entry_err}")
     return err

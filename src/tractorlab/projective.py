@@ -11,7 +11,8 @@ The central objects:
 
 Values at sample points come from Taylor jets (`point_fields`): the
 Christoffel symbols are expanded to degree 2 at a batch of points in one
-walk, and every field is a few vectorized contractions of those jets.  The
+sweep of the program the chart compiled for them (`ChartModel.evaluator`),
+and every field is a few vectorized contractions of those jets.  The
 symbolic fields (`rho_field`, `weyl_field`, `cotton_field`) remain as a
 reference only: transport assembles the tractor connection from compiled
 Christoffel symbols and their first partials (`tractor.connection_field`),
@@ -146,7 +147,7 @@ def point_fields(chart: ChartModel, points, degree: int = 2, jets: bool = False)
     space = JetSpace.of(n, degree)
     s1, s2 = space.sizes[degree - 1], space.sizes[degree - 2]
     eye = np.eye(n)
-    G = space.evaluate(chart.gamma, chart.coords, points)
+    G = space.evaluate(chart.evaluator(chart.gamma), points)
     G1 = G[..., :s1]
     dG = np.swapaxes(space.grad(G, 3, s1), -4, -3)  # d_h G^k_jl
     GG = space.contract("...khm,...mjl->...hjkl", G1, G1)  # G^k_hm G^m_jl

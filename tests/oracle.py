@@ -10,7 +10,8 @@ same purpose for the jet-valued curvature fields, as do the pointwise
 with the package's pointwise RK4 (`affine.rk4_adaptive`), which no command
 uses.  `interpret` values expressions by walking their trees, with the
 domain rules written out at each node, as an independent check of the
-package's one evaluator, the register tape (`expr.eval_many`).
+package's one evaluator, the register tape (`expr.compile_exprs`), and
+`interpreted_jets` runs it where `jets.JetSpace.evaluate` runs a program.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from tractorlab.expr import (
     Var,
     _postorder,
 )
+from tractorlab.jets import Jet
 from tractorlab.projective import rho_field
 
 
@@ -118,6 +120,26 @@ def interpret(exprs, env, space=None) -> list:
         err.space = space
         raise
     return [memo[id(e)] for e in roots]
+
+
+def interpreted_jets(roots, coords, space, pts) -> np.ndarray:
+    """The interpreter's counterpart of `JetSpace.evaluate` on the compiled
+    `roots`: the same seeds, the coefficients stacked as the program stacks
+    them, and a failing batch narrowed to its first failing point."""
+    pts = np.asarray(pts, dtype=float)
+    lead = pts.shape[:-1]
+    env = {}
+    for name, x, v in zip(coords, np.moveaxis(pts, -1, 0), space._variables):
+        c = np.broadcast_to(v, lead + (space.size,)).copy()
+        c[..., 0] += x
+        env[name] = Jet(c, space)
+    try:
+        values = interpret(roots, env, space)
+    except ExprDomainError:
+        for p in pts if lead else ():
+            interpreted_jets(roots, coords, space, p)
+        raise
+    return np.stack([np.broadcast_to(j.c, lead + (space.size,)) for j in values], axis=-2)
 
 
 def curvature(chart: ChartModel, point) -> TensorValue:

@@ -32,9 +32,9 @@ from tractorlab.expr import (
     parse,
     var,
 )
-from tractorlab.jets import Jet, JetSpace
+from tractorlab.jets import JetSpace
 
-from oracle import interpret
+from oracle import interpret, interpreted_jets
 
 XY = ("x", "y")
 
@@ -472,8 +472,8 @@ SCALARS = {
     "float point": (False, lambda e, p: eval_many([e], dict(zip(XY, p)))),
     "compiled point": (False, lambda e, p: compile_exprs([e], XY)(*p)),
     "column batch": (False, lambda e, pts: compile_exprs([e], XY)(np.array(pts))),
-    "jet point": (True, lambda e, p: JetSpace.of(2, 2).evaluate([e], XY, p)),
-    "jet batch": (True, lambda e, pts: JetSpace.of(2, 2).evaluate([e], XY, pts)),
+    "jet point": (True, lambda e, p: JetSpace.of(2, 2).evaluate(compile_exprs([e], XY), p)),
+    "jet batch": (True, lambda e, pts: JetSpace.of(2, 2).evaluate(compile_exprs([e], XY), pts)),
 }
 
 
@@ -528,25 +528,6 @@ def outcome(call):
         return str(err), err.point
 
 
-def interpreted_jets(roots, space, pts):
-    """The interpreter's counterpart of `JetSpace.evaluate`: the same seeds,
-    and a failing batch narrowed to its first failing point."""
-    pts = np.asarray(pts, dtype=float)
-    lead = pts.shape[:-1]
-    env = {}
-    for name, x, v in zip(XY, np.moveaxis(pts, -1, 0), space._variables):
-        c = np.broadcast_to(v, lead + (space.size,)).copy()
-        c[..., 0] += x
-        env[name] = Jet(c, space)
-    try:
-        values = interpret(roots, env, space)
-    except ExprDomainError:
-        for p in pts if lead else ():
-            interpreted_jets(roots, space, p)
-        raise
-    return np.stack([np.broadcast_to(j.c, lead + (space.size,)) for j in values], axis=-2)
-
-
 COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
 
 
@@ -561,10 +542,10 @@ def test_property_tape_equals_the_interpreter_on_every_scalar(roots, pts):
     for p, want in zip(pts, per_point):
         assert outcome(lambda: eval_many(roots, dict(zip(XY, p)))) == want
         assert outcome(lambda: fn(*p)) == want
-        assert outcome(lambda: space.evaluate(roots, XY, p)) == outcome(
-            lambda: interpreted_jets(roots, space, p))
+        assert outcome(lambda: space.evaluate(fn, p)) == outcome(
+            lambda: interpreted_jets(roots, XY, space, p))
     failures = [w for w in per_point if isinstance(w, tuple)]
     column = failures[0] if failures else b"".join(per_point)
     assert outcome(lambda: fn(np.array(pts))) == column
-    assert outcome(lambda: space.evaluate(roots, XY, pts)) == outcome(
-        lambda: interpreted_jets(roots, space, pts))
+    assert outcome(lambda: space.evaluate(fn, pts)) == outcome(
+        lambda: interpreted_jets(roots, XY, space, pts))

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import sympy
 
-from tractorlab.expr import ExprDomainError, num, parse
-from tractorlab.jets import JetSpace
+from tractorlab.expr import ExprDomainError, compile_exprs, num, parse
+from tractorlab.jets import Jet, JetSpace
 from tractorlab.manifest import bundled_names, load_bundled
 
 DEGREE = 5
@@ -69,7 +69,7 @@ def monomial(space, alpha):
 
 def check_against_sympy(text, coords, point):
     space = JetSpace(len(coords), DEGREE)
-    got = space.evaluate([parse(text, coords)], coords, point)[0]
+    got = space.evaluate(compile_exprs([parse(text, coords)], coords), point)[0]
     want = np.zeros(space.size)
     for alpha, value in sympy_coefficients(text, coords, point, DEGREE).items():
         want[monomial(space, alpha)] = value
@@ -117,13 +117,14 @@ def test_products_shifts_and_truncation_are_consistent():
 def test_jet_domain_errors_name_the_subexpression(text, point, message, degree):
     space = JetSpace(2, degree)
     with pytest.raises(ExprDomainError, match=message) as err:
-        space.evaluate([parse(text, ("x", "y"))], ("x", "y"), point)
+        space.evaluate(compile_exprs([parse(text, ("x", "y"))], ("x", "y")), point)
     assert err.value.point == {"x": point[0], "y": point[1]}
 
 
 def test_sqrt_at_zero_has_a_value_but_no_derivatives():
     e = parse("sqrt(x*x + y*y)", ("x", "y"))
-    assert JetSpace(2, 0).evaluate([e], ("x", "y"), (0.0, 0.0))[0].tolist() == [0.0]
+    at_zero = JetSpace(2, 0).evaluate(compile_exprs([e], ("x", "y")), (0.0, 0.0))
+    assert at_zero[0].tolist() == [0.0]
     assert e.eval({"x": 0.0, "y": 0.0}) == 0.0
 
 
@@ -138,5 +139,66 @@ def test_interned_gamma_has_the_jets_of_its_separately_parsed_entries(name):
         separate[tuple(int(s) for s in key.split(","))] = parse(text, chart.coords)
     space = JetSpace(chart.n, 3)
     pts = m.sample()[:8]
-    want = space.evaluate(separate, chart.coords, pts)
-    assert space.evaluate(chart.gamma, chart.coords, pts).tobytes() == want.tobytes()
+    want = space.evaluate(compile_exprs(separate.ravel(), chart.coords), pts)
+    assert space.evaluate(chart.evaluator(chart.gamma), pts).tobytes() == want.tobytes()
+
+
+# log of 1e-300 + (x - 0.5)^3 + x*y^3: at (0.5, 0) its argument has no
+# non-constant coefficient at degree 2, and the log series overflows there, so
+# the jet is log(1e-300) alone; at (0.5, 1e-110) the argument has a y
+# coefficient, and the overflow is an error.
+FLAT_LOG = "log(1e-300 + (x - 0.5)^3 + x*y^3)"
+
+
+@pytest.mark.parametrize("points", [
+    [(0.5, 0.0), (0.9, 0.0)],
+    [(0.9, 0.0), (0.5, 0.0), (0.7, 0.2)],
+    [(0.5, 0.0), (0.5, 0.0)],
+])
+def test_an_overflowing_constant_series_is_dropped_point_by_point(points):
+    program = compile_exprs([parse(FLAT_LOG, ("x", "y"))], ("x", "y"))
+    space = JetSpace.of(2, 2)
+    alone = np.stack([space.evaluate(program, p) for p in points])
+    assert space.evaluate(program, points).tobytes() == alone.tobytes()
+
+
+def test_a_batch_raises_the_overflow_of_its_failing_point():
+    program = compile_exprs([parse(FLAT_LOG, ("x", "y"))], ("x", "y"))
+    space = JetSpace.of(2, 2)
+    bad = (0.5, 1e-110)
+    with pytest.raises(ExprDomainError) as alone:
+        space.evaluate(program, bad)
+    with pytest.raises(ExprDomainError) as err:
+        space.evaluate(program, [(0.9, 0.0), (0.5, 0.0), bad, (0.7, 0.2)])
+    assert str(err.value) == str(alone.value) == "overflow in log(1e-300)"
+    assert err.value.point == {"x": 0.5, "y": 1e-110}
+
+
+def special_values(rng, shape):
+    """Normal numbers mixed with signed zeros, infinities, NaN and subnormals."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, -1e-310])
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.4
+    x[pick] = rng.choice(pool, size=pick.sum())
+    return x
+
+
+@pytest.mark.parametrize("n, degree", [(2, 2), (3, 4)])
+def test_jet_product_and_difference_are_the_routes_they_replace(n, degree):
+    space = JetSpace.of(n, degree)
+    rng = np.random.default_rng(degree)
+    a, b = special_values(rng, (2, 64, space.size))
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (a, b[0]), (a[0], b), (a[:, : space.sizes[1]], b)):
+            size = min(x.shape[-1], y.shape[-1])
+            end = space._bounds[size]
+            prod = np.einsum("...z,...z->...z", x[..., space._left[:end]], y[..., space._right[:end]])
+            want = np.add.reduceat(prod, space._bounds[:size], axis=-1)
+            got = (Jet(x, space) * Jet(y, space)).c
+            assert got.tobytes() == want.tobytes()
+        got, want = (Jet(a, space) - Jet(b, space)).c, a + -b
+    # x - y is x + -y bit for bit, but for the sign of a NaN y: subtraction
+    # returns y's NaN as it is, the float and column steps' `-` too
+    assert np.array_equal(got, want, equal_nan=True)
+    keep = ~np.isnan(b)
+    assert got[keep].tobytes() == want[keep].tobytes()

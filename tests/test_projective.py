@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tractorlab import expr
 from tractorlab.affine import (
     OneFormField,
     assemble_curvature,
@@ -10,6 +11,7 @@ from tractorlab.affine import (
     sample_points,
 )
 from tractorlab.expr import ExprDomainError, compile_exprs
+from tractorlab.jets import JetSpace
 from tractorlab.library import (
     flat_chart,
     hyperbolic_chart,
@@ -36,6 +38,7 @@ from oracle import (
     assemble_connection_matrix,
     assemble_tractor_curvature,
     covariant_derivative,
+    interpreted_jets,
     ricci,
 )
 
@@ -206,6 +209,28 @@ def test_point_fields_at_one_point_are_the_batch_row():
     one = point_fields(chart, pts[2])
     for key, values in batch.items():
         assert np.array_equal(one[key], values[2]), key
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_point_fields_sweep_the_program_the_chart_compiled_at_load(name, monkeypatch):
+    # the chart compiles Gamma once, at load; its jets at sample points and
+    # the base sweep that program, and are the tree interpreter's bit for bit
+    m = load_bundled(name)
+    chart = m.chart
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return tape(*args)
+
+    tape = expr._tape
+    monkeypatch.setattr(expr, "_tape", counting)
+    gamma = chart.gamma.ravel()
+    for pts, degree in ((m.sample()[:40], 2), (m.base(), 5)):
+        got = point_fields(chart, pts, degree=degree, jets=True)["gamma"]
+        assert not builds
+        want = interpreted_jets(gamma, chart.coords, JetSpace.of(chart.n, degree), pts)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_point_fields_need_second_derivatives():
