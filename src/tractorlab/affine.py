@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Expr, compile_exprs, eval_many, intern, num, parse, var, FUNCTION_NAMES
+from .expr import Expr, compile_exprs, eval_many, intern, num, parse, FUNCTION_NAMES
 
 __all__ = [
     "ChartModel",
@@ -116,12 +116,6 @@ class ChartModel:
 
     def parse(self, text: str) -> Expr:
         return parse(text, self.coords)
-
-    def env(self, point) -> dict:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
-            raise ValueError(f"point must have {self.n} components")
-        return dict(zip(self.coords, point))
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -235,12 +229,11 @@ class Curve:
     """A parametric curve with symbolic components x(t), compared by identity.
 
     A straight segment (`Curve.segment`) is numbers only: x(t) = start +
-    delta*t and xdot(t) = delta, which `point`, `velocity` and transport
-    evaluate as such.  Its `components` are built from `start` and `delta`
-    on first access and cached.
+    delta*t and xdot(t) = delta, which `point` and transport evaluate as
+    such.  Its `components` are None.
     """
 
-    components: tuple
+    components: tuple | None
     t0: float
     t1: float
     start: np.ndarray | None = field(default=None, repr=False)
@@ -254,23 +247,14 @@ class Curve:
     def segment(a, b) -> "Curve":
         """Straight coordinate segment from a to b, parametrized on [0, 1].
 
-        `start + delta*t` and `delta` equal the simplified components and
-        their velocities bit for bit at t >= 0: a zero start is -0.0, since
-        a + d*t simplifies to d*t there and -0.0 + z == z for every z.
+        `start + delta*t` and `delta` equal, bit for bit at t >= 0, the
+        simplified expressions a_i + d_i*t and their t-derivatives: a zero
+        start is -0.0, since a + d*t simplifies to d*t there and -0.0 + z ==
+        z for every z.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        seg = Curve(None, 0.0, 1.0, np.where(a == 0.0, -0.0, a), (b - a) + 0.0)
-        object.__delattr__(seg, "components")  # built by __getattr__ when asked for
-        return seg
-
-    def __getattr__(self, name):  # runs only for a segment's components not yet built
-        if name != "components":
-            raise AttributeError(name)
-        t = var("t")
-        comps = tuple(num(a) + d * t for a, d in zip(self.start, self.delta))
-        object.__setattr__(self, "components", comps)
-        return comps
+        return Curve(None, 0.0, 1.0, np.where(a == 0.0, -0.0, a), (b - a) + 0.0)
 
     def velocity_exprs(self) -> tuple:
         return tuple(c.diff("t") for c in self.components)
@@ -279,11 +263,6 @@ class Curve:
         if self.delta is not None:
             return self.start + self.delta * t
         return np.array(eval_many(self.components, {"t": t}), dtype=float)
-
-    def velocity(self, t: float) -> np.ndarray:
-        if self.delta is not None:
-            return self.delta.copy()
-        return np.array(eval_many(self.velocity_exprs(), {"t": t}), dtype=float)
 
 
 # -- curvature ------------------------------------------------------------------

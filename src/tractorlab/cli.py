@@ -36,7 +36,8 @@ from .holonomy import (
     invariant_symplectic,
     loop_algebra,
 )
-from .manifest import Manifest, bundled_names, gamma_entry_error, load, load_bundled
+from .manifest import _DEFAULT_TOLERANCES, Manifest, bundled_names, gamma_entry_error, load, \
+    load_bundled
 from .projective import point_fields, ricci_from_rho, weyl_invariance_test
 from .structures import (
     complex_reduction,
@@ -55,30 +56,6 @@ from .tractor import (
 )
 
 COMMANDS = ("compute", "invariance", "transport", "holonomy", "detect", "verify", "suite")
-
-_DEFAULT_TOLERANCES = {
-    "weyl_rebuild": 1e-12,
-    "weyl_trace": 1e-9,
-    "rho_ricci": 1e-12,
-    "weyl_invariance": 1e-8,
-    "cotton_change_law": 1e-8,
-    "loop_invariance": 1e-6,
-    "curvature_match": 1e-8,
-    "curvature_t_part": 1e-9,
-    "connection_trace": 1e-12,
-    "loop_det": 1e-6,
-    "transport_det": 1e-6,
-    "algebra_trace_free": 1e-9,
-    "einstein_parallel": 1e-6,
-    "contact_dtheta": 1e-6,
-    "contact_weyl": 1e-7,
-    "complex_square": 1e-7,
-    "complex_lie": 1e-4,
-    "foliation": 1e-7,
-    "t_star_row": 1e-9,
-    "verify_consistency": 1e-6,
-}
-
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
@@ -434,7 +411,9 @@ def run(command: str, manifest: Manifest, seed: int = 0, tol_scale: float = 1.0)
 
 
 def render(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    """A `run` report (or a dict of them) as the JSON text of the command line;
+    `run` has already made every value JSON-native."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _run_naming_entry(args, manifest: Manifest) -> dict:
@@ -459,8 +438,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply every tolerance by this factor")
+                        help="multiply every tolerance by this factor (positive and finite)")
     args = parser.parse_args(argv)
+    if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
+        parser.error(f"--tol-scale must be positive and finite, got {args.tol_scale!r}")
 
     try:
         if args.manifest is None:

@@ -17,9 +17,11 @@ null spaces of one linear map each, read off one SVD (`_null_vectors`).
 Every candidate is re-verified against all generators before being
 returned; the zero algebra gives each detector its "trivial" candidate.
 
-Rank, closure and structure tolerances, the default loop size and the log
-retries are module constants (`_RANK_TOL`, `_LOOP_SIZE`, ...), not options:
-every report is computed with the same values.
+Rank, closure and structure tolerances, the tower's highest order
+(`_MAX_ORDER`), the loop size, transport tolerance and log floor of the
+loop estimator and its log retries are module constants (`_RANK_TOL`,
+`_MAX_ORDER`, `_LOOP_SIZE`, `_LOOP_ODE_TOL`, `_LOG_FLOOR`, ...), not
+options: every report is computed with the same values.
 """
 
 from __future__ import annotations
@@ -60,11 +62,9 @@ class HolonomyAlgebra:
     generators: np.ndarray        # raw collected matrices (g, m, m)
     basis: np.ndarray             # orthonormalized basis after closure (rank, m, m)
     rank: int
-    tolerance: float
     method: str
     rank_stable: bool
     closed_under_bracket: bool    # true if the raw span was already closed
-    closure_rounds: int
     singular_values: np.ndarray
     trace_free_residual: float
     bracket_residual: float
@@ -173,27 +173,24 @@ def algebra_from_generators(gens, fiber_dim: int | None = None,
             raise ValueError("fiber_dim is required when no generators are given")
         fiber_dim = gens[0].shape[0]
     m = fiber_dim
-    _, svals, rank = _span_basis(gens, m, _RANK_TOL)
+    _, svals, _ = _span_basis(gens, m, _RANK_TOL)
     thresholds = (_RANK_TOL / 10, _RANK_TOL, _RANK_TOL * 10)
     if svals.size and svals[0] > _SPAN_FLOOR:
         ranks = {t: int(np.sum(svals > t * svals[0])) for t in thresholds}
     else:
         ranks = {t: 0 for t in thresholds}
-    basis, closed, rounds, bresid = bracket_closure(gens, m, _RANK_TOL)
+    basis, closed, _, bresid = bracket_closure(gens, m, _RANK_TOL)
     tf = max((abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens), default=0.0)
     return HolonomyAlgebra(
         generators=np.array(gens) if gens else np.zeros((0, m, m)),
         basis=basis,
         rank=int(basis.shape[0]),
-        tolerance=_RANK_TOL,
         method=method,
         rank_stable=len(set(ranks.values())) == 1,
         closed_under_bracket=closed,
-        closure_rounds=rounds,
         singular_values=svals,
         trace_free_residual=tf,
         bracket_residual=bresid,
-        details={"span_rank_before_closure": rank, "ranks_by_threshold": ranks},
     )
 
 
@@ -251,32 +248,35 @@ def _curvature_tower(chart: ChartModel, point, max_order: int):
             level = _covariant_derivative(space, level, M, G, space.sizes[degree - 1])
 
 
-def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3) -> HolonomyAlgebra:
+_MAX_ORDER = 3  # highest covariant derivative of the curvature the tower reaches
+
+
+def infinitesimal_algebra(chart: ChartModel, point) -> HolonomyAlgebra:
     """Span of the tractor curvature and its covariant derivatives at a point.
 
     The tower is computed on Taylor jets at the point (`_curvature_tower`),
-    one derivative order at a time.  It stops early once the
-    bracket-closed span fills all of sl or stops growing for one order;
-    `max_order` caps it either way.  The second stop is not sound -- a
-    rank flat for one order can still grow at the next -- and jets make
-    the remaining orders cheap, but dropping it moves recorded ranks
-    (`rank_by_order` and the benchmark's known answers), so it stays
+    one derivative order at a time, and each order's generators so far are
+    closed under brackets once: that algebra's rank is the order's entry of
+    `details["rank_by_order"]`, and the last one is the result.  The tower
+    stops early once the closed span fills all of sl or stops growing for
+    one order; `_MAX_ORDER` caps it either way.  The second stop is not
+    sound -- a rank flat for one order can still grow at the next -- and
+    jets make the remaining orders cheap, but dropping it moves recorded
+    ranks (`rank_by_order` and the benchmark's known answers), so it stays
     until those are re-recorded.
     """
-    if not 0 <= max_order <= 3:
-        raise ValueError("max_order must be between 0 and 3")
     m = chart.n + 1
     mats = []
     rank_by_order = []
-    for order, vals in enumerate(_curvature_tower(chart, point, max_order)):
+    for order, vals in enumerate(_curvature_tower(chart, point, _MAX_ORDER)):
         mats.extend(vals)
-        rank_by_order.append(int(bracket_closure(mats, m, _RANK_TOL)[0].shape[0]))
-        saturated = rank_by_order[-1] == m * m - 1
-        stalled = order > 0 and rank_by_order[-1] == rank_by_order[-2]
+        alg = algebra_from_generators(mats, m, method="infinitesimal")
+        rank_by_order.append(alg.rank)
+        saturated = alg.rank == m * m - 1
+        stalled = order > 0 and alg.rank == rank_by_order[-2]
         if saturated or stalled:
             break
-    alg = algebra_from_generators(mats, m, method="infinitesimal")
-    alg.details.update(max_order=max_order, orders_used=order, rank_by_order=rank_by_order)
+    alg.details.update(orders_used=order, rank_by_order=rank_by_order)
     return alg
 
 
@@ -288,8 +288,10 @@ def infinitesimal_algebra(chart: ChartModel, point, max_order: int = 3) -> Holon
 _THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
 _MAX_SQRTS = 64
 _MAX_SQRT_STEPS = 64
-_LOOP_SIZE = 0.08  # side of the default family's squares, and of `cli`'s default loop
-_LOG_RETRIES = 5   # halvings of a loop whose holonomy leaves the principal log's branch
+_LOOP_SIZE = 0.08      # side of the loop family's squares, and of `cli`'s default loop
+_LOG_RETRIES = 5       # halvings of a loop whose holonomy leaves the principal log's branch
+_LOOP_ODE_TOL = 1e-10  # transport tolerance of the loop family and of its shrunk retries
+_LOG_FLOOR = 1e-8      # a loop log of Frobenius norm at most this is dropped as round-off
 
 
 @cache
@@ -355,7 +357,7 @@ def _principal_log(H: np.ndarray) -> np.ndarray:
     return log if np.isfinite(log).all() else nan
 
 
-def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float):
+def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray):
     """Principal log of a loop holonomy H, shrinking the loop if it leaves the branch.
 
     Returns (log, retries, converged); each retry transports the shrunk loop
@@ -374,7 +376,7 @@ def _guarded_log(chart: ChartModel, loop_segments, H: np.ndarray, ode_tol: float
             base = segs[0].point(segs[0].t0)
             segs = [Curve.segment(base + 0.5 * (s.point(s.t0) - base),
                                   base + 0.5 * (s.point(s.t1) - base)) for s in segs]
-            H, rep = loop_holonomy(chart, segs, tol=ode_tol)
+            H, rep = loop_holonomy(chart, segs, tol=_LOOP_ODE_TOL)
             converged = converged and rep["converged"]
         if not np.isfinite(H).all():
             return np.full_like(H, np.nan), attempt, False
@@ -406,39 +408,39 @@ def _default_loop_family(chart: ChartModel, base, count: int, seed: int, eps: fl
     return loops
 
 
-def loop_algebra(chart: ChartModel, base_point, loop_family=None, count: int = 6,
-                 seed: int = 0, ode_tol: float = 1e-10,
-                 log_floor: float = 1e-8) -> HolonomyAlgebra:
+def loop_algebra(chart: ChartModel, base_point, count: int = 6, seed: int = 0) -> HolonomyAlgebra:
     """Algebra spanned by logs of small-loop holonomies, merged with the
-    infinitesimal estimate at the same point."""
+    infinitesimal estimate at the same point.
+
+    The loops are `_default_loop_family`'s: the coordinate squares at the
+    base and `count` seeded lassos, transported to `_LOOP_ODE_TOL`; a log
+    whose norm is at most `_LOG_FLOOR` is dropped.
+    """
     base = np.asarray(base_point, dtype=float)
     m = chart.n + 1
-    if loop_family is None:
-        loop_family = _default_loop_family(chart, base, count, seed, _LOOP_SIZE)
+    loop_family = _default_loop_family(chart, base, count, seed, _LOOP_SIZE)
     logs = []
     retries = 0
     converged = True
-    for loop, (H, rep) in zip(loop_family, loop_holonomies(chart, loop_family, tol=ode_tol)):
-        log, attempts, ok = _guarded_log(chart, loop, H, ode_tol)
+    for loop, (H, rep) in zip(loop_family, loop_holonomies(chart, loop_family, tol=_LOOP_ODE_TOL)):
+        log, attempts, ok = _guarded_log(chart, loop, H)
         converged = converged and rep["converged"] and ok
         retries += attempts
         norm = float(np.linalg.norm(log))
-        if norm > log_floor:
+        if norm > _LOG_FLOOR:
             logs.append(log / norm)
     _, svals, loops_rank = _span_basis(logs, m, _RANK_TOL)
     inf = infinitesimal_algebra(chart, base)
     merged = list(inf.basis) + logs
-    basis, closed, rounds, bresid = bracket_closure(merged, m, _RANK_TOL)
+    basis, closed, _, bresid = bracket_closure(merged, m, _RANK_TOL)
     tf = max((abs(float(np.trace(a))) for a in logs), default=0.0) if converged else np.inf
     return HolonomyAlgebra(
         generators=np.array(logs) if logs else np.zeros((0, m, m)),
         basis=basis,
         rank=int(basis.shape[0]),
-        tolerance=_RANK_TOL,
         method="loops+infinitesimal",
         rank_stable=inf.rank_stable,
         closed_under_bracket=closed,
-        closure_rounds=rounds,
         singular_values=svals,
         trace_free_residual=tf,
         bracket_residual=bresid,
@@ -530,13 +532,13 @@ def _signature(H):
     return pos, neg, zero
 
 
-def invariant_metric(alg: HolonomyAlgebra, tol: float = _RANK_TOL):
+def invariant_metric(alg: HolonomyAlgebra):
     """Symmetric bilinear form fixed by every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0:
         return _trivial("metric")
-    sols = _bilinear_solutions(gens, m, symmetric=True, tol=tol)
+    sols = _bilinear_solutions(gens, m, symmetric=True, tol=_RANK_TOL)
     candidates = list(sols)
     if len(sols) > 1:
         # individual null vectors can be degenerate while the space holds a
@@ -553,7 +555,7 @@ def invariant_metric(alg: HolonomyAlgebra, tol: float = _RANK_TOL):
         if q > p:
             H, p, q = -H, q, p
         resid = _fiber_invariance(alg, H, "bilinear")
-        if resid > tol:
+        if resid > _RANK_TOL:
             continue
         if best is None or resid < best.residual:
             best = StructureCandidate("metric", H, resid,

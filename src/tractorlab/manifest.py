@@ -3,9 +3,10 @@
 A manifest is a strict JSON document (schema in schema/manifest_schema.json)
 describing a chart: dimension, coordinate names, a sparse map of Christoffel
 expressions, the domain box, and optional sampling policy, curves, loops,
-fiber structures, and tolerance overrides.  `_errors` checks the draft-07
-keywords the schema uses with jsonschema's messages, so no command imports
-jsonschema; the tests keep it as the reference.  Christoffel keys are zero-based
+fiber structures, and tolerance overrides keyed by the names of
+`_DEFAULT_TOLERANCES` (any other key is rejected).  `_errors` checks the
+draft-07 keywords the schema uses with jsonschema's messages, so no command
+imports jsonschema; the tests keep it as the reference.  Christoffel keys are zero-based
 "k,i,j" triples.  Asymmetric symbols are rejected unless the manifest sets
 "symmetrize": true, because everything downstream assumes a torsion-free
 connection.  Points, loop squares and curve ends must lie in the domain box;
@@ -42,6 +43,31 @@ __all__ = [
 
 class ManifestError(ValueError):
     """Validation or parse failure, annotated with the offending field."""
+
+
+# the residual bounds of the report checks: a manifest's "tolerances" may
+# override any of these keys and no other, and `cli` names each in a check
+_DEFAULT_TOLERANCES = {
+    "weyl_rebuild": 1e-12,
+    "weyl_trace": 1e-9,
+    "rho_ricci": 1e-12,
+    "weyl_invariance": 1e-8,
+    "cotton_change_law": 1e-8,
+    "loop_invariance": 1e-6,
+    "curvature_match": 1e-8,
+    "curvature_t_part": 1e-9,
+    "connection_trace": 1e-12,
+    "loop_det": 1e-6,
+    "transport_det": 1e-6,
+    "algebra_trace_free": 1e-9,
+    "einstein_parallel": 1e-6,
+    "contact_dtheta": 1e-6,
+    "contact_weyl": 1e-7,
+    "complex_square": 1e-7,
+    "complex_lie": 1e-4,
+    "foliation": 1e-7,
+    "t_star_row": 1e-9,
+}
 
 
 @dataclass
@@ -168,6 +194,23 @@ def _schema_error(doc) -> str | None:
     return None if best is None else "$" + "".join(f"[{p!r}]" for p in best[0]) + ": " + best[1]
 
 
+def _expression_map(doc: dict, key: str, n: int, rank: int, coords) -> tuple:
+    """The sparse map doc[key] of zero-based "k,i,j" (or "i,j") indices to
+    expressions, as an (n,)*rank array with zeros elsewhere, and its entries
+    (index text -> Expr, in document order)."""
+    arr = np.full((n,) * rank, num(0.0), dtype=object)
+    entries = {}
+    for index, text_expr in doc[key].items():
+        idx = tuple(int(s) for s in index.split(","))
+        if not all(0 <= i < n for i in idx):
+            raise ManifestError(f"$[{key!r}][{index!r}]: index out of range for dimension {n}")
+        try:
+            arr[idx] = entries[index] = parse(text_expr, coords)
+        except Exception as e:
+            raise ManifestError(f"$[{key!r}][{index!r}]: {e}") from e
+    return arr, entries
+
+
 def loads(text: str, source: str = "<string>") -> Manifest:
     try:
         doc = json.loads(text)
@@ -176,6 +219,10 @@ def loads(text: str, source: str = "<string>") -> Manifest:
     error = _schema_error(doc)
     if error is not None:
         raise ManifestError(f"{source}: {error}")
+    unknown = [key for key in doc.get("tolerances", {}) if key not in _DEFAULT_TOLERANCES]
+    if unknown:
+        raise ManifestError(f"$['tolerances'][{unknown[0]!r}]: not a tolerance key; the keys "
+                            f"are {', '.join(_DEFAULT_TOLERANCES)}")
 
     n = int(doc["dimension"])  # draft-07 takes 2.0 for an integer, and so does the schema
     coords = tuple(doc["coordinates"])
@@ -185,28 +232,8 @@ def loads(text: str, source: str = "<string>") -> Manifest:
     if domain.shape != (n, 2):
         raise ManifestError(f"$['domain']: expected {n} [lo, hi] pairs")
 
-    gamma = np.full((n, n, n), num(0.0), dtype=object)
-    entries = {}
-    for key, text_expr in doc["gamma"].items():
-        idx = tuple(int(s) for s in key.split(","))
-        if not all(0 <= i < n for i in idx):
-            raise ManifestError(f"$['gamma'][{key!r}]: index out of range for dimension {n}")
-        try:
-            gamma[idx] = entries[key] = parse(text_expr, coords)
-        except Exception as e:
-            raise ManifestError(f"$['gamma'][{key!r}]: {e}") from e
-
-    metric = None
-    if "metric" in doc:
-        metric = np.full((n, n), num(0.0), dtype=object)
-        for key, text_expr in doc["metric"].items():
-            idx = tuple(int(s) for s in key.split(","))
-            if not all(0 <= i < n for i in idx):
-                raise ManifestError(f"$['metric'][{key!r}]: index out of range for dimension {n}")
-            try:
-                metric[idx] = parse(text_expr, coords)
-            except Exception as e:
-                raise ManifestError(f"$['metric'][{key!r}]: {e}") from e
+    gamma, entries = _expression_map(doc, "gamma", n, 3, coords)
+    metric = _expression_map(doc, "metric", n, 2, coords)[0] if "metric" in doc else None
 
     try:
         chart = ChartModel(coords, gamma, domain, metric=metric, name=doc["name"])

@@ -25,6 +25,10 @@ and foliation chains take them on one route, `_spread_stencil`, which spreads
 the fiber object to each sample p and to p ± _FD_STEP·e_i in one batch.
 Sample counts (`_*_SAMPLES`), the step and the bounds (`_NABLA_RIC_TOL`,
 `_DET_RIC_FLOOR`, `_INVARIANCE_TOL`, `_CLOSURE_TOL`) are module constants.
+A report carries only what its verdict, `detect`, a demo or a test reads,
+and nothing else is computed; only the Einstein report has a `meta`: the
+sign of the Einstein coefficient and whether the signature rule holds, for
+a chart that declares a metric.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ class EinsteinReport:
     accepted: bool
     nabla_ric_norm: float
     ric_signature: tuple | None
-    det_ric_min: float
     h: object = None                   # point -> (n+1, n+1) sampler when accepted
     parallel_residual: float | None = None   # worst of the three identity blocks
     transport_residual: float | None = None
@@ -92,7 +95,6 @@ class EinsteinReport:
 @dataclass
 class ContactReport:
     accepted: bool
-    H_basis: list = field(default_factory=list)
     theta: list = field(default_factory=list)
     reeb: list = field(default_factory=list)
     dtheta_vs_omega: float | None = None
@@ -100,18 +102,15 @@ class ContactReport:
     vtheta_min: float | None = None
     vtheta_max: float | None = None
     weyl_in_H: float | None = None
-    theta_H_residual: float | None = None
     theta_R_residual: float | None = None
     path_residual: float | None = None
     reject_reason: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class ComplexReport:
     accepted: bool
     R_field: list = field(default_factory=list)
-    H_basis: list = field(default_factory=list)
     J_H: list = field(default_factory=list)
     lie_invariance_residual: float | None = None
     square_residual: float | None = None
@@ -119,7 +118,6 @@ class ComplexReport:
     degenerate_points: list = field(default_factory=list)
     path_residual: float | None = None
     reject_reason: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -136,7 +134,6 @@ class FoliationReport:
     line_intersection_fraction: float | None = None
     inconclusive: bool = False
     reject_reason: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 # -- shared helpers -----------------------------------------------------------------
@@ -208,32 +205,28 @@ def einstein_check(chart: ChartModel, seed: int = 0) -> EinsteinReport:
     pts = sample_points(chart, seed=seed)[:_EINSTEIN_SAMPLES]
     fields = point_fields(chart, pts)
     if not (np.isfinite(fields["Ric"]).all() and np.isfinite(fields["nablaRic"]).all()):
-        return EinsteinReport(False, np.inf, None, np.nan,
+        return EinsteinReport(False, np.inf, None,
                               reject_reason="Ricci or its covariant derivative not finite")
 
     worst = 0.0
     det_min = np.inf
-    asym = 0.0
     sigs = set()
     for R, D in zip(fields["Ric"], fields["nablaRic"]):
-        scale = 1.0 + max_abs(R)
-        worst = _worse(worst, max_abs(D) / scale)
+        worst = _worse(worst, max_abs(D) / (1.0 + max_abs(R)))
         det_min = min(det_min, abs(np.linalg.det(R)))
-        asym = _worse(asym, max_abs(R - R.T) / scale)
         sigs.add(_signature(R)[:2])
 
     if worst > _NABLA_RIC_TOL:
-        return EinsteinReport(False, worst, None, det_min,
+        return EinsteinReport(False, worst, None,
                               reject_reason="covariant derivative of Ricci above tolerance")
     if det_min < _DET_RIC_FLOOR:
-        return EinsteinReport(False, worst, None, det_min,
+        return EinsteinReport(False, worst, None,
                               reject_reason="Ricci degenerate on samples")
     if len(sigs) != 1:
-        return EinsteinReport(False, worst, None, det_min,
+        return EinsteinReport(False, worst, None,
                               reject_reason="Ricci signature not constant on samples")
     sig = sigs.pop()
-    report = EinsteinReport(True, worst, sig, det_min,
-                            meta={"ric_asymmetry": asym, "n_samples": len(pts)})
+    report = EinsteinReport(True, worst, sig)
     _attach_tractor_metric(chart, report, fields, seed)
     return report
 
@@ -293,7 +286,6 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: di
     report.parallel_residual = float(blocks.max())
     report.transport_residual = _worse(transport_resid, info["max_path_residual"])
     report.h_signature = (int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale)))
-    report.meta["identity_blocks"] = blocks.tolist()
     if chart.metric is not None:
         g = chart.evaluator(chart.metric)(base)
         R = point_fields(chart, base)["Ric"]
@@ -302,7 +294,6 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: di
         p_, q_ = int(np.sum(gv > 0)), int(np.sum(gv < 0))
         expected = (p_ + 1, q_) if lam > 0 else (q_ + 1, p_)
         report.meta["einstein_coefficient_sign"] = 1 if lam > 0 else -1
-        report.meta["signature_rule_expected"] = expected
         report.meta["signature_rule_holds"] = expected == report.h_signature
 
 
@@ -394,8 +385,7 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
     base = _base_point(chart, base_point)
     inv = _fiber_invariance(alg, omega0, "bilinear")
     if inv > _INVARIANCE_TOL:
-        return ContactReport(False, reject_reason="fiber form not invariant under the holonomy algebra",
-                             meta={"invariance_residual": inv})
+        return ContactReport(False, reject_reason="fiber form not invariant under the holonomy algebra")
     vol_chart, S, _ = _to_vol_gauge(chart, base)
     om_v = S.T @ omega0 @ S
 
@@ -404,9 +394,8 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
 
     eps_nd = _levi_civita(n)
     m = (n - 1) // 2
-    report = ContactReport(True, path_residual=info["max_path_residual"],
-                           meta={"invariance_residual": inv, "n_samples": len(pts)})
-    worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_H": 0.0, "th_R": 0.0, "weyl": 0.0}
+    report = ContactReport(True, path_residual=info["max_path_residual"])
+    worst = {"dth_om": 0.0, "dth_reeb": 0.0, "th_R": 0.0, "weyl": 0.0}
     vthetas = []
     weyl = point_fields(chart, pts)["W"]
     # theta is row n of omega, and grads[s, i] is d_i theta; + 0.0 turns a -0.0
@@ -418,8 +407,6 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
 
         u, sv, vt = np.linalg.svd(theta[None, :])
         Hb = vt[1:]                      # rank n-1 basis of ker theta
-        worst["th_H"] = _worse(worst["th_H"], float(np.abs(Hb @ theta).max()) /
-                               (1.0 + np.abs(theta).max()))
         A = np.vstack([dtheta, theta[None, :]])
         rhs = np.zeros(n + 1)
         rhs[n] = 1.0
@@ -442,14 +429,12 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
         worst["weyl"] = _worse(worst["weyl"], float(np.abs(
             np.einsum("k,hjkl->hjl", theta, W)).max()) / wscale)
 
-        report.H_basis.append(Hb)
         report.theta.append(theta)
         report.reeb.append(reeb)
 
     vth = np.abs(vthetas)
     report.dtheta_vs_omega = worst["dth_om"]
     report.dtheta_reeb = worst["dth_reeb"]
-    report.theta_H_residual = worst["th_H"]
     report.theta_R_residual = worst["th_R"]
     report.weyl_in_H = worst["weyl"]
     report.vtheta_min = float(vth.min())
@@ -484,13 +469,11 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
     J0 = np.asarray(J_at_base, dtype=float)
     sq = max_abs(J0 @ J0 + np.eye(n + 1))
     if sq > 1e-7:
-        return ComplexReport(False, reject_reason="fiber map does not square to minus identity",
-                             meta={"square_defect": sq})
+        return ComplexReport(False, reject_reason="fiber map does not square to minus identity")
     base = _base_point(chart, base_point)
     inv = _fiber_invariance(alg, J0, "endo")
     if inv > _INVARIANCE_TOL:
-        return ComplexReport(False, reject_reason="fiber map not invariant under the holonomy algebra",
-                             meta={"invariance_residual": inv})
+        return ComplexReport(False, reject_reason="fiber map not invariant under the holonomy algebra")
     vol_chart, S, Si = _to_vol_gauge(chart, base)
     J_v = Si @ J0 @ S
 
@@ -504,8 +487,7 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
         # dual action on covectors, expressed as a T -> T matrix
         return (Q @ J[:n, :n].T).T, Q
 
-    report = ComplexReport(True, path_residual=info["max_path_residual"],
-                           meta={"invariance_residual": inv, "n_samples": len(pts)})
+    report = ComplexReport(True, path_residual=info["max_path_residual"])
     worst = {"sq": 0.0, "span": 0.0, "lie": 0.0}
     for p, Jp, J_plus, J_minus in zip(pts, at, plus, minus):
         R = Jp[:n, n].copy()
@@ -533,14 +515,12 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
         worst["lie"] = _worse(worst["lie"], max_abs(lie_t) / jscale)
 
         report.R_field.append(R)
-        report.H_basis.append(Hb)
         report.J_H.append(JH)
 
     report.square_residual = worst["sq"]
     report.in_span_residual = worst["span"]
     report.lie_invariance_residual = worst["lie"]
     frac = len(report.degenerate_points) / max(len(pts), 1)
-    report.meta["degenerate_fraction"] = frac
     report.accepted = (worst["sq"] <= 1e-7 and worst["span"] <= 1e-7
                        and worst["lie"] <= 1e-4 and frac <= 0.2
                        and report.path_residual <= 1e-6)
@@ -580,8 +560,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     k = B0.shape[1]
     inv = _fiber_invariance(alg, B0, "subspace")
     if inv > _INVARIANCE_TOL:
-        return FoliationReport(False, reject_reason="subspace not invariant under the holonomy algebra",
-                               meta={"invariance_residual": inv})
+        return FoliationReport(False, reject_reason="subspace not invariant under the holonomy algebra")
 
     pts = sample_points(chart, seed=seed)[:_FOLIATION_SAMPLES]
     at, plus, minus, info = _spread_stencil(chart, "vector", B0, base, pts, 0, seed)
@@ -593,12 +572,11 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
         sv = np.linalg.svd(B[:n], compute_uv=False)
         return None if sv[-1] <= 1e-8 * max(sv[0], 1e-30) else np.linalg.pinv(B[:n].T) @ B[n]
 
-    report = FoliationReport(True, meta={"invariance_residual": inv, "k": k,
-                                         "n_samples": len(pts)})
+    report = FoliationReport(True)
     # every residual is fed by the stencil; a transport that did not converge
     # fails them (the path residual is then inf)
-    worst = dict.fromkeys(("integ", "geod", "pres", "rho", "ric", "adapt", "omega",
-                           "omega_corr", "omK"), info["max_path_residual"])
+    worst = dict.fromkeys(("integ", "geod", "pres", "rho", "ric", "omega", "omega_corr"),
+                          info["max_path_residual"])
     n_line = 0
     for s_idx in range(len(pts)):
         if not all(np.isfinite(v[s_idx]).all() for v in (at, plus, minus)):
@@ -608,9 +586,7 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
         if upsv is None:
             n_line += 1
             continue
-        Y, c = at[s_idx, :n], at[s_idx, n]
-        worst["adapt"] = _worse(worst["adapt"], float(np.abs(c - Y.T @ upsv).max()) /
-                                (1.0 + np.abs(c).max()))
+        Y = at[s_idx, :n]
         ups_plus = [ups_of(B) for B in plus[s_idx]]
         ups_minus = [ups_of(B) for B in minus[s_idx]]
         if any(u is None for u in ups_plus + ups_minus):
@@ -651,8 +627,6 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
                     + upsv[i] * Y + np.outer(np.eye(n)[i], upsv @ Y)
                 worst["pres"] = _worse(worst["pres"], float(np.abs(off @ nb).max()) / yscale)
                 omega_i[i] = np.trace(Yp @ nb)
-            worst["omK"] = _worse(worst["omK"], float(np.abs(omega_i @ Y).max()) /
-                                  (1.0 + np.abs(omega_i).max()))
             ups2 = -omega_i / k
             corr = omega_i + k * ups2 + (ups2 @ Y) @ Yp
             worst["omega"] = _worse(worst["omega"], float(np.abs(omega_i).max()))
@@ -673,9 +647,6 @@ def foliation_analysis(chart: ChartModel, alg: HolonomyAlgebra, K_at_base: np.nd
     report.rho_residual = worst["rho"]
     report.ricci_on_K = worst["ric"]
     report.covolume_residual = worst["omega_corr"]
-    report.meta["adaptation_residual"] = worst["adapt"]
-    report.meta["covolume_trace_max"] = worst["omega"]
-    report.meta["covolume_trace_on_K"] = worst["omK"]
     if worst["omega"] <= 1e-6:
         report.covolume_status = "preserved"
     elif worst["omega_corr"] <= 1e-6:

@@ -24,8 +24,9 @@ components (Y, a) taken in the splitting of project_change(c, ups)
 correspond to (Y, a + Ups(Y)) in the splitting of c.
 
 Transport runs the RK4 doubling of `affine._linear_transport` to
-`_TRANSPORT_TOL`; `transport_operator` and `spread_structure` always use
-it, the batched and loop routes take a caller's `tol` too.  The curvature
+`_TRANSPORT_TOL`; `parallel_transport`, `transport_operator` and
+`spread_structure` always use it, the batched and loop routes take a
+caller's `tol` too.  The curvature
 routes read F from `projective.point_fields`.
 """
 
@@ -185,9 +186,9 @@ def tractor_curvature_from_connection(chart: ChartModel, point) -> np.ndarray:
 _TRANSPORT_TOL = 1e-8  # RK4 doubling tolerance of every transport
 
 
-def parallel_transport(chart: ChartModel, curve: Curve, v0, tol: float = _TRANSPORT_TOL):
+def parallel_transport(chart: ChartModel, curve: Curve, v0):
     """Transport tractor components along a curve; returns (v1, steps, ok)."""
-    return _linear_transport(connection_field(chart), [curve], v0, tol)[0]
+    return _linear_transport(connection_field(chart), [curve], v0, _TRANSPORT_TOL)[0]
 
 
 def transport_operators(chart: ChartModel, curves: Sequence[Curve],
@@ -259,9 +260,7 @@ def square_loop(point, i: int, j: int, eps: float) -> list:
 def _apply_transport(kind: str, T: np.ndarray, value: np.ndarray) -> np.ndarray:
     if kind == "vector":
         return T @ value
-    if kind == "covector":
-        return value @ np.linalg.inv(T)
-    if kind in ("endo", "projector"):
+    if kind == "endo":
         return T @ value @ np.linalg.inv(T)
     if kind == "bilinear":
         Tinv = np.linalg.inv(T)

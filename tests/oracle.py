@@ -12,6 +12,8 @@ uses.  `interpret` values expressions by walking their trees, with the
 domain rules written out at each node, as an independent check of the
 package's one evaluator, the register tape (`expr.compile_exprs`), and
 `interpreted_jets` runs it where `jets.JetSpace.evaluate` runs a program.
+`segment_components` writes a straight segment as the expressions its
+closed form stands for.
 """
 
 from dataclasses import dataclass
@@ -40,6 +42,8 @@ from tractorlab.expr import (
     Sub,
     Var,
     _postorder,
+    num,
+    var,
 )
 from tractorlab.jets import Jet
 from tractorlab.projective import rho_field
@@ -140,6 +144,13 @@ def interpreted_jets(roots, coords, space, pts) -> np.ndarray:
             interpreted_jets(roots, coords, space, p)
         raise
     return np.stack([np.broadcast_to(j.c, lead + (space.size,)) for j in values], axis=-2)
+
+
+def segment_components(seg) -> tuple:
+    """The expressions num(start_i) + delta_i*t of a straight segment
+    (`Curve.segment`), which the package evaluates in closed form only."""
+    t = var("t")
+    return tuple(num(a) + d * t for a, d in zip(seg.start, seg.delta))
 
 
 def curvature(chart: ChartModel, point) -> TensorValue:
@@ -269,7 +280,8 @@ class TensorField:
 
     def at(self, point) -> TensorValue:
         p = np.asarray(point, dtype=float)
-        out = np.array(interpret(self.components.ravel(), self.chart.env(p)), dtype=float)
+        env = dict(zip(self.chart.coords, p))
+        out = np.array(interpret(self.components.ravel(), env), dtype=float)
         return TensorValue(p, out.reshape(self.components.shape), self.variance)
 
 

@@ -35,6 +35,7 @@ from oracle import (
     integrate_geodesic,
     interpret,
     ricci,
+    segment_components,
 )
 
 P2 = np.array([0.2, -0.3])
@@ -91,7 +92,7 @@ def test_twisted_chart_curvature_and_ricci():
     assert R[1, 2, 0, 2] == pytest.approx(0.35, abs=1e-14)
     assert max_abs(ricci(c, p).components) <= 1e-14
     # volume preserving already: trace of the symbols vanishes
-    tr = [e.eval(c.env(p)) for e in c.trace_gamma_field()]
+    tr = [e.eval(dict(zip(c.coords, p))) for e in c.trace_gamma_field()]
     assert max_abs(tr) == 0.0
 
 
@@ -147,10 +148,10 @@ def test_normalize_volume_kills_trace():
     c = sphere_chart(3)
     cv, ups = normalize_volume(c)
     for p in sample_points(c, seed=2, n_random=8, n_grid=4):
-        tr = [e.eval(cv.env(p)) for e in cv.trace_gamma_field()]
+        tr = [e.eval(dict(zip(cv.coords, p))) for e in cv.trace_gamma_field()]
         assert max_abs(tr) <= 1e-12
     # the one-form used is -tr(Gamma)/(n+1)
-    tr0 = [e.eval(c.env(P3)) for e in c.trace_gamma_field()]
+    tr0 = [e.eval(dict(zip(c.coords, P3))) for e in c.trace_gamma_field()]
     assert max_abs(ups.at(P3) + np.array(tr0) / 4.0) <= 1e-15
 
 
@@ -286,7 +287,7 @@ def test_chart_validation():
 def test_curve_helpers():
     seg = Curve.segment([0.0, 1.0], [2.0, -1.0])
     assert max_abs(seg.point(0.5) - np.array([1.0, 0.0])) == 0.0
-    assert max_abs(seg.velocity(0.3) - np.array([2.0, -2.0])) == 0.0
+    assert max_abs(seg.delta - np.array([2.0, -2.0])) == 0.0
 
 
 def test_evaluator_is_cached_per_field_and_shaped_like_it():
@@ -355,13 +356,15 @@ def test_segment_closed_form_equals_its_compiled_components():
     ends += [tuple(rng.uniform(-1.0, 1.0, (2, 4)).round(int(k))) for k in range(1, 8)]
     for a, b in ends:
         seg = Curve.segment(a, b)
-        path = compile_exprs(seg.components + seg.velocity_exprs(), ("t",))(t[:, None])
+        comps = segment_components(seg)
+        exprs = comps + tuple(c.diff("t") for c in comps)
+        path = compile_exprs(exprs, ("t",))(t[:, None])
         x = seg.start + seg.delta * t[:, None]
         xdot = np.broadcast_to(seg.delta, x.shape)
         assert np.concatenate([x, xdot], axis=1).tobytes() == path.tobytes()
         for ti, want in zip(t, path):  # the numeric path of a segment and its expressions
-            assert np.concatenate([seg.point(ti), seg.velocity(ti)]).tobytes() == want.tobytes()
-            interpreted = interpret(seg.components + seg.velocity_exprs(), {"t": ti})
+            assert np.concatenate([seg.point(ti), seg.delta]).tobytes() == want.tobytes()
+            interpreted = interpret(exprs, {"t": ti})
             assert np.array(interpreted).tobytes() == want.tobytes()
 
 
@@ -397,7 +400,7 @@ def test_compiled_connection_shares_right_hand_sides_on_bundled_charts():
         assert len(set(ops)) == len(ops) <= EMITTED_TEMPORARIES[name], name
         pts = m.sample()[:5]
         fn = compile_exprs(flat, chart.coords)
-        want = np.array([interpret(flat, chart.env(p)) for p in pts])
+        want = np.array([interpret(flat, dict(zip(chart.coords, p))) for p in pts])
         assert fn(pts).tobytes() == want.tobytes(), name
         assert np.array([fn(*p) for p in pts]).tobytes() == want.tobytes(), name
 
@@ -411,7 +414,8 @@ def test_one_form_on_a_batch_is_its_values_at_each_point_bit_for_bit():
     assert batch.shape == (len(pts), 3)
     for p, row in zip(pts, batch):
         assert row.tobytes() == ups.at(p).tobytes()
-        assert row.tobytes() == np.array(interpret(ups.components, c.env(p))).tobytes()
+        want = interpret(ups.components, dict(zip(c.coords, p)))
+        assert row.tobytes() == np.array(want).tobytes()
     # poles at two points of the batch: the first one is reported
     first, second = (c.parse(f"1/(x1 - {float(pts[k][0])!r})") for k in (6, 11))
     poles = OneFormField(c, np.array([c.parse("x2"), first + second, c.parse("x3")],

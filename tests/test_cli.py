@@ -1,5 +1,6 @@
 """Manifest loading and the command-line report surface."""
 
+import ast
 import collections
 import copy
 import functools
@@ -191,6 +192,41 @@ def test_gamma_index_out_of_range():
     doc = make_doc(gamma={"2,0,0": "x1"})
     with pytest.raises(ManifestError, match=r"\['2,0,0'\].*out of range"):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"gamma": {"2,0,0": "x1"}}, "$['gamma']['2,0,0']: index out of range for dimension 2"),
+    ({"gamma": {"0,0,1": "x7"}}, "$['gamma']['0,0,1']: unknown identifier 'x7' (at position 0)"),
+    ({"metric": {"0,2": "1"}}, "$['metric']['0,2']: index out of range for dimension 2"),
+    ({"metric": {"0,0": "x7"}}, "$['metric']['0,0']: unknown identifier 'x7' (at position 0)"),
+])
+def test_gamma_and_metric_entry_errors_name_their_entry(overrides, message):
+    with pytest.raises(ManifestError) as got:
+        loads(json.dumps(make_doc(**overrides)))
+    assert str(got.value) == message
+
+
+def test_an_unknown_tolerance_key_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(bundled_path("flat2").read_text())
+    doc["tolerances"] = {"loop_dett": 1e-30, "weyl_trace": 1e-30}
+    with pytest.raises(ManifestError, match=r"^\$\['tolerances'\]\['loop_dett'\]: "):
+        loads(json.dumps(doc))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $['tolerances']['loop_dett']: ")
+    # a known key overrides its default
+    doc["tolerances"] = {"loop_det": 1e-30}
+    rows = cli.run("verify", loads(json.dumps(doc)))["checks"]
+    assert [row["tolerance"] for row in rows if row["name"] == "loop_det"] == [1e-30]
+
+
+def test_every_tolerance_key_names_a_check():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    named = {node.args[2].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add"
+             and len(node.args) == 3 and isinstance(node.args[2], ast.Constant)}
+    assert named == set(manifest._DEFAULT_TOLERANCES)
 
 
 def test_asymmetric_gamma_rejected_citing_torsion():
@@ -426,6 +462,25 @@ def test_main_exit_two_on_input_error(capsys):
     assert cli.main(["compute", "--manifest", "no_such_chart"]) == 2
     err = capsys.readouterr().err
     assert "no bundled manifest named" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_a_tol_scale_that_is_not_positive_and_finite_is_an_input_error(tmp_path, capsys, value):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--manifest", "flat2", "--tol-scale", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol-scale must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "10"])
+def test_a_positive_tol_scale_scales_the_report(tmp_path, value):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--manifest", "flat2", "--tol-scale", value, "--out", str(out)])
+    want = cli.run("verify", load_bundled("flat2"), tol_scale=float(value))
+    assert out.read_text() == cli.render(want)
+    assert code == 0 and want["all_pass"] is True
 
 
 def test_main_requires_manifest_except_for_suite():

@@ -77,7 +77,7 @@ def test_ricci_from_rho_round_trip():
         # rho itself need not be symmetric here
     # symbolic round trip as well
     rebuilt = ricci_from_rho(rho_field(c))
-    env = c.env(P3)
+    env = dict(zip(c.coords, P3))
     direct = ricci(c, P3).components
     vals = np.array([[rebuilt[i, j].eval(env) for j in range(3)] for i in range(3)])
     assert max_abs(vals - direct) <= 1e-12
@@ -136,7 +136,7 @@ def test_rho_transformation_law():
     changed = project_change(c, ups)
     for p in sample_points(c, seed=8, n_random=6, n_grid=4):
         # P'[i,j] = P[i,j] + d_i Ups_j - Ups_i Ups_j - Gamma^m_{ij} Ups_m, in the original chart
-        env = c.env(p)
+        env = dict(zip(c.coords, p))
         u = ups.at(p)
         du = np.array([[ups.components[j].diff(c.coords[i]).eval(env) for j in range(2)]
                        for i in range(2)])

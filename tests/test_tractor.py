@@ -31,7 +31,7 @@ from tractorlab.tractor import (
     transport_operators,
 )
 
-from oracle import connection_matrix_field
+from oracle import connection_matrix_field, segment_components
 
 P2 = np.array([0.2, -0.3])
 P3 = np.array([0.2, -0.3, 0.1])
@@ -156,22 +156,29 @@ def test_loop_holonomy_matches_curvature_to_second_order():
     assert 6.0 <= ratio <= 10.0
 
 
+def transported(chart, curve, v0):
+    """v0 moved along `curve` by its transport operator, integrated to 1e-10."""
+    (T, _, ok), = transport_operators(chart, [curve], tol=1e-10)
+    assert ok
+    return T @ v0
+
+
 def test_transport_commutes_with_splitting_change():
     c = sphere_chart(2)
     ups_exprs = [c.parse("0.3*x2"), c.parse("-0.1*x1")]
     c2 = project_change(c, ups_exprs)
 
     def ups_at(p):
-        env = c.env(p)
+        env = dict(zip(c.coords, p))
         return np.array([e.eval(env) for e in ups_exprs])
 
     a = np.array([-0.2, -0.1])
     b = np.array([0.3, 0.25])
     curve = Curve.segment(a, b)
     v0 = np.array([0.4, -0.7, 0.2])
-    direct, _, _ = parallel_transport(c, curve, v0, tol=1e-10)
+    direct = transported(c, curve, v0)
     v0_changed = splitting_matrix(-ups_at(a)) @ v0
-    moved, _, _ = parallel_transport(c2, curve, v0_changed, tol=1e-10)
+    moved = transported(c2, curve, v0_changed)
     via_change = splitting_matrix(ups_at(b)) @ moved
     assert max_abs(direct - via_change) / (1.0 + max_abs(direct)) <= 1e-8
 
@@ -187,12 +194,10 @@ def test_dual_transport_preserves_pairing():
     curve = Curve.segment([-0.2, 0.1], [0.35, -0.05])
     v0 = np.array([0.5, -0.2, 1.0])
     xi0 = np.array([-0.3, 0.8, 0.4])
-    v1, _, _ = parallel_transport(c, curve, v0, tol=1e-10)
+    v1 = transported(c, curve, v0)
 
-    def f(t, xi):
-        x = curve.point(t)
-        xd = curve.velocity(t)
-        return connection_matrix(c, x, xd).T @ xi  # the dual connection matrix is -M^T
+    def f(t, xi):  # a segment's velocity is its delta; the dual connection matrix is -M^T
+        return connection_matrix(c, curve.point(t), curve.delta).T @ xi
 
     xi1, _, ok = rk4_adaptive(f, xi0, curve.t0, curve.t1, tol=1e-10)
     assert ok
@@ -229,8 +234,9 @@ def test_open_loop_is_rejected():
 def pointwise_transport(field, curve, y0, tol=1e-8):
     """Linear transport with one field evaluation, at one point, per
     right-hand side call."""
-    xs = compile_exprs(curve.components, ("t",))
-    vs = compile_exprs(curve.velocity_exprs(), ("t",))
+    comps = segment_components(curve) if curve.delta is not None else curve.components
+    xs = compile_exprs(comps, ("t",))
+    vs = compile_exprs([c.diff("t") for c in comps], ("t",))
     y0 = np.asarray(y0, dtype=float)
 
     def f(t, y):
