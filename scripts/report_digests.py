@@ -27,12 +27,16 @@ side -- is printed with both values and makes the exit status 1.  A demo's
 output is compared line by line: a line whose text around its floats (numbers
 with a point or an exponent) is unchanged differs in its floats only, and is
 numeric; any other changed line, or a change in the number of lines, makes
-the exit status 1.
+the exit status 1.  For information, and without a bearing on the exit
+status, it then prints each directory's worst residual check: the report,
+the check and its residual / tolerance ratio, the ratio that sets the
+benchmark's ``tol_headroom_digits``.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -103,7 +107,21 @@ def diff_dirs(dir_a: Path, dir_b: Path) -> int:
         for path, numeric, detail in diffs:
             print(name, path, detail)
             status = status or int(not numeric)
+    for d in (dir_a, dir_b):
+        worst = max(worst_check_rows(d), default=None)
+        if worst is not None:
+            print("worst residual/tolerance in {}: {} {} {:.4g}".format(d, *worst[1:], worst[0]))
     return status
+
+
+def worst_check_rows(directory: Path):
+    """(residual / tolerance, report, check) of each residual check of the saved
+    reports in `directory`; a residual written as "nan" ranks as inf."""
+    for path in sorted(directory.glob("*.json")):
+        for row in json.loads(path.read_text()).get("checks", []):
+            if "residual" in row:
+                ratio = float(row["residual"]) / row["tolerance"]
+                yield (math.inf if math.isnan(ratio) else ratio), path.name, row["name"]
 
 
 def report_outputs():

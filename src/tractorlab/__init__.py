@@ -16,7 +16,6 @@ from .affine import (
     ChartModel,
     Curve,
     OneFormField,
-    normalize_volume,
     project_change,
     sample_points,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "loads",
     "loop_algebra",
     "loop_holonomy",
-    "normalize_volume",
     "parallel_transport",
     "parse",
     "polynomial_chart",

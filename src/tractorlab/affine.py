@@ -3,8 +3,8 @@
 A chart is a box in R^n with named coordinates and Christoffel symbols
 Gamma^k_{ij} given as symbolic expressions.  This module provides the
 affine-level operations: the symbolic curvature and Ricci fields,
-projective change of connection, volume normalization, sampling, and the
-batched RK4 kernel behind every linear transport.
+projective change of connection, sampling, and the batched RK4 kernel
+behind every linear transport.
 
 Index conventions used throughout the package:
 
@@ -32,12 +32,9 @@ __all__ = [
     "Curve",
     "symmetrize",
     "project_change",
-    "normalize_volume",
     "sample_points",
     "max_abs",
 ]
-
-_ZERO = num(0.0)
 
 # Freeing a 4 MB mmapped array raises glibc's mmap threshold to 4 MB and its trim
 # threshold to 8 MB (mallopt(3), "M_MMAP_THRESHOLD ... dynamic adjustment"), so the
@@ -169,12 +166,6 @@ class ChartModel:
         return self.symbolic("dgamma", lambda: np.array(
             [[e.diff(name) for e in self.gamma.ravel()] for name in self.coords],
             dtype=object).reshape((self.n,) * 4))
-
-    def trace_gamma_field(self) -> np.ndarray:
-        """tr(Gamma_i) = Gamma^m_{im}, shape (n,)."""
-        return self.symbolic("trgamma", lambda: np.array(
-            [sum((self.gamma[m, i, m] for m in range(self.n)), _ZERO) for i in range(self.n)],
-            dtype=object))
 
     def symbolic(self, key: str, builder: Callable[[], object]):
         val = self._symbolic_cache.get(key)
@@ -342,23 +333,6 @@ def project_change(chart: ChartModel, ups) -> ChartModel:
                 out[k, i, j] = term
     label = f"{chart.name}+change" if chart.name else "changed"
     return chart.with_gamma(out, name=label, metric=None)
-
-
-def normalize_volume(chart: ChartModel) -> tuple[ChartModel, OneFormField]:
-    """Projectively change to the connection preserving the coordinate volume.
-
-    Returns the trace-free representative and the one-form used,
-    Ups_i = -tr(Gamma_i)/(n+1), built once per chart.
-    """
-
-    def build():
-        tr = chart.trace_gamma_field()
-        form = OneFormField(chart, np.array([t / float(-(chart.n + 1)) for t in tr], dtype=object))
-        out = project_change(chart, form)
-        out.name = f"{chart.name}/vol" if chart.name else "volume-normalized"
-        return out, form
-
-    return chart.symbolic("vol", build)
 
 
 # -- integration -------------------------------------------------------------------

@@ -410,10 +410,24 @@ def run(command: str, manifest: Manifest, seed: int = 0, tol_scale: float = 1.0)
     return report
 
 
+def _named_non_finite(obj):
+    """`obj` with each float that is not finite replaced by its name."""
+    if isinstance(obj, dict):
+        return {k: _named_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_named_non_finite(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def render(report: dict) -> str:
     """A `run` report (or a dict of them) as the JSON text of the command line;
-    `run` has already made every value JSON-native."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    `run` has already made every value JSON-native.  The text is strict JSON: a
+    float that is not finite is written as the string "inf", "-inf" or "nan"."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_named_non_finite(report), indent=2, sort_keys=True)
+    return text + "\n"
 
 
 def _run_naming_entry(args, manifest: Manifest) -> dict:
@@ -442,6 +456,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
         parser.error(f"--tol-scale must be positive and finite, got {args.tol_scale!r}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     try:
         if args.manifest is None:

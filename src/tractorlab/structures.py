@@ -13,7 +13,11 @@ structure, subspace) and verifies the corresponding base geometry:
   Ricci-flat foliation after adapting the splitting.
 
 Fiber data is always given in the chart's own splitting at a base point
-and spread to sample points by tractor transport.  The chains that test
+and spread to sample points by tractor transport on the chart itself.  A
+change of representative by Upsilon changes only the splitting, by S =
+`splitting_matrix(Upsilon)` = [[I, 0], [Upsilon, 1]] (Bailey, Eastwood &
+Gover 1994); the contact and complex chains read only what S leaves
+unchanged, so they need no volume-normalized chart.  The chains that test
 fiber data for invariance take the holonomy algebra at that base point,
 in the same splitting, as an argument: the caller estimates it once (the
 `detect` command passes its `loop_algebra` result; a direct caller can pass
@@ -38,19 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import (
-    ChartModel,
-    max_abs,
-    normalize_volume,
-    sample_points,
-)
+from .affine import ChartModel, max_abs, sample_points
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
     invariant_subspaces, _containment_residual, _fiber_invariance, _signature, _worse
 from .projective import assemble_rho, point_fields, ricci_from_rho
-from .tractor import (
-    spread_structure,
-    splitting_matrix,
-)
+from .tractor import spread_structure
 
 __all__ = [
     "EinsteinReport",
@@ -143,19 +139,6 @@ def _base_point(chart: ChartModel, base_point):
     if base_point is None:
         return chart.center()
     return np.asarray(base_point, dtype=float)
-
-
-def _to_vol_gauge(chart: ChartModel, base):
-    """Volume-normalized representative plus the splitting map at the base.
-
-    Returns (vol_chart, S, S^-1) with S = splitting_matrix(ups(base)):
-    components v in the original splitting correspond to S^-1 v in the
-    normalized one, a bilinear form B to S^T B S and an endomorphism E to
-    S^-1 E S.
-    """
-    vol_chart, ups = normalize_volume(chart)
-    u = ups.at(base)
-    return vol_chart, splitting_matrix(u), splitting_matrix(-u)
 
 
 def _spread_stencil(chart: ChartModel, kind: str, value, base, pts, check_paths: int,
@@ -366,15 +349,18 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
 
     `alg` is the holonomy algebra at the base point in the chart's own
     splitting, estimated by the caller; omega must be invariant under it.
-    The form is then moved to the volume-normalized gauge.  The
-    distribution at each sample is the projection of the omega-orthogonal
-    of the line direction; theta is contraction with the line direction,
-    the Reeb field solves dtheta(R,.) = 0, theta(R) = 1, and dtheta is
-    measured by central finite differences of the transported theta (the
-    comparison with the transported omega is a genuine two-route check).
-    The exterior derivative uses the alternation convention dtheta_ij =
-    (d_i theta_j - d_j theta_i)/2, matching the bilinear normalization
-    of omega.
+    The distribution at each sample is the projection of the
+    omega-orthogonal of the line direction; theta is contraction with the
+    line direction, the Reeb field solves dtheta(R,.) = 0, theta(R) = 1,
+    and dtheta is measured by central finite differences of the transported
+    theta (the comparison with the transported omega is a genuine two-route
+    check).  The exterior derivative uses the alternation convention
+    dtheta_ij = (d_i theta_j - d_j theta_i)/2, matching the bilinear
+    normalization of omega.  A change of representative takes omega to
+    S^T omega S, which keeps the bottom row theta (omega_nn = 0) and changes
+    the top block by Upsilon x theta - theta x Upsilon, zero on ker theta:
+    theta, dtheta on H, the Reeb field, v_theta and weyl_in_H are the same
+    in any gauge.  Only the `1 + max_abs(omega)` scales read the full matrix.
     """
     n = chart.n
     if n % 2 == 0:
@@ -386,11 +372,8 @@ def contact_from_symplectic(chart: ChartModel, alg: HolonomyAlgebra,
     inv = _fiber_invariance(alg, omega0, "bilinear")
     if inv > _INVARIANCE_TOL:
         return ContactReport(False, reject_reason="fiber form not invariant under the holonomy algebra")
-    vol_chart, S, _ = _to_vol_gauge(chart, base)
-    om_v = S.T @ omega0 @ S
-
-    pts = sample_points(vol_chart, seed=seed)[:_CONTACT_SAMPLES]
-    at, plus, minus, info = _spread_stencil(vol_chart, "bilinear", om_v, base, pts, 6, seed)
+    pts = sample_points(chart, seed=seed)[:_CONTACT_SAMPLES]
+    at, plus, minus, info = _spread_stencil(chart, "bilinear", omega0, base, pts, 6, seed)
 
     eps_nd = _levi_civita(n)
     m = (n - 1) // 2
@@ -455,13 +438,18 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
     """Transverse field and annihilator complex structure from a fiber J.
 
     `alg` is the holonomy algebra at the base point in the chart's own
-    splitting, estimated by the caller; J must commute with it.  J is then
-    moved to the volume-normalized gauge.  R is the projection of J applied
-    to the line direction; H is the rank n-1 annihilator of R in the
-    cotangent fiber, and J_H the restriction of the dual action of J.  Lie
-    invariance along R is measured by first-order finite differencing of
-    the smooth R-transverse operator, so its accuracy is capped by the
-    step size.
+    splitting, estimated by the caller; J must commute with it.  R is the
+    projection of J applied to the line direction; H is the rank n-1
+    annihilator of R in the cotangent fiber, and J_H the restriction of the
+    dual action of J.  Lie invariance along R is measured by first-order
+    finite differencing of the smooth R-transverse operator, so its
+    accuracy is capped by the step size.  A change of representative takes
+    J to S^-1 J S, which keeps R, the top of J's last column, and changes
+    the top block by R x Upsilon, which the annihilator of R kills: J_H and
+    the square and span residuals are the same in any gauge.  The Lie
+    residual changes by a term with R on the left, which Q removes up to
+    the O(h^2) error of the central differences.  Only the `1 + max_abs(J)`
+    scales read the full matrix.
     """
     n = chart.n
     if n % 2 == 0:
@@ -474,11 +462,8 @@ def complex_reduction(chart: ChartModel, alg: HolonomyAlgebra, J_at_base: np.nda
     inv = _fiber_invariance(alg, J0, "endo")
     if inv > _INVARIANCE_TOL:
         return ComplexReport(False, reject_reason="fiber map not invariant under the holonomy algebra")
-    vol_chart, S, Si = _to_vol_gauge(chart, base)
-    J_v = Si @ J0 @ S
-
-    pts = sample_points(vol_chart, seed=seed)[:_COMPLEX_SAMPLES]
-    at, plus, minus, info = _spread_stencil(vol_chart, "endo", J_v, base, pts, 6, seed)
+    pts = sample_points(chart, seed=seed)[:_COMPLEX_SAMPLES]
+    at, plus, minus, info = _spread_stencil(chart, "endo", J0, base, pts, 6, seed)
 
     def transverse_op(J):
         R = J[:n, n].copy()

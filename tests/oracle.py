@@ -13,7 +13,9 @@ domain rules written out at each node, as an independent check of the
 package's one evaluator, the register tape (`expr.compile_exprs`), and
 `interpreted_jets` runs it where `jets.JetSpace.evaluate` runs a program.
 `segment_components` writes a straight segment as the expressions its
-closed form stands for.
+closed form stands for.  `volume_normalized` is the projective change to
+the trace-free representative: the contact and complex chains must give
+the same theta, Reeb field, R and J_H there as on the chart itself.
 """
 
 from dataclasses import dataclass
@@ -22,10 +24,12 @@ import numpy as np
 
 from tractorlab.affine import (
     ChartModel,
+    OneFormField,
     TensorValue,
     _as_expr_array,
     _rk4_grid,
     curvature_field,
+    project_change,
     ricci_field,
     rk4_adaptive,
 )
@@ -231,6 +235,16 @@ def integrate_geodesic(chart: ChartModel, point, velocity, t_end: float = 1.0,
         cut = max(cut, 1)
         return GeodesicPath(ts[:cut], pts[:cut], vels[:cut], True, converged)
     return GeodesicPath(ts, pts, vels, False, converged)
+
+
+def volume_normalized(chart: ChartModel) -> tuple[ChartModel, OneFormField]:
+    """The representative preserving the coordinate volume, and the one-form
+    Ups_i = -tr(Gamma_i)/(n+1) of the projective change to it."""
+    n = chart.n
+    tr = [sum((chart.gamma[m, i, m] for m in range(1, n)), chart.gamma[0, i, 0])
+          for i in range(n)]
+    ups = OneFormField(chart, np.array([t / float(-(n + 1)) for t in tr], dtype=object))
+    return project_change(chart, ups), ups
 
 
 def assemble_connection_matrix(gamma, rho_comps) -> np.ndarray:

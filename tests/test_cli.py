@@ -483,6 +483,16 @@ def test_a_positive_tol_scale_scales_the_report(tmp_path, value):
     assert code == 0 and want["all_pass"] is True
 
 
+@pytest.mark.parametrize("command", ["holonomy", "verify"])
+def test_a_negative_seed_is_an_input_error(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--manifest", "flat2", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_requires_manifest_except_for_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute"])
@@ -612,7 +622,15 @@ def test_constants_that_fold_to_inf_fail_a_check(tmp_path):
     out = tmp_path / "r.json"
     with np.errstate(all="ignore"):
         assert cli.main(["transport", "--manifest", str(path), "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["all_pass"] is False
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    # strict JSON: the floats that are not finite are written as their names
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["all_pass"] is False
+    residuals = {row["residual"] for row in report["checks"] if "residual" in row}
+    assert residuals and residuals <= {"inf", "nan"}
 
 
 def test_a_transport_that_is_not_finite_stops_at_once(tmp_path):
@@ -651,7 +669,7 @@ def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch
     with np.errstate(all="ignore"):
         assert cli.main(["holonomy", "--manifest", str(path), "--out", str(out)]) == 1
         rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
-        assert rows["algebra_trace_free"]["residual"] == np.inf
+        assert rows["algebra_trace_free"]["residual"] == "inf"
         # the logs of loops that are not finite are dropped, which leaves rank 0:
         # that is no evidence of trivial holonomy
         assert cli.main(["detect", "--manifest", str(path), "--out", str(out)]) == 1
@@ -670,7 +688,7 @@ def test_non_finite_fields_fail_their_checks_not_the_input(tmp_path, monkeypatch
                                                  "rho_ricci_consistency",
                                                  "tractor_curvature_match")]
     for name in nan_rows:
-        assert np.isnan(rows[name]["residual"]) and rows[name]["pass"] is False, name
+        assert rows[name]["residual"] == "nan" and rows[name]["pass"] is False, name
 
 
 def detect_e300_with_k(tmp_path, capsys):
@@ -695,7 +713,7 @@ def test_frames_that_are_not_finite_fail_the_foliation_chain(tmp_path, capsys):
     # them does not converge, which must not read as bad input
     report, rows = detect_e300_with_k(tmp_path, capsys)
     assert rows["foliation_accepted"]["pass"] is False
-    assert report["result"]["foliation"]["rho_residual"] == np.inf
+    assert report["result"]["foliation"]["rho_residual"] == "inf"
     assert report["result"]["foliation"]["inconclusive"] is False
     assert "decomposition" in report["result"]
 
@@ -705,8 +723,8 @@ def test_curvature_that_is_not_finite_fails_the_decomposition_row(tmp_path, caps
     # NaN: an empty block pattern must not read as a vanishing tangent row
     report, rows = detect_e300_with_k(tmp_path, capsys)
     assert rows["t_star_row_max"]["pass"] is False
-    assert rows["t_star_row_max"]["residual"] == np.inf
-    assert report["result"]["decomposition"]["affine_containment_residual"] == np.inf
+    assert rows["t_star_row_max"]["residual"] == "inf"
+    assert report["result"]["decomposition"]["affine_containment_residual"] == "inf"
 
 
 def test_invariance_builds_each_projective_change_once(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tractorlab import affine, cli, projective, structures, tractor
-from tractorlab.affine import normalize_volume, project_change, sample_points
+from tractorlab.affine import project_change, sample_points
 from tractorlab.expr import parse
 from tractorlab.holonomy import algebra_from_generators, compare_spans, infinitesimal_algebra
 from tractorlab.library import (
@@ -32,6 +32,8 @@ from tractorlab.structures import (
     tractor_metric_to_einstein_verify,
 )
 from tractorlab.tractor import splitting_matrix, spread_structure
+
+from oracle import volume_normalized
 
 OMEGA = np.zeros((4, 4))
 OMEGA[0, 1] = 1.0
@@ -231,7 +233,7 @@ def test_invariance_check_is_splitting_independent(twisted):
     base = twisted.center()
     own = center_alg(twisted)
     assert own.rank > 0
-    vol_chart, ups = normalize_volume(twisted)
+    vol_chart, ups = volume_normalized(twisted)
     S, Si = splitting_matrix(ups.at(base)), splitting_matrix(-ups.at(base))
     vol = infinitesimal_algebra(vol_chart, base)
     assert compare_spans(vol, algebra_from_generators([Si @ A @ S for A in own.basis]))["agree"]
@@ -242,10 +244,49 @@ def test_invariance_check_is_splitting_independent(twisted):
         assert (a.accepted, a.reject_reason) == (b.accepted, b.reject_reason)
 
 
-def test_each_chart_has_one_volume_normalized_chart(monkeypatch):
-    # the contact and complex chains of one detect share it and its connection
+def _flat3_changed_at_the_base():
+    # Ups does not vanish at the base, so the chart's splitting there is not
+    # the volume-normalized one
     m = load_bundled("flat3")
-    assert normalize_volume(m.chart) is normalize_volume(m.chart)
+    ups = [parse(e, m.chart.coords) for e in
+           ("0.3*x1 - 0.2*x2 + 0.1", "0.25*x3 + 0.05*x1*x2", "-0.15*x2 + 0.1*x3^2")]
+    base = m.base()
+    u = np.array([e.eval(dict(zip(m.chart.coords, base))) for e in ups])
+    S, Si = splitting_matrix(u), splitting_matrix(-u)
+    return (project_change(m.chart, ups), base, S.T @ m.structures["omega"] @ S,
+            Si @ m.structures["J"] @ S)
+
+
+@pytest.mark.parametrize("case", ["sphere3", "flat3 changed"])
+def test_chains_agree_with_the_volume_normalized_route(case):
+    # run on the volume-normalized representative, with the data and the
+    # algebra moved to its splitting, the chains read the same structure
+    if case == "sphere3":
+        m = load_bundled("sphere3")
+        chart, base, omega, J = m.chart, m.base(), m.structures["omega"], None
+    else:
+        chart, base, omega, J = _flat3_changed_at_the_base()
+    alg = infinitesimal_algebra(chart, base)
+    vol_chart, ups = volume_normalized(chart)
+    S, Si = splitting_matrix(ups.at(base)), splitting_matrix(-ups.at(base))
+    vol_alg = algebra_from_generators([Si @ A @ S for A in alg.basis], fiber_dim=chart.n + 1)
+    pairs = [(contact_from_symplectic(chart, alg, omega, base_point=base),
+              contact_from_symplectic(vol_chart, vol_alg, S.T @ omega @ S, base_point=base),
+              ("theta", "reeb", "vtheta_min", "vtheta_max"))]
+    if J is not None:
+        pairs.append((complex_reduction(chart, alg, J, base_point=base),
+                      complex_reduction(vol_chart, vol_alg, Si @ J @ S, base_point=base),
+                      ("R_field", "J_H")))
+    for own, vol, fields in pairs:
+        assert own.accepted
+        assert (own.accepted, own.reject_reason) == (vol.accepted, vol.reject_reason)
+        for name in fields:
+            assert np.abs(np.subtract(getattr(own, name), getattr(vol, name))).max() <= 1e-9, name
+
+
+@pytest.mark.parametrize("name", ["flat3", "sphere3"])
+def test_detect_compiles_the_connection_of_its_own_chart_only(monkeypatch, name):
+    m = load_bundled(name)
     compiled = []
     original = tractor._connection_program
 
@@ -255,9 +296,8 @@ def test_each_chart_has_one_volume_normalized_chart(monkeypatch):
 
     monkeypatch.setattr(tractor, "_connection_program", recording)
     report = cli.run("detect", m)
-    assert {"contact", "complex"} <= set(report["result"])
-    vol_chart = normalize_volume(m.chart)[0]
-    assert [c for c in compiled if c.name == vol_chart.name] == [vol_chart]
+    assert "contact" in report["result"]
+    assert compiled and all(c is m.chart for c in compiled)
 
 
 # -- complex chain -------------------------------------------------------------
