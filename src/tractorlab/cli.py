@@ -48,6 +48,7 @@ from .structures import (
     tractor_metric_to_einstein_verify,
 )
 from .tractor import (
+    _RECORD,
     loop_holonomies,
     loop_holonomy,
     splitting_matrix,
@@ -94,9 +95,6 @@ class _Checks:
 
     def verdict(self, name: str, passed: bool, detail: str = ""):
         self.rows.append({"name": name, "pass": bool(passed), "detail": detail})
-
-    def all_pass(self) -> bool:
-        return all(row["pass"] for row in self.rows)
 
 
 _UPS_SCALE = 0.1  # bound on each coefficient of a random change Ups = a + b.x
@@ -390,23 +388,19 @@ def run(command: str, manifest: Manifest, seed: int = 0, tol_scale: float = 1.0)
         "seed": seed,
         "tol_scale": tol_scale,
     }
-    if command == "suite":
-        sections = {}
-        all_checks = []
-        for name in ("compute", "invariance", "transport", "holonomy", "detect", "verify"):
+    token = _RECORD.set({})  # one command integrates each straight segment once
+    try:
+        suite, sections, rows = command == "suite", {}, []
+        for name in _COMMANDS if suite else (command,):
             checks = _Checks(manifest.tolerances, tol_scale)
             sections[name] = _jsonable(_COMMANDS[name](manifest, seed, checks))
-            for row in checks.rows:
-                row["name"] = f"{name}.{row['name']}"
-            all_checks.extend(checks.rows)
-        report["sections"] = sections
-        report["checks"] = all_checks
-        report["all_pass"] = all(row["pass"] for row in all_checks)
-    else:
-        checks = _Checks(manifest.tolerances, tol_scale)
-        report["result"] = _jsonable(_COMMANDS[command](manifest, seed, checks))
-        report["checks"] = checks.rows
-        report["all_pass"] = checks.all_pass()
+            rows += [{**row, "name": f"{name}.{row['name']}"} if suite else row
+                     for row in checks.rows]
+    finally:
+        _RECORD.reset(token)
+    report.update({"sections": sections} if suite else {"result": sections[command]})
+    report["checks"] = rows
+    report["all_pass"] = all(row["pass"] for row in rows)
     return report
 
 

@@ -164,22 +164,25 @@ def bracket_closure(mats, m: int, tol: float):
     return basis, bool(closed_initially), rounds, _containment_residual(brackets, basis)
 
 
-def algebra_from_generators(gens, fiber_dim: int | None = None,
-                            method: str = "provided") -> HolonomyAlgebra:
+def algebra_from_generators(gens, fiber_dim: int | None = None) -> HolonomyAlgebra:
     """Wrap explicit generator matrices in the standard report format."""
     gens = [np.asarray(g, dtype=float) for g in gens]
     if fiber_dim is None:
         if not gens:
             raise ValueError("fiber_dim is required when no generators are given")
         fiber_dim = gens[0].shape[0]
-    m = fiber_dim
+    return _algebra(gens, fiber_dim, "provided", bracket_closure(gens, fiber_dim, _RANK_TOL))
+
+
+def _algebra(gens, m: int, method: str, closure) -> HolonomyAlgebra:
+    """The report of float generators `gens` whose `bracket_closure` is `closure`."""
     _, svals, _ = _span_basis(gens, m, _RANK_TOL)
     thresholds = (_RANK_TOL / 10, _RANK_TOL, _RANK_TOL * 10)
     if svals.size and svals[0] > _SPAN_FLOOR:
         ranks = {t: int(np.sum(svals > t * svals[0])) for t in thresholds}
     else:
         ranks = {t: 0 for t in thresholds}
-    basis, closed, _, bresid = bracket_closure(gens, m, _RANK_TOL)
+    basis, closed, _, bresid = closure
     tf = max((abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens), default=0.0)
     return HolonomyAlgebra(
         generators=np.array(gens) if gens else np.zeros((0, m, m)),
@@ -256,8 +259,8 @@ def infinitesimal_algebra(chart: ChartModel, point) -> HolonomyAlgebra:
 
     The tower is computed on Taylor jets at the point (`_curvature_tower`),
     one derivative order at a time, and each order's generators so far are
-    closed under brackets once: that algebra's rank is the order's entry of
-    `details["rank_by_order"]`, and the last one is the result.  The tower
+    closed under brackets once: the closure's rank is the order's entry of
+    `details["rank_by_order"]`, and the last closure is the result.  The tower
     stops early once the closed span fills all of sl or stops growing for
     one order; `_MAX_ORDER` caps it either way.  The second stop is not
     sound -- a rank flat for one order can still grow at the next -- and
@@ -270,12 +273,13 @@ def infinitesimal_algebra(chart: ChartModel, point) -> HolonomyAlgebra:
     rank_by_order = []
     for order, vals in enumerate(_curvature_tower(chart, point, _MAX_ORDER)):
         mats.extend(vals)
-        alg = algebra_from_generators(mats, m, method="infinitesimal")
-        rank_by_order.append(alg.rank)
-        saturated = alg.rank == m * m - 1
-        stalled = order > 0 and alg.rank == rank_by_order[-2]
+        closure = bracket_closure(mats, m, _RANK_TOL)
+        rank_by_order.append(len(closure[0]))
+        saturated = rank_by_order[-1] == m * m - 1
+        stalled = order > 0 and rank_by_order[-1] == rank_by_order[-2]
         if saturated or stalled:
             break
+    alg = _algebra(mats, m, "infinitesimal", closure)
     alg.details.update(orders_used=order, rank_by_order=rank_by_order)
     return alg
 

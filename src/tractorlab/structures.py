@@ -319,9 +319,10 @@ def tractor_metric_to_einstein_verify(chart: ChartModel, alg: HolonomyAlgebra,
         "path_residual": info["max_path_residual"],
         "line_metric_values": hss.tolist(),
     }
-    if frac > 0.2:
+    if frac > 0.2 or not np.isfinite(info["max_path_residual"]):  # inf: a transport failed
         report["accepted"] = False
-        report["reason"] = "line direction degenerate on more than 20% of samples"
+        report["reason"] = ("line direction degenerate on more than 20% of samples" if frac > 0.2
+                            else "a transport did not converge")
         return report
 
     if ein.accepted:

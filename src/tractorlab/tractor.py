@@ -26,12 +26,16 @@ correspond to (Y, a + Ups(Y)) in the splitting of c.
 Transport runs the RK4 doubling of `affine._linear_transport` to
 `_TRANSPORT_TOL`; `parallel_transport`, `transport_operator` and
 `spread_structure` always use it, the batched and loop routes take a
-caller's `tol` too.  The curvature
-routes read F from `projective.point_fields`.
+caller's `tol` too.  Loops, loop families, spreads, stencils and check
+paths go through `transport_operators`, which within one `cli.run` (it
+sets `_RECORD`) integrates each straight segment once per chart and tolerance,
+so later chains reuse its row bit for bit.  The curvature routes read F
+from `projective.point_fields`.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,11 +195,33 @@ def parallel_transport(chart: ChartModel, curve: Curve, v0):
     return _linear_transport(connection_field(chart), [curve], v0, _TRANSPORT_TOL)[0]
 
 
+# The straight segments one command integrated, as (id(chart), tol) -> (chart, {key:
+# (T, steps, ok)}); `cli.run` sets it.  Holding the chart keeps its id from reuse.
+_RECORD: ContextVar = ContextVar("transport_record", default=None)
+
+
 def transport_operators(chart: ChartModel, curves: Sequence[Curve],
                         tol: float = _TRANSPORT_TOL) -> list:
     """Transport operators along several curves of one chart, integrated as
-    one batch; returns [(T, steps, ok)] in the order of `curves`."""
-    return _linear_transport(connection_field(chart), curves, np.eye(chart.n + 1), tol)
+    one batch; returns [(T, steps, ok)] in the order of `curves`, T read-only.
+
+    Under a `_RECORD`, a straight segment is integrated once per chart and
+    tolerance, keyed on its bytes: a row the record holds, or repeated in
+    `curves`, is reused, bit for bit a fresh one (`affine._linear_transport`).
+    """
+    field, eye, record = connection_field(chart), np.eye(chart.n + 1), _RECORD.get()
+    if record is None:
+        rows = _linear_transport(field, curves, eye, tol)
+    else:  # an index keys a curve that is not a segment, integrated every time
+        seen = record.setdefault((id(chart), tol), (chart, {}))[1]
+        keys = [i if c.delta is None else (c.t0, c.t1, c.start.tobytes(), c.delta.tobytes())
+                for i, c in enumerate(curves)]
+        fresh = {key: c for key, c in zip(keys, curves) if key not in seen}
+        seen.update(zip(fresh, _linear_transport(field, list(fresh.values()), eye, tol)))
+        rows = [seen.pop(key) if type(key) is int else seen[key] for key in keys]
+    for T, _, _ in rows:
+        T.flags.writeable = False
+    return rows
 
 
 def transport_operator(chart: ChartModel, curve: Curve):

@@ -34,7 +34,7 @@ from tractorlab.holonomy import (
 from tractorlab.affine import ChartModel
 from tractorlab.expr import parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
-from tractorlab.manifest import load_bundled
+from tractorlab.manifest import bundled_names, load_bundled
 from tractorlab.projective import cotton_field, weyl_field
 from tractorlab.tractor import loop_holonomy, square_loop
 
@@ -317,6 +317,25 @@ def test_sphere_infinitesimal_rank_zero():
     assert alg.details["orders_used"] == 1
     assert alg.details["rank_by_order"] == [0, 0]
     assert alg.method == "infinitesimal"
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_infinitesimal_algebra_is_its_generators_algebra(name):
+    # only the last order is wrapped as an algebra; each order's rank is its
+    # generators' bracket closure
+    m = load_bundled(name)
+    alg = infinitesimal_algebra(m.chart, m.base())
+    want = algebra_from_generators(list(alg.generators), m.chart.n + 1)
+    for key in ("generators", "basis", "singular_values"):
+        assert getattr(alg, key).tobytes() == getattr(want, key).tobytes(), key
+    assert (alg.method, want.method) == ("infinitesimal", "provided")
+    for key in ("rank", "rank_stable", "closed_under_bracket",
+                "trace_free_residual", "bracket_residual"):
+        assert getattr(alg, key) == getattr(want, key), key
+    ranks = alg.details["rank_by_order"]
+    tower = list(_curvature_tower(m.chart, m.base(), holonomy._MAX_ORDER))[:len(ranks)]
+    assert ranks == [len(bracket_closure(np.concatenate(tower[:k + 1]), m.chart.n + 1,
+                                         holonomy._RANK_TOL)[0]) for k in range(len(ranks))]
 
 
 def test_twisted_infinitesimal_rank_two():

@@ -420,14 +420,19 @@ def test_foliation_preconditions(twisted):
         foliation_analysis(twisted, center_alg(twisted), np.zeros((4, 5)))
 
 
-def test_transport_that_does_not_converge_fails_its_residuals(twisted, monkeypatch):
-    alg = center_alg(twisted)
+def stop_at_the_first_level(monkeypatch):
+    """Make every transport stop at its first level, 64 steps, not converged."""
     doubling = affine._rk4_doubling
 
     def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
         return doubling(run_level, rows, tol, initial_steps, initial_steps)
 
     monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+
+
+def test_transport_that_does_not_converge_fails_its_residuals(twisted, monkeypatch):
+    alg = center_alg(twisted)
+    stop_at_the_first_level(monkeypatch)
     pts = sample_points(twisted, seed=2)[:4]
     for check_paths in (0, 2):
         _, info = spread_structure(twisted, "bilinear", np.eye(4), twisted.center(), pts,
@@ -440,15 +445,33 @@ def test_transport_that_does_not_converge_fails_its_residuals(twisted, monkeypat
 
 def test_contact_and_complex_reject_a_transport_that_does_not_converge(flat3, monkeypatch):
     alg = center_alg(flat3)
-    doubling = affine._rk4_doubling
-
-    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
-        return doubling(run_level, rows, tol, initial_steps, initial_steps)
-
-    monkeypatch.setattr(affine, "_rk4_doubling", one_level)
+    stop_at_the_first_level(monkeypatch)
     for r in (contact_from_symplectic(flat3, alg, OMEGA), complex_reduction(flat3, alg, J_STD)):
         assert r.path_residual == np.inf
         assert not r.accepted
+
+
+def test_detect_fails_every_chain_whose_shared_transport_did_not_converge(monkeypatch):
+    # within one `cli.run` the chains reuse each other's segments, so a row
+    # that did not converge reaches every chain that reads it with its flag
+    m = load_bundled("flat3")
+    cli._holonomy(m, 0)  # the loop algebra converged; only the chains' transports fail
+    stop_at_the_first_level(monkeypatch)
+    verdicts = {row["name"]: row["pass"] for row in cli.run("detect", m)["checks"]}
+    assert [verdicts[name] for name in ("contact_accepted", "complex_accepted",
+                                        "tractor_metric_verified", "foliation_accepted")] \
+        == [False] * 4
+
+
+def test_tractor_metric_rejects_a_transport_that_does_not_converge(flat3, monkeypatch):
+    h0 = np.diag([1.0, 1.0, 1.0, -1.0])  # the constant indefinite candidate
+    alg = center_alg(flat3)
+    ein = einstein_check(flat3)
+    assert tractor_metric_to_einstein_verify(flat3, alg, ein, h0)["accepted"]
+    stop_at_the_first_level(monkeypatch)
+    rep = tractor_metric_to_einstein_verify(flat3, alg, ein, h0)
+    assert rep["path_residual"] == np.inf
+    assert (rep["accepted"], rep["reason"]) == (False, "a transport did not converge")
 
 
 def nan_at_one_sample(monkeypatch, key):

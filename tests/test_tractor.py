@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from tractorlab import affine, cli, expr
+from tractorlab import affine, cli, expr, tractor
 from tractorlab.affine import (
     Curve,
     _linear_transport,
@@ -14,7 +15,7 @@ from tractorlab.affine import (
     sample_points,
 )
 from tractorlab.expr import compile_exprs
-from tractorlab.manifest import bundled_names, load_bundled
+from tractorlab.manifest import bundled_names, load_bundled, loads
 from tractorlab.library import flat_chart, polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.projective import rho
 from tractorlab.tractor import (
@@ -521,3 +522,104 @@ def test_field_calls_take_at_most_one_chunk_of_points():
     _linear_transport(field, curves, np.eye(4), 1e-8)
     assert sum(sizes) > 2 * affine._CHUNK  # the levels need several calls each
     assert max(sizes) <= affine._CHUNK
+
+
+# -- the transport record of one command ----------------------------------------------
+
+
+def counted_rows(monkeypatch) -> list:
+    """Make `tractor`'s kernel calls record how many rows each integrates."""
+    kernel, rows = tractor._linear_transport, []
+
+    def counted(field, curves, y0, tol):
+        rows.append(len(curves))
+        return kernel(field, curves, y0, tol)
+
+    monkeypatch.setattr(tractor, "_linear_transport", counted)
+    return rows
+
+
+def recorded(*calls) -> list:
+    """Run (chart, curves) transport calls under one record; their results."""
+    token = tractor._RECORD.set({})
+    try:
+        return [transport_operators(c, curves) for c, curves in calls]
+    finally:
+        tractor._RECORD.reset(token)
+
+
+def test_a_record_integrates_each_segment_once(monkeypatch):
+    m = load_bundled("sphere3")
+    c, base = m.chart, m.base()
+    spread = [Curve.segment(base, p) for p in sample_points(c, seed=0)[:6]]
+    # the coordinate squares at a point share first and last segments: 10 distinct of 12
+    squares = [s for i, j in ((0, 1), (0, 2), (1, 2)) for s in square_loop(base, i, j, 0.05)]
+    paths = [Curve.from_strings([f"{a}*t", "0.05*t", "-0.1*t"], 0.0, 1.0) for a in (0.1, 0.2)]
+    calls = [(c, spread[:4]), (c, spread[2:] + spread[:1]), (c, squares),
+             (c, paths[:1] * 2), (c, spread[:2] + squares[:1]), (c, paths[1:])]
+    alone = [transport_operators(c, curves) for _, curves in calls]
+    rows = counted_rows(monkeypatch)
+    shared = recorded(*calls)
+    # a curve that is not a segment is integrated every time; the fifth call
+    # finds every row in the record
+    assert rows == [4, 2, 10, 2, 0, 1]
+    for got, want in zip(shared, alone):
+        assert [(T.tobytes(), steps, ok) for T, steps, ok in got] \
+            == [(T.tobytes(), steps, ok) for T, steps, ok in want]
+
+
+def test_outside_a_record_every_call_integrates(monkeypatch):
+    c = sphere_chart(3)
+    curves = [Curve.segment(P3, P3 + SPHERE3_SHIFT)] * 2
+    rows = counted_rows(monkeypatch)
+    transport_operators(c, curves)
+    transport_operators(c, curves)
+    assert rows == [2, 2]
+
+
+def test_a_record_keeps_charts_and_tolerances_apart(monkeypatch):
+    c, other = sphere_chart(3), sphere_chart(3)
+    seg = Curve.segment(P3, P3 + SPHERE3_SHIFT)
+    rows = counted_rows(monkeypatch)
+    token = tractor._RECORD.set({})
+    try:
+        for chart, tol in ((c, 1e-8), (other, 1e-8), (c, 1e-10), (c, 1e-8)):
+            transport_operators(chart, [seg], tol)
+    finally:
+        tractor._RECORD.reset(token)
+    assert rows == [1, 1, 1, 0]
+
+
+def test_transport_operators_are_read_only():
+    c = sphere_chart(3)
+    seg = Curve.segment(P3, P3 + SPHERE3_SHIFT)
+    for (T, _, _), in (transport_operators(c, [seg]), *recorded((c, [seg]), (c, [seg]))):
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0] = 1.0
+
+
+def test_the_record_ends_with_its_command_even_when_it_raises(tmp_path, capsys):
+    doc = {"format": "tractorlab-manifest", "version": 1, "name": "pole", "dimension": 2,
+           "coordinates": ["x1", "x2"], "domain": [[-0.8, 0.8], [-0.8, 0.8]],
+           "gamma": {"1,0,0": "x2", "0,1,1": "1/x1", "1,1,1": "2/x1"}}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["transport", "--manifest", str(path)]) == 2
+    assert "1/x1" in capsys.readouterr().err
+    assert tractor._RECORD.get() is None
+    with pytest.raises(expr.ExprDomainError):
+        cli.run("transport", loads(path.read_text()))
+    assert tractor._RECORD.get() is None
+
+
+def test_no_command_integrates_a_segment_twice(monkeypatch):
+    kernel, keys = tractor._linear_transport, []
+
+    def recording(field, curves, y0, tol):
+        keys.extend((id(field), tol, c.start.tobytes(), c.delta.tobytes())
+                    for c in curves if c.delta is not None)
+        return kernel(field, curves, y0, tol)
+
+    monkeypatch.setattr(tractor, "_linear_transport", recording)
+    cli.run("suite", load_bundled("flat3"))
+    assert len(keys) == len(set(keys)) > 0
