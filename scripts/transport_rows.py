@@ -1,35 +1,42 @@
-"""Print the kernel rows and RK4 steps each command integrates.
+"""Print the kernel rows, RK4 steps and field points each command integrates.
 
 Run from any checkout:
-python3 scripts/transport_rows.py
+python3 scripts/transport_rows.py [--src DIR]
 For every bundled manifest and every command (``suite`` included) it loads
 the manifest afresh, runs ``cli.run(command, manifest, 0)`` and counts, over
-every call of ``tractor._linear_transport``, the rows (curves) integrated
-and the RK4 steps they converged at (or stopped at).  A last line sums the
-``suite`` rows over the corpus.  Counts are deterministic, so comparing the
-output of two checkouts shows which transports a change added or dropped.
-It imports tractorlab from the ``src`` directory next to it, so it measures
-that checkout, not an installed copy.  It exits 1 if ``tractor`` has no
-``_linear_transport`` to wrap.
+every call of ``tractor._linear_transport``, the rows (curves) integrated,
+the RK4 steps they converged at (or stopped at) and the points handed to
+the connection ``field`` (stage points, or one a row and pass for a
+constant connection).  The counting field carries the attributes of the
+field it wraps, so the kernel takes the same pass.  A last line sums the
+``suite`` counts over the corpus.  Counts are deterministic, so comparing
+the output of two checkouts shows which transports and field evaluations a
+change added or dropped.  It imports tractorlab from the ``src`` directory
+next to it, or from ``--src DIR``, so one copy of the script measures both
+sides of a comparison with the same columns.  It exits 1 if ``tractor`` has
+no ``_linear_transport`` to wrap.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from tractorlab import cli, manifest, tractor  # noqa: E402
 
 
-def count(name: str, command: str) -> tuple:
-    """(rows, steps) of one command on a freshly loaded bundled manifest."""
-    kernel, rows, steps = tractor._linear_transport, [0], [0]
+def count(cli, manifest, tractor, name: str, command: str) -> tuple:
+    """(rows, steps, points) of one command on a freshly loaded bundled manifest."""
+    kernel, totals = tractor._linear_transport, [0, 0, 0]
 
     def counted(field, curves, y0, tol):
-        out = kernel(field, curves, y0, tol)
-        rows[0] += len(out)
-        steps[0] += sum(s for _, s, _ in out)
+        def points(X):
+            totals[2] += len(X)
+            return field(X)
+
+        points.__dict__.update(field.__dict__)
+        out = kernel(points, curves, y0, tol)
+        totals[0] += len(out)
+        totals[1] += sum(s for _, s, _ in out)
         return out
 
     tractor._linear_transport = counted
@@ -37,22 +44,30 @@ def count(name: str, command: str) -> tuple:
         cli.run(command, manifest.load_bundled(name), seed=0)
     finally:
         tractor._linear_transport = kernel
-    return rows[0], steps[0]
+    return tuple(totals)
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory tractorlab is imported from (default: src beside "
+                             "this script)")
+    sys.path.insert(0, str(parser.parse_args().src.resolve()))
+    from tractorlab import cli, manifest, tractor
+
     if not hasattr(tractor, "_linear_transport"):
         print("error: tractor._linear_transport is gone; nothing to count", file=sys.stderr)
         return 1
-    print(f"{'manifest':<12} {'command':<11} {'rows':>6} {'steps':>9}")
-    suite_rows = suite_steps = 0
+    line = "{:<12} {:<11} {:>6} {:>9} {:>9}".format
+    print(line("manifest", "command", "rows", "steps", "points"))
+    suite = (0, 0, 0)
     for name in manifest.bundled_names():
         for command in cli.COMMANDS:
-            rows, steps = count(name, command)
+            counts = count(cli, manifest, tractor, name, command)
             if command == "suite":
-                suite_rows, suite_steps = suite_rows + rows, suite_steps + steps
-            print(f"{name:<12} {command:<11} {rows:>6} {steps:>9}")
-    print(f"{'corpus':<12} {'suite':<11} {suite_rows:>6} {suite_steps:>9}")
+                suite = tuple(a + b for a, b in zip(suite, counts))
+            print(line(name, command, *counts))
+    print(line("corpus", "suite", *suite))
     return 0
 
 

@@ -496,7 +496,11 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     pass's stage table and buffers of one chunk.  Steps and flags are
     `rk4_adaptive`'s with a pointwise right-hand side, states agree with
     it to round-off, and a row's bits depend neither on its batch, nor on
-    its group, nor on its tile.
+    its group, nor on its tile.  A `field` marked `constant` (True) gives
+    the same A_i at every point, so when every curve is a segment a pass
+    calls it once, at one point a row, forms one increment a row and level,
+    and multiplies its repeats in the same products and tiles: each (state,
+    steps, flag) is bit for bit the general pass's.
     """
     if not curves:
         return []
@@ -510,6 +514,7 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     delta = np.array([np.zeros(n) if c.delta is None else c.delta for c in curves])
     paths = {r: compile_exprs(c.components + c.velocity_exprs(), ("t",))
              for r, c in enumerate(curves) if c.delta is None}
+    constant = getattr(field, "constant", False) and not paths
 
     def stage(t, r, out=None):  # -A at the times t of the rows r, shape (len(t), m, m)
         xv = np.concatenate([start[r] + delta[r] * t[:, None], delta[r]], axis=1)
@@ -522,6 +527,29 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
     def run_level(active, levels):  # one pass: a group's first two levels, or one later level
         rows, steps, coarse_steps = group[active], levels[-1], levels[0]
         size, skip = len(rows), 2 * coarse_steps + 2 if len(levels) > 1 else 0
+
+        def states(d, increments):  # the states of the pass from its step increments
+            if skip:  # all in d; the fine tree's first round, then the trees go on as one
+                later, earlier = d[coarse_steps + 2::2], d[coarse_steps + 1::2]
+                prods = _pairwise_product(np.concatenate(
+                    [d[:coarse_steps], later + earlier + later @ earlier], axis=1))
+            else:  # tiles of rows, blocks of steps
+                tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)
+                prods = np.empty((size, m, m))
+                for first in range(0, size, tile):
+                    on = slice(first, first + tile)
+                    prods[on] = _pairwise_product(np.array([
+                        _pairwise_product(increments(j, block, on))  # steps j..j + block - 1
+                        for j in range(0, steps, block)]))
+            return list((state + prods @ state).reshape((-1, size) + y0.shape))  # level by level
+
+        if constant:  # every stage of a row is -A at its start: one increment a row and level
+            a = np.repeat(stage(t0[rows], rows)[None], len(levels) + 1, 0)
+            d = _rk4_increments(a, a[1:], (t1 - t0)[rows, None, None]
+                                / np.array(levels)[:, None, None, None])
+            d = (np.repeat(d, [coarse_steps + 1, steps], 0) if skip
+                 else np.broadcast_to(d, (steps,) + d.shape[1:]))
+            return states(d, lambda j, k, on: d[j:j + k, on])
         h, ends = _rk4_grid(t0[rows], t1[rows], steps)
         ends, half = ends[0::2].copy(), h / 2  # the step ends; the midpoints are ends + half
         extra_t, extra_r = np.empty(0), np.empty(0, dtype=int)  # stages after the grid
@@ -546,21 +574,10 @@ def _linear_transport(field, curves: Sequence[Curve], y0, tol: float) -> list:
             table[:skip - 1] = table[skip::2]
             table[:skip - 1][fresh] = flat[len(table) * size:]
             table[skip - 1] = 0.0  # the spacer step, from the coarse level's end to the fine start
-            d = _rk4_increments(even, odd, np.repeat([h_coarse, h], [coarse_steps + 1, steps],
-                                                     axis=0)[..., None, None])
-            later, earlier = d[coarse_steps + 2::2], d[coarse_steps + 1::2]  # the fine tree's
-            prods = _pairwise_product(np.concatenate(  # first round; then the trees go on as one
-                [d[:coarse_steps], later + earlier + later @ earlier], axis=1))
-        else:
-            tile, block = max(1, _CHUNK // steps), min(steps, _CHUNK)  # rows a tile, steps a block
-            prods = np.empty((size, m, m))
-            for first in range(0, size, tile):
-                on = slice(first, first + tile)
-                prods[on] = _pairwise_product(np.array([
-                    _pairwise_product(_rk4_increments(even[j:j + block + 1, on],
-                                                      odd[j:j + block, on], h[on, None, None]))
-                    for j in range(0, steps, block)]))
-        return list((state + prods @ state).reshape((-1, size) + y0.shape))  # level by level
+            return states(_rk4_increments(even, odd, np.repeat(
+                [h_coarse, h], [coarse_steps + 1, steps], axis=0)[..., None, None]), None)
+        return states(None, lambda j, k, on: _rk4_increments(even[j:j + k + 1, on],
+                                                             odd[j:j + k, on], h[on, None, None]))
 
     out, size = [], max(1, _CHUNK // (4 * _RK4_INITIAL_STEPS + 1))
     for first in range(0, len(curves), size):

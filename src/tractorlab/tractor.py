@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .affine import ChartModel, Curve, _linear_transport, max_abs
-from .expr import tangents
+from .expr import Num, tangents
 from .projective import point_fields
 
 __all__ = [
@@ -131,7 +131,9 @@ def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
     curvature is built symbolically.  The result is a field-major view.  A
     batch is evaluated whole; the transport kernel passes `affine._CHUNK`
     points at most, a 2.17 MB traced peak on sphere3 (1.90 MB at the 1,799
-    points of a 7-row group's first pass).  Built once per chart.
+    points of a 7-row group's first pass).  Built once per chart.  Its
+    `constant` is True when every program entry is a number (`Num`), as on
+    a flat chart: the kernel then evaluates it once a row and pass.
     """
     def build():
         program, n = _connection_program(chart), chart.n
@@ -145,6 +147,7 @@ def connection_field(chart: ChartModel) -> Callable[[np.ndarray], np.ndarray]:
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give
                 return _assemble_connection(values(points), steps, n)
 
+        field.constant = all(isinstance(e, Num) for e in program)
         return field
 
     return chart.symbolic("Mfield", build)

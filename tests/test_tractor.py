@@ -524,6 +524,147 @@ def test_field_calls_take_at_most_one_chunk_of_points():
     assert max(sizes) <= affine._CHUNK
 
 
+def test_connection_values_reach_assembly_as_contiguous_blocks(monkeypatch):
+    # a batch of program values is the transpose of one contiguous row per
+    # entry, so the Gamma block and the derivative block that
+    # `_assemble_connection` reshapes are contiguous views, not strided copies
+    m = load_bundled("sphere3")
+    n, assemble, seen = m.chart.n, tractor._assemble_connection, []
+
+    def spied(values, steps, n):
+        seen.append(values)
+        return assemble(values, steps, n)
+
+    monkeypatch.setattr(tractor, "_assemble_connection", spied)
+    transport_operators(m.chart, [Curve.segment(m.base(), m.base() + SPHERE3_SHIFT)])
+    assert seen
+    for values in seen:
+        for block in (values[:, :n ** 3], values[:, n ** 3:]):
+            assert block.T.flags.c_contiguous
+            assert np.shares_memory(block.T.reshape(n, n, n, -1), values)
+
+
+# -- a constant connection ---------------------------------------------------------------
+
+
+def constant_chart(gamma: dict) -> affine.ChartModel:
+    """A chart on [-1, 1]^2 whose Christoffel symbols are the numbers `gamma`,
+    keyed (k, i, j); Gamma^k_ij and Gamma^k_ji are both set."""
+    comps = np.full((2, 2, 2), expr.num(0.0), dtype=object)
+    for (k, i, j), text in gamma.items():
+        comps[k, i, j] = comps[k, j, i] = expr.parse(text, ("x1", "x2"))
+    return affine.ChartModel(("x1", "x2"), comps, [[-1.0, 1.0]] * 2)
+
+
+def assert_constant_pass_is_general(chart, curves, tol):
+    """The kernel's rows with `chart`'s constant field equal, bit for bit, those
+    of the general pass, reached through a plain function without the marker."""
+    M_at = connection_field(chart)
+    assert M_at.constant
+    eye = np.eye(chart.n + 1)
+    got = _linear_transport(M_at, curves, eye, tol)
+    want = _linear_transport(lambda X: M_at(X), curves, eye, tol)
+    assert [(y.tobytes(), steps, ok) for y, steps, ok in got] \
+        == [(y.tobytes(), steps, ok) for y, steps, ok in want]
+    return got
+
+
+@pytest.mark.parametrize("name", ["flat2", "flat3"])
+def test_a_flat_chart_takes_the_constant_pass_bit_for_bit(name):
+    m = load_bundled(name)
+    base = m.base()
+    curves = ([Curve.segment(base, p) for p in sample_points(m.chart, seed=0)[:12]]
+              + square_loop(base, 0, 1, 0.2))
+    for tol in (1e-8, 1e-12):
+        assert_constant_pass_is_general(m.chart, curves, tol)
+
+
+def test_a_constant_nonzero_connection_takes_the_constant_pass_bit_for_bit():
+    chart = constant_chart({(0, 1, 1): "0.3"})
+    assert not all(e.is_zero() for e in tractor._connection_program(chart))
+    curves = [Curve.segment([0.1, -0.2], p) for p in sample_points(chart, seed=0)[:9]]
+    rows = assert_constant_pass_is_general(chart, curves, 0.0)
+    assert len({steps for _, steps, _ in rows}) >= 2  # later passes, one level each
+
+
+def test_a_constant_pass_stops_rows_that_are_not_finite():
+    # the all-1e300 chart: M is not finite, and no row passes 64 steps
+    chart = constant_chart({(k, i, j): "1e300" for k, i, j in np.ndindex(2, 2, 2)})
+    curves = [Curve.segment([0.0, 0.0], [0.5, 0.2]), Curve.segment([0.1, -0.3], [-0.4, 0.6])]
+    with np.errstate(all="ignore"):
+        rows = assert_constant_pass_is_general(chart, curves, 1e-8)
+    assert [(steps, ok) for _, steps, ok in rows] == [(64, False)] * 2
+    assert not any(np.isfinite(y).all() for y, _, _ in rows)
+
+
+def test_a_constant_pass_follows_the_doubling_rule(monkeypatch):
+    # a tol-0 row of this chart runs past _CHUNK steps, whose products are cut
+    # into blocks; then from 48 steps, and with one level in the first pass
+    chart = constant_chart({(0, 1, 1): "0.3", (1, 0, 0): "-0.7", (0, 0, 1): "0.5"})
+    flat = load_bundled("flat3")
+    doubling = affine._rk4_doubling
+    segment = Curve.segment([-1.0, -1.0], [1.0, 1.0])
+    (_, steps, _), = assert_constant_pass_is_general(chart, [segment], 0.0)
+    assert steps > affine._CHUNK
+
+    def from_48(run_level, rows, tol, initial_steps=64, max_steps=affine._RK4_MAX_STEPS):
+        return doubling(run_level, rows, tol, 48, max_steps)
+
+    def one_level(run_level, rows, tol, initial_steps=64, max_steps=None):
+        return doubling(run_level, rows, tol, initial_steps, initial_steps)
+
+    wide = [segment] + [Curve.segment([0.1, -0.2], p) for p in sample_points(chart, seed=2)[:3]]
+    curves = [Curve.segment(flat.base(), p) for p in sample_points(flat.chart, seed=2)[:9]]
+    for patch, first in ((from_48, 48), (one_level, 64)):
+        monkeypatch.setattr(affine, "_rk4_doubling", patch)
+        for c, batch, tol in ((chart, wide, 1e-12), (flat.chart, curves, 1e-8)):
+            rows = assert_constant_pass_is_general(c, batch, tol)
+            assert all(steps % first == 0 for _, steps, _ in rows)
+
+
+def point_counts(monkeypatch) -> dict:
+    """Make the kernel count the points it hands `field`, the rows each pass
+    integrates and the passes; the marker stays on the counting field."""
+    kernel, doubling = affine._linear_transport, affine._rk4_doubling
+    counts = {"points": 0, "row_passes": 0}
+
+    def counted(field, curves, y0, tol):
+        def points(X):
+            counts["points"] += len(X)
+            return field(X)
+
+        points.__dict__.update(field.__dict__)
+        return kernel(points, curves, y0, tol)
+
+    def passes(run_level, *args):
+        def level(active, levels):
+            counts["row_passes"] += len(active)
+            return run_level(active, levels)
+        return doubling(level, *args)
+
+    monkeypatch.setattr(tractor, "_linear_transport", counted)
+    monkeypatch.setattr(affine, "_rk4_doubling", passes)
+    return counts
+
+
+def test_flat3_detect_hands_the_field_one_point_a_row_and_pass(monkeypatch):
+    counts = point_counts(monkeypatch)
+    cli.run("detect", load_bundled("flat3"), seed=0)
+    assert 0 < counts["points"] <= counts["row_passes"]
+
+
+def test_a_parametric_curve_takes_the_general_pass(monkeypatch):
+    # one curve that is not a segment sends its whole batch through the stage grid
+    m = load_bundled("flat3")
+    batch = [Curve.segment(m.base(), m.base() + 0.1), CURVED]
+    counts = point_counts(monkeypatch)
+    rows = transport_operators(m.chart, batch)
+    assert counts["points"] >= (2 * affine._RK4_INITIAL_STEPS + 1) * counts["row_passes"]
+    for got, curve in zip(rows, batch):
+        assert_matches_pointwise(*got, *pointwise_transport(connection_field(m.chart), curve,
+                                                            np.eye(4)))
+
+
 # -- the transport record of one command ----------------------------------------------
 
 
