@@ -183,7 +183,7 @@ def _algebra(gens, m: int, method: str, closure) -> HolonomyAlgebra:
     else:
         ranks = {t: 0 for t in thresholds}
     basis, closed, _, bresid = closure
-    tf = max((abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens), default=0.0)
+    tf = max_abs([abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens])  # NaN if one is
     return HolonomyAlgebra(
         generators=np.array(gens) if gens else np.zeros((0, m, m)),
         basis=basis,
@@ -703,8 +703,8 @@ def invariant_subspaces(alg: HolonomyAlgebra, seed: int = 0):
             if dim == 0 or dim >= m:
                 continue
             proj = q @ q.T
-            resid = max(max_abs((np.eye(m) - proj) @ A @ proj) / (1.0 + max_abs(A))
-                        for A in gens)
+            resid = max_abs([max_abs((np.eye(m) - proj) @ A @ proj) / (1.0 + max_abs(A))
+                             for A in gens])  # NaN if one is, and a NaN rejects the mask
             if resid <= _RANK_TOL:
                 found.append(StructureCandidate("subspace", q, resid, {"dim": dim}))
     # dedupe by projector distance

@@ -9,17 +9,19 @@ The central objects:
 * the Cotton tensor CY_{hjl} = grad_h P_{jl} - grad_j P_{hl}, which
   transforms by CY' = CY - Ups . W.
 
-Values at sample points come from Taylor jets (`point_fields`): the
-Christoffel symbols are expanded to degree 2 at a batch of points in one
-sweep of the program the chart compiled for them (`ChartModel.evaluator`),
-and every field is a few vectorized contractions of those jets.  The
-symbolic fields (`rho_field`, `weyl_field`, `cotton_field`) remain as a
-reference only: transport assembles the tractor connection from compiled
-Christoffel symbols and their first partials (`tractor.connection_field`),
-and nothing here compiles them.
+Values at sample points come from Taylor jets (`point_fields`): the Christoffel
+symbols are expanded to degree 2 at a batch of points in one sweep of the
+program the chart compiled for them (`ChartModel.evaluator`).  The result is a
+mapping; each field is a few vectorized contractions of those jets, computed on
+its first read with the bits it has when all are read.  The symbolic fields
+(`rho_field`, `weyl_field`, `cotton_field`) remain as a reference only: transport
+assembles the tractor connection from compiled Christoffel symbols and their
+first partials (`tractor.connection_field`), and nothing here compiles them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -130,56 +132,89 @@ def cotton_field(chart: ChartModel) -> np.ndarray:
     return chart.symbolic("CY", build)
 
 
-def point_fields(chart: ChartModel, points, degree: int = 2, jets: bool = False) -> dict:
+class _PointFields(Mapping):
+    """`_rule` computes a field on its first read; no cycle, so the arrays die with it."""
+    _KEYS = ("gamma", "R", "Ric", "P", "W", "CY", "M", "dRic", "nablaRic", "F", "F_M")
+
+    def __init__(self, space: JetSpace, G: np.ndarray, jets: bool):
+        self._space, self._jets, self._values = space, jets, {"gamma": G}
+
+    def __getitem__(self, key):
+        return self._jet(key) if self._jets else self._jet(key)[..., 0]
+
+    def __contains__(self, key):  # without computing the field, as Mapping's would
+        return key in self._KEYS
+
+    def __iter__(self):
+        return iter(self._KEYS)
+
+    def __len__(self):
+        return len(self._KEYS)
+
+    def _jet(self, key):
+        if key not in self._values:
+            self._values[key] = self._rule(key)
+        return self._values[key]
+
+    def _rule(self, key):
+        space, get, G = self._space, self._jet, self._values["gamma"]
+        n, (s2, s1) = space.n, space.sizes[-3:-1]  # jet sizes at degree - 2 and degree - 1
+        G1, eye = G[..., :s1], np.eye(n)
+        if key == "R":
+            dG = np.swapaxes(space.grad(G, 3, s1), -4, -3)  # d_h G^k_jl
+            GG = space.contract("...khm,...mjl->...hjkl", G1, G1)  # G^k_hm G^m_jl
+            return (dG - np.swapaxes(dG, -5, -4)) + (GG - np.swapaxes(GG, -5, -4))
+        if key == "Ric":
+            return np.einsum("...kjklz->...jlz", get("R"))
+        if key == "P":
+            return -(1.0 / float(n * n - 1)) * (float(n) * get("Ric") + get("Ric").swapaxes(-3, -2))
+        if key == "W":
+            P = get("P")
+            return (get("R") - np.einsum("...hlz,kj->...hjklz", P, eye)
+                    - np.einsum("...hjz,kl->...hjklz", P, eye)
+                    + np.einsum("...jhz,kl->...hjklz", P, eye)
+                    + np.einsum("...jlz,kh->...hjklz", P, eye))
+        if key == "CY":
+            dP = space.grad(get("P"), 2, s2)
+            PG = space.contract("...hm,...mjl->...hjl", get("P")[..., :s2], G)
+            return (dP - np.swapaxes(dP, -4, -3)) + (PG - np.swapaxes(PG, -4, -3))
+        if key == "M":
+            w = np.einsum("...mimz->...iz", G1) / float(-(n + 1))
+            M = np.zeros(G.shape[:-4] + (n, n + 1, n + 1, s1))
+            M[..., :n, :n, :] = np.swapaxes(G1, -4, -3) + np.einsum("...iz,km->...ikmz", w, eye)
+            M[..., range(n), range(n), n, 0], M[..., n, :n, :], M[..., n, n, :] = 1.0, get("P"), w
+            return M
+        if key == "dRic":
+            return space.grad(get("Ric"), 2, s2)
+        if key == "nablaRic":
+            Ric2 = get("Ric")[..., :s2]
+            return (get("dRic") - space.contract("...maj,...ml->...ajl", G, Ric2)
+                    - space.contract("...mal,...jm->...ajl", G, Ric2))
+        if key == "F":
+            F = np.zeros(G.shape[:-4] + (n, n, n + 1, n + 1, s2))
+            F[..., :n, :n, :], F[..., n, :n, :] = get("W")[..., :s2], get("CY")
+            return F
+        if key == "F_M":
+            dM = space.grad(get("M"), 3, s2)
+            MM = space.contract("...hrm,...jms->...hjrs", get("M")[..., :s2], get("M"))
+            return (dM - np.swapaxes(dM, -5, -4)) + (MM - np.swapaxes(MM, -5, -4))
+        raise KeyError(key)
+
+
+def point_fields(chart: ChartModel, points, degree: int = 2, jets: bool = False) -> Mapping:
     """The curvature fields at a point (n,) or a batch of points (B, n), on jets.
 
-    Returns float arrays of shape (B,) + the field's shape (no leading axis
-    for one point): "gamma", "R", "Ric", "P", "W", "CY", the tractor
-    connection "M", "dRic" (dRic[i, j, l] = d_i Ric[j, l]), "nablaRic"
-    (indexed as dRic), and the tractor curvature twice: "F" assembled from
-    W and CY, "F_M" = d_h M_j - d_j M_h + [M_h, M_j].  With `jets` the
-    Taylor coefficients come last instead; a field taking k derivatives of
-    Gamma is exact to degree - k.
+    A read-only mapping of float arrays of shape (B,) + the field's shape (no leading axis
+    for one point): "gamma", "R", "Ric", "P", "W", "CY", the tractor connection "M", "dRic"
+    (dRic[i, j, l] = d_i Ric[j, l]), "nablaRic" (indexed as dRic), and the tractor curvature
+    twice: "F" from W and CY, "F_M" = d_h M_j - d_j M_h + [M_h, M_j].  Each is computed on
+    its first read, bit for bit; with `jets` the Taylor coefficients come last instead, and
+    a field taking k derivatives of Gamma is exact to degree - k.
     """
     if degree < 2:
         raise ValueError("the fields take two derivatives of Gamma; degree must be at least 2")
-    n = chart.n
-    space = JetSpace.of(n, degree)
-    s1, s2 = space.sizes[degree - 1], space.sizes[degree - 2]
-    eye = np.eye(n)
-    G = space.evaluate(chart.evaluator(chart.gamma), points)
-    G1 = G[..., :s1]
-    dG = np.swapaxes(space.grad(G, 3, s1), -4, -3)  # d_h G^k_jl
-    GG = space.contract("...khm,...mjl->...hjkl", G1, G1)  # G^k_hm G^m_jl
-    R = (dG - np.swapaxes(dG, -5, -4)) + (GG - np.swapaxes(GG, -5, -4))
-    Ric = np.einsum("...kjklz->...jlz", R)
-    P = -(1.0 / float(n * n - 1)) * (float(n) * Ric + np.swapaxes(Ric, -3, -2))
-    W = (R - np.einsum("...hlz,kj->...hjklz", P, eye) - np.einsum("...hjz,kl->...hjklz", P, eye)
-         + np.einsum("...jhz,kl->...hjklz", P, eye) + np.einsum("...jlz,kh->...hjklz", P, eye))
-    dP = space.grad(P, 2, s2)
-    PG = space.contract("...hm,...mjl->...hjl", P[..., :s2], G)
-    CY = (dP - np.swapaxes(dP, -4, -3)) + (PG - np.swapaxes(PG, -4, -3))
-    w = np.einsum("...mimz->...iz", G1) / float(-(n + 1))
-    M = np.zeros(G.shape[:-4] + (n, n + 1, n + 1, s1))
-    M[..., :n, :n, :] = np.swapaxes(G1, -4, -3) + np.einsum("...iz,km->...ikmz", w, eye)
-    for i in range(n):
-        M[..., i, i, n, 0] = 1.0
-    M[..., n, :n, :] = P
-    M[..., n, n, :] = w
-    F = np.zeros(W.shape[:-3] + (n + 1, n + 1, s2))
-    F[..., :n, :n, :] = W[..., :s2]
-    F[..., n, :n, :] = CY
-    dM = space.grad(M, 3, s2)
-    MM = space.contract("...hrm,...jms->...hjrs", M[..., :s2], M)
-    dRic = space.grad(Ric, 2, s2)
-    Ric2 = Ric[..., :s2]
-    fields = {
-        "gamma": G, "R": R, "Ric": Ric, "P": P, "W": W, "CY": CY, "M": M, "dRic": dRic,
-        "nablaRic": dRic - space.contract("...maj,...ml->...ajl", G, Ric2)
-        - space.contract("...mal,...jm->...ajl", G, Ric2),
-        "F": F, "F_M": (dM - np.swapaxes(dM, -5, -4)) + (MM - np.swapaxes(MM, -5, -4)),
-    }
-    return fields if jets else {key: f[..., 0] for key, f in fields.items()}
+    space = JetSpace.of(chart.n, degree)
+    return _PointFields(space, space.evaluate(chart.evaluator(chart.gamma), points), jets)
 
 
 def rho(chart: ChartModel, point) -> TensorValue:

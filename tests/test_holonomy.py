@@ -5,6 +5,7 @@ chart-based cases freeze ranks worked out by hand (the twisted chart) or
 forced by flatness (round spheres).
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from tractorlab.holonomy import (
     _null_vectors,
     _principal_log,
 )
-from tractorlab.affine import ChartModel
+from tractorlab.affine import ChartModel, max_abs
 from tractorlab.expr import parse
 from tractorlab.library import polynomial_chart, sphere_chart, twisted_chart
 from tractorlab.manifest import bundled_names, load_bundled
@@ -175,6 +176,53 @@ def test_full_sl3_yields_no_candidates():
     rep = classify(alg, [])
     assert rep["labels"] == []
     assert rep["dimension_matches"] == ["sl(3,R)"]
+
+
+def test_a_nan_residual_after_the_first_generator_rejects_the_mask(monkeypatch):
+    # block upper-triangular generators keep span(e0, e1), with the max residual of them all
+    rng = np.random.default_rng(11)
+    gens = []
+    for A in rng.normal(size=(4, 4, 4)):
+        A[2:, :2] = 0.0
+        gens.append(A - np.trace(A) / 4 * np.eye(4))
+    alg = algebra_from_generators(gens)
+    subs = invariant_subspaces(alg)
+    assert [cand.meta["dim"] for cand in subs] == [2]
+    proj = subs[0].data @ subs[0].data.T
+    assert subs[0].residual == max(max_abs((np.eye(4) - proj) @ A @ proj) / (1.0 + max_abs(A))
+                                   for A in alg.basis)
+    # eig refuses a NaN matrix, so it is handed the eigenvectors of the finite basis; the NaN
+    # generator, last in the basis, must still reject every mask
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda C: eig(sum(alg.basis)))
+    nan_basis = np.concatenate([alg.basis, np.full((1, 4, 4), np.nan)])
+    assert invariant_subspaces(dataclasses.replace(alg, basis=nan_basis)) == []
+    assert invariant_subspaces(alg) != []
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_nan_generator_in_any_place_reads_not_finite(order):
+    E01 = np.zeros((2, 2))
+    E01[0, 1] = 1.0
+    gens = [E01, np.full((2, 2), np.nan)]
+    alg = algebra_from_generators([gens[i] for i in order])
+    assert not alg.finite and np.isnan(alg.trace_free_residual)
+    assert classify(alg, [])["trivial_holonomy"] is False
+
+
+def test_a_tower_finite_at_its_first_matrix_only_reads_not_finite():
+    # F_00 = 0 is finite; F_01 overflows in the derivatives of exp(1e200*x1)
+    coords = ("x1", "x2")
+    gamma = np.full((2, 2, 2), parse("0", coords), dtype=object)
+    gamma[0, 1, 1] = parse("exp(1e200*x1)", coords)
+    gamma[1, 0, 0] = parse("x2*x2", coords)
+    chart = ChartModel(coords, gamma, [[-1.0, 1.0], [-1.0, 1.0]])
+    with np.errstate(all="ignore"):
+        alg = infinitesimal_algebra(chart, np.zeros(2))
+    assert np.array_equal(alg.generators[0], np.zeros((3, 3)))
+    assert not np.isfinite(alg.generators[1]).all()
+    assert not alg.finite and alg.rank == 0
+    assert classify(alg, [])["trivial_holonomy"] is False
 
 
 @settings(max_examples=25, deadline=None)

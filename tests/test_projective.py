@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from tractorlab import expr
+from tractorlab import cli, expr, projective
 from tractorlab.affine import (
     OneFormField,
     assemble_curvature,
@@ -237,6 +240,66 @@ def test_point_fields_need_second_derivatives():
     chart, pts = chart_and_samples("flat2")
     with pytest.raises(ValueError, match="degree must be at least 2"):
         point_fields(chart, pts, degree=1)
+
+
+FIELD_KEYS = ["gamma", "R", "Ric", "P", "W", "CY", "M", "dRic", "nablaRic", "F", "F_M"]
+
+
+def test_point_fields_keys_and_their_order(monkeypatch):
+    chart, pts = chart_and_samples("sphere3")
+    fields = point_fields(chart, pts[:3])
+    assert list(fields) == FIELD_KEYS and len(fields) == len(FIELD_KEYS)
+    with monkeypatch.context() as patch:  # a membership test computes no field
+        patch.setattr(projective._PointFields, "_rule", lambda self, key: pytest.fail(key))
+        assert "F_M" in fields and "W" in fields and "Weyl" not in fields
+    with pytest.raises(KeyError):
+        fields["Weyl"]
+    with pytest.raises(TypeError):
+        fields["W"] = fields["W"]
+
+
+@pytest.mark.parametrize("name", ["randpoly3", "sphere2", "twisted"])
+@pytest.mark.parametrize("degree, jets", [(2, False), (2, True), (4, True)])
+def test_each_field_read_alone_or_in_any_order_is_the_value_read_after_all(name, degree, jets):
+    chart, pts = chart_and_samples(name)
+    pts = pts[:5]
+    want = {key: value.tobytes() for key, value in
+            dict(point_fields(chart, pts, degree=degree, jets=jets)).items()}
+    for key in FIELD_KEYS:
+        assert point_fields(chart, pts, degree=degree, jets=jets)[key].tobytes() == want[key], key
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        fields = point_fields(chart, pts, degree=degree, jets=jets)
+        for key in rng.permutation(FIELD_KEYS):
+            assert fields[key].tobytes() == want[key], key
+
+
+@pytest.mark.parametrize("command", ["compute", "invariance"])
+def test_compute_and_invariance_build_no_field_they_do_not_read(command, monkeypatch):
+    rule = projective._PointFields._rule
+
+    def refusing(self, key):
+        if key in ("F_M", "dRic", "nablaRic"):
+            raise AssertionError(f"{command} built {key}")
+        return rule(self, key)
+
+    monkeypatch.setattr(projective._PointFields, "_rule", refusing)
+    report = cli.run(command, load_bundled("sphere3"), seed=0)
+    assert report["all_pass"] is True
+
+
+def test_point_fields_hold_no_reference_cycle():
+    # without a cycle the jets die with the mapping, not at a later gc pass
+    chart, pts = chart_and_samples("sphere3")
+    fields = point_fields(chart, pts[:4])
+    fields["F"], fields["nablaRic"]  # every field is computed and held
+    ref = weakref.ref(fields)
+    gc.disable()
+    try:
+        del fields
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_pole_of_ups_at_a_sample_point_names_its_subexpression_and_point():

@@ -478,7 +478,7 @@ def nan_at_one_sample(monkeypatch, key):
     """Make `structures.point_fields` return NaN in field `key` at its second point."""
 
     def poisoned(chart, points):
-        fields = projective.point_fields(chart, points)
+        fields = dict(projective.point_fields(chart, points))  # the result is read-only
         if np.ndim(points) == 2 and len(points) > 1:
             fields[key] = fields[key].copy()
             fields[key][1] = np.nan
