@@ -102,8 +102,7 @@ class ChartModel:
         self.domain = dom
         self.metric = None if metric is None else _as_expr_array(metric, (n, n))
         self.name = name
-        self._evaluators: dict[int, tuple] = {}
-        self._symbolic_cache: dict[str, object] = {}
+        self._symbolic_cache: dict = {}  # key -> array; id(field) -> (field, its evaluator)
 
     # -- basics ---------------------------------------------------------------
 
@@ -135,11 +134,11 @@ class ChartModel:
         (`compile_exprs`) runs on floats, columns and jets, so a batch row is
         bit for bit the point's values, and the jets of Gamma in
         `projective.point_fields` sweep the program compiled at load.  It is
-        compiled on the first call for a field and cached under the field's
-        identity; the cache holds the field too, so that identity is never
-        reused.
+        compiled on the first call for a field and cached, in the `symbolic`
+        cache, under the field's identity; the cache holds the field too, so
+        that identity is never reused.
         """
-        hit = self._evaluators.get(id(field))
+        hit = self._symbolic_cache.get(id(field))
         if hit is None:
             fn = compile_exprs(field.ravel(), self.coords)
             shape = field.shape
@@ -154,8 +153,7 @@ class ChartModel:
                     return fn(p).reshape(p.shape[:1] + shape)
                 return fn(*p.tolist()).reshape(shape)
 
-            hit = (field, at)
-            self._evaluators[id(field)] = hit
+            hit = self._symbolic_cache[id(field)] = (field, at)
         return hit[1]
 
     def gamma_at(self, point) -> np.ndarray:

@@ -28,6 +28,7 @@ from . import __version__
 from .affine import Curve, OneFormField, max_abs
 from .expr import ExprDomainError, ExprError
 from .holonomy import (
+    STRUCTURE_LABELS,
     _LOOP_SIZE,
     classify,
     invariant_complex,
@@ -185,11 +186,11 @@ def _holonomy(manifest: Manifest, seed: int):
     """(algebra, candidates, classification): the loop holonomy algebra at
     the base point, the fiber structures it preserves and their labels;
     `holonomy` and `detect` share one per manifest and seed, kept in
-    `manifest.algebras`.  An algebra that is not finite preserves nothing
-    that can be read off it, so it has no candidates."""
+    `manifest.algebras`.  The detectors find no candidate in an algebra
+    that is not finite."""
     if seed not in manifest.algebras:
         alg = loop_algebra(manifest.chart, manifest.base(), count=4, seed=seed)
-        candidates = _candidates(alg, seed) if alg.finite else []
+        candidates = _candidates(alg, seed)
         manifest.algebras[seed] = alg, candidates, classify(alg, candidates)
     return manifest.algebras[seed]
 
@@ -247,8 +248,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         checks.add("einstein_parallel_residual", ein.parallel_residual, "einstein_parallel")
         checks.add("einstein_transport_residual", ein.transport_residual, "einstein_parallel")
         out["einstein"]["h_at_base"] = ein.h(base)
-        if "Einstein manifold" not in labels:
-            labels.append("Einstein manifold")
+        labels.append(STRUCTURE_LABELS["metric"])
 
     structures = manifest.structures
     if "omega" in structures:
@@ -261,8 +261,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
             checks.verdict("contact_vtheta_nonvanishing",
                            rep.vtheta_min > 0.1 * rep.vtheta_max,
                            f"min {rep.vtheta_min:.6g} max {rep.vtheta_max:.6g}")
-            if "Contact manifold" not in labels:
-                labels.append("Contact manifold")
+            labels.append(STRUCTURE_LABELS["symplectic"])
         out["contact"] = {
             "accepted": rep.accepted,
             "dtheta_vs_omega": rep.dtheta_vs_omega,
@@ -279,8 +278,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         if rep.accepted:
             checks.add("complex_square_residual", rep.square_residual, "complex_square")
             checks.add("complex_lie_residual", rep.lie_invariance_residual, "complex_lie")
-            if "U(1)-bundle over a complex manifold" not in labels:
-                labels.append("U(1)-bundle over a complex manifold")
+            labels.append(STRUCTURE_LABELS["complex"])
         out["complex"] = {
             "accepted": rep.accepted,
             "square_residual": rep.square_residual,
@@ -299,8 +297,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         if rep.accepted:
             checks.add("foliation_rho_residual", rep.rho_residual, "foliation")
             checks.add("foliation_ricci_on_K", rep.ricci_on_K, "foliation")
-            if "Foliation by Ricci-flat leaves" not in labels:
-                labels.append("Foliation by Ricci-flat leaves")
+            labels.append(STRUCTURE_LABELS["subspace"])
         decomp = holonomy_decomposition_check(chart, alg, seed=seed)
         checks.add("t_star_row_max", decomp["t_star_row_max"], "t_star_row")
         out["foliation"] = {
@@ -314,7 +311,7 @@ def cmd_detect(manifest: Manifest, seed: int, checks: _Checks) -> dict:
         }
         out["decomposition"] = decomp
 
-    out["labels"] = labels
+    out["labels"] = list(dict.fromkeys(labels))
     out["caveat"] = table["caveat"]
     return out
 

@@ -22,7 +22,7 @@ One evaluator values expressions: a register tape (`_tape`), whose steps
 one loop sweeps on three scalars.  One compiled program
 (:func:`compile_exprs`) runs on all three: Python floats at a point, numpy
 columns for a batch, and the jets of `jets.JetSpace`; :func:`eval_many`
-values one-off expressions on floats.  The domain rules are the scalar's
+runs one program at one float point.  The domain rules are the scalar's
 own: Python raises for a float, numpy under ``errstate`` for a column (the
 batch is then swept point by point), a jet's Taylor series for a jet.  The
 tape only names the node of the step that failed, in an
@@ -143,6 +143,9 @@ class Expr:
             raise TypeError("only integer powers are supported")
         return _pow(self, k)
 
+    def __setattr__(self, *a):  # the constructors write through object.__setattr__
+        raise AttributeError("expressions are immutable")
+
     # -- core operations -----------------------------------------------------
 
     def diff(self, name: str) -> "Expr":
@@ -174,9 +177,6 @@ class Num(Expr):
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
 
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("expressions are immutable")
-
 
 class Var(Expr):
     __slots__ = ("name",)
@@ -185,9 +185,6 @@ class Var(Expr):
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
 
 class _Binary(Expr):
     __slots__ = ("left", "right")
@@ -195,9 +192,6 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
 
 class Add(_Binary):
@@ -227,9 +221,6 @@ class Neg(Expr):
     def __init__(self, operand: Expr):
         object.__setattr__(self, "operand", operand)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
@@ -239,9 +230,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", int(exponent))
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
 
 class Call(Expr):
     __slots__ = ("func", "arg")
@@ -250,9 +238,6 @@ class Call(Expr):
     def __init__(self, func: str, arg: Expr):
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
 
 # -- the one walk ---------------------------------------------------------------
@@ -834,7 +819,7 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
             regs = [*points.T, *registers]
         elif len(point) != n:
             raise ValueError(f"a point must have {n} coordinates")
-        elif hasattr(point[0], "space"):  # one jet per coordinate
+        elif point and hasattr(point[0], "space"):  # one jet per coordinate
             space = point[0].space
             regs = [*point, *(space.constant(c) if isinstance(c, float) else c
                               for c in registers)]
@@ -866,16 +851,8 @@ def compile_exprs(exprs: Iterable[Expr], coords: Sequence[str]) -> Callable[...,
 
 
 def eval_many(exprs: Iterable[Expr], env: Mapping[str, float]) -> list:
-    """The float values of expressions at `env`, from one sweep of a tape over
-    the coordinates of `env`, for one-off expressions (Expr.eval calls it
-    too).  An ExprDomainError names the failing subexpression, with the
-    coordinates in `point`."""
-    coords = list(env)
-    registers, steps, outputs, nodes = _tape(list(exprs), coords)
-    regs = [*map(float, env.values()), *registers]
-    try:
-        _sweep(steps, regs)
-    except _FAILURES:
-        _raise_named(steps, nodes, regs, coords)
-        raise
-    return [regs[r] for r in outputs]
+    """The float values of expressions at `env`, from the program
+    `compile_exprs` builds over the coordinates of `env`, for one-off
+    expressions (Expr.eval calls it too).  An ExprDomainError names the
+    failing subexpression, with the coordinates in `point`."""
+    return compile_exprs(exprs, list(env))(*env.values()).tolist()

@@ -15,7 +15,11 @@ structures (through the commutant), and invariant subspaces (through
 eigenspace analysis of generic elements).  The forms and the commutant are
 null spaces of one linear map each, read off one SVD (`_null_vectors`).
 Every candidate is re-verified against all generators before being
-returned; the zero algebra gives each detector its "trivial" candidate.
+returned; the finite zero algebra gives each detector its "trivial"
+candidate, and an algebra that is not finite gives none.  One rule ranks
+every span (`_rank`) and one counts a form's signature (`_signature`); the
+label of each kind of preserved structure is read from one table,
+`STRUCTURE_LABELS`, by `classify` and by the `detect` command.
 
 Rank, closure and structure tolerances, the tower's highest order
 (`_MAX_ORDER`), the loop size, transport tolerance and log floor of the
@@ -50,9 +54,19 @@ __all__ = [
     "invariant_subspaces",
     "classify",
     "CLASSIFY_CAVEAT",
+    "STRUCTURE_LABELS",
 ]
 
 CLASSIFY_CAVEAT = "These are not equivalences, however, except in the projectively Einstein case."
+
+# the geometric structure each kind of preserved fiber structure labels; only
+# the metric's label is an equivalence
+STRUCTURE_LABELS = {
+    "metric": "Einstein manifold",
+    "symplectic": "Contact manifold",
+    "complex": "U(1)-bundle over a complex manifold",
+    "subspace": "Foliation by Ricci-flat leaves",
+}
 
 
 @dataclass
@@ -100,22 +114,25 @@ _CLOSURE_ROUNDS = 12      # bracket rounds before `bracket_closure` gives up
 _AGREE_TOL = 1e-5         # mutual containment bound of `compare_spans`
 
 
-def _span_basis(mats, m: int, tol: float):
-    """Orthonormal basis (Frobenius) of the span of a list of matrices.
+def _rank(s: np.ndarray, tol: float) -> int:
+    """The one rank rule: the count of the singular values `s` (largest first)
+    above tol times the largest.  Singular values whose largest sits at or
+    below an absolute floor are zero: evaluating an identically vanishing
+    curvature leaves rounding residue that must not be ranked relative to
+    itself."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > _SPAN_FLOOR else 0
 
-    Rank counts singular values above tol times the largest.  A stack whose
-    largest singular value sits below an absolute floor is treated as zero:
-    evaluating an identically vanishing curvature leaves rounding residue
-    that must not be ranked relative to itself.  A stack that is not finite
-    has no singular values and rank 0.
+
+def _span_basis(mats, m: int, tol: float):
+    """Orthonormal basis (Frobenius) of the span of a list of matrices, of
+    `_rank` at tol.  A stack that is not finite has no singular values and
+    rank 0.
     """
     stack = np.array([np.asarray(a, dtype=float).ravel() for a in mats])
     if len(mats) == 0 or not np.isfinite(stack).all():
         return np.zeros((0, m, m)), np.zeros(0), 0
     u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] <= _SPAN_FLOOR:
-        return np.zeros((0, m, m)), s, 0
-    rank = int(np.sum(s > tol * s[0]))
+    rank = _rank(s, tol)
     return vt[:rank].reshape(rank, m, m), s, rank
 
 
@@ -177,11 +194,7 @@ def algebra_from_generators(gens, fiber_dim: int | None = None) -> HolonomyAlgeb
 def _algebra(gens, m: int, method: str, closure) -> HolonomyAlgebra:
     """The report of float generators `gens` whose `bracket_closure` is `closure`."""
     _, svals, _ = _span_basis(gens, m, _RANK_TOL)
-    thresholds = (_RANK_TOL / 10, _RANK_TOL, _RANK_TOL * 10)
-    if svals.size and svals[0] > _SPAN_FLOOR:
-        ranks = {t: int(np.sum(svals > t * svals[0])) for t in thresholds}
-    else:
-        ranks = {t: 0 for t in thresholds}
+    ranks = {_rank(svals, t) for t in (_RANK_TOL / 10, _RANK_TOL, _RANK_TOL * 10)}
     basis, closed, _, bresid = closure
     tf = max_abs([abs(float(np.trace(a))) / (1.0 + max_abs(a)) for a in gens])  # NaN if one is
     return HolonomyAlgebra(
@@ -189,7 +202,7 @@ def _algebra(gens, m: int, method: str, closure) -> HolonomyAlgebra:
         basis=basis,
         rank=int(basis.shape[0]),
         method=method,
-        rank_stable=len(set(ranks.values())) == 1,
+        rank_stable=len(ranks) == 1,
         closed_under_bracket=closed,
         singular_values=svals,
         trace_free_residual=tf,
@@ -467,7 +480,9 @@ _SUBSPACE_TRIALS = 2     # generic elements whose eigenspaces `invariant_subspac
 
 
 def _trivial(kind: str) -> StructureCandidate:
-    """The candidate every detector returns for the zero algebra."""
+    """The candidate every detector returns for the finite zero algebra; an
+    algebra that is not `finite` preserves nothing that can be read off it,
+    so the detectors return None (or no subspace) for it."""
     return StructureCandidate(kind, None, 0.0,
                               {"trivial": True, "note": "trivial holonomy, not informative"})
 
@@ -540,8 +555,8 @@ def invariant_metric(alg: HolonomyAlgebra):
     """Symmetric bilinear form fixed by every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
-    if len(gens) == 0:
-        return _trivial("metric")
+    if len(gens) == 0 or not alg.finite:
+        return _trivial("metric") if alg.finite else None
     sols = _bilinear_solutions(gens, m, symmetric=True, tol=_RANK_TOL)
     candidates = list(sols)
     if len(sols) > 1:
@@ -572,8 +587,8 @@ def invariant_symplectic(alg: HolonomyAlgebra):
     """Antisymmetric bilinear form fixed by every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
-    if len(gens) == 0:
-        return _trivial("symplectic")
+    if len(gens) == 0 or not alg.finite:
+        return _trivial("symplectic") if alg.finite else None
     if m % 2 == 1:
         return None
     sols = _bilinear_solutions(gens, m, symmetric=False, tol=_RANK_TOL)
@@ -611,8 +626,8 @@ def invariant_complex(alg: HolonomyAlgebra, seed: int = 0):
     """Complex structure commuting with every generator, if one exists."""
     m = alg.fiber_dim
     gens = list(alg.basis)
-    if len(gens) == 0:
-        return _trivial("complex")
+    if len(gens) == 0 or not alg.finite:
+        return _trivial("complex") if alg.finite else None
     if m % 2 == 1:
         return None
     comm = _commutant(gens, m, tol=1e-9)
@@ -661,8 +676,8 @@ def invariant_subspaces(alg: HolonomyAlgebra, seed: int = 0):
     """Invariant proper subspaces of the fiber, by eigenspace analysis."""
     m = alg.fiber_dim
     gens = list(alg.basis)
-    if len(gens) == 0:
-        return [_trivial("subspace")]
+    if len(gens) == 0 or not alg.finite:
+        return [_trivial("subspace")] if alg.finite else []
     rng = np.random.default_rng(seed)
     found = []
     for trial in range(_SUBSPACE_TRIALS):
@@ -750,32 +765,20 @@ def classify(alg: HolonomyAlgebra, candidates) -> dict:
     """Map detected fiber structures to geometric structure labels.
 
     The mapping (preserved structure -> geometric structure) is the label
-    dictionary only; apart from the metric case these are not equivalences,
-    and the report says so.  An algebra that is not `finite` is neither
-    trivial nor given a label.
+    table `STRUCTURE_LABELS` only; apart from the metric case these are not
+    equivalences, and the report says so.  An algebra that is not `finite`
+    is neither trivial nor given a label.
     """
     labels = []
-    equivalences = {}
     trivial = alg.finite and alg.rank == 0
     for cand in candidates if alg.finite else ():
         if cand is None or (cand.meta or {}).get("trivial"):
             continue
-        if cand.kind == "metric":
-            labels.append("Einstein manifold")
-            equivalences["Einstein manifold"] = True
-        elif cand.kind == "symplectic":
-            labels.append("Contact manifold")
-            equivalences["Contact manifold"] = False
-        elif cand.kind == "complex":
-            labels.append("U(1)-bundle over a complex manifold")
-            equivalences["U(1)-bundle over a complex manifold"] = False
-            if cand.meta.get("anticommuting_partner_found"):
-                labels.append("Sp(1,H)-bundle over a quaternionic manifold")
-                equivalences["Sp(1,H)-bundle over a quaternionic manifold"] = False
-        elif cand.kind == "subspace":
-            labels.append("Foliation by Ricci-flat leaves")
-            equivalences["Foliation by Ricci-flat leaves"] = False
+        labels.append(STRUCTURE_LABELS[cand.kind])
+        if cand.kind == "complex" and cand.meta.get("anticommuting_partner_found"):
+            labels.append("Sp(1,H)-bundle over a quaternionic manifold")
     labels = list(dict.fromkeys(labels))
+    equivalences = {label: label == STRUCTURE_LABELS["metric"] for label in labels}
     return {
         "labels": labels,
         "equivalences": equivalences,

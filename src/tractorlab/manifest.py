@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .affine import ChartModel, Curve, max_abs, sample_points, symmetrize
-from .expr import Expr, ExprDomainError, compile_exprs, num, parse
+from .expr import ExprDomainError, compile_exprs, num, parse
 from .jets import JetSpace
 
 __all__ = [
@@ -83,7 +83,6 @@ class Manifest:
     structures: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     symmetrized: bool = False
-    asymmetry: float = 0.0
     raw: dict = field(default_factory=dict)
     gamma_entries: dict = field(default_factory=dict)  # declared "k,i,j" -> Expr, in order
     # seed -> (loop algebra at base(), its candidates, their classification)
@@ -244,9 +243,8 @@ def loads(text: str, source: str = "<string>") -> Manifest:
     asym = _asymmetry(chart, entries)
     if asym > 1e-12:
         if doc.get("symmetrize", False):
-            chart, asym_found = symmetrize(chart)
+            chart, _ = symmetrize(chart)
             symmetrized = True
-            asym = asym_found
         else:
             raise ManifestError(
                 "$['gamma']: asymmetric Christoffel symbols describe a connection "
@@ -317,7 +315,6 @@ def loads(text: str, source: str = "<string>") -> Manifest:
         structures=structures,
         tolerances=dict(doc.get("tolerances", {})),
         symmetrized=symmetrized,
-        asymmetry=asym,
         raw=doc,
         gamma_entries=entries,
     )
@@ -368,20 +365,15 @@ def _asymmetry(chart: ChartModel, entries: dict) -> float:
 # -- writing and the bundled corpus ---------------------------------------------
 
 
-def _expr_is_zero(e: Expr) -> bool:
-    return e.to_string() == "0"
+def _sparse(field: np.ndarray) -> dict:
+    """The entries of a symbolic array that are not zero, as "i,j,..." -> text."""
+    return {",".join(map(str, idx)): e.to_string()
+            for idx, e in np.ndenumerate(field) if not e.is_zero()}
 
 
 def chart_to_manifest(chart: ChartModel, name: str | None = None, **extra) -> dict:
-    """Serialize a chart to a manifest document (sparse gamma, to_string)."""
+    """Serialize a chart to a manifest document (sparse gamma and metric, to_string)."""
     n = chart.n
-    gamma = {}
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                e = chart.gamma[k, i, j]
-                if not _expr_is_zero(e):
-                    gamma[f"{k},{i},{j}"] = e.to_string()
     doc = {
         "format": "tractorlab-manifest",
         "version": 1,
@@ -389,16 +381,10 @@ def chart_to_manifest(chart: ChartModel, name: str | None = None, **extra) -> di
         "dimension": n,
         "coordinates": list(chart.coords),
         "domain": [[float(lo), float(hi)] for lo, hi in chart.domain],
-        "gamma": gamma,
+        "gamma": _sparse(chart.gamma),
     }
     if chart.metric is not None:
-        metric = {}
-        for i in range(n):
-            for j in range(n):
-                e = chart.metric[i, j]
-                if not _expr_is_zero(e):
-                    metric[f"{i},{j}"] = e.to_string()
-        doc["metric"] = metric
+        doc["metric"] = _sparse(chart.metric)
     doc.update(extra)
     return doc
 

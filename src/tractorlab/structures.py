@@ -28,7 +28,8 @@ so the check stays independent of the symbolic route.  The contact, complex
 and foliation chains take them on one route, `_spread_stencil`, which spreads
 the fiber object to each sample p and to p ± _FD_STEP·e_i in one batch.
 Sample counts (`_*_SAMPLES`), the step and the bounds (`_NABLA_RIC_TOL`,
-`_DET_RIC_FLOOR`, `_INVARIANCE_TOL`, `_CLOSURE_TOL`) are module constants.
+`_DET_RIC_FLOOR`, `_INVARIANCE_TOL`) are module constants; spans and brackets
+are ranked by `holonomy`'s one rule, at its `_RANK_TOL`.
 A report carries only what its verdict, `detect`, a demo or a test reads,
 and nothing else is computed; only the Einstein report has a `meta`: the
 sign of the Einstein coefficient and whether the signature rule holds, for
@@ -44,7 +45,8 @@ import numpy as np
 
 from .affine import ChartModel, max_abs, sample_points
 from .holonomy import HolonomyAlgebra, algebra_from_generators, bracket_closure, \
-    invariant_subspaces, _containment_residual, _fiber_invariance, _signature, _worse
+    invariant_subspaces, _RANK_TOL, _containment_residual, _fiber_invariance, _rank, \
+    _signature, _worse
 from .projective import assemble_rho, point_fields, ricci_from_rho
 from .tractor import spread_structure
 
@@ -69,7 +71,6 @@ _EINSTEIN_SAMPLES = 40
 _NABLA_RIC_TOL = 1e-8        # bound on |nabla Ric| / (1 + |Ric|) for an Einstein connection
 _DET_RIC_FLOOR = 1e-8        # |det Ric| below this on a sample is degenerate
 _INVARIANCE_TOL = 1e-6       # bound on the fiber invariance residual of supplied data
-_CLOSURE_TOL = 1e-7          # span and closure tolerance of the affine curvature algebra
 
 
 # -- reports ---------------------------------------------------------------------
@@ -228,17 +229,16 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: di
         parallel in any gauge of an Einstein connection.
         """
         p = np.asarray(points, dtype=float)
-        ric = point_fields(chart, p.reshape(-1, n))["Ric"]
-        H = np.zeros((len(ric), n + 1, n + 1))
-        for H_p, R in zip(H, ric):
-            H_p[:n, :n] = -assemble_rho(R, n)
+        at = point_fields(chart, p.reshape(-1, n))
+        H = np.zeros((len(at["Ric"]), n + 1, n + 1))
+        for H_p, R, P in zip(H, at["Ric"], at["P"]):
+            H_p[:n, :n] = -P
             H_p[n, n] = 1.0
             H_p /= abs(np.linalg.det(R)) ** (1.0 / (n + 1))
         return H.reshape(p.shape[:-1] + (n + 1, n + 1))
 
     blocks = np.zeros(3)
-    for R, dR, M in list(zip(fields["Ric"], fields["dRic"], fields["M"]))[:20]:
-        P = assemble_rho(R, n)
+    for R, P, dR, M in list(zip(fields["Ric"], fields["P"], fields["dRic"], fields["M"]))[:20]:
         H0 = np.zeros((n + 1, n + 1))
         H0[:n, :n] = -P
         H0[n, n] = 1.0
@@ -263,12 +263,10 @@ def _attach_tractor_metric(chart: ChartModel, report: EinsteinReport, fields: di
     for hv, local in zip(values, h_at(spread_pts)):
         transport_resid = _worse(transport_resid, max_abs(hv - local) / (1.0 + max_abs(local)))
 
-    vals = np.linalg.eigvalsh(h_base)
-    vscale = np.abs(vals).max()
     report.h = h_at
     report.parallel_residual = float(blocks.max())
     report.transport_residual = _worse(transport_resid, info["max_path_residual"])
-    report.h_signature = (int(np.sum(vals > 1e-9 * vscale)), int(np.sum(vals < -1e-9 * vscale)))
+    report.h_signature = _signature(h_base)[:2]
     if chart.metric is not None:
         g = chart.evaluator(chart.metric)(base)
         R = point_fields(chart, base)["Ric"]
@@ -676,16 +674,12 @@ def holonomy_decomposition_check(chart: ChartModel, alg: HolonomyAlgebra,
         for h in range(n):
             for j in range(h + 1, n):
                 affine_mats.append(R[h, j])
-    affine_basis, closed, rounds, bres = bracket_closure(affine_mats, n, _CLOSURE_TOL)
+    affine_basis, closed, rounds, bres = bracket_closure(affine_mats, n, _RANK_TOL)
     gl_blocks = [A[:n, :n] for A in gens]
     containment = _containment_residual(gl_blocks, affine_basis) if finite else np.inf
 
     col_stack = np.array([A[:n, n] for A in gens]) if gens else np.zeros((0, n))
-    if col_stack.size:
-        svc = np.linalg.svd(col_stack, compute_uv=False)
-        col_rank = int(np.sum(svc > 1e-7 * max(svc[0], 1e-30))) if svc[0] > 1e-10 else 0
-    else:
-        col_rank = 0
+    col_rank = _rank(np.linalg.svd(col_stack, compute_uv=False), _RANK_TOL)
     if col_rank == 0:
         column_state = "zero (cone case)"
     elif col_rank == n:

@@ -25,6 +25,7 @@ from tractorlab.expr import (
     Num,
     Pow,
     Sub,
+    Var,
     compile_exprs,
     eval_many,
     intern,
@@ -385,6 +386,25 @@ def test_eval_many_survives_deep_chains() -> None:
     assert fn(np.array([[0.5], [1.5]])).tolist() == [[5000.5], [5001.5]]
     assert e.diff("x").eval({"x": 0.5}) == 1.0
     assert parse(e.to_string(), ("x",)).eval({"x": 0.5}) == 5000.5
+
+
+def test_a_program_over_no_coordinates_runs() -> None:
+    e = parse("2*3", ())
+    assert compile_exprs([e], ())().tolist() == [6.0]
+    assert eval_many([e], {}) == [6.0]
+    assert e.eval({}) == 6.0
+
+
+@pytest.mark.parametrize("node, field", [
+    (Num(2.0), "value"), (Var("x"), "name"), (Add(var("x"), num(1.0)), "left"),
+    (Sub(var("x"), num(1.0)), "right"), (Mul(var("x"), var("y")), "left"),
+    (Div(var("x"), var("y")), "right"), (Neg(var("x")), "operand"),
+    (Pow(var("x"), 3), "exponent"), (Call("sin", var("x")), "arg"),
+])
+def test_every_node_refuses_assignment(node, field) -> None:
+    for name in (field, "other"):
+        with pytest.raises(AttributeError, match="expressions are immutable"):
+            setattr(node, name, num(0.0))
 
 
 # -- hash-consing ----------------------------------------------------------------

@@ -283,6 +283,25 @@ def test_trivial_algebra_flags():
         algebra_from_generators([])
 
 
+def test_only_a_finite_zero_algebra_is_trivial():
+    # the logs of loops that did not converge leave an algebra that is not
+    # finite, whatever its rank; nothing can be read off it, not even "trivial"
+    E01 = np.zeros((4, 4))
+    E01[0, 1] = 1.0
+    zero = algebra_from_generators([], fiber_dim=4)
+    broken = algebra_from_generators([E01, np.full((4, 4), np.nan)])
+    so3 = algebra_from_generators([np.pad(rot_gen(*ij), (0, 1)) for ij in ((0, 1), (0, 2), (1, 2))])
+    unread = dataclasses.replace(so3, trace_free_residual=np.nan)
+    assert zero.finite and zero.rank == 0
+    assert not broken.finite and broken.rank == 0
+    assert not unread.finite and unread.rank == 3 and invariant_metric(so3) is not None
+    for detect in (invariant_metric, invariant_symplectic, invariant_complex):
+        assert detect(zero).meta["trivial"] is True
+        assert detect(broken) is None and detect(unread) is None
+    assert [c.meta["trivial"] for c in invariant_subspaces(zero)] == [True]
+    assert invariant_subspaces(broken) == [] and invariant_subspaces(unread) == []
+
+
 # -- the principal logarithm --------------------------------------------------------
 
 # Worst errors measured over 3,600 matrices expm(S), ||S||_2 <= 1, m = 3, 4, 5,

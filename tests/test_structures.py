@@ -523,6 +523,39 @@ def test_decomposition_flat_cone_case(flat3):
     assert d["affine_span_rank"] == 0
 
 
+def _fiber_block(A=None, column=None):
+    """[[A, column], [0, 0]] on the 4-d fiber of a 3-d chart."""
+    out = np.zeros((4, 4))
+    if A is not None:
+        out[:3, :3] = A
+    if column is not None:
+        out[:3, 3] = column
+    return out
+
+
+def test_decomposition_claims_of_an_irreducible_block(flat3):
+    # flat3 has no curvature, so only the synthetic algebra decides the claim
+    so3 = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        A = np.zeros((3, 3))
+        A[i, j], A[j, i] = 1.0, -1.0
+        so3.append(_fiber_block(A))
+    alg = algebra_from_generators(so3)
+    assert alg.rank == 3
+    d = holonomy_decomposition_check(flat3, alg)
+    assert d["irreducible"] is True
+    assert d["tangent_column_rank"] == 0
+    assert d["tangent_column_state"] == "zero (cone case)"
+    assert d["decomposition"] == "affine holonomy only" and d["note"] is None
+
+    alg = algebra_from_generators(so3 + [_fiber_block(column=e) for e in np.eye(3)])
+    assert alg.rank == 6
+    d = holonomy_decomposition_check(flat3, alg)
+    assert d["tangent_column_rank"] == 3
+    assert d["tangent_column_state"] == "full"
+    assert d["decomposition"] == "affine holonomy + full tangent block" and d["note"] is None
+
+
 def test_decomposition_needs_vanishing_tangent_row():
     chart = polynomial_chart()
     alg = infinitesimal_algebra(chart, chart.center())

@@ -107,3 +107,27 @@ def test_every_keyword_option_has_a_caller_that_sets_it():
                       if not any(star or arg in kws or (i is not None and npos > i)
                                  for npos, kws, star in calls.get(name, []))]
     assert unset == []
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module imports and never reads; a name in `__all__` is read."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "tractorlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    assert _unused_imports("import os\nfrom x import a, b as c\n__all__ = ['a']\n") == ["os", "c"]
