@@ -214,7 +214,7 @@ def cmd_holonomy(manifest: Manifest, seed: int, checks: _Checks) -> dict:
 
 def _candidates(alg, seed):
     cands = [invariant_metric(alg), invariant_symplectic(alg), invariant_complex(alg, seed=seed)]
-    cands.extend(invariant_subspaces(alg, seed=seed))
+    cands.extend(invariant_subspaces(alg))
     return cands
 
 

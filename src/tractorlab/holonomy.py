@@ -11,15 +11,16 @@ covariant derivative is one vectorized step on the jets.
 
 On top of an estimated algebra, brute-force linear algebra finds the fiber
 structures it preserves: symmetric and alternating bilinear forms, complex
-structures (through the commutant), and invariant subspaces (through
-eigenspace analysis of generic elements).  The forms and the commutant are
-null spaces of one linear map each, read off one SVD (`_null_vectors`).
-Every candidate is re-verified against all generators before being
-returned; the finite zero algebra gives each detector its "trivial"
-candidate, and an algebra that is not finite gives none.  One rule ranks
-every span (`_rank`) and one counts a form's signature (`_signature`); the
-label of each kind of preserved structure is read from one table,
-`STRUCTURE_LABELS`, by `classify` and by the `detect` command.
+structures (through the commutant), and invariant subspaces (submodules of
+the associative envelope, from its radical or its commutant).  The forms,
+the commutant and the radical are null spaces of one linear map each, read
+off one SVD (`_null_vectors`).  Every candidate is re-verified against all
+generators before being returned; the finite zero algebra gives each
+detector its "trivial" candidate, and an algebra that is not finite gives
+none.  One rule ranks every span (`_rank`) and one counts a form's
+signature (`_signature`); the label of each kind of preserved structure is
+read from one table, `STRUCTURE_LABELS`, by `classify` and by the `detect`
+command.
 
 Rank, closure and structure tolerances, the tower's highest order
 (`_MAX_ORDER`), the loop size, transport tolerance and log floor of the
@@ -476,7 +477,6 @@ def loop_algebra(chart: ChartModel, base_point, count: int = 6, seed: int = 0) -
 
 _SIGNATURE_TOL = 1e-9    # eigenvalues within this times the largest (at least 1) count as zero
 _COMPLEX_TOL = 1e-6      # bound on J^2 + I and on the commutator residual of a complex structure
-_SUBSPACE_TRIALS = 2     # generic elements whose eigenspaces `invariant_subspaces` combines
 
 
 def _trivial(kind: str) -> StructureCandidate:
@@ -488,11 +488,11 @@ def _trivial(kind: str) -> StructureCandidate:
 
 
 def _null_vectors(L: np.ndarray, tol: float) -> np.ndarray:
-    """Null vectors of L, last first: the rows of vt whose singular value is
-    at most tol times the largest or missing; only a wide L needs the full vt
+    """Null vectors of L, last first: the rows of vt past the `_rank` of L at
+    tol, so every row when L is round-off; only a wide L needs the full vt
     for the missing ones, so only then is a square U built."""
     _, s, vt = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
-    return vt[::-1][:L.shape[1] - int(np.sum(s > tol * s[0]))]
+    return vt[::-1][:L.shape[1] - _rank(s, tol)]
 
 
 def _bilinear_solutions(gens, m: int, symmetric: bool, tol: float):
@@ -634,8 +634,7 @@ def invariant_complex(alg: HolonomyAlgebra, seed: int = 0):
     if not comm:
         return None
     rng = np.random.default_rng(seed)
-    J = None
-    for attempt in range(2):
+    for _ in range(2):
         coeffs = rng.normal(size=len(comm))
         B = sum(c * C for c, C in zip(coeffs, comm))
         J = _complex_from_element(B)
@@ -643,8 +642,8 @@ def invariant_complex(alg: HolonomyAlgebra, seed: int = 0):
             break
     if J is None:
         return None
-    resid = max(max_abs(A @ J - J @ A) / (1.0 + max_abs(A)) for A in gens)
-    if resid > _COMPLEX_TOL:
+    resid = _fiber_invariance(alg, J, "endo")
+    if not resid <= _COMPLEX_TOL:
         return None
     meta = {"commutant_dim": len(comm), "square_residual": max_abs(J @ J + np.eye(m))}
     # best-effort check for an anticommuting partner (hypercomplex hint)
@@ -655,8 +654,6 @@ def invariant_complex(alg: HolonomyAlgebra, seed: int = 0):
 
 def _anticommuting_partner(comm, J):
     """Search the commutant for a second complex structure anticommuting with J."""
-    if not comm:
-        return None
     anti = np.array([(C @ J + J @ C).ravel() for C in comm])
     G = anti @ anti.T
     w, v = np.linalg.eigh(G)
@@ -672,59 +669,62 @@ def _anticommuting_partner(comm, J):
     return None
 
 
-def invariant_subspaces(alg: HolonomyAlgebra, seed: int = 0):
-    """Invariant proper subspaces of the fiber, by eigenspace analysis."""
+def _envelope(gens, m: int) -> np.ndarray:
+    """Orthonormal basis of the associative envelope: the span of I and `gens`,
+    grown by right products with `gens` until its rank stops growing; empty
+    when the stack is not finite."""
+    env, rank = np.eye(m)[None], 0
+    while len(env) > rank:
+        rank = len(env)
+        env, _, _ = _span_basis([*env, *(a @ g for a in env for g in gens)], m, _RANK_TOL)
+    return env
+
+
+def _image(M: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the column space of M, of `_rank` at `_RANK_TOL`."""
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    return u[:, :_rank(s, _RANK_TOL)]
+
+
+def invariant_subspaces(alg: HolonomyAlgebra):
+    """Invariant proper subspaces of the fiber V: the submodules of the algebra's
+    associative envelope A that one rule picks (Pierce, *Associative Algebras*).
+
+    The Jacobson radical J of A is the null space of the trace form tr(ab).  If
+    J is not zero the candidates are the radical series J^k V and the socle
+    series ker J^k.  If it is, V is reducible exactly when its commutant is not
+    R, C or H, that is when a trace-free x in the commutant has tr(x^2) > 0;
+    the candidates are the eigenspaces, grouped by real part, of each such x
+    on which the trace form is diagonal, and a continuum of submodules is
+    represented by the spaces this picks.  Each candidate is re-verified by
+    `_fiber_invariance`; those within 1e-6 in projector distance are one.
+    """
     m = alg.fiber_dim
     gens = list(alg.basis)
     if len(gens) == 0 or not alg.finite:
         return [_trivial("subspace")] if alg.finite else []
-    rng = np.random.default_rng(seed)
-    found = []
-    for trial in range(_SUBSPACE_TRIALS):
-        coeffs = rng.normal(size=len(gens))
-        C = sum(c * A for c, A in zip(coeffs, gens))
-        vals, vecs = np.linalg.eig(C)
-        scale = 1.0 + float(np.abs(vals).max())
-        atoms = []
-        used = set()
-        for idx in range(len(vals)):
-            if idx in used:
-                continue
-            if abs(vals[idx].imag) <= 1e-9 * scale:
-                v = np.real(vecs[:, idx])
-                if np.linalg.norm(v) > 1e-12:
-                    atoms.append(v[:, None] / np.linalg.norm(v))
-                used.add(idx)
-            else:
-                pair = None
-                for jdx in range(idx + 1, len(vals)):
-                    if jdx not in used and abs(vals[jdx] - np.conj(vals[idx])) <= 1e-8 * scale:
-                        pair = jdx
-                        break
-                block = np.column_stack([np.real(vecs[:, idx]), np.imag(vecs[:, idx])])
-                atoms.append(block)
-                used.add(idx)
-                if pair is not None:
-                    used.add(pair)
-        if len(atoms) > 9:
-            atoms = atoms[:9]
-        for mask in range(1, 2 ** len(atoms) - 1):
-            cols = [atoms[i] for i in range(len(atoms)) if mask & (1 << i)]
-            Braw = np.column_stack(cols)
-            q, r = np.linalg.qr(Braw)
-            keep = np.abs(np.diag(r)) > 1e-10
-            q = q[:, keep]
-            dim = q.shape[1]
-            if dim == 0 or dim >= m:
-                continue
-            proj = q @ q.T
-            resid = max_abs([max_abs((np.eye(m) - proj) @ A @ proj) / (1.0 + max_abs(A))
-                             for A in gens])  # NaN if one is, and a NaN rejects the mask
-            if resid <= _RANK_TOL:
-                found.append(StructureCandidate("subspace", q, resid, {"dim": dim}))
-    # dedupe by projector distance
+    env = _envelope(gens, m)
+    if not len(env):
+        return []  # a basis that is not finite spans no envelope
+    rad = np.tensordot(_null_vectors(np.einsum("iab,jba->ij", env, env), _RANK_TOL), env, 1)
+    spaces, power = [], rad
+    while len(power) and len(spaces) < 2 * m:  # J^m = 0 on the m-dimensional fiber
+        spaces += [_image(np.hstack(power)), _null_vectors(np.vstack(power), _RANK_TOL).T]
+        power, _, _ = _span_basis([a @ b for a in power for b in rad], m, _RANK_TOL)
+    if not len(rad):
+        tf, _, _ = _span_basis([C - np.trace(C) / m * np.eye(m)
+                                for C in _commutant(gens, m, _RANK_TOL)], m, _RANK_TOL)
+        w, v = np.linalg.eigh(np.einsum("iab,jba->ij", tf, tf))
+        for x in np.tensordot(v[:, w > _RANK_TOL].T, tf, 1):
+            vals, vecs = np.linalg.eig(x)
+            for r in vals.real:
+                group = vecs[:, np.abs(vals.real - r) <= _RANK_TOL]
+                spaces.append(_image(np.hstack([group.real, group.imag])))
+    found = [StructureCandidate("subspace", q, _fiber_invariance(alg, q, "subspace"),
+                                {"dim": q.shape[1]}) for q in spaces if 0 < q.shape[1] < m]
     unique = []
-    for cand in sorted(found, key=lambda c: (c.meta["dim"], c.residual)):
+    for cand in sorted((c for c in found if c.residual <= _RANK_TOL),
+                       key=lambda c: (c.meta["dim"], c.residual)):
         proj = cand.data @ cand.data.T
         if all(max_abs(proj - u.data @ u.data.T) > 1e-6 for u in unique):
             unique.append(cand)

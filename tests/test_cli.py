@@ -859,6 +859,19 @@ def test_detect_runs_the_einstein_check_once(monkeypatch):
     assert "tractor_metric" in report["result"]
 
 
+def test_product_rf3_subspaces_do_not_depend_on_the_seed():
+    # the loop lassos are seeded, but the algebra is span{E02, E03} at every seed, and its
+    # invariant subspaces, span(e0) = J V and span(e0, e1) = ker J, are read off it by one rule
+    m = load_bundled("product_rf3")
+    for seed in range(4):
+        cands = cli.run("holonomy", m, seed=seed)["result"]["candidates"]
+        spaces = [np.reshape(c["data"]["data"], c["data"]["shape"]) for c in cands
+                  if c["kind"] == "subspace"]
+        assert [q.shape[1] for q in spaces] == [1, 2]
+        for q, want in zip(spaces, ([1, 0, 0, 0], [1, 1, 0, 0])):
+            np.testing.assert_allclose(q @ q.T, np.diag(want), atol=1e-12)
+
+
 def test_coordinates_named_like_former_compiler_temporaries_run_the_suite(tmp_path):
     # the schema accepts any identifier that is not a function name
     text = bundled_path("sphere2").read_text().replace("x1", "_out").replace("x2", "_t0")

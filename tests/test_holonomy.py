@@ -63,6 +63,9 @@ def sym_basis(m):
 
 OMEGA = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 J0 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+# left multiplication by the quaternion units i and j on H = R^4; LI @ LJ is k's
+LI = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0.0]])
+LJ = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0.0]])
 
 
 # -- synthetic round trips -------------------------------------------------------
@@ -117,6 +120,7 @@ def test_complex_linear_algebra_recovers_j():
     cx = invariant_complex(alg)
     assert cx is not None
     assert cx.residual <= 1e-8
+    assert cx.residual == holonomy._fiber_invariance(alg, cx.data, "endo")
     assert np.abs(cx.data @ cx.data + np.eye(4)).max() <= 1e-8
     close_to = min(np.abs(cx.data - J0).max(), np.abs(cx.data + J0).max())
     assert close_to <= 1e-8
@@ -124,16 +128,7 @@ def test_complex_linear_algebra_recovers_j():
 
 
 def test_quaternionic_algebra_flags_partner():
-    Li = np.zeros((4, 4))
-    Li[1, 0] = Li[3, 2] = 1.0
-    Li[0, 1] = Li[2, 3] = -1.0
-    Lj = np.zeros((4, 4))
-    Lj[2, 0] = Lj[1, 3] = 1.0
-    Lj[3, 1] = Lj[0, 2] = -1.0
-    Lk = np.zeros((4, 4))
-    Lk[3, 0] = Lk[2, 1] = 1.0
-    Lk[1, 2] = Lk[0, 3] = -1.0
-    alg = algebra_from_generators([Li, Lj, Lk])
+    alg = algebra_from_generators([LI, LJ, LI @ LJ])
     assert alg.rank == 3
     cx = invariant_complex(alg)
     assert cx is not None
@@ -178,7 +173,8 @@ def test_full_sl3_yields_no_candidates():
     assert rep["dimension_matches"] == ["sl(3,R)"]
 
 
-def test_a_nan_residual_after_the_first_generator_rejects_the_mask(monkeypatch):
+@pytest.mark.parametrize("place", [0, 5, 11])
+def test_a_nan_generator_anywhere_in_the_basis_rejects_every_subspace(place):
     # block upper-triangular generators keep span(e0, e1), with the max residual of them all
     rng = np.random.default_rng(11)
     gens = []
@@ -186,18 +182,75 @@ def test_a_nan_residual_after_the_first_generator_rejects_the_mask(monkeypatch):
         A[2:, :2] = 0.0
         gens.append(A - np.trace(A) / 4 * np.eye(4))
     alg = algebra_from_generators(gens)
+    assert alg.rank == 11
     subs = invariant_subspaces(alg)
     assert [cand.meta["dim"] for cand in subs] == [2]
-    proj = subs[0].data @ subs[0].data.T
-    assert subs[0].residual == max(max_abs((np.eye(4) - proj) @ A @ proj) / (1.0 + max_abs(A))
+    q = subs[0].data
+    np.testing.assert_allclose(q @ q.T, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
+    proj = q @ np.linalg.pinv(q)
+    assert subs[0].residual == max(max_abs((np.eye(4) - proj) @ A @ proj)
+                                   / ((1.0 + max_abs(A)) * (1.0 + max_abs(q)))
                                    for A in alg.basis)
-    # eig refuses a NaN matrix, so it is handed the eigenvectors of the finite basis; the NaN
-    # generator, last in the basis, must still reject every mask
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda C: eig(sum(alg.basis)))
-    nan_basis = np.concatenate([alg.basis, np.full((1, 4, 4), np.nan)])
-    assert invariant_subspaces(dataclasses.replace(alg, basis=nan_basis)) == []
+    # a NaN generator in any place of the basis makes every invariance residual NaN, and
+    # leaves no subspace
+    nan_basis = np.insert(alg.basis, place, np.nan, axis=0)
+    nan_alg = dataclasses.replace(alg, basis=nan_basis)
+    assert np.isnan(holonomy._fiber_invariance(nan_alg, q, "subspace"))
+    assert invariant_subspaces(nan_alg) == []
     assert invariant_subspaces(alg) != []
+
+
+def _unit(i, j, m):
+    E = np.zeros((m, m))
+    E[i, j] = 1.0
+    return E
+
+
+def _random_sl(m, count, seed):
+    gens = np.random.default_rng(seed).normal(size=(count, m, m))
+    return [A - np.trace(A) / m * np.eye(m) for A in gens]
+
+
+_SO2 = rot_gen(0, 1, 2)
+
+
+@pytest.mark.parametrize("gens, dims", [
+    ([_unit(0, 1, 3), _unit(1, 2, 3), _unit(0, 2, 3)], [1, 2]),
+    ([_unit(i, j, 4) for i in range(4) for j in range(i + 1, 4)], [1, 2, 3]),
+    ([_unit(0, 1, 3) + _unit(1, 2, 3), _unit(0, 2, 3)], [1, 2]),
+    ([np.pad(rot_gen(*ij), (0, 1)) for ij in ((0, 1), (0, 2), (1, 2))]
+     + [_unit(i, 3, 4) for i in range(3)], [3]),
+    ([np.kron(np.diag([1.0, 2.0]), _SO2)], [2, 2]),
+    ([np.kron(np.diag([1.0, 0.0]), _SO2), np.kron(np.diag([0.0, 1.0]), _SO2)], [2, 2]),
+    ([_SO2], []),
+    ([rot_gen(*ij) for ij in ((0, 1), (0, 2), (1, 2))], []),
+    ([LI, LJ, LI @ LJ], []),
+    (_random_sl(3, 8, 3), []),
+    (_random_sl(4, 15, 3), []),
+], ids=["heisenberg", "strictly-upper-4", "nilpotent-cyclic", "so3-semidirect-R3",
+        "so2-as-r-2r", "so2+so2", "so2", "so3", "quaternions", "sl3", "sl4"])
+def test_invariant_subspaces_are_the_envelope_modules(gens, dims):
+    # a nilpotent algebra gives its radical and socle flags, a semisimple one the
+    # eigenspaces of its commutant, and an irreducible fiber (commutant R, C or H) none
+    alg = algebra_from_generators(gens)
+    subs = invariant_subspaces(alg)
+    assert [cand.meta["dim"] for cand in subs] == dims
+    for cand in subs:
+        assert cand.residual <= 1e-14
+        assert cand.residual == holonomy._fiber_invariance(alg, cand.data, "subspace")
+
+
+@pytest.mark.parametrize("blocks", [
+    [np.kron(np.eye(2), _SO2)],
+    [np.kron(np.eye(2), rot_gen(*ij)) for ij in ((0, 1), (0, 2), (1, 2))],
+], ids=["so2-on-R2+R2", "so3-on-R3+R3"])
+def test_a_simple_module_of_multiplicity_two_is_reducible(blocks):
+    # the centre of the envelope is a field here, so its eigenspaces split nothing; the
+    # commutant is a full 2 x 2 matrix algebra, and its eigenspaces do
+    subs = invariant_subspaces(algebra_from_generators(blocks))
+    m = blocks[0].shape[0]
+    assert subs and all(cand.meta["dim"] == m // 2 for cand in subs)
+    assert all(cand.residual <= 1e-14 for cand in subs)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -372,6 +425,14 @@ def test_null_vectors_of_a_wide_matrix_include_its_extra_columns():
     tall = np.random.default_rng(4).normal(size=(8, 3)) @ np.random.default_rng(5).normal(
         size=(3, 4))
     assert _null_vectors(tall, 1e-10).shape == (1, 4)
+
+
+def test_null_vectors_of_round_off_are_every_vector():
+    # the one rank rule: a largest singular value below the span floor ranks nothing
+    # relative to itself, so a map that is zero but for round-off has full null space
+    L = 2.6e-16 * np.random.default_rng(6).normal(size=(6, 4))
+    null = _null_vectors(L, 1e-7)
+    np.testing.assert_allclose(null @ null.T, np.eye(4), atol=1e-12)
 
 
 def test_sphere_infinitesimal_rank_zero():

@@ -556,6 +556,40 @@ def test_decomposition_claims_of_an_irreducible_block(flat3):
     assert d["decomposition"] == "affine holonomy + full tangent block" and d["note"] is None
 
 
+def _rotations(k):
+    """The so(k) basis E_ij - E_ji, i < j, on R^k."""
+    out = []
+    for i, j in zip(*np.triu_indices(k, 1)):
+        A = np.zeros((k, k))
+        A[i, j], A[j, i] = 1.0, -1.0
+        out.append(A)
+    return out
+
+
+# left multiplication by the quaternion units i and j on H = R^4
+_Q_UNITS = [np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0.0]]),
+            np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0.0]])]
+
+
+@pytest.mark.parametrize("gl_blocks, irreducible", [
+    ([np.kron(np.eye(2), A) for A in _rotations(2)], False),
+    ([np.pad(A, (0, 1)) for A in _rotations(3)], False),
+    (_rotations(4), True),
+    (_Q_UNITS + [_Q_UNITS[0] @ _Q_UNITS[1]], True),
+], ids=["so2-on-R2+R2", "so3-on-R3+line", "so4", "quaternions"])
+def test_decomposition_irreducibility_with_multiplicity(gl_blocks, irreducible):
+    # a simple module that occurs twice, or beside a spectator line, is reducible; so(4)
+    # and left multiplication by the quaternions act irreducibly on R^4
+    gens = []
+    for A in gl_blocks:
+        gen = np.zeros((5, 5))
+        gen[:4, :4] = A
+        gens.append(gen)
+    d = holonomy_decomposition_check(flat_chart(4), algebra_from_generators(gens))
+    assert d["irreducible"] is irreducible
+    assert (d["decomposition"] == "affine holonomy only") is irreducible
+
+
 def test_decomposition_needs_vanishing_tangent_row():
     chart = polynomial_chart()
     alg = infinitesimal_algebra(chart, chart.center())
